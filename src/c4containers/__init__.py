@@ -38,7 +38,6 @@ from .engine import (
     monotone_containers,
     normalize_parameters,
     replay_container,
-    run_round,
 )
 from .errors import HypothesisError, NumericError, PreconditionError, ScaleError
 from .hypergraph import (
@@ -47,8 +46,6 @@ from .hypergraph import (
     HypothesisReport,
     UniformHypergraph,
     check_container_hypothesis,
-    degree,
-    max_degree,
 )
 from .oracle import (
     LabeledGraph,
@@ -74,7 +71,6 @@ from .pregraph import (
     good_c4_enumerate,
     is_almost_split_pregraph,
     is_leaf_pregraph,
-    is_saturated,
     m_underflow_threshold,
     preprocess_saturation,
     random_order_independent_set,

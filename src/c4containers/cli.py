@@ -27,11 +27,10 @@ how work is scheduled.  Logarithms in outputs are natural (ln).  Exit codes:
 from __future__ import annotations
 
 import argparse
+import decimal
 import hashlib
 import json
-import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import Optional
 
@@ -143,11 +142,10 @@ def _write_output(lines: list[str], out: Optional[str], command: str, resolved: 
 def _cmd_enumerate(res: _Resolver) -> int:
     n = res.get("n", int, required=True)
     m = res.get("m", int)
-    threads = res.get("threads", int, 1)
     out = res.get("out", str)
     if n > EXACT_COUNT_LIMIT:
         raise ScaleError(f"exhaustive enumeration needs n <= {EXACT_COUNT_LIMIT}, got {n}")
-    table = _threaded_fnm_table(n, threads)
+    table = fnm_table(n)
     lines = ["# exact labeled counts of induced-C4-free graphs", "n,m,count"]
     targets = range(len(table)) if m is None else [m]
     for mm in targets:
@@ -158,27 +156,6 @@ def _cmd_enumerate(res: _Resolver) -> int:
     return 0
 
 
-def _threaded_fnm_table(n: int, threads: int) -> tuple[int, ...]:
-    if threads <= 1:
-        return fnm_table(n)
-    from .oracle import _scan_chunks
-
-    import numpy as np
-
-    npairs = math.comb(n, 2)
-
-    def count_chunk(args):
-        g, keep = args
-        good = g[keep]
-        return np.bincount(np.bitwise_count(good), minlength=npairs + 1)
-
-    chunks = list(_scan_chunks(n))
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        parts = list(pool.map(count_chunk, chunks))
-    total = sum(parts)
-    return tuple(int(x) for x in total)
-
-
 def _cmd_count_split(res: _Resolver) -> int:
     n = res.get("n", int, required=True)
     m = res.get("m", int, required=True)
@@ -186,7 +163,8 @@ def _cmd_count_split(res: _Resolver) -> int:
     lam = res.get("lambda", float, DEFAULT_LAMBDA)
     out = res.get("out", str)
     if ell is not None:
-        lines = [str(n_nm(n, m, ell))]
+        # str(int) refuses more than 4300 digits from Python 3.10.7 on; Decimal prints them all
+        lines = [str(decimal.Decimal(n_nm(n, m, ell)))]
     else:
         lines = grid_csv_lines(split_grid(n, [m], lam))
     _write_output(lines, out, "count-split", res.resolved)
@@ -374,10 +352,8 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--beta", type=float)
         sp.add_argument("--lambda", type=float, dest="lambda_")
         sp.add_argument("--seed", type=int)
-        sp.add_argument("--threads", type=int)
         sp.add_argument("--out")
         sp.add_argument("--exact", action="store_const", const=True, default=None)
-        sp.add_argument("--heuristic", dest="exact", action="store_const", const=False)
         sp.add_argument("--force", action="store_const", const=True, default=None)
         if name == "count-split":
             sp.add_argument("--ell", type=int)

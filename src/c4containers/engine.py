@@ -30,7 +30,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -46,9 +46,6 @@ from .hypergraph import (
 __all__ = [
     "normalize_parameters",
     "DeltaSchedule",
-    "saturated_pairs",
-    "RoundResult",
-    "run_round",
     "Cylinder",
     "Fingerprint",
     "ContainerResult",
@@ -131,16 +128,6 @@ class DeltaSchedule:
                 self.base[(l0, l1)] = Fraction(base[(l0, l1)])
         self._memo: dict[tuple[int, int, int, int], Fraction] = {}
 
-    @staticmethod
-    def from_hypergraph(h: UniformHypergraph, b: int, m: int) -> "DeltaSchedule":
-        base = {
-            (l0, l1): h.max_degree(l0, l1)
-            for l0 in range(h.k0 + 1)
-            for l1 in range(h.k1 + 1)
-            if (l0, l1) != (0, 0)
-        }
-        return DeltaSchedule(h.k0, h.k1, b, m, h.n_vertices, base)
-
     def index_set(self) -> list[tuple[int, int]]:
         u = [(i, 0) for i in range(1, self.k0 + 1)]
         u += [(self.k0, j) for j in range(1, self.k1 + 1)]
@@ -208,43 +195,7 @@ class DeltaSchedule:
         return out
 
 
-def saturated_pairs(
-    g_star: UniformHypergraph, sched: DeltaSchedule, i0p: int, i1p: int
-) -> set[Key]:
-    """All (T0, T1) with deg(T0, T1) at least half the scheduled cap, inclusive.
-
-    Recomputed from scratch; the round loop keeps the same information
-    incrementally while edges are added.
-    """
-    thresholds = sched.saturation_thresholds(i0p, i1p)
-    counts: Counter[Key] = Counter()
-    for c, mult in g_star.constraints():
-        for (l0, l1) in thresholds:
-            for s0 in itertools.combinations(c.a0, l0):
-                for s1 in itertools.combinations(c.a1, l1):
-                    counts[(s0, s1)] += mult
-    return {pair for pair, deg in counts.items() if deg >= thresholds[(len(pair[0]), len(pair[1]))]}
-
-
 # -- one round of the question game ------------------------------------------
-
-
-@dataclass(frozen=True)
-class RoundResult:
-    """Outcome of a single round (the reduced hypergraph and the transcript)."""
-
-    g_star: UniformHypergraph
-    j_stop: int
-    v_seq: tuple[int, ...]
-    s_indices: tuple[int, ...]
-    w_indices: tuple[int, ...]
-    c: int
-
-    def yes_vertices(self) -> tuple[int, ...]:
-        return tuple(self.v_seq[j] for j in self.s_indices)
-
-    def no_vertices(self) -> tuple[int, ...]:
-        return tuple(self.v_seq[j] for j in self.w_indices)
 
 
 class _Round:
@@ -371,19 +322,6 @@ class _Round:
         self.j += 1
         return v
 
-    def result(self, n_vertices: int) -> RoundResult:
-        g = UniformHypergraph(self.i0p, self.i1p, n_vertices, allow_degenerate=True)
-        for (a0, a1), mult in self.gstar.items():
-            g.add(Constraint(a0, a1), mult)
-        return RoundResult(
-            g_star=g,
-            j_stop=self.j,
-            v_seq=tuple(self.v_seq),
-            s_indices=tuple(self.s_idx),
-            w_indices=tuple(self.w_idx),
-            c=self.c,
-        )
-
 
 def _as_assignment(h, n: int) -> Assignment:
     if isinstance(h, Assignment):
@@ -393,25 +331,6 @@ def _as_assignment(h, n: int) -> Assignment:
     if a.n != n:
         raise PreconditionError(f"assignment length {a.n} does not match ground set {n}")
     return a
-
-
-def run_round(
-    g: UniformHypergraph, c: int, h, b: int, sched: DeltaSchedule
-) -> RoundResult:
-    """Play one full round against assignment h and return the transcript.
-
-    h must violate no constraint of g; the output is a function of the YES
-    vertex set only, which is what makes fingerprints sufficient.
-    """
-    a = _as_assignment(h, g.n_vertices)
-    if not a.in_solution_set(g):
-        raise PreconditionError("assignment violates a constraint of the round hypergraph")
-    edges = {cst.key(): mult for cst, mult in g.constraints()}
-    round_ = _Round(edges, g.k0, g.k1, c, b, sched)
-    while not round_.finished():
-        v = round_.current_vertex()
-        round_.answer(a.bits[v] == c)
-    return round_.result(g.n_vertices)
 
 
 # -- cylinders, fingerprints, full construction ------------------------------
@@ -503,7 +422,9 @@ class ContainerProcess:
                 min_k=self.report.min_k,
             )
         self.b, self.m, self.r = b2, m2, r
-        self.sched = DeltaSchedule.from_hypergraph(h, b2, m2)
+        # the hypothesis check already holds H's degree table: reuse it as the base row
+        base = {pair: entry[0] for pair, entry in self.report.entries.items()}
+        self.sched = DeltaSchedule(h.k0, h.k1, b2, m2, h.n_vertices, base)
         self.check_invariants = check_invariants
         self.s = 0
         self.i0, self.i1 = h.k0, h.k1
@@ -574,7 +495,9 @@ class ContainerProcess:
         self._open_round()
 
     def _assert_degree_caps(self, rnd: _Round) -> None:
-        g = rnd.result(self.n).g_star
+        g = UniformHypergraph(rnd.i0p, rnd.i1p, self.n, allow_degenerate=True)
+        for (a0, a1), mult in rnd.gstar.items():
+            g.add(Constraint(a0, a1), mult)
         for l0 in range(rnd.i0p + 1):
             for l1 in range(rnd.i1p + 1):
                 if (l0, l1) == (0, 0):
@@ -625,29 +548,10 @@ class ContainerProcess:
         )
 
 
-def _drive(
-    proc: ContainerProcess,
-    oracle: Callable[[int, int], bool],
-    trace: Optional[Callable[[str], None]] = None,
-) -> ContainerResult:
-    last_round = -1
-    while True:
-        q = proc.pending()
-        if q is None:
-            return proc.result()
-        v, c = q
-        if trace is not None and proc.s != last_round:
-            last_round = proc.s
-            trace(f"# round {proc.s} uniformity ({proc.i0},{proc.i1}) c={c}")
-        rnd = proc.round
-        assert rnd is not None
-        j = rnd.j
-        yes = oracle(v, c)
-        proc.answer(yes)
-        if trace is not None:
-            n_active = len(rnd.active)
-            e_star = sum(rnd.gstar.values())
-            trace(f"{j} {v} {'yes' if yes else 'no'} {n_active} {e_star}")
+def _drive(proc: ContainerProcess, oracle: Callable[[int, int], bool]) -> ContainerResult:
+    while (q := proc.pending()) is not None:
+        proc.answer(oracle(*q))
+    return proc.result()
 
 
 def build_container(
@@ -660,7 +564,6 @@ def build_container(
     *,
     force: bool = False,
     check_invariants: bool = False,
-    trace: Optional[Callable[[str], None]] = None,
 ) -> ContainerResult:
     """Fingerprint and cylinder for one assignment with at most m ones.
 
@@ -674,7 +577,7 @@ def build_container(
     if not a.in_solution_set(h):
         raise PreconditionError("assignment violates a constraint of H")
     proc = ContainerProcess(h, k, b, m, r, force=force, check_invariants=check_invariants)
-    return _drive(proc, lambda v, c: a.bits[v] == c, trace)
+    return _drive(proc, lambda v, c: a.bits[v] == c)
 
 
 def replay_container(

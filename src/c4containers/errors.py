@@ -1,5 +1,7 @@
 """Shared exception types, mapped to CLI exit codes by the command line front end."""
 
+__all__ = ["PreconditionError", "ScaleError", "NumericError", "HypothesisError"]
+
 
 class PreconditionError(ValueError):
     """A stated precondition of the operation does not hold for these inputs."""

@@ -36,8 +36,6 @@ __all__ = [
     "Assignment",
     "HypothesisReport",
     "check_container_hypothesis",
-    "degree",
-    "max_degree",
 ]
 
 
@@ -237,17 +235,6 @@ class Assignment:
     def in_solution_set(self, h: UniformHypergraph) -> bool:
         """True when this assignment violates none of the constraints of h."""
         return not any(self.violates(c) for c, _ in h.constraints())
-
-
-# -- module-level convenience wrappers --------------------------------------
-
-
-def degree(h: UniformHypergraph, t0: Iterable[int], t1: Iterable[int]) -> int:
-    return h.degree(t0, t1)
-
-
-def max_degree(h: UniformHypergraph, l0: int, l1: int) -> int:
-    return h.max_degree(l0, l1)
 
 
 # -- container hypothesis ----------------------------------------------------

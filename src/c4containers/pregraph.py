@@ -28,6 +28,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
@@ -43,7 +44,6 @@ __all__ = [
     "good_c4_enumerate",
     "ConstraintSystem",
     "build_constraint_hypergraphs",
-    "is_saturated",
     "preprocess_saturation",
     "PermissibleResult",
     "build_permissible",
@@ -52,6 +52,7 @@ __all__ = [
     "AlmostSplitResult",
     "is_almost_split_pregraph",
     "LeafClassification",
+    "m_underflow_threshold",
     "is_leaf_pregraph",
     "CliqueCost",
     "close_to_clique_cost",
@@ -242,16 +243,32 @@ def _saturation_threshold(shape: tuple[int, int], ell: int, n: int) -> int:
     return max(raw, 1)
 
 
-def is_saturated(s: Iterable[int], t: Iterable[int], h: UniformHypergraph, ell: int, n: int) -> bool:
-    """Has deg_H(S, T) reached the permitted maximum for its shape?
+def _neutralize(
+    p: Pregraph,
+    index: dict[Pair, int],
+    a_deg: Sequence[dict[int, int]],
+    b_deg: Sequence[dict[int, int]],
+    ell: int,
+    n: int,
+) -> Pregraph:
+    """The neutralization rule, given a_deg[i] and b_deg[i], the A-side and
+    B-side degrees in H_i of each ground index (absent keys count as 0).
 
-    Shapes and thresholds: (0,1) -> floor(l^3/n); (1,0) -> l^2; (0,2) -> l,
-    each clamped to at least 1.
+    A mixed edge (1,0)-saturated in H_1 or H_2 moves to E; any other mixed
+    edge (0,1)-saturated in some H_i moves to N.
     """
-    s = tuple(s)
-    t = tuple(t)
-    threshold = _saturation_threshold((len(s), len(t)), ell, n)
-    return h.degree(s, t) >= threshold
+    t10 = _saturation_threshold((1, 0), ell, n)
+    t01 = _saturation_threshold((0, 1), ell, n)
+    to_fixed = {
+        f for f in p.mixed
+        if a_deg[1].get(index[f], 0) >= t10 or a_deg[2].get(index[f], 0) >= t10
+    }
+    to_neutral = {
+        f for f in p.mixed - to_fixed if any(d.get(index[f], 0) >= t01 for d in b_deg)
+    }
+    return Pregraph(
+        p.n, p.mixed - to_fixed - to_neutral, p.fixed | to_fixed, p.neutral | to_neutral
+    )
 
 
 def preprocess_saturation(
@@ -272,24 +289,18 @@ def preprocess_saturation(
     """
     ground = tuple(sorted(p.mixed | p.neutral))
     index = {e: k for k, e in enumerate(ground)}
-    t10 = _saturation_threshold((1, 0), ell, n)
-    t01 = _saturation_threshold((0, 1), ell, n)
-    to_fixed = set()
-    for f in p.mixed:
-        k = index[f]
-        if h1.degree((k,), ()) >= t10 or h2.degree((k,), ()) >= t10:
-            to_fixed.add(f)
-    to_neutral = set()
-    for f in p.mixed - to_fixed:
-        k = index[f]
-        if any(h.degree((), (k,)) >= t01 for h in (h0, h1, h2)):
-            to_neutral.add(f)
-    return Pregraph(
-        p.n,
-        p.mixed - to_fixed - to_neutral,
-        p.fixed | to_fixed,
-        p.neutral | to_neutral,
-    )
+    a_deg: list[Counter[int]] = []
+    b_deg: list[Counter[int]] = []
+    for h in (h0, h1, h2):
+        a, b = Counter(), Counter()
+        for c, mult in h.constraints():
+            for k in c.a0:
+                a[k] += mult
+            for k in c.a1:
+                b[k] += mult
+        a_deg.append(a)
+        b_deg.append(b)
+    return _neutralize(p, index, a_deg, b_deg, ell, n)
 
 
 @dataclass(frozen=True)
@@ -330,31 +341,14 @@ def build_permissible(p: Pregraph, ell: int, beta: float) -> PermissibleResult:
     deg01 = [dict(), dict(), dict()]  # B-side singletons
     pair_deg = [dict(), dict(), dict()]  # B-side pairs
     blocked: set[tuple[int, int]] = set()
-    t10 = _saturation_threshold((1, 0), ell, n)
-    t01 = _saturation_threshold((0, 1), ell, n)
     t02 = _saturation_threshold((0, 2), ell, n)
     target = beta * ell**4
     insertions = 0
 
-    def neutralized() -> Pregraph:
-        to_fixed = {
-            f
-            for f in p.mixed
-            if deg10[1].get(index[f], 0) >= t10 or deg10[2].get(index[f], 0) >= t10
-        }
-        to_neutral = {
-            f
-            for f in p.mixed - to_fixed
-            if any(deg01[i].get(index[f], 0) >= t01 for i in range(3))
-        }
-        return Pregraph(
-            p.n, p.mixed - to_fixed - to_neutral, p.fixed | to_fixed, p.neutral | to_neutral
-        )
-
     while True:
+        pp = _neutralize(p, index, deg10, deg01, ell, n)
         if any(h.e() >= target for h in hs):
             break
-        pp = neutralized()
         found = None
         for copy in good_c4_enumerate(pp):
             c = _encode_copy(copy, index)
@@ -382,7 +376,7 @@ def build_permissible(p: Pregraph, ell: int, beta: float) -> PermissibleResult:
                 blocked.add(t)
     winner = max(range(3), key=lambda i: (hs[i].e() >= target, hs[i].e()))
     return PermissibleResult(
-        "success", winner, hs[winner], ConstraintSystem(ground, *hs), neutralized(), insertions
+        "success", winner, hs[winner], ConstraintSystem(ground, *hs), pp, insertions
     )
 
 

@@ -30,7 +30,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional
+from typing import Iterable
 
 import numpy as np
 from scipy.special import gammaln
@@ -52,6 +52,7 @@ __all__ = [
     "close_to_split_log_bound",
     "GridRow",
     "split_grid",
+    "log_spaced_m",
     "grid_csv_lines",
 ]
 
@@ -155,19 +156,25 @@ def ell_nm(n: int, m: int, lam: float = DEFAULT_LAMBDA) -> float:
     return ell
 
 
-def argmax_n_nm(n: int, m: int, lam: float = DEFAULT_LAMBDA) -> int:
-    """The ell maximizing N_{n,m} over its whole feasible range (smallest on
-    ties), located by an exact log-space scan."""
-    _check_regime(n, m, lam)
+def _log_n_nm_vector(n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """(ells, logs): ell = 0..n as floats and log N_{n,m}(ell) by log-gamma,
+    -inf where ell is infeasible."""
     ells = np.arange(0, n + 1, dtype=np.float64)
-    cliques = ells * (ells - 1) / 2
     cross = ells * (n - ells)
-    k = m - cliques
+    k = m - ells * (ells - 1) / 2
     ok = (k >= 0) & (k <= cross)
     logs = np.full(n + 1, -np.inf)
     a = cross[ok]
     kk = k[ok]
     logs[ok] = gammaln(a + 1) - gammaln(kk + 1) - gammaln(a - kk + 1)
+    return ells, logs
+
+
+def argmax_n_nm(n: int, m: int, lam: float = DEFAULT_LAMBDA) -> int:
+    """The ell maximizing N_{n,m} over its whole feasible range (smallest on
+    ties), located by an exact log-space scan."""
+    _check_regime(n, m, lam)
+    _, logs = _log_n_nm_vector(n, m)
     best = int(np.argmax(logs))  # argmax returns the first, hence smallest, ell
     if logs[best] == -np.inf:
         raise PreconditionError(f"no feasible clique side for n={n}, m={m}")
@@ -205,18 +212,10 @@ def snm_bounds(n: int, m: int) -> tuple[LogCount, LogCount]:
     edges): the largest single term and the binomial-weighted sum."""
     if m < 0 or m > math.comb(n, 2):
         raise PreconditionError(f"edge count {m} infeasible for n={n}")
-    ells = np.arange(0, n + 1, dtype=np.float64)
-    cliques = ells * (ells - 1) / 2
-    cross = ells * (n - ells)
-    k = m - cliques
-    ok = (k >= 0) & (k <= cross)
-    logs = np.full(n + 1, -np.inf)
-    a = cross[ok]
-    kk = k[ok]
-    logs[ok] = gammaln(a + 1) - gammaln(kk + 1) - gammaln(a - kk + 1)
-    if not ok.any():
-        return LogCount(-math.inf), LogCount(-math.inf)
+    ells, logs = _log_n_nm_vector(n, m)
     lower = float(np.max(logs))
+    if lower == -math.inf:
+        return LogCount(-math.inf), LogCount(-math.inf)
     choose = gammaln(n + 1) - gammaln(ells + 1) - gammaln(n - ells + 1)
     terms = logs + choose
     top = float(np.max(terms))

@@ -83,6 +83,7 @@ __all__ = [
     "classify_leaves",
     "tree_lines",
     "tree_summary",
+    "tree_json",
     "phi_log",
     "PHI_FITTED_CONSTANTS",
 ]
@@ -99,6 +100,12 @@ class TreeParams:
     e(H) >= beta*ell^4, and lam records the density regime m <= lam*n^2
     that the asymptotic statements assume (it is not enforced; desk-scale
     instances sit far outside every asymptotic regime anyway).
+
+    depth_cap is the paper's height bound ceil(2 ln(n)/c + m/(c r)), c the
+    shrink factor; it is kept and serialized as stated.  Strict progress
+    pre-empts it: a node is expanded only with fewer mixed edges than its
+    parent, so depth never exceeds C(n,2), while the cap exceeds 10^16 for
+    n <= 8.
     """
 
     n: int
@@ -621,9 +628,10 @@ def phi_log(
     count_mode "exact" reads the brute-force table (n <= 8).  "lower_bound"
     takes the best of the split-graph bound (c*n*p/sqrt(m ln(n^2/m)))^m and,
     inside its sparse regime m <= deletion_regime * n^(4/3), the deletion
-    bound ((e-gamma) n^2 p / (2m(1-p)))^m.  "upper_bound" takes the worst of
-    the counting bound (e n^2 p / (2m(1-p)))^m and, inside the dense regime
-    m >= n^(4/3) (ln n)^4, the container bound with constant c_container.
+    bound ((e-gamma) n^2 p / (2m(1-p)))^m.  "upper_bound" takes the tighter
+    (smaller) of the counting bound (e n^2 p / (2m(1-p)))^m and, inside the
+    dense regime m >= n^(4/3) (ln n)^4, the container bound with constant
+    c_container.
     """
     if not 0 < p < 1:
         raise PreconditionError(f"need 0 < p < 1, got {p}")

@@ -1,0 +1,47 @@
+"""The public surface: every module's ``__all__`` matches its public
+top-level definitions, and the package re-exports only listed names."""
+
+import ast
+import importlib
+from pathlib import Path
+
+import pytest
+
+import c4containers
+
+PACKAGE_DIR = Path(c4containers.__file__).parent
+MODULES = sorted(p.stem for p in PACKAGE_DIR.glob("*.py") if p.stem != "__init__")
+
+
+def public_definitions(path: Path) -> list[str]:
+    tree = ast.parse(path.read_text())
+    return [
+        node.name
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
+    ]
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_module_all_matches_public_definitions(name):
+    module = importlib.import_module(f"c4containers.{name}")
+    listed = getattr(module, "__all__", None)
+    assert listed is not None, f"{name} has no __all__"
+    assert len(set(listed)) == len(listed), f"{name}.__all__ repeats a name"
+    assert [n for n in listed if not hasattr(module, n)] == []
+    defined = public_definitions(PACKAGE_DIR / f"{name}.py")
+    assert [n for n in defined if n not in listed] == []
+
+
+def test_package_reexports_are_listed():
+    tree = ast.parse((PACKAGE_DIR / "__init__.py").read_text())
+    unlisted = []
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module:
+            module = importlib.import_module(f"c4containers.{node.module}")
+            unlisted += [
+                f"{node.module}.{alias.name}"
+                for alias in node.names
+                if alias.name not in getattr(module, "__all__", ())
+            ]
+    assert unlisted == []

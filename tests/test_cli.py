@@ -2,6 +2,7 @@
 parameter precedence, and exit codes."""
 
 import json
+import math
 
 import pytest
 
@@ -34,18 +35,24 @@ def test_enumerate_full_table(capsys):
     assert total == sum(count_Fnm_c4(4, m) for m in range(7))
 
 
-def test_enumerate_threads_agree(capsys):
-    _, serial, _ = run(capsys, "enumerate", "--n", "6")
-    _, threaded, _ = run(capsys, "enumerate", "--n", "6", "--threads", "4")
-    serial_rows = [ln for ln in serial.splitlines() if not ln.startswith("#")]
-    threaded_rows = [ln for ln in threaded.splitlines() if not ln.startswith("#")]
-    assert serial_rows == threaded_rows
-
-
 def test_count_split_single_ell(capsys):
     code, out, _ = run(capsys, "count-split", "--n", "20", "--m", "20", "--ell", "4")
     assert code == 0
     assert out.strip() == str(n_nm(20, 20, 4))
+
+
+def test_count_split_prints_every_digit_of_a_huge_count(capsys):
+    # 48791 digits, far past the 4300-digit int/str conversion limit
+    code, out, _ = run(capsys, "count-split", "--n", "2000", "--m", "50000", "--ell", "148")
+    assert code == 0
+    digits = out.strip()
+    assert len(digits) > 4300 and digits.isdigit()
+    want = math.comb(148 * (2000 - 148), 50000 - math.comb(148, 2))
+    got = 0
+    for i in range(0, len(digits), 1000):
+        chunk = digits[i : i + 1000]
+        got = got * 10 ** len(chunk) + int(chunk)
+    assert got == want
 
 
 def test_count_split_grid_row(capsys):
@@ -128,6 +135,15 @@ def test_cli_flag_beats_config(tmp_path, capsys):
     assert code == 0
     assert out.splitlines()[-1].startswith("4,3,")
     code, out, _ = run(capsys, "--config", str(cfg), "--m", "4")
+    assert code == 0
+    assert out.splitlines()[-1] == "4,4,12"
+
+
+def test_manifest_with_a_removed_key_still_replays(tmp_path, capsys):
+    # manifests written before --threads was removed carry "threads = 1"
+    cfg = tmp_path / "old.manifest"
+    cfg.write_text("command = enumerate\nn = 4\nm = 4\nseed = 0\nthreads = 1\nversion = 0.1.0\n")
+    code, out, _ = run(capsys, "--config", str(cfg))
     assert code == 0
     assert out.splitlines()[-1] == "4,4,12"
 

@@ -3,13 +3,16 @@ fingerprints, and the monotone wrapper."""
 
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+import naive
 from c4containers import (
     Assignment,
     Constraint,
+    ContainerProcess,
     Cylinder,
     DeltaSchedule,
     HypothesisError,
@@ -22,7 +25,6 @@ from c4containers import (
     monotone_containers,
     normalize_parameters,
     replay_container,
-    run_round,
 )
 
 
@@ -121,19 +123,62 @@ def triangle_lift():
     return h
 
 
-def test_run_round_requires_solution_set_member():
+def drive(proc, bits):
+    """Answer every question of proc from bits; returns the YES vertices
+    per round index and per question value c."""
+    yes_per_round, yes_by_c = Counter(), (set(), set())
+    while (q := proc.pending()) is not None:
+        v, c = q
+        if bits[v] == c:
+            yes_per_round[proc.s] += 1
+            yes_by_c[c].add(v)
+        proc.answer(bits[v] == c)
+    return yes_per_round, yes_by_c
+
+
+def test_round_requires_solution_set_member():
     h = triangle_lift()
-    sched = DeltaSchedule.from_hypergraph(h, 1, 2)
+    k = passing_parameters(h, 1, 2, 1)
+    violating = (1, 1, 0)
     with pytest.raises(PreconditionError):
-        run_round(h, 1, (1, 1, 0), 1, sched)
+        build_container(h, k, 1, 2, 1, violating)
+    # driven directly, the process runs out of rounds with G* still non-empty
+    with pytest.raises(PreconditionError):
+        drive(ContainerProcess(h, k, 1, 2, 1), violating)
 
 
-def test_run_round_yes_vertices_come_from_the_assignment():
-    h = triangle_lift()
-    sched = DeltaSchedule.from_hypergraph(h, 2, 3)
-    res = run_round(h, 1, (0, 1, 0), 2, sched)
-    assert set(res.yes_vertices()) <= {1}
-    assert len(res.yes_vertices()) <= 2  # at most b YES answers per round
+def test_round_yes_vertices_come_from_the_assignment():
+    h3 = UniformHypergraph(1, 2, 5)
+    h3.add(Constraint.make((0,), (1, 2)))
+    h3.add(Constraint.make((2,), (3, 4)))
+    h3.add(Constraint.make((1,), (0, 4)))
+    for h, b, m, r in [(triangle_lift(), 2, 3, 1), (h3, 2, 5, 2)]:
+        k = passing_parameters(h, b, m, r)
+        for a in members_up_to(h, m):
+            proc = ContainerProcess(h, k, b, m, r)
+            yes_per_round, yes_by_c = drive(proc, a.bits)
+            assert max(yes_per_round.values(), default=0) <= proc.b  # at most b per round
+            fp = proc.result().fingerprint
+            assert set(fp.s1) == yes_by_c[1] <= a.ones()
+            assert set(fp.s0) == yes_by_c[0] and not yes_by_c[0] & a.ones()
+
+
+@pytest.mark.parametrize("k0,k1", [(0, 2), (1, 1), (1, 2), (2, 2)])
+def test_schedule_base_is_the_degree_table(k0, k1):
+    rng = random.Random(10 * k0 + k1)
+    for _ in range(8):
+        n = rng.randint(k0 + k1, 7)
+        h = UniformHypergraph(k0, k1, n)
+        for _ in range(rng.randint(1, 10)):
+            picked = rng.sample(range(n), k0 + k1)
+            h.add(Constraint.make(picked[:k0], picked[k0:]), rng.randint(1, 3))
+        proc = ContainerProcess(h, 1, rng.randint(1, n), rng.randint(1, n), 1, force=True)
+        assert proc.sched.base == {
+            (l0, l1): naive.max_constraint_degree(h, l0, l1)
+            for l0 in range(k0 + 1)
+            for l1 in range(k1 + 1)
+            if (l0, l1) != (0, 0)
+        }
 
 
 def test_cylinder_string_round_trip_and_membership():

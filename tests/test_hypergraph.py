@@ -14,8 +14,6 @@ from c4containers import (
     Constraint,
     UniformHypergraph,
     check_container_hypothesis,
-    degree,
-    max_degree,
 )
 
 
@@ -86,11 +84,11 @@ def test_degrees_match_naive_scan(k0, k1):
             for l1 in range(k1 + 1):
                 if (l0, l1) == (0, 0):
                     continue
-                assert max_degree(h, l0, l1) == naive.max_constraint_degree(h, l0, l1)
+                assert h.max_degree(l0, l1) == naive.max_constraint_degree(h, l0, l1)
         t0 = tuple(rng.sample(range(n), k0))
         rest = [v for v in range(n) if v not in t0]
         t1 = tuple(rng.sample(rest, min(k1, len(rest))))
-        assert degree(h, t0, t1) == naive.constraint_degree(h, t0, t1)
+        assert h.degree(t0, t1) == naive.constraint_degree(h, t0, t1)
 
 
 def test_degree_of_full_constraint_is_multiplicity():

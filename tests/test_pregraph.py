@@ -21,13 +21,12 @@ from c4containers import (
     good_c4_enumerate,
     is_almost_split_pregraph,
     is_leaf_pregraph,
-    is_saturated,
     m_underflow_threshold,
-    max_degree,
     preprocess_saturation,
     random_order_independent_set,
 )
 from c4containers.hypergraph import UniformHypergraph
+from c4containers.pregraph import _saturation_threshold
 
 
 def random_pregraph(rng, n, n_mixed, n_fixed):
@@ -133,18 +132,23 @@ def test_constraint_violation_equals_realized_copy():
 def test_saturation_thresholds():
     c = ((), (0, 1, 2, 3))
     h = UniformHypergraph(0, 4, 10, [c, c, c, c, c])
+    deg_01, deg_02 = h.degree((), (0,)), h.degree((), (0, 1))
+    assert deg_01 == deg_02 == 5
     # shape (0,1): threshold max(l^3 // n, 1)
-    assert is_saturated((), (0,), h, ell=3, n=10)  # 27//10 = 2 <= 5
-    assert not is_saturated((), (0,), h, ell=6, n=10)  # 216//10 = 21 > 5
+    assert _saturation_threshold((0, 1), ell=3, n=10) == 2 <= deg_01  # 27//10
+    assert _saturation_threshold((0, 1), ell=6, n=10) == 21 > deg_01  # 216//10
+    assert _saturation_threshold((0, 1), ell=2, n=10) == 1  # 8//10 = 0, clamped
     # shape (0,2): threshold l
-    assert is_saturated((), (0, 1), h, ell=5, n=10)
-    assert not is_saturated((), (0, 1), h, ell=6, n=10)
+    assert _saturation_threshold((0, 2), ell=5, n=10) == 5 <= deg_02
+    assert _saturation_threshold((0, 2), ell=6, n=10) == 6 > deg_02
     h1 = UniformHypergraph(1, 4, 10, [((0,), (1, 2, 3, 4)), ((0,), (1, 2, 3, 5))])
+    deg_10 = h1.degree((0,), ())
+    assert deg_10 == 2
     # shape (1,0): threshold l^2
-    assert is_saturated((0,), (), h1, ell=1, n=10)
-    assert not is_saturated((0,), (), h1, ell=2, n=10)
+    assert _saturation_threshold((1, 0), ell=1, n=10) == 1 <= deg_10
+    assert _saturation_threshold((1, 0), ell=2, n=10) == 4 > deg_10
     with pytest.raises(PreconditionError):
-        is_saturated((0,), (1,), h1, ell=2, n=10)
+        _saturation_threshold((1, 1), ell=2, n=10)
 
 
 def test_preprocess_saturation_moves_edges():
@@ -161,16 +165,38 @@ def test_preprocess_saturation_moves_edges():
     assert out.mixed == frozenset()
 
 
+def test_preprocess_saturation_agrees_with_the_greedy():
+    """Both callers of the neutralization rule, the one-pass adaptor and the
+    greedy's incremental degrees, give the same pregraph."""
+    rng = random.Random(31)
+    to_fixed = to_neutral = 0
+    for _ in range(100):
+        n = rng.randint(4, 8)
+        pairs = list(itertools.combinations(range(n), 2))
+        rng.shuffle(pairs)
+        k_m = rng.randint(4, len(pairs))
+        k_e = rng.randint(0, min(2, len(pairs) - k_m))
+        k_n = rng.randint(0, min(3, len(pairs) - k_m - k_e))
+        p = Pregraph(n, pairs[:k_m], pairs[k_m : k_m + k_e], pairs[k_m + k_e : k_m + k_e + k_n])
+        ell = rng.randint(1, n)
+        res = build_permissible(p, ell, beta=rng.choice([0.01, 0.05, 0.5]))
+        assert preprocess_saturation(p, *res.system, ell, p.n) == res.preprocessed
+        to_fixed += res.preprocessed.fixed != p.fixed
+        to_neutral += res.preprocessed.neutral != p.neutral
+    # both branches of the rule fire on this seed
+    assert to_fixed >= 3 and to_neutral >= 10
+
+
 def test_permissible_on_the_complete_pregraph():
     res = build_permissible(complete_pregraph(7), ell=4, beta=0.01)
     assert res.succeeded
     h = res.hypergraph
     n = 7
     assert h.e() >= 0.01 * 4**4
-    assert Fraction(max_degree(h, 0, 1)) <= Fraction(4**3, n)
-    assert max_degree(h, 0, 2) <= 4
+    assert Fraction(h.max_degree(0, 1)) <= Fraction(4**3, n)
+    assert h.max_degree(0, 2) <= 4
     if res.i > 0:
-        assert max_degree(h, 1, 0) <= 4**2
+        assert h.max_degree(1, 0) <= 4**2
     # the greedy is deterministic
     again = build_permissible(complete_pregraph(7), ell=4, beta=0.01)
     assert again.i == res.i and again.hypergraph == h
@@ -190,10 +216,10 @@ def test_permissible_caps_on_random_instances():
         successes += 1
         h = res.hypergraph
         assert h.e() >= 0.02 * ell**4
-        assert Fraction(max_degree(h, 0, 1)) <= Fraction(ell**3, n)
-        assert max_degree(h, 0, 2) <= ell
+        assert Fraction(h.max_degree(0, 1)) <= Fraction(ell**3, n)
+        assert h.max_degree(0, 2) <= ell
         if res.i > 0:
-            assert max_degree(h, 1, 0) <= ell**2
+            assert h.max_degree(1, 0) <= ell**2
     assert successes >= 10
 
 

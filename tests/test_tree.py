@@ -18,7 +18,6 @@ from c4containers import (
     complete_pregraph,
     count_Fnm_c4,
     fnm_table_backtracking,
-    max_degree,
     phi_log,
     tree_json,
     tree_lines,
@@ -65,9 +64,9 @@ def test_selection_on_the_complete_root():
     assert sel.i == 2
     h = sel.hypergraph
     assert h.e() >= params.beta * sel.ell**4
-    assert max_degree(h, 0, 1) * 7 <= sel.ell**3
-    assert max_degree(h, 0, 2) <= sel.ell
-    assert max_degree(h, 1, 0) <= sel.ell**2
+    assert h.max_degree(0, 1) * 7 <= sel.ell**3
+    assert h.max_degree(0, 2) <= sel.ell
+    assert h.max_degree(1, 0) <= sel.ell**2
 
 
 def test_selection_refuses_leaf_pregraphs():
