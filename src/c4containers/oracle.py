@@ -8,12 +8,18 @@ closeness-to-split checked over all vertex subsets, a rejection sampler that
 deletes one edge per 4-cycle, and a branch-and-bound C4-free subgraph
 maximizer.  Counting is over labeled graphs throughout.
 
-The exhaustive F(n, m) tables come from a vectorized scan of all 2^C(n,2)
-edge masks against precomputed induced-C4 patterns (three per 4-subset, one
-per cyclic structure).  A second, structurally different implementation
-(depth-first over pair decisions with pruning) recomputes the same tables so
-the two can be cross-validated; n is capped at 8 and 7 respectively, with a
-scale refusal beyond.
+The exhaustive F(n, m) tables and member lists come from vertex extension
+(the generation scheme of McKay, "Isomorph-free exhaustive generation",
+without its canonicity step, which labeled graphs do not need).  Every
+induced-C4-free graph on n vertices is one on the first n-1 vertices plus a
+last vertex x with some neighbourhood S, and only the induced 4-cycles
+through x need checking: x-a-c-b-x with a, b in S, c outside S, ac and bc
+edges and ab a non-edge.  So each S comes with a fixed list of (subset,
+pattern) tests over the old pairs, applied vectorized to the stored F_{n-1}
+layers.  A second, structurally different implementation (depth-first over
+pair decisions with pruning) recomputes the same tables so the two can be
+cross-validated; n is capped at 8 and 7 respectively, with a scale refusal
+beyond.
 """
 
 from __future__ import annotations
@@ -93,14 +99,21 @@ class LabeledGraph:
         return out
 
     def degree(self, v: int) -> int:
-        return sum(1 for u in range(self.n) if u != v and self.has_edge(u, v))
+        # pairs (u, v) with u < v are the v consecutive bits from C(v, 2)
+        below = (self.mask >> (v * (v - 1) // 2)) & ((1 << v) - 1)
+        above = sum((self.mask >> (u * (u - 1) // 2 + v)) & 1 for u in range(v + 1, self.n))
+        return below.bit_count() + above
 
     def adjacency_masks(self) -> list[int]:
         """Per-vertex neighbor bitmasks over vertices (not pairs)."""
         adj = [0] * self.n
-        for u, v in self.edges():
-            adj[u] |= 1 << v
-            adj[v] |= 1 << u
+        for v in range(1, self.n):
+            below = (self.mask >> (v * (v - 1) // 2)) & ((1 << v) - 1)
+            adj[v] |= below
+            while below:
+                low = below & -below
+                adj[low.bit_length() - 1] |= 1 << v
+                below ^= low
         return adj
 
     def to_graph6(self) -> str:
@@ -113,15 +126,20 @@ class LabeledGraph:
 
 
 def is_induced_c4_free(g: LabeledGraph) -> bool:
-    """Scan 4-subsets with early exit; a 4-subset induces C4 exactly when it
-    spans 4 edges whose 2 missing pairs are disjoint."""
-    for quad in itertools.combinations(range(g.n), 4):
-        present = []
-        missing = []
-        for u, v in itertools.combinations(quad, 2):
-            (present if g.has_edge(u, v) else missing).append((u, v))
-        if len(present) == 4 and not (set(missing[0]) & set(missing[1])):
-            return False
+    """Scan non-adjacent pairs u, v with early exit; they are opposite corners
+    of an induced C4 exactly when two of their common neighbours are
+    non-adjacent."""
+    adj = g.adjacency_masks()
+    for u in range(g.n):
+        for v in range(u + 1, g.n):
+            if (adj[u] >> v) & 1:
+                continue
+            common = adj[u] & adj[v]
+            while common:
+                w = (common & -common).bit_length() - 1
+                common &= common - 1
+                if common & ~adj[w]:
+                    return False
     return True
 
 
@@ -145,41 +163,91 @@ def induced_c4_patterns(n: int) -> tuple[tuple[int, int], ...]:
     return tuple(pats)
 
 
-_CHUNK = 1 << 22
+def _check_exact_range(n: int) -> None:
+    if n > EXACT_COUNT_LIMIT:
+        raise ScaleError(f"exhaustive enumeration supports n <= {EXACT_COUNT_LIMIT}, got n = {n}")
+    if n < 0:
+        raise ValueError("n must be nonnegative")
 
 
-def _scan_chunks(n: int):
-    """Yield (masks, keep) per chunk of all 2^C(n,2) graphs, keep marking
-    the induced-C4-free ones."""
-    npairs = n * (n - 1) // 2
-    pats = induced_c4_patterns(n)
-    for start in range(0, 1 << npairs, _CHUNK):
-        stop = min(start + _CHUNK, 1 << npairs)
-        g = np.arange(start, stop, dtype=np.uint32)
+@lru_cache(maxsize=None)
+def _extension_patterns(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """Per neighbourhood S of the last vertex x = n-1 (indexed by S as a
+    bitmask over 0..n-2), the (subset, pattern) pairs over the pairs of
+    0..n-2 that a graph g on those vertices must avoid for g + (x, S) to stay
+    induced-C4-free.
+
+    There is one pair per a < b in S and c outside S: subset {ac, bc, ab},
+    pattern {ac, bc}, the 4-cycle x-a-c-b-x with diagonals xc and ab absent.
+    """
+    x = n - 1
+    out = []
+    for s in range(1 << x):
+        inside = [v for v in range(x) if (s >> v) & 1]
+        outside = [v for v in range(x) if not (s >> v) & 1]
+        pats = []
+        for a, b in itertools.combinations(inside, 2):
+            ab = 1 << graph6.pair_index(a, b)
+            for c in outside:
+                pat = (1 << graph6.pair_index(a, c)) | (1 << graph6.pair_index(b, c))
+                pats.append((pat | ab, pat))
+        out.append(tuple(pats))
+    return tuple(out)
+
+
+def _extension(n: int, m: int):
+    """Yield (s, g, keep) for each neighbourhood S = s of the last vertex,
+    ascending: g is the layer F_{n-1, m-|S|} and keep marks the g for which
+    g + (x, S) is induced-C4-free.
+
+    The pairs (u, x) come after all pairs of 0..n-2 in pair-index order, so
+    the extended masks are g | s << C(n-1, 2), ascending over the whole run.
+    """
+    if n == 0:
+        if m == 0:
+            yield 0, np.zeros(1, dtype=np.uint32), np.ones(1, dtype=bool)
+        return
+    layers = _layers(n - 1)
+    for s, pats in enumerate(_extension_patterns(n)):
+        k = m - s.bit_count()
+        if not 0 <= k < len(layers):
+            continue
+        g = layers[k]
         bad = np.zeros(g.shape, dtype=bool)
-        for mask, pat in pats:
-            bad |= (g & np.uint32(mask)) == np.uint32(pat)
-        yield g, ~bad
+        for subset, pat in pats:
+            bad |= (g & np.uint32(subset)) == np.uint32(pat)
+        yield s, g, ~bad
 
 
-@lru_cache(maxsize=4)
+def _fnm_masks(n: int, m: int) -> np.ndarray:
+    shift = (n - 1) * (n - 2) // 2
+    parts = [g[keep] | np.uint32(s << shift) for s, g, keep in _extension(n, m)]
+    return np.concatenate(parts) if parts else np.zeros(0, dtype=np.uint32)
+
+
+@lru_cache(maxsize=None)
+def _layers(n: int) -> tuple[np.ndarray, ...]:
+    """F_n split by edge count, built from F_{n-1} and kept for the process.
+
+    Only n < EXACT_COUNT_LIMIT is ever stored (F_7 is 711,359 masks, under
+    3 MB); the top level is extended from it on demand.
+    """
+    return tuple(_fnm_masks(n, m) for m in range(n * (n - 1) // 2 + 1))
+
+
+@lru_cache(maxsize=None)
 def fnm_table(n: int) -> tuple[int, ...]:
     """Counts of labeled induced-C4-free graphs on n vertices, by edge count.
 
-    Exhaustive over all 2^C(n,2) graphs; refuses n above 8.
+    Exact, by extending the stored F_{n-1} layers one vertex and counting the
+    survivors without storing them; refuses n above 8.  Cached per n, which
+    is at most nine small tuples.
     """
-    if n > EXACT_COUNT_LIMIT:
-        raise ScaleError(f"exhaustive scan supports n <= {EXACT_COUNT_LIMIT}, got n = {n}")
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    npairs = n * (n - 1) // 2
-    counts = np.zeros(npairs + 1, dtype=np.int64)
-    for g, keep in _scan_chunks(n):
-        good = g[keep]
-        counts += np.bincount(
-            np.bitwise_count(good).astype(np.int64), minlength=npairs + 1
-        )
-    return tuple(int(x) for x in counts)
+    _check_exact_range(n)
+    return tuple(
+        sum(int(np.count_nonzero(keep)) for _, _, keep in _extension(n, m))
+        for m in range(n * (n - 1) // 2 + 1)
+    )
 
 
 def count_Fnm_c4(n: int, m: int) -> int:
@@ -222,20 +290,15 @@ def fnm_table_backtracking(n: int) -> tuple[int, ...]:
     return tuple(counts)
 
 
-@lru_cache(maxsize=64)
-def _fnm_masks(n: int, m: int) -> np.ndarray:
-    if n > EXACT_COUNT_LIMIT:
-        raise ScaleError(f"exhaustive scan supports n <= {EXACT_COUNT_LIMIT}, got n = {n}")
-    parts = []
-    for g, keep in _scan_chunks(n):
-        good = g[keep]
-        parts.append(good[np.bitwise_count(good) == m])
-    return np.concatenate(parts) if parts else np.zeros(0, dtype=np.uint32)
-
-
 def enumerate_fnm_masks(n: int, m: int) -> np.ndarray:
-    """All edge masks of graphs in F_{n,m}, ascending, as uint32; n <= 8."""
-    return _fnm_masks(n, m).copy()
+    """All edge masks of graphs in F_{n,m}, ascending, as a fresh uint32
+    array; n <= 8.
+
+    Built by extending each F_{n-1, m-|S|} layer by a last vertex with
+    neighbourhood S, over all S in ascending order.
+    """
+    _check_exact_range(n)
+    return _fnm_masks(n, m)
 
 
 # -- split graphs -------------------------------------------------------------
@@ -254,8 +317,10 @@ def is_split(g: LabeledGraph) -> Optional[SplitPartition]:
     the graph is split iff sum of the top h degrees equals h(h-1) plus the
     sum of the rest, in which case the top h vertices form the clique side.
     """
-    order = sorted(range(g.n), key=lambda v: (-g.degree(v), v))
-    degs = [g.degree(v) for v in order]
+    adj = g.adjacency_masks()
+    deg = [a.bit_count() for a in adj]
+    order = sorted(range(g.n), key=lambda v: (-deg[v], v))
+    degs = [deg[v] for v in order]
     h = 0
     for i in range(1, g.n + 1):
         if degs[i - 1] >= i - 1:
@@ -264,11 +329,12 @@ def is_split(g: LabeledGraph) -> Optional[SplitPartition]:
         return None
     clique = tuple(sorted(order[:h]))
     independent = tuple(sorted(order[h:]))
-    for u, v in itertools.combinations(clique, 2):
-        if not g.has_edge(u, v):  # pragma: no cover - split theorem guarantees this
+    cmask = sum(1 << v for v in clique)
+    for v in clique:
+        if (adj[v] | 1 << v) & cmask != cmask:  # pragma: no cover - split theorem guarantees this
             raise AssertionError("degree test accepted but clique side is not complete")
-    for u, v in itertools.combinations(independent, 2):
-        if g.has_edge(u, v):  # pragma: no cover
+    for v in independent:
+        if adj[v] & ~cmask:  # pragma: no cover
             raise AssertionError("degree test accepted but independent side has an edge")
     return SplitPartition(clique, independent)
 

@@ -448,8 +448,9 @@ def _expand(node: TreeNode, members: np.ndarray, params: TreeParams, force: bool
 def build_tree(params: TreeParams, force: bool = False) -> ContainerTree:
     """Grow the container tree for F_{n,m}(C4), tracking every member.
 
-    Member tracking needs the exhaustive enumeration, so n is limited to the
-    brute-force range.  With force=False a node whose hypergraph fails the
+    Members come from the exact enumeration of F_{n,m}(C4), which extends
+    the stored induced-C4-free graphs on n-1 vertices by one vertex, so n is
+    limited to its range, n <= 8.  With force=False a node whose hypergraph fails the
     container hypothesis check at K = 5/beta becomes a fallback leaf; with
     force=True the construction proceeds anyway (the produced cylinders are
     still genuine containers for their members, only the fingerprint-size

@@ -8,6 +8,8 @@ None of these functions share code with src/.
 import itertools
 import math
 
+import numpy as np
+
 
 def pair_key(u, v):
     """Edge (u, v) as an unordered sorted tuple."""
@@ -77,6 +79,27 @@ def has_induced_c4(n, has_edge):
         if all(d == 2 for d in degs):
             return True
     return False
+
+
+def induced_c4_free_by_scan(n, masks):
+    """Which of the given n-vertex edge masks (a uint32 array over graph6
+    pair indices, (u, v) with u < v at v(v-1)/2 + u) are induced-C4-free.
+
+    Every 4-subset is tested in each of its three cyclic orders: the four
+    cycle pairs present and both diagonals absent.  Scanning
+    np.arange(2 ** C(n, 2)) gives the exhaustive family.
+    """
+    def bit(u, v):
+        u, v = min(u, v), max(u, v)
+        return 1 << (v * (v - 1) // 2 + u)
+
+    bad = np.zeros(masks.shape, dtype=bool)
+    for a, b, c, d in itertools.combinations(range(n), 4):
+        for w, x, y, z in ((a, b, c, d), (a, b, d, c), (a, c, b, d)):
+            cycle = bit(w, x) | bit(x, y) | bit(y, z) | bit(z, w)
+            subset = cycle | bit(w, y) | bit(x, z)
+            bad |= (masks & np.uint32(subset)) == np.uint32(cycle)
+    return ~bad
 
 
 def count_c4_subgraphs(n, adj_masks):

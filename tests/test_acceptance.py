@@ -409,7 +409,7 @@ def test_criterion_09_enumeration_fixtures(capsys):
         capsys,
         9,
         ok,
-        f"count at (4,4) is 12: {ok_fixture}; mask scan and backtracking tables "
+        f"count at (4,4) is 12: {ok_fixture}; vertex-extension and backtracking tables "
         f"agree for n <= 7: {tables_agree}; all {split_checked} split graphs on "
         f"n <= 7 vertices lack induced 4-cycles ({implication_failures} failures)",
     )

@@ -35,6 +35,17 @@ def test_enumerate_full_table(capsys):
     assert total == sum(count_Fnm_c4(4, m) for m in range(7))
 
 
+def test_enumerate_n8(capsys):
+    code, out, _ = run(capsys, "enumerate", "--n", "8", "--m", "26")
+    assert code == 0
+    assert out.splitlines()[-1] == "8,26,168"
+    code, out, _ = run(capsys, "enumerate", "--n", "8")
+    assert code == 0
+    rows = [ln for ln in out.splitlines() if ln and ln[0].isdigit()]
+    assert len(rows) == 29
+    assert sum(int(r.split(",")[2]) for r in rows) == 40_091_516
+
+
 def test_count_split_single_ell(capsys):
     code, out, _ = run(capsys, "count-split", "--n", "20", "--m", "20", "--ell", "4")
     assert code == 0

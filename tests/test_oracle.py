@@ -5,6 +5,7 @@ import itertools
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -139,6 +140,118 @@ def test_enumerate_refuses_large_n():
         fnm_table(9)
     with pytest.raises(ScaleError):
         enumerate_fnm_masks(9, 3)
+
+
+# fnm_table(8) as the exhaustive scan of all 2^28 masks computed it
+FNM_TABLE_8 = (
+    1, 28, 378, 3276, 20265, 93660, 329350, 887520, 1853250, 3091340, 4317152,
+    5186664, 5444607, 5066180, 4305780, 3389148, 2490740, 1638336, 980560,
+    533540, 268548, 123544, 46046, 15540, 4690, 1176, 168, 28, 1,
+)
+
+
+def test_enumeration_equals_the_mask_scan():
+    for n in range(8):
+        npairs = n * (n - 1) // 2
+        masks = np.arange(1 << npairs, dtype=np.uint32)
+        good = masks[naive.induced_c4_free_by_scan(n, masks)]
+        edges = np.bitwise_count(good)
+        for m in range(npairs + 1):
+            got = enumerate_fnm_masks(n, m)
+            assert got.dtype == np.uint32
+            np.testing.assert_array_equal(got, good[edges == m])
+        assert fnm_table(n) == tuple(int(x) for x in np.bincount(edges, minlength=npairs + 1))
+
+
+def test_fnm_table_8_is_pinned():
+    assert fnm_table(8) == FNM_TABLE_8
+    assert sum(FNM_TABLE_8) == 40_091_516
+
+
+def test_top_extension_matches_the_scan_for_fixed_neighbourhoods():
+    """For a fixed neighbourhood S of vertex 7, scan all 2^21 graphs on the
+    other seven vertices with every 8-vertex pattern and compare with the
+    members of F_8 whose top 7 bits are S."""
+    hoods = [0, 127] + random.Random(8).sample(range(1, 127), 3)
+    low = np.arange(1 << 21, dtype=np.uint32)
+    got = {s: [] for s in hoods}
+    for m in range(29):
+        masks = enumerate_fnm_masks(8, m)
+        assert len(masks) == fnm_table(8)[m]
+        assert (masks[1:] > masks[:-1]).all()
+        top = masks >> 21
+        for s in hoods:
+            got[s].append(masks[top == s])
+    for s in hoods:
+        full = low | np.uint32(s << 21)
+        expected = full[naive.induced_c4_free_by_scan(8, full)]
+        np.testing.assert_array_equal(np.sort(np.concatenate(got[s])), expected)
+
+
+def _random_graphs(seed, count, max_n=12):
+    """Seeded graphs on 1..max_n vertices, in three equal shares: uniform at a
+    random density; planted split graphs, a third of them with one pair
+    flipped; uniform with an induced C4 planted on four random vertices."""
+    rng = random.Random(seed)
+    for i in range(count):
+        n = rng.randint(1, max_n)
+        pairs = list(itertools.combinations(range(n), 2))
+        p = rng.random()
+        kind = i % 3
+        if kind == 1:
+            clique = {v for v in range(n) if rng.random() < 0.5}
+            edges = {
+                (u, v) for u, v in pairs
+                if (u in clique and v in clique)
+                or ((u in clique) != (v in clique) and rng.random() < p)
+            }
+            if pairs and rng.random() < 1 / 3:
+                edges ^= {rng.choice(pairs)}
+        else:
+            edges = {e for e in pairs if rng.random() < p}
+            if kind == 2 and n >= 4:
+                a, b, c, d = rng.sample(range(n), 4)
+                quad = {tuple(sorted(e)) for e in itertools.combinations((a, b, c, d), 2)}
+                cycle = {tuple(sorted(e)) for e in ((a, b), (b, c), (c, d), (d, a))}
+                edges = (edges - quad) | cycle
+        yield LabeledGraph.from_edges(n, sorted(edges))
+
+
+def test_graph_predicates_match_naive_on_random_graphs():
+    split_seen = 0
+    c4_seen = 0
+    for g in _random_graphs(12, 600):
+        adj = g.adjacency_masks()
+        for v in range(g.n):
+            nbrs = sum(1 << u for u in range(g.n) if u != v and g.has_edge(u, v))
+            assert adj[v] == nbrs
+            assert g.degree(v) == nbrs.bit_count()
+        expected = naive.is_split_partition(g)
+        got = is_split(g)
+        assert (got is not None) == (expected is not None), g
+        if got is not None:
+            split_seen += 1
+            clique, indep = got.clique, got.independent
+            assert sorted(clique + indep) == list(range(g.n))
+            assert all(g.has_edge(u, v) for u, v in itertools.combinations(clique, 2))
+            assert not any(g.has_edge(u, v) for u, v in itertools.combinations(indep, 2))
+        has_c4 = naive.has_induced_c4(g.n, g.has_edge)
+        assert is_induced_c4_free(g) == (not has_c4), g
+        c4_seen += has_c4
+    assert split_seen >= 150 and c4_seen >= 150
+
+
+def test_induced_c4_detection_matches_networkx():
+    nx = pytest.importorskip("networkx")
+    from networkx.algorithms.isomorphism import GraphMatcher
+
+    c4 = nx.cycle_graph(4)
+    for g in _random_graphs(13, 300):
+        h = nx.Graph()
+        h.add_nodes_from(range(g.n))
+        h.add_edges_from(g.edges())
+        # subgraph_is_isomorphic matches node-induced subgraphs
+        assert is_induced_c4_free(g) == (not GraphMatcher(h, c4).subgraph_is_isomorphic()), g
 
 
 def test_split_recognition_exhaustive():
