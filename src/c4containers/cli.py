@@ -105,7 +105,10 @@ class _Resolver:
         value = getattr(self.ns, name.replace("-", "_"), None)
         if value is None and name in self.cfg:
             raw = self.cfg[name]
-            value = _as_bool(raw) if typ is bool else typ(raw)
+            try:
+                value = _as_bool(raw) if typ is bool else typ(raw)
+            except ValueError as exc:
+                raise PreconditionError(f"bad config value {name} = {raw!r}") from exc
         if value is None:
             value = default
         if value is None and required:
@@ -113,6 +116,14 @@ class _Resolver:
         if value is not None:
             self.resolved[name] = value
         return value
+
+
+def _read_input(path: str, parse):
+    """Parse the --input file; unreadable or malformed input fails a precondition."""
+    try:
+        return parse(Path(path).read_text())
+    except (OSError, ValueError) as exc:
+        raise PreconditionError(f"cannot read input file {path}: {exc}") from exc
 
 
 def _task_seed(seed: int, index: int) -> int:
@@ -251,7 +262,7 @@ def _cmd_containers(res: _Resolver) -> int:
     r = res.get("r", int, required=True)
     force = res.get("force", bool, False)
     out = res.get("out", str)
-    h = UniformHypergraph.from_text(Path(path).read_text())
+    h = _read_input(path, UniformHypergraph.from_text)
     if h.n_vertices > 20:
         raise ScaleError(f"exhaustive member scan needs v(H) <= 20, got {h.n_vertices}")
     lines = [
@@ -282,7 +293,7 @@ def _cmd_stability_probe(res: _Resolver) -> int:
     params = _tree_params(res)
     out = res.get("out", str)
     if path is not None:
-        p = Pregraph.from_text(Path(path).read_text())
+        p = _read_input(path, Pregraph.from_text)
         if p.n != params.n:
             raise PreconditionError(f"pregraph has n={p.n}, flags say n={params.n}")
     else:

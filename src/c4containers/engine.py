@@ -27,6 +27,7 @@ assignments over one shared execution prefix.
 
 from __future__ import annotations
 
+import copy
 import itertools
 import math
 from collections import Counter
@@ -195,139 +196,8 @@ class DeltaSchedule:
         return out
 
 
-# -- one round of the question game ------------------------------------------
-
-
-class _Round:
-    """Mutable state of one round at uniformity (i0, i1) with question value c.
-
-    Constraints live in ``active`` keyed by their sorted tuple pair; the
-    c-side degree of every vertex is kept current so the next question is a
-    dictionary scan.  G* grows a counter of reduced constraints together with
-    sub-pair degree counts against the saturation thresholds.
-    """
-
-    def __init__(self, edges: dict[Key, int], i0: int, i1: int, c: int, b: int, sched: DeltaSchedule):
-        if c not in (0, 1):
-            raise ValueError("c must be 0 or 1")
-        compatible = 1 if i1 > 0 else 0
-        if i0 + i1 == 0:
-            raise ValueError("cannot run a round on a (0, 0)-uniform hypergraph")
-        if c != compatible or (c == 0 and i0 == 0):
-            raise PreconditionError(f"value c={c} is not compatible with uniformity {(i0, i1)}")
-        if b < 1:
-            raise ValueError("b must be positive")
-        self.i0, self.i1, self.c, self.b = i0, i1, c, b
-        self.i0p, self.i1p = (i0 - 1, i1) if c == 0 else (i0, i1 - 1)
-        self.thresholds = sched.saturation_thresholds(self.i0p, self.i1p)
-        self.active: dict[Key, int] = dict(edges)
-        self.cdeg: Counter[int] = Counter()
-        self.incidence: dict[int, set[Key]] = {}
-        for key, mult in self.active.items():
-            for u in key[c]:
-                self.cdeg[u] += mult
-                self.incidence.setdefault(u, set()).add(key)
-        self.gstar: Counter[Key] = Counter()
-        self.pair_deg: Counter[Key] = Counter()
-        self.saturated: set[Key] = set()
-        self.s_idx: list[int] = []
-        self.w_idx: list[int] = []
-        self.v_seq: list[int] = []
-        self.j = 0
-
-    def clone(self) -> "_Round":
-        other = object.__new__(_Round)
-        other.i0, other.i1, other.c, other.b = self.i0, self.i1, self.c, self.b
-        other.i0p, other.i1p = self.i0p, self.i1p
-        other.thresholds = self.thresholds
-        other.active = dict(self.active)
-        other.cdeg = Counter(self.cdeg)
-        other.incidence = {u: set(ks) for u, ks in self.incidence.items()}
-        other.gstar = Counter(self.gstar)
-        other.pair_deg = Counter(self.pair_deg)
-        other.saturated = set(self.saturated)
-        other.s_idx = list(self.s_idx)
-        other.w_idx = list(self.w_idx)
-        other.v_seq = list(self.v_seq)
-        other.j = self.j
-        return other
-
-    def finished(self) -> bool:
-        return len(self.s_idx) == self.b or not self.active
-
-    def current_vertex(self) -> int:
-        """The c-maximum vertex: largest c-side degree, smallest index on ties."""
-        best_v = -1
-        best_d = 0
-        for v, d in self.cdeg.items():
-            if d > best_d or (d == best_d and d > 0 and v < best_v):
-                best_v, best_d = v, d
-        if best_v < 0:  # pragma: no cover - guarded by finished()
-            raise RuntimeError("no active constraints")
-        return best_v
-
-    def _remove_key(self, key: Key) -> int:
-        mult = self.active.pop(key)
-        for u in key[self.c]:
-            self.cdeg[u] -= mult
-            if self.cdeg[u] == 0:
-                del self.cdeg[u]
-            self.incidence[u].discard(key)
-        return mult
-
-    def _add_to_gstar(self, key: Key, mult: int) -> list[Key]:
-        self.gstar[key] += mult
-        fresh: list[Key] = []
-        a0, a1 = key
-        for (l0, l1), thr in self.thresholds.items():
-            if l0 > len(a0) or l1 > len(a1):
-                continue
-            for s0 in itertools.combinations(a0, l0):
-                for s1 in itertools.combinations(a1, l1):
-                    pair = (s0, s1)
-                    self.pair_deg[pair] += mult
-                    if self.pair_deg[pair] >= thr and pair not in self.saturated:
-                        self.saturated.add(pair)
-                        fresh.append(pair)
-        return fresh
-
-    def answer(self, yes: bool) -> int:
-        """Record the answer for the current vertex and run the cleanup step."""
-        v = self.current_vertex()
-        self.v_seq.append(v)
-        fresh: list[Key] = []
-        hit = list(self.incidence.get(v, ()))
-        if yes:
-            self.s_idx.append(self.j)
-            for key in hit:
-                mult = self._remove_key(key)
-                a0, a1 = key
-                if self.c == 0:
-                    reduced = (tuple(x for x in a0 if x != v), a1)
-                else:
-                    reduced = (a0, tuple(x for x in a1 if x != v))
-                fresh.extend(self._add_to_gstar(reduced, mult))
-        else:
-            self.w_idx.append(self.j)
-            for key in hit:
-                self._remove_key(key)
-        if fresh:
-            doomed = [
-                key
-                for key in self.active
-                if any(set(t0) <= set(key[0]) and set(t1) <= set(key[1]) for (t0, t1) in fresh)
-            ]
-            for key in doomed:
-                self._remove_key(key)
-        self.j += 1
-        return v
-
-
 def _as_assignment(h, n: int) -> Assignment:
-    if isinstance(h, Assignment):
-        a = h
-    else:
-        a = Assignment.from_bits(h)
+    a = h if isinstance(h, Assignment) else Assignment.from_bits(h)
     if a.n != n:
         raise PreconditionError(f"assignment length {a.n} does not match ground set {n}")
     return a
@@ -390,6 +260,19 @@ class ContainerProcess:
     Callers loop: while pending() gives (vertex, c), call answer(yes).  Once
     done, result() packages the fingerprint and cylinder.  clone() copies the
     whole execution state, which lets one prefix serve many assignments.
+
+    Round s (counted from 0) runs on the constraints in ``active``, keyed by
+    their sorted tuple pair, and asks about the c-side (c = 1 while the round's
+    hypergraph has a nonempty 1-side).  ``cdeg`` and ``incidence`` hold each
+    vertex's c-side degree and constraints, so the next question is a
+    dictionary scan.  YES answers move constraints, with the asked vertex
+    removed, into the counter ``gstar`` of uniformity ``k_star``; ``pair_deg``
+    counts its sub-pair degrees against ``thresholds``, ``saturated`` collects
+    the pairs that reached theirs, and active constraints containing a newly
+    saturated pair are dropped.  ``yes`` and ``no`` list the vertices answered
+    each way in this round; ``s0`` and ``s1`` accumulate the YES vertices of
+    all rounds.  A round ends after b YES answers or when no constraint is
+    left; G* then either yields the cylinder or opens the next round.
     """
 
     def __init__(
@@ -427,15 +310,12 @@ class ContainerProcess:
         self.sched = DeltaSchedule(h.k0, h.k1, b2, m2, h.n_vertices, base)
         self.check_invariants = check_invariants
         self.s = 0
-        self.i0, self.i1 = h.k0, h.k1
         self.s0: set[int] = set()
         self.s1: set[int] = set()
         self.done = False
         self.cylinder: Optional[Cylinder] = None
         self.final_c = -1
-        self.cur_edges: dict[Key, int] = {c.key(): mult for c, mult in h.constraints()}
-        self.round: Optional[_Round] = None
-        self._open_round()
+        self._open_round({c.key(): mult for c, mult in h.constraints()}, h.k0, h.k1)
 
     def _beta(self, s: int) -> Fraction:
         k0, k1 = self.h_k0, self.h_k1
@@ -446,63 +326,126 @@ class ContainerProcess:
             * Fraction(self.b, self.m) ** max(0, s - k1)
         )
 
-    def _open_round(self) -> None:
-        c = 1 if self.i1 > 0 else 0
-        self.round = _Round(self.cur_edges, self.i0, self.i1, c, self.b, self.sched)
+    def _open_round(self, edges: dict[Key, int], i0: int, i1: int) -> None:
+        """Start a round on the (i0, i1)-uniform constraints ``edges``."""
+        self.c = c = 1 if i1 > 0 else 0
+        self.k_star = (i0 - 1, i1) if c == 0 else (i0, i1 - 1)
+        self.thresholds = self.sched.saturation_thresholds(*self.k_star)
+        self.active = edges
+        self.cdeg: Counter[int] = Counter()
+        self.incidence: dict[int, set[Key]] = {}
+        for key, mult in edges.items():
+            for u in key[c]:
+                self.cdeg[u] += mult
+                self.incidence.setdefault(u, set()).add(key)
+        self.gstar: Counter[Key] = Counter()
+        self.pair_deg: Counter[Key] = Counter()
+        self.saturated: set[Key] = set()
+        self.yes: list[int] = []
+        self.no: list[int] = []
 
     def pending(self) -> Optional[tuple[int, int]]:
-        """The next (vertex, c) question, or None when the container is set."""
+        """The next (vertex, c) question, or None when the container is set.
+
+        The vertex is the c-maximum one: largest c-side degree, smallest
+        index on ties.
+        """
         if self.done:
             return None
-        assert self.round is not None
-        return (self.round.current_vertex(), self.round.c)
+        best_v, best_d = -1, 0
+        for v, d in self.cdeg.items():
+            if d > best_d or (d == best_d and v < best_v):
+                best_v, best_d = v, d
+        return best_v, self.c
+
+    def _remove_key(self, key: Key) -> int:
+        mult = self.active.pop(key)
+        for u in key[self.c]:
+            self.cdeg[u] -= mult
+            if self.cdeg[u] == 0:
+                del self.cdeg[u]
+            self.incidence[u].discard(key)
+        return mult
+
+    def _add_to_gstar(self, key: Key, mult: int) -> list[Key]:
+        self.gstar[key] += mult
+        fresh: list[Key] = []
+        a0, a1 = key
+        for (l0, l1), thr in self.thresholds.items():
+            if l0 > len(a0) or l1 > len(a1):
+                continue
+            for s0 in itertools.combinations(a0, l0):
+                for s1 in itertools.combinations(a1, l1):
+                    pair = (s0, s1)
+                    self.pair_deg[pair] += mult
+                    if self.pair_deg[pair] >= thr and pair not in self.saturated:
+                        self.saturated.add(pair)
+                        fresh.append(pair)
+        return fresh
 
     def answer(self, yes: bool) -> None:
-        if self.done:
+        """Record the answer for the pending vertex and run the cleanup step."""
+        q = self.pending()
+        if q is None:
             raise RuntimeError("construction already finished")
-        rnd = self.round
-        assert rnd is not None
-        rnd.answer(yes)
-        if rnd.finished():
+        v, c = q
+        fresh: list[Key] = []
+        hit = list(self.incidence.get(v, ()))
+        if yes:
+            self.yes.append(v)
+            for key in hit:
+                mult = self._remove_key(key)
+                a0, a1 = key
+                if c == 0:
+                    reduced = (tuple(x for x in a0 if x != v), a1)
+                else:
+                    reduced = (a0, tuple(x for x in a1 if x != v))
+                fresh.extend(self._add_to_gstar(reduced, mult))
+        else:
+            self.no.append(v)
+            for key in hit:
+                self._remove_key(key)
+        if fresh:
+            doomed = [
+                key
+                for key in self.active
+                if any(set(t0) <= set(key[0]) and set(t1) <= set(key[1]) for (t0, t1) in fresh)
+            ]
+            for key in doomed:
+                self._remove_key(key)
+        if len(self.yes) == self.b or not self.active:
             self._close_round()
 
     def _close_round(self) -> None:
-        rnd = self.round
-        assert rnd is not None
-        yes_vertices = [rnd.v_seq[j] for j in rnd.s_idx]
-        (self.s1 if rnd.c == 1 else self.s0).update(yes_vertices)
-        e_star = sum(rnd.gstar.values())
+        (self.s1 if self.c == 1 else self.s0).update(self.yes)
         if self.check_invariants:
-            self._assert_degree_caps(rnd)
-        if e_star < self._beta(self.s + 1) * self.e_h:
-            no_vertices = [rnd.v_seq[j] for j in rnd.w_idx]
+            self._assert_degree_caps()
+        if sum(self.gstar.values()) < self._beta(self.s + 1) * self.e_h:
             labels: list[Optional[int]] = [None] * self.n
-            for v in no_vertices:
-                labels[v] = 1 - rnd.c
+            for v in self.no:
+                labels[v] = 1 - self.c
             self.cylinder = Cylinder(tuple(labels))
-            self.final_c = rnd.c
+            self.final_c = self.c
             self.done = True
-            self.round = None
             return
         if self.s + 1 >= self.h_k0 + self.h_k1:
             raise PreconditionError(
                 "no round budget left with a non-empty reduced hypergraph; "
                 "the driving assignment cannot lie in F(H)"
             )
-        self.cur_edges = dict(rnd.gstar)
-        self.i0, self.i1 = rnd.i0p, rnd.i1p
         self.s += 1
-        self._open_round()
+        self._open_round(dict(self.gstar), *self.k_star)
 
-    def _assert_degree_caps(self, rnd: _Round) -> None:
-        g = UniformHypergraph(rnd.i0p, rnd.i1p, self.n, allow_degenerate=True)
-        for (a0, a1), mult in rnd.gstar.items():
+    def _assert_degree_caps(self) -> None:
+        i0, i1 = self.k_star
+        g = UniformHypergraph(i0, i1, self.n, allow_degenerate=True)
+        for (a0, a1), mult in self.gstar.items():
             g.add(Constraint(a0, a1), mult)
-        for l0 in range(rnd.i0p + 1):
-            for l1 in range(rnd.i1p + 1):
+        for l0 in range(i0 + 1):
+            for l1 in range(i1 + 1):
                 if (l0, l1) == (0, 0):
                     continue
-                cap = self.sched.delta(rnd.i0p, rnd.i1p, l0, l1)
+                cap = self.sched.delta(i0, i1, l0, l1)
                 got = g.max_degree(l0, l1)
                 if got > cap:
                     raise AssertionError(
@@ -511,22 +454,16 @@ class ContainerProcess:
                     )
 
     def clone(self) -> "ContainerProcess":
-        other = object.__new__(ContainerProcess)
-        other.h_k0, other.h_k1 = self.h_k0, self.h_k1
-        other.n, other.e_h = self.n, self.e_h
-        other.report = self.report
-        other.hypothesis_ok = self.hypothesis_ok
-        other.b, other.m, other.r = self.b, self.m, self.r
-        other.sched = self.sched
-        other.check_invariants = self.check_invariants
-        other.s = self.s
-        other.i0, other.i1 = self.i0, self.i1
+        """An independent copy; the report, schedule and thresholds stay shared."""
+        other = copy.copy(self)
         other.s0, other.s1 = set(self.s0), set(self.s1)
-        other.done = self.done
-        other.cylinder = self.cylinder
-        other.final_c = self.final_c
-        other.cur_edges = self.cur_edges
-        other.round = self.round.clone() if self.round is not None else None
+        other.active = dict(self.active)
+        other.cdeg = Counter(self.cdeg)
+        other.incidence = {u: set(ks) for u, ks in self.incidence.items()}
+        other.gstar = Counter(self.gstar)
+        other.pair_deg = Counter(self.pair_deg)
+        other.saturated = set(self.saturated)
+        other.yes, other.no = list(self.yes), list(self.no)
         return other
 
     def fingerprint(self) -> Fingerprint:

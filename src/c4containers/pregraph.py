@@ -123,7 +123,7 @@ class Pregraph:
             if not line:
                 continue
             parts = line.split()
-            if parts[0] == "n":
+            if parts[0] == "n" and len(parts) == 2:
                 n = int(parts[1])
             elif parts[0] in sets and len(parts) == 3:
                 sets[parts[0]].append((int(parts[1]), int(parts[2])))
@@ -139,11 +139,9 @@ def complete_pregraph(n: int) -> Pregraph:
     return Pregraph(n, frozenset(itertools.combinations(range(n), 2)), frozenset())
 
 
-_DIAGONAL_SPLITS = (
-    ((0, 1), (2, 3)),
-    ((0, 2), (1, 3)),
-    ((0, 3), (1, 2)),
-)
+# the two diagonals of each 4-cycle on a sorted quad a < b < c < d, as
+# positions in its pair list (ab, ac, ad, bc, bd, cd): ab+cd, ac+bd, ad+bc
+_DIAGONAL_SPLITS = ((0, 5), (1, 4), (2, 3))
 
 
 @dataclass(frozen=True)
@@ -167,21 +165,14 @@ def good_c4_enumerate(p: Pregraph) -> list[GoodC4]:
     undecided = p.mixed | p.neutral
     out = []
     for quad in itertools.combinations(range(p.n), 4):
-        if any(_norm_pair((a, b)) in p.fixed for a, b in itertools.combinations(quad, 2)):
+        pairs = tuple(itertools.combinations(quad, 2))  # sorted pairs, in sorted order
+        if any(e in p.fixed for e in pairs):
             continue
-        for da, db in _DIAGONAL_SPLITS:
-            d1 = _norm_pair((quad[da[0]], quad[da[1]]))
-            d2 = _norm_pair((quad[db[0]], quad[db[1]]))
-            cycle = tuple(
-                sorted(
-                    _norm_pair((a, b))
-                    for a, b in itertools.combinations(quad, 2)
-                    if _norm_pair((a, b)) not in (d1, d2)
-                )
-            )
+        for i, j in _DIAGONAL_SPLITS:
+            cycle = tuple(e for k, e in enumerate(pairs) if k != i and k != j)
             if any(e not in p.mixed for e in cycle):
                 continue
-            extra = tuple(sorted(d for d in (d1, d2) if d in undecided))
+            extra = tuple(pairs[k] for k in (i, j) if pairs[k] in undecided)
             out.append(GoodC4(cycle, extra))
     return out
 
@@ -198,15 +189,6 @@ class ConstraintSystem:
 
     def __iter__(self):
         return iter((self.h0, self.h1, self.h2))
-
-    def index(self, e: Pair) -> int:
-        return self._index[e]
-
-    def __post_init__(self):
-        object.__setattr__(self, "_index", {e: k for k, e in enumerate(self.ground)})
-
-    def hypergraph(self, i: int) -> UniformHypergraph:
-        return (self.h0, self.h1, self.h2)[i]
 
 
 def _encode_copy(copy: GoodC4, index: dict[Pair, int]) -> Constraint:
@@ -448,6 +430,11 @@ def _subset_pair_counts(n: int, pairs: frozenset[Pair]) -> list[int]:
     return count
 
 
+def _count_within(pairs: Iterable[Pair], vertices: set[int] | frozenset[int]) -> int:
+    """Pairs with both endpoints in the vertex set."""
+    return sum(1 for u, v in pairs if u in vertices and v in vertices)
+
+
 @dataclass(frozen=True)
 class AlmostSplitResult:
     found: bool
@@ -487,7 +474,6 @@ def is_almost_split_pregraph(p: Pregraph, eps: float) -> AlmostSplitResult:
                 w = tuple(v for v in range(p.n) if not (umask >> v) & 1)
                 return AlmostSplitResult(True, True, u, w)
         return AlmostSplitResult(False, True)
-    e_e = None
     deg_e = [0] * p.n
     for u, v in p.fixed:
         deg_e[u] += 1
@@ -495,9 +481,8 @@ def is_almost_split_pregraph(p: Pregraph, eps: float) -> AlmostSplitResult:
     order = sorted(range(p.n), key=lambda v: (-deg_e[v], v))
 
     def exact_check(uset: set[int]) -> Optional[AlmostSplitResult]:
-        umask = sum(1 << v for v in uset)
         size = len(uset)
-        inside_e = sum(1 for a, b in p.fixed if a in uset and b in uset)
+        inside_e = _count_within(p.fixed, uset)
         inside_m = sum(1 for a, b in p.mixed if a not in uset and b not in uset)
         if (
             p.e_e() <= math.comb(size, 2)
@@ -524,8 +509,7 @@ def is_almost_split_pregraph(p: Pregraph, eps: float) -> AlmostSplitResult:
                     hit = exact_check(trial)
                     if hit:
                         return hit
-                    inside = sum(1 for a, b in p.fixed if a in trial and b in trial)
-                    if inside > sum(1 for a, b in p.fixed if a in uset and b in uset):
+                    if _count_within(p.fixed, trial) > _count_within(p.fixed, uset):
                         uset = trial
                         improved = True
                         break
@@ -614,11 +598,7 @@ def close_to_clique_cost(n: int, edges: Iterable[Pair], ell: int) -> CliqueCost:
         deg[u] += 1
         deg[v] += 1
     uset = set(sorted(range(n), key=lambda v: (-deg[v], v))[:ell])
-
-    def inside(s: set[int]) -> int:
-        return sum(1 for a, b in pairs if a in s and b in s)
-
-    current = inside(uset)
+    current = _count_within(pairs, uset)
     improved = True
     while improved:
         improved = False
@@ -627,7 +607,7 @@ def close_to_clique_cost(n: int, edges: Iterable[Pair], ell: int) -> CliqueCost:
                 if v_in in uset:
                     continue
                 trial = (uset - {v_out}) | {v_in}
-                t = inside(trial)
+                t = _count_within(pairs, trial)
                 if t > current:
                     uset, current = trial, t
                     improved = True

@@ -48,7 +48,7 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from typing import Optional
 
@@ -63,6 +63,7 @@ from .pregraph import (
     EXACT_SUBSET_LIMIT,
     PermissibleResult,
     Pregraph,
+    _count_within,
     _subset_pair_counts,
     build_permissible,
     close_to_clique_cost,
@@ -174,10 +175,6 @@ class SelectionResult:
     @property
     def selected(self) -> bool:
         return self.status == "selected"
-
-
-def _count_within(pairs, vertices: frozenset[int]) -> int:
-    return sum(1 for u, v in pairs if u in vertices and v in vertices)
 
 
 def _concentrated_ell(p: Pregraph, params: TreeParams) -> Optional[int]:
@@ -497,15 +494,6 @@ class LeafInfo:
     members: int
     log_count: float  # ln C(e(M), m - e(E)); -inf when the node holds nothing
 
-    def as_dict(self) -> dict:
-        return {
-            "node_id": self.node_id,
-            "kind": self.kind,
-            "case": self.case,
-            "members": self.members,
-            "log_count": self.log_count,
-        }
-
 
 _DISCARD_CASE = {"e_overflow": "case_1", "m_underflow": "case_1", "ratio_leaf": "case_2"}
 
@@ -550,7 +538,7 @@ def classify_leaves(tree: ContainerTree, eps: Optional[float] = None) -> dict[st
 # -- serialization ---------------------------------------------------------------
 
 
-def tree_lines(tree: ContainerTree, include_pregraphs: bool = False) -> list[str]:
+def tree_lines(tree: ContainerTree) -> list[str]:
     """Line-oriented dump: `node_id parent_id status |M| |E| classification`."""
     lines = ["# node_id parent_id status e_M e_E classification"]
     for nd in tree.nodes:
@@ -559,9 +547,6 @@ def tree_lines(tree: ContainerTree, include_pregraphs: bool = False) -> list[str
             f"{nd.node_id} {nd.parent_id} {nd.status} "
             f"{nd.pregraph.e_m()} {nd.pregraph.e_e()} {tag}"
         )
-        if include_pregraphs:
-            for row in nd.pregraph.to_text().strip().splitlines():
-                lines.append(f"  {row}")
     return lines
 
 
@@ -585,7 +570,7 @@ def tree_summary(tree: ContainerTree, eps: Optional[float] = None) -> dict:
         "n_leaves": len(tree.leaves()),
         "renormalized_nodes": [nd.node_id for nd in tree.nodes if nd.renormalized],
         "leaf_counts": {k: len(v) for k, v in buckets.items()},
-        "leaves": {k: [info.as_dict() for info in v] for k, v in buckets.items()},
+        "leaves": {k: [asdict(info) for info in v] for k, v in buckets.items()},
         "observed_discarded_log_mass": discarded_mass.value,
         "covered": covered,
         "total_members": total,

@@ -222,6 +222,49 @@ def test_missing_config_file_exit_3(capsys):
     assert code == 3
 
 
+def assert_precondition_exit(code, err):
+    assert code == 3
+    assert "error (precondition)" in err
+
+
+CONTAINERS = ("containers", "--K", "8", "--b", "2", "--m", "4", "--r", "2")
+PROBE = ("stability-probe", "--n", "7", "--m", "10")
+
+
+@pytest.mark.parametrize("command", [CONTAINERS, PROBE])
+def test_missing_input_file_exit_3(tmp_path, capsys, command):
+    code, _, err = run(capsys, *command, "--input", str(tmp_path / "absent.txt"))
+    assert_precondition_exit(code, err)
+
+
+def test_pregraph_with_a_bare_n_line_exit_3(tmp_path, capsys):
+    path = tmp_path / "p.txt"
+    path.write_text("n\nM 0 1\n")
+    code, _, err = run(capsys, *PROBE, "--input", str(path))
+    assert_precondition_exit(code, err)
+
+
+def test_pregraph_with_a_loop_exit_3(tmp_path, capsys):
+    path = tmp_path / "p.txt"
+    path.write_text("n 7\nM 0 0\n")
+    code, _, err = run(capsys, *PROBE, "--input", str(path))
+    assert_precondition_exit(code, err)
+
+
+def test_hypergraph_with_a_bad_vertex_exit_3(tmp_path, capsys):
+    path = tmp_path / "h.txt"
+    path.write_text("0 2 4\n1 | | 0 x\n")
+    code, _, err = run(capsys, *CONTAINERS, "--input", str(path))
+    assert_precondition_exit(code, err)
+
+
+def test_non_numeric_config_value_exit_3(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("command = enumerate\nn = abc\n")
+    code, _, err = run(capsys, "--config", str(cfg))
+    assert_precondition_exit(code, err)
+
+
 def test_count_split_regime_error_maps_to_precondition(capsys):
     # the grid path needs m in the fixed-point window
     code, _, err = run(capsys, "count-split", "--n", "100", "--m", "50")

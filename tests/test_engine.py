@@ -147,12 +147,31 @@ def test_round_requires_solution_set_member():
         drive(ContainerProcess(h, k, 1, 2, 1), violating)
 
 
+def h3():
+    """A (1,2)-uniform hypergraph on five vertices."""
+    h = UniformHypergraph(1, 2, 5)
+    h.add(Constraint.make((0,), (1, 2)))
+    h.add(Constraint.make((2,), (3, 4)))
+    h.add(Constraint.make((1,), (0, 4)))
+    return h
+
+
+def saturating():
+    """A (1,2)-uniform hypergraph on six vertices whose rounds saturate
+    pairs of G* and so run the doomed-constraint sweep."""
+    h = UniformHypergraph(1, 2, 6)
+    for a0, a1 in [(3, (1, 2)), (4, (1, 2)), (4, (1, 3)), (5, (0, 3)), (5, (0, 4)), (5, (2, 4))]:
+        h.add(Constraint.make((a0,), a1))
+    return h
+
+
+def small_instances():
+    """(h, b, m, r) for the hand-built instances."""
+    return [(triangle_lift(), 2, 3, 1), (h3(), 2, 5, 2), (saturating(), 2, 4, 2)]
+
+
 def test_round_yes_vertices_come_from_the_assignment():
-    h3 = UniformHypergraph(1, 2, 5)
-    h3.add(Constraint.make((0,), (1, 2)))
-    h3.add(Constraint.make((2,), (3, 4)))
-    h3.add(Constraint.make((1,), (0, 4)))
-    for h, b, m, r in [(triangle_lift(), 2, 3, 1), (h3, 2, 5, 2)]:
+    for h, b, m, r in small_instances():
         k = passing_parameters(h, b, m, r)
         for a in members_up_to(h, m):
             proc = ContainerProcess(h, k, b, m, r)
@@ -161,6 +180,33 @@ def test_round_yes_vertices_come_from_the_assignment():
             fp = proc.result().fingerprint
             assert set(fp.s1) == yes_by_c[1] <= a.ones()
             assert set(fp.s0) == yes_by_c[0] and not yes_by_c[0] & a.ones()
+
+
+def test_clone_at_every_question_runs_on_alone():
+    for h, b, m, r in small_instances():
+        k = passing_parameters(h, b, m, r)
+        for a in members_up_to(h, m):
+            expected = build_container(h, k, b, m, r, a)
+            questions = 0
+            while True:
+                proc = ContainerProcess(h, k, b, m, r)
+                for _ in range(questions):
+                    v, c = proc.pending()
+                    proc.answer(a.bits[v] == c)
+                if proc.pending() is None:
+                    break
+                twin = proc.clone()
+                # the original takes the other branch here and runs on from there
+                v, c = proc.pending()
+                try:
+                    proc.answer(a.bits[v] != c)
+                    drive(proc, a.bits)
+                except PreconditionError:
+                    pass
+                drive(twin, a.bits)
+                assert twin.result() == expected
+                questions += 1
+            assert questions > 0
 
 
 @pytest.mark.parametrize("k0,k1", [(0, 2), (1, 1), (1, 2), (2, 2)])
