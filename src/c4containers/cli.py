@@ -35,7 +35,7 @@ from pathlib import Path
 from typing import Optional
 
 from . import __version__
-from .engine import build_container
+from .engine import ContainerProcess, _drive
 from .errors import NumericError, PreconditionError, ScaleError
 from .hypergraph import Assignment, UniformHypergraph, check_container_hypothesis
 from .oracle import EXACT_COUNT_LIMIT, fnm_table, sample_c4free_by_deletion
@@ -269,12 +269,17 @@ def _cmd_containers(res: _Resolver) -> int:
         "# containers for every member of F_{<=m}(H); sets are index lists joined by '+'",
         "assignment,s0,s1,cylinder",
     ]
+    # one process checks the hypothesis; every member runs on a clone of it.
+    # It is built at the first member, so an empty member set raises nothing.
+    proc: Optional[ContainerProcess] = None
     for mask in range(1 << h.n_vertices):
         bits = [(mask >> i) & 1 for i in range(h.n_vertices)]
         a = Assignment.from_bits(bits)
         if a.ones_count > m or not a.in_solution_set(h):
             continue
-        result = build_container(h, k, b, m, r, a, force=force)
+        if proc is None:
+            proc = ContainerProcess(h, k, b, m, r, force=force)
+        result = _drive(proc.clone(), lambda v, c: bits[v] == c)
         fp = result.fingerprint
         lines.append(
             "{},{},{},{}".format(

@@ -264,12 +264,14 @@ class ContainerProcess:
     Round s (counted from 0) runs on the constraints in ``active``, keyed by
     their sorted tuple pair, and asks about the c-side (c = 1 while the round's
     hypergraph has a nonempty 1-side).  ``cdeg`` and ``incidence`` hold each
-    vertex's c-side degree and constraints, so the next question is a
-    dictionary scan.  YES answers move constraints, with the asked vertex
-    removed, into the counter ``gstar`` of uniformity ``k_star``; ``pair_deg``
-    counts its sub-pair degrees against ``thresholds``, ``saturated`` collects
-    the pairs that reached theirs, and active constraints containing a newly
-    saturated pair are dropped.  ``yes`` and ``no`` list the vertices answered
+    vertex's c-side degree and constraints, so the next question is one
+    dictionary scan, kept until it is answered.  YES answers move constraints,
+    with the asked vertex removed, into the counter ``gstar`` of uniformity
+    ``k_star``; ``pair_deg`` counts its sub-pair degrees against
+    ``thresholds``, ``saturated`` collects the pairs that reached theirs, and
+    one sweep over the active constraints drops each one containing a newly
+    saturated pair, found by looking up its sub-tuple pairs of the shapes
+    saturated in that answer.  ``yes`` and ``no`` list the vertices answered
     each way in this round; ``s0`` and ``s1`` accumulate the YES vertices of
     all rounds.  A round ends after b YES answers or when no constraint is
     left; G* then either yields the cylinder or opens the next round.
@@ -315,6 +317,7 @@ class ContainerProcess:
         self.done = False
         self.cylinder: Optional[Cylinder] = None
         self.final_c = -1
+        self._question: Optional[tuple[int, int]] = None
         self._open_round({c.key(): mult for c, mult in h.constraints()}, h.k0, h.k1)
 
     def _beta(self, s: int) -> Fraction:
@@ -348,15 +351,17 @@ class ContainerProcess:
         """The next (vertex, c) question, or None when the container is set.
 
         The vertex is the c-maximum one: largest c-side degree, smallest
-        index on ties.
+        index on ties.  It is kept until answered, so asking again is free.
         """
         if self.done:
             return None
-        best_v, best_d = -1, 0
-        for v, d in self.cdeg.items():
-            if d > best_d or (d == best_d and v < best_v):
-                best_v, best_d = v, d
-        return best_v, self.c
+        if self._question is None:
+            best_v, best_d = -1, 0
+            for v, d in self.cdeg.items():
+                if d > best_d or (d == best_d and v < best_v):
+                    best_v, best_d = v, d
+            self._question = (best_v, self.c)
+        return self._question
 
     def _remove_key(self, key: Key) -> int:
         mult = self.active.pop(key)
@@ -383,12 +388,35 @@ class ContainerProcess:
                         fresh.append(pair)
         return fresh
 
+    def _doomed(self, fresh: list[Key]) -> list[Key]:
+        """The active constraints that contain a pair of ``fresh``.
+
+        Keys and pairs are sorted tuples, so a pair of shape (l0, l1) lies
+        inside a key exactly when it is one of the key's (l0, l1) sub-tuple
+        pairs: each key costs a few hash lookups, not one subset test per pair.
+        """
+        targets = set(fresh)
+        shapes = {(len(t0), len(t1)) for t0, t1 in fresh}
+        return [
+            key
+            for key in self.active
+            if any(
+                not targets.isdisjoint(
+                    itertools.product(
+                        itertools.combinations(key[0], l0), itertools.combinations(key[1], l1)
+                    )
+                )
+                for l0, l1 in shapes
+            )
+        ]
+
     def answer(self, yes: bool) -> None:
         """Record the answer for the pending vertex and run the cleanup step."""
         q = self.pending()
         if q is None:
             raise RuntimeError("construction already finished")
         v, c = q
+        self._question = None
         fresh: list[Key] = []
         hit = list(self.incidence.get(v, ()))
         if yes:
@@ -406,12 +434,7 @@ class ContainerProcess:
             for key in hit:
                 self._remove_key(key)
         if fresh:
-            doomed = [
-                key
-                for key in self.active
-                if any(set(t0) <= set(key[0]) and set(t1) <= set(key[1]) for (t0, t1) in fresh)
-            ]
-            for key in doomed:
+            for key in self._doomed(fresh):
                 self._remove_key(key)
         if len(self.yes) == self.b or not self.active:
             self._close_round()

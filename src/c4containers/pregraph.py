@@ -302,12 +302,21 @@ class PermissibleResult:
 def build_permissible(p: Pregraph, ell: int, beta: float) -> PermissibleResult:
     """Greedy construction of a permissible H_i with at least beta*l^4 edges.
 
-    Each iteration re-derives the neutralized pregraph from the original one
-    and the current degree state, then inserts the first good copy (in
-    enumeration order) that is not yet present and whose cycle contains no
+    After each insertion the neutralized pregraph is re-derived from the
+    original one and the current degree state, and the next copy inserted is
+    the first good copy of it (in enumeration order) whose cycle contains no
     (0,2)-saturated pair of any H_i.  Insertion order makes the result
     deterministic; the saturation rules make every intermediate hypergraph
     permissible by construction.
+
+    One pass over the good copies of p finds every such copy.  Degrees only
+    rise, so neutralization only moves mixed edges out of M and into E or N;
+    a copy's diagonal count i never changes; and saturated pairs stay
+    blocked.  A good copy of p is good in the neutralized pregraph exactly
+    while its cycle edges are mixed and no diagonal it counts is fixed, so a
+    copy that fails once fails for good, and a cursor that never moves back
+    meets the copies in the same order as a full rescan would.  Each copy is
+    inserted at most once, since its cycle fixes its vertex set and diagonals.
     """
     if ell < 1:
         raise PreconditionError(f"scale parameter must be at least 1, got {ell}")
@@ -317,7 +326,6 @@ def build_permissible(p: Pregraph, ell: int, beta: float) -> PermissibleResult:
     ground = tuple(sorted(p.mixed | p.neutral))
     index = {e: k for k, e in enumerate(ground)}
     hs = [UniformHypergraph(i, 4, len(ground)) for i in range(3)]
-    inserted: set[tuple[int, tuple]] = set()
     # incremental degree state, equivalent to querying the growing h_i
     deg10 = [dict(), dict(), dict()]  # A-side singletons (only i = 1, 2 used)
     deg01 = [dict(), dict(), dict()]  # B-side singletons
@@ -327,15 +335,18 @@ def build_permissible(p: Pregraph, ell: int, beta: float) -> PermissibleResult:
     target = beta * ell**4
     insertions = 0
 
+    copies = iter(good_c4_enumerate(p))  # one cursor for the whole run
     while True:
         pp = _neutralize(p, index, deg10, deg01, ell, n)
         if any(h.e() >= target for h in hs):
             break
         found = None
-        for copy in good_c4_enumerate(pp):
-            c = _encode_copy(copy, index)
-            if (copy.i, c.key()) in inserted:
+        for copy in copies:
+            if any(e not in pp.mixed for e in copy.cycle_edges):
                 continue
+            if any(e in pp.fixed for e in copy.extra_mixed):
+                continue
+            c = _encode_copy(copy, index)
             if any(t in blocked for t in itertools.combinations(c.a1, 2)):
                 continue
             found = (copy.i, c)
@@ -346,7 +357,6 @@ def build_permissible(p: Pregraph, ell: int, beta: float) -> PermissibleResult:
             )
         i, c = found
         hs[i].add(c)
-        inserted.add((i, c.key()))
         insertions += 1
         for k in c.a0:
             deg10[i][k] = deg10[i].get(k, 0) + 1

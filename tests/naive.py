@@ -2,13 +2,17 @@
 
 Everything here prefers transparent nested loops and full scans over
 cleverness, so that a disagreement with the library points at the library.
-None of these functions share code with src/.
+None of these functions share code with src/ beyond its data types.
 """
 
 import itertools
 import math
+from collections import Counter
 
 import numpy as np
+
+from c4containers import Constraint, Pregraph, UniformHypergraph
+from c4containers.pregraph import ConstraintSystem, PermissibleResult
 
 
 def pair_key(u, v):
@@ -138,3 +142,91 @@ def clique_edit_cost(n, edges, ell):
         if best is None or cost < best:
             best = cost
     return best
+
+
+def good_c4_copies_in_order(p):
+    """(cycle pairs, diagonals in M or N) of every good C4 of a pregraph:
+    four mixed cycle edges on a quad that spans no fixed edge.  Quads come in
+    lexicographic order and, within one, the diagonal pairs ab+cd, ac+bd,
+    ad+bc in that order."""
+    undecided = p.mixed | p.neutral
+    for quad in itertools.combinations(range(p.n), 4):
+        pairs = list(itertools.combinations(quad, 2))
+        if any(e in p.fixed for e in pairs):
+            continue
+        a, b, c, d = quad
+        for diagonals in (((a, b), (c, d)), ((a, c), (b, d)), ((a, d), (b, c))):
+            cycle = [e for e in pairs if e not in diagonals]
+            if all(e in p.mixed for e in cycle):
+                yield cycle, [e for e in diagonals if e in undecided]
+
+
+def build_permissible_by_rescan(p, ell, beta):
+    """The permissible greedy, recomputed from scratch before every insertion.
+
+    Each step recounts every degree of H_0, H_1, H_2, neutralizes the
+    original pregraph by them (a mixed edge with A-side degree >= l^2 in H_1
+    or H_2 goes to E, else one with B-side degree >= max(1, floor(l^3/n)) in
+    some H_i goes to N), stops once some H_i has beta*l^4 constraints, and
+    otherwise inserts the first good copy of the neutralized pregraph that is
+    not inserted yet and whose cycle holds no pair of B-side degree >= l in
+    one H_i.  Returns a PermissibleResult.
+    """
+    n = p.n
+    ground = tuple(sorted(p.mixed | p.neutral))
+    index = {e: k for k, e in enumerate(ground)}
+    hs = [UniformHypergraph(i, 4, len(ground)) for i in range(3)]
+    t10, t01, t02 = ell * ell, max(ell**3 // n, 1), ell
+    target = beta * ell**4
+    inserted = set()  # cycles inserted so far
+    while True:
+        a_deg = [Counter() for _ in hs]
+        b_deg = [Counter() for _ in hs]
+        pair_deg = [Counter() for _ in hs]
+        for i, h in enumerate(hs):
+            for c, mult in h.constraints():
+                for k in c.a0:
+                    a_deg[i][k] += mult
+                for k in c.a1:
+                    b_deg[i][k] += mult
+                for t in itertools.combinations(c.a1, 2):
+                    pair_deg[i][t] += mult
+        to_fixed = {f for f in p.mixed if a_deg[1][index[f]] >= t10 or a_deg[2][index[f]] >= t10}
+        to_neutral = {
+            f for f in p.mixed - to_fixed if any(d[index[f]] >= t01 for d in b_deg)
+        }
+        pp = Pregraph(n, p.mixed - to_fixed - to_neutral, p.fixed | to_fixed,
+                      p.neutral | to_neutral)
+        if any(h.e() >= target for h in hs):
+            break
+        blocked = {t for d in pair_deg for t, deg in d.items() if deg >= t02}
+        found = None
+        for cycle, extra in good_c4_copies_in_order(pp):
+            if tuple(cycle) in inserted:
+                continue
+            c = Constraint.make([index[e] for e in extra], [index[e] for e in cycle])
+            if any(t in blocked for t in itertools.combinations(c.a1, 2)):
+                continue
+            found = (cycle, len(extra), c)
+            break
+        if found is None:
+            return PermissibleResult(
+                "exhausted", None, None, ConstraintSystem(ground, *hs), pp, len(inserted)
+            )
+        cycle, i, c = found
+        hs[i].add(c)
+        inserted.add(tuple(cycle))
+    winner = max(range(3), key=lambda i: (hs[i].e() >= target, hs[i].e()))
+    return PermissibleResult(
+        "success", winner, hs[winner], ConstraintSystem(ground, *hs), pp, len(inserted)
+    )
+
+
+def doomed_by_subset_test(proc, fresh):
+    """The active constraints of a ContainerProcess that contain a pair of
+    fresh, by testing each constraint against each pair as sets."""
+    return [
+        key
+        for key in proc.active
+        if any(set(t0) <= set(key[0]) and set(t1) <= set(key[1]) for t0, t1 in fresh)
+    ]

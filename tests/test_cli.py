@@ -3,10 +3,20 @@ parameter precedence, and exit codes."""
 
 import json
 import math
+import random
 
 import pytest
 
-from c4containers import UniformHypergraph, count_Fnm_c4, n_nm, phi_log
+from c4containers import (
+    Assignment,
+    Constraint,
+    UniformHypergraph,
+    build_container,
+    check_container_hypothesis,
+    count_Fnm_c4,
+    n_nm,
+    phi_log,
+)
 from c4containers.cli import main
 
 pytestmark = pytest.mark.filterwarnings("ignore:parameter floor binds")
@@ -182,6 +192,48 @@ def test_containers_rows_are_valid(tmp_path, capsys):
             assert {int(v) for v in s1.split("+")} <= ones
 
 
+def test_containers_rows_match_per_member_builds(tmp_path, capsys):
+    rng = random.Random(8)
+    h = UniformHypergraph(1, 2, 8)
+    while h.support_size() < 7:
+        picked = rng.sample(range(8), 3)
+        h.add(Constraint.make(picked[:1], picked[1:]))
+    k = math.ceil(check_container_hypothesis(h, 1, 2, 4, 1).min_k)
+    path = tmp_path / "h.txt"
+    path.write_text(h.to_text())
+    code, out, _ = run(
+        capsys, "containers", "--input", str(path),
+        "--K", str(k), "--b", "2", "--m", "4", "--r", "1",
+    )
+    assert code == 0
+    rows = []
+    for mask in range(1 << 8):
+        bits = [(mask >> i) & 1 for i in range(8)]
+        a = Assignment.from_bits(bits)
+        if a.ones_count > 4 or not a.in_solution_set(h):
+            continue
+        res = build_container(h, k, 2, 4, 1, a)
+        rows.append("{},{},{},{}".format(
+            "".join(map(str, bits)), "+".join(map(str, res.fingerprint.s0)),
+            "+".join(map(str, res.fingerprint.s1)), res.cylinder.to_string(),
+        ))
+    assert len(rows) > 50
+    assert out.splitlines()[2:] == rows
+
+
+def test_containers_with_no_member_checks_nothing(tmp_path, capsys):
+    # every member has ones at all three vertices, so none has at most two;
+    # K = 0.01 fails the degree condition, which is then never checked
+    path = tmp_path / "h.txt"
+    path.write_text(UniformHypergraph(1, 0, 3, [((0,), ()), ((1,), ()), ((2,), ())]).to_text())
+    code, out, _ = run(
+        capsys, "containers", "--input", str(path),
+        "--K", "0.01", "--b", "1", "--m", "2", "--r", "1",
+    )
+    assert code == 0
+    assert out.splitlines()[1:] == ["assignment,s0,s1,cylinder"]
+
+
 def test_stability_probe_reports_selection(capsys):
     code, out, _ = run(
         capsys, "stability-probe", "--n", "7", "--m", "10"
@@ -195,6 +247,29 @@ def test_stability_probe_reports_selection(capsys):
     assert sel["ell"] == 4
     assert sel["hypothesis_ok"] is False
     assert sel["min_K"] > report["params"]["K"]
+
+
+# stability-probe --n 20 --m 40 as printed before the permissible greedy
+# walked its good copies in one pass (it rescanned them after every insertion)
+PROBE_N20 = {
+    "e_E": 0,
+    "e_M": 190,
+    "leaf": {"ell": None, "is_leaf": False, "kind": "not_leaf"},
+    "n": 20,
+    "params": {"K": 500.0, "b": 4, "beta": 0.01, "delta": 0.01, "eps": 0.01, "m": 40, "r": 1},
+    "selection": {
+        "reason": "case 1 (ell=2): Delta_(0,1) = 1 > ell^3/n; "
+                  "case 2 (ell=1): v(H) = 190 > 5*ell*n = 100; "
+                  "case 3 (ell=10): e(H) = 100 < beta*ell^4",
+        "status": "not_applicable",
+    },
+}
+
+
+def test_stability_probe_at_n20_is_unchanged(capsys):
+    code, out, _ = run(capsys, "stability-probe", "--n", "20", "--m", "40")
+    assert code == 0
+    assert json.loads(out) == PROBE_N20
 
 
 def test_usage_errors_exit_2(capsys):

@@ -18,8 +18,10 @@ from c4containers import (
     HypothesisError,
     PreconditionError,
     UniformHypergraph,
+    build_constraint_hypergraphs,
     build_container,
     check_container_hypothesis,
+    complete_pregraph,
     container_delta,
     fingerprint_family_bound,
     monotone_containers,
@@ -207,6 +209,43 @@ def test_clone_at_every_question_runs_on_alone():
                 assert twin.result() == expected
                 questions += 1
             assert questions > 0
+
+
+def test_doomed_sweep_matches_the_subset_test(monkeypatch):
+    """The sub-tuple lookup sweep against the pairwise set-inclusion sweep,
+    on every member of the small instances and of H_2 of small complete
+    pregraphs, call by call and container by container."""
+    cases = small_instances() + [
+        (build_constraint_hypergraphs(complete_pregraph(n)).h2, 2, m, 1)
+        for n, m in ((4, 6), (5, 4), (6, 3))
+    ]
+    runs = []
+    for h, b, m, r in cases:
+        proc = ContainerProcess(h, passing_parameters(h, b, m, r), b, m, r)
+        runs += [(proc, a.bits) for a in members_up_to(h, m)]
+
+    def containers():
+        out = []
+        for proc, bits in runs:
+            twin = proc.clone()
+            drive(twin, bits)
+            out.append(twin.result())
+        return out
+
+    fast = containers()
+    lookup = ContainerProcess._doomed
+    shapes_per_sweep = Counter()
+
+    def reference(proc, fresh):
+        doomed = naive.doomed_by_subset_test(proc, fresh)
+        assert lookup(proc, fresh) == doomed
+        shapes_per_sweep[len({(len(t0), len(t1)) for t0, t1 in fresh})] += 1
+        return doomed
+
+    monkeypatch.setattr(ContainerProcess, "_doomed", reference)
+    assert containers() == fast
+    # some answers saturate pairs of two shapes at once
+    assert shapes_per_sweep[1] > 0 and shapes_per_sweep[2] > 0, shapes_per_sweep
 
 
 @pytest.mark.parametrize("k0,k1", [(0, 2), (1, 1), (1, 2), (2, 2)])

@@ -4,6 +4,7 @@ saturation preprocessing, the permissible greedy, and leaf classification."""
 import itertools
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -165,6 +166,17 @@ def test_preprocess_saturation_moves_edges():
     assert out.mixed == frozenset()
 
 
+def random_three_part_pregraph(rng, n, max_fixed, max_neutral):
+    """At least four mixed pairs, then up to max_fixed fixed and up to
+    max_neutral neutral ones, the rest of the pairs absent."""
+    pairs = list(itertools.combinations(range(n), 2))
+    rng.shuffle(pairs)
+    k_m = rng.randint(4, len(pairs))
+    k_e = rng.randint(0, min(max_fixed, len(pairs) - k_m))
+    k_n = rng.randint(0, min(max_neutral, len(pairs) - k_m - k_e))
+    return Pregraph(n, pairs[:k_m], pairs[k_m : k_m + k_e], pairs[k_m + k_e : k_m + k_e + k_n])
+
+
 def test_preprocess_saturation_agrees_with_the_greedy():
     """Both callers of the neutralization rule, the one-pass adaptor and the
     greedy's incremental degrees, give the same pregraph."""
@@ -172,12 +184,7 @@ def test_preprocess_saturation_agrees_with_the_greedy():
     to_fixed = to_neutral = 0
     for _ in range(100):
         n = rng.randint(4, 8)
-        pairs = list(itertools.combinations(range(n), 2))
-        rng.shuffle(pairs)
-        k_m = rng.randint(4, len(pairs))
-        k_e = rng.randint(0, min(2, len(pairs) - k_m))
-        k_n = rng.randint(0, min(3, len(pairs) - k_m - k_e))
-        p = Pregraph(n, pairs[:k_m], pairs[k_m : k_m + k_e], pairs[k_m + k_e : k_m + k_e + k_n])
+        p = random_three_part_pregraph(rng, n, 2, 3)
         ell = rng.randint(1, n)
         res = build_permissible(p, ell, beta=rng.choice([0.01, 0.05, 0.5]))
         assert preprocess_saturation(p, *res.system, ell, p.n) == res.preprocessed
@@ -221,6 +228,45 @@ def test_permissible_caps_on_random_instances():
         if res.i > 0:
             assert h.max_degree(1, 0) <= ell**2
     assert successes >= 10
+
+
+def assert_same_permissible(got, want):
+    assert (got.status, got.i, got.insertions) == (want.status, want.i, want.insertions)
+    assert got.preprocessed.to_text() == want.preprocessed.to_text()
+    assert got.system.ground == want.system.ground
+    for h, ref in zip(got.system, want.system):
+        assert h.to_text() == ref.to_text()
+        assert list(h.constraints()) == list(ref.constraints())  # insertion order
+    assert got.hypergraph == want.hypergraph
+
+
+def test_permissible_matches_the_rescan_on_random_pregraphs():
+    rng = random.Random(47)
+    outcomes = Counter()
+    for _ in range(60):
+        p = random_three_part_pregraph(rng, rng.randint(4, 10), 3, 4)
+        ell = rng.randint(1, p.n)
+        beta = rng.choice([0.01, 0.05, 0.5])
+        got = build_permissible(p, ell, beta)
+        assert_same_permissible(got, naive.build_permissible_by_rescan(p, ell, beta))
+        outcomes[got.status] += 1
+        outcomes["to E"] += got.preprocessed.fixed != p.fixed
+        outcomes["to N"] += got.preprocessed.neutral != p.neutral
+    assert all(outcomes[kind] >= 5 for kind in ("success", "exhausted", "to E", "to N")), outcomes
+
+
+def test_permissible_matches_the_rescan_on_complete_pregraphs():
+    # the rescan is quadratic in the insertions: above n = 8 a run that
+    # exhausts all C(n,4)*3 copies takes it seconds, so there only targets
+    # of at most 100 constraints are compared
+    for n in range(4, 13):
+        p = complete_pregraph(n)
+        for ell in range(1, n + 1):
+            for beta in (0.01, 0.1, 1):
+                if n > 8 and beta * ell**4 > 100:
+                    continue
+                got = build_permissible(p, ell, beta)
+                assert_same_permissible(got, naive.build_permissible_by_rescan(p, ell, beta))
 
 
 def test_permissible_exhausts_without_cycles():
