@@ -317,14 +317,15 @@ def _cmd_stability_probe(res: _Resolver) -> int:
         entry: dict = {"status": sel.status}
         if sel.selected:
             h = sel.hypergraph
-            entry.update(
-                case=sel.case, ell=sel.ell, i=sel.i, e_H=h.e(), v_H=h.n_vertices,
-                delta_01=h.max_degree(0, 1), delta_02=h.max_degree(0, 2),
-                delta_10=h.max_degree(1, 0) if sel.i > 0 else None,
-                insertions=sel.permissible.insertions,
-            )
             hyp = check_container_hypothesis(h, params.K, params.b,
                                              min(params.m, h.n_vertices), params.r)
+            deg = {pair: delta for pair, (delta, _, _) in hyp.entries.items()}
+            entry.update(
+                case=sel.case, ell=sel.ell, i=sel.i, e_H=h.e(), v_H=h.n_vertices,
+                delta_01=deg[(0, 1)], delta_02=deg[(0, 2)],
+                delta_10=deg[(1, 0)] if sel.i > 0 else None,
+                insertions=sel.permissible.insertions,
+            )
             entry["hypothesis_ok"] = hyp.all_passed
             entry["min_K"] = float(hyp.min_k)
         else:

@@ -128,6 +128,7 @@ class DeltaSchedule:
                     raise ValueError(f"base table is missing pair {(l0, l1)}")
                 self.base[(l0, l1)] = Fraction(base[(l0, l1)])
         self._memo: dict[tuple[int, int, int, int], Fraction] = {}
+        self._thresholds: dict[tuple[int, int], dict[tuple[int, int], int]] = {}
 
     def index_set(self) -> list[tuple[int, int]]:
         u = [(i, 0) for i in range(1, self.k0 + 1)]
@@ -184,15 +185,18 @@ class DeltaSchedule:
 
         Degrees are integers, so the half-cap comparison collapses to a
         ceiling.  Index (0, 0) has no admissible size pairs and gets {}.
+        The base row is fixed, so each index pair is computed once and the
+        same dict is returned afterwards; callers must not mutate it.
         """
-        if (i0, i1) == (0, 0):
-            return {}
+        if (i0, i1) in self._thresholds:
+            return self._thresholds[(i0, i1)]
         out: dict[tuple[int, int], int] = {}
         for l0 in range(i0 + 1):
             for l1 in range(i1 + 1):
                 if (l0, l1) == (0, 0):
                     continue
                 out[(l0, l1)] = math.ceil(self.delta(i0, i1, l0, l1) / 2)
+        self._thresholds[(i0, i1)] = out
         return out
 
 
@@ -307,7 +311,8 @@ class ContainerProcess:
                 min_k=self.report.min_k,
             )
         self.b, self.m, self.r = b2, m2, r
-        # the hypothesis check already holds H's degree table: reuse it as the base row
+        # the report's observed degrees are H's degree table (one packed-key pass,
+        # or one Counter pass past the int64 packing bound): the base row
         base = {pair: entry[0] for pair, entry in self.report.entries.items()}
         self.sched = DeltaSchedule(h.k0, h.k1, b2, m2, h.n_vertices, base)
         self.check_invariants = check_invariants
@@ -464,17 +469,13 @@ class ContainerProcess:
         g = UniformHypergraph(i0, i1, self.n, allow_degenerate=True)
         for (a0, a1), mult in self.gstar.items():
             g.add(Constraint(a0, a1), mult)
-        for l0 in range(i0 + 1):
-            for l1 in range(i1 + 1):
-                if (l0, l1) == (0, 0):
-                    continue
-                cap = self.sched.delta(i0, i1, l0, l1)
-                got = g.max_degree(l0, l1)
-                if got > cap:
-                    raise AssertionError(
-                        f"degree cap violated after round {self.s}: "
-                        f"Delta_({l0},{l1}) = {got} > {cap}"
-                    )
+        for (l0, l1), got in g.degree_table().items():
+            cap = self.sched.delta(i0, i1, l0, l1)
+            if got > cap:
+                raise AssertionError(
+                    f"degree cap violated after round {self.s}: "
+                    f"Delta_({l0},{l1}) = {got} > {cap}"
+                )
 
     def clone(self) -> "ContainerProcess":
         """An independent copy; the report, schedule and thresholds stay shared."""

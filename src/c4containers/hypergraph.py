@@ -10,8 +10,15 @@ exactly m ones.
 
 Degrees count multiplicities: deg(T0, T1) is the total multiplicity of
 constraints with T0 inside A0 and T1 inside A1, and Delta_{(l0,l1)}(H) is the
-maximum over pairs of sizes (l0, l1).  The container engine requires, for
-every (l0, l1) != (0, 0) with l0 <= k0 and l1 <= k1,
+maximum over pairs of sizes (l0, l1).  ``degree_table`` gives every
+Delta_{(l0,l1)} in one pass over the sub-tuples of the stored constraints:
+each sub-tuple is packed into one int64 key (its shape id, then one digit
+per position, a relabeled vertex + 1 or 0 for a padded position), and one
+sort groups equal keys.  When a key could reach 2^63, or the multiplicities
+could sum past 2^53 (the sums run in float64), one Python pass accumulates
+all shapes together instead.  Every degree query of the package reads this
+table.  The container engine requires, for every (l0, l1) != (0, 0) with
+l0 <= k0 and l1 <= k1,
 
     Delta_{(l0,l1)}(H) <= K * b^(l0+l1-1) / (m^l0 * v^l1) * e(H) * (m/r)^[l0>0]
 
@@ -28,7 +35,10 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
+
+import numpy as np
 
 __all__ = [
     "Constraint",
@@ -148,22 +158,69 @@ class UniformHypergraph:
                 total += mult
         return total
 
+    def degree_table(self) -> dict[tuple[int, int], int]:
+        """Delta_{(l0,l1)} for every (l0, l1) != (0, 0) with l0 <= k0, l1 <= k1.
+
+        One pass over the sub-tuples of the stored constraints, never over
+        all vertex tuples: an empty hypergraph reports 0 for every pair, and
+        the degenerate (0, 0) shape has no pair and gives {}.  Sub-tuples are
+        packed into int64 keys as the module docstring describes; past the
+        packing bound a single Python pass gives the same table.
+        """
+        shapes, plan, shape_ids = _subtuple_plan(self.k0, self.k1)
+        if not shapes or not self._edges:
+            return dict.fromkeys(shapes, 0)
+        width, n_edges = self.k0 + self.k1, len(self._edges)
+        # position-major: row j holds position j (A0, then A1) of every constraint
+        verts = np.array([c.a0 + c.a1 for c in self._edges], dtype=np.int64).T
+        used, relabeled = np.unique(verts, return_inverse=True)
+        base = len(used) + 1
+        if len(shapes) * base**width >= 2**63 or self.e() >= 2**53:
+            return self._degree_table_by_counter(shapes)
+        # row `width` stays 0: the plan points padded positions at it
+        digits = np.zeros((width + 1, n_edges), dtype=np.int64)
+        digits[:width] = relabeled.reshape(verts.shape) + 1
+        # one key per (sub-tuple, constraint), built one position at a time so
+        # the (sub-tuple, constraint, position) gather is never materialised
+        keys = np.empty((len(shape_ids), n_edges), dtype=np.int64)
+        keys[:] = shape_ids[:, None]
+        for rows in plan.T:
+            keys *= base
+            keys += digits[rows]
+        mults = np.fromiter(self._edges.values(), dtype=np.int64, count=n_edges)
+        uniq, inverse = np.unique(keys.ravel(), return_inverse=True)
+        # float64 sums are exact below 2^53, which e(H) bounds
+        degrees = np.bincount(inverse, weights=np.tile(mults, len(shape_ids)))
+        best = np.zeros(len(shapes))
+        np.maximum.at(best, uniq // base**width, degrees)
+        return {shape: int(d) for shape, d in zip(shapes, best)}
+
+    def _degree_table_by_counter(self, shapes: tuple[tuple[int, int], ...]) -> dict[tuple[int, int], int]:
+        """``degree_table`` past the packing bound: one Counter over the
+        sub-tuples of every shape, keyed by the sub-tuple pair itself."""
+        counts: Counter[tuple[tuple[int, ...], tuple[int, ...]]] = Counter()
+        for c, mult in self._edges.items():
+            for l0, l1 in shapes:
+                for s0 in itertools.combinations(c.a0, l0):
+                    for s1 in itertools.combinations(c.a1, l1):
+                        counts[(s0, s1)] += mult
+        table = dict.fromkeys(shapes, 0)
+        for (s0, s1), deg in counts.items():
+            shape = (len(s0), len(s1))
+            table[shape] = max(table[shape], deg)
+        return table
+
     def max_degree(self, l0: int, l1: int) -> int:
         """Delta_{(l0,l1)}: the largest degree over pairs of sizes (l0, l1).
 
-        Computed by accumulating sub-tuples of stored constraints, never by
-        enumerating all vertex tuples, so empty hypergraphs report 0.
+        A validated lookup into ``degree_table``, which computes every size
+        pair at once; callers needing several pairs should read the table.
         """
         if not (0 <= l0 <= self.k0 and 0 <= l1 <= self.k1):
             raise ValueError(f"sizes {(l0, l1)} out of range for uniformity {(self.k0, self.k1)}")
         if (l0, l1) == (0, 0):
             raise ValueError("(0, 0) degree is just e(H); ask for a nontrivial pair")
-        counts: Counter[tuple[tuple[int, ...], tuple[int, ...]]] = Counter()
-        for c, mult in self._edges.items():
-            for s0 in itertools.combinations(c.a0, l0):
-                for s1 in itertools.combinations(c.a1, l1):
-                    counts[(s0, s1)] += mult
-        return max(counts.values(), default=0)
+        return self.degree_table()[(l0, l1)]
 
     # -- serialization -----------------------------------------------------
 
@@ -193,6 +250,32 @@ class UniformHypergraph:
             a1 = tuple(map(int, parts[2].split()))
             h.add(Constraint.make(a0, a1), mult)
         return h
+
+
+@lru_cache(maxsize=None)
+def _subtuple_plan(k0: int, k1: int) -> tuple[tuple[tuple[int, int], ...], np.ndarray, np.ndarray]:
+    """(shapes, plan, shape ids) gathering every sub-tuple of a (k0, k1)
+    constraint.
+
+    The digit matrix holds A0 in rows 0..k0-1, A1 in rows k0..k0+k1-1 and
+    zeros in row k0+k1, one column per constraint.  Each plan row lists, for
+    one sub-tuple of one shape (l0, l1), the rows of its l0 A0 vertices, k0-l0
+    zero rows, its l1 A1 vertices and k1-l1 zero rows; the matching shape id
+    is the index of (l0, l1) in shapes.
+    """
+    width = k0 + k1
+    shapes = tuple((l0, l1) for l0 in range(k0 + 1) for l1 in range(k1 + 1) if (l0, l1) != (0, 0))
+    rows, ids = [], []
+    for sid, (l0, l1) in enumerate(shapes):
+        for s0 in itertools.combinations(range(k0), l0):
+            for s1 in itertools.combinations(range(k0, width), l1):
+                rows.append(s0 + (width,) * (k0 - l0) + s1 + (width,) * (k1 - l1))
+                ids.append(sid)
+    plan = np.array(rows, dtype=np.intp).reshape(len(rows), width)
+    shape_ids = np.array(ids, dtype=np.int64)
+    plan.setflags(write=False)
+    shape_ids.setflags(write=False)
+    return shapes, plan, shape_ids
 
 
 # -- assignments -----------------------------------------------------------
@@ -267,8 +350,9 @@ def check_container_hypothesis(h: UniformHypergraph, k: Fraction | int | float, 
     """Evaluate the degree condition for every admissible (l0, l1), exactly.
 
     The bound for sizes (l0, l1) is K * b^(l0+l1-1) / (m^l0 * v^l1) * e(H),
-    with an extra factor m/r when l0 > 0.  All arithmetic is in Fractions;
-    floats for K are converted exactly.
+    with an extra factor m/r when l0 > 0.  The observed degrees come from one
+    ``degree_table`` of H.  All arithmetic is exact, in Fractions and integer
+    cross-multiplication; floats for K are converted exactly.
     """
     if h.is_empty():
         raise ValueError("hypothesis check needs a non-empty hypergraph")
@@ -281,15 +365,13 @@ def check_container_hypothesis(h: UniformHypergraph, k: Fraction | int | float, 
     e = h.e()
     entries: dict[tuple[int, int], tuple[int, Fraction, bool]] = {}
     min_k = Fraction(0)
-    for l0 in range(h.k0 + 1):
-        for l1 in range(h.k1 + 1):
-            if (l0, l1) == (0, 0):
-                continue
-            delta = h.max_degree(l0, l1)
-            base = Fraction(b ** (l0 + l1 - 1) * e, m**l0 * v**l1)
-            if l0 > 0:
-                base *= Fraction(m, r)
-            bound = kf * base
-            entries[(l0, l1)] = (delta, bound, delta <= bound)
-            min_k = max(min_k, Fraction(delta) / base)
+    for (l0, l1), delta in h.degree_table().items():
+        # the bound over K is num/den; each pair builds one Fraction (and
+        # min_k one more when it grows), comparing the rest as integers
+        num = b ** (l0 + l1 - 1) * e * (m if l0 > 0 else 1)
+        den = m**l0 * v**l1 * (r if l0 > 0 else 1)
+        bound = Fraction(kf.numerator * num, kf.denominator * den)
+        entries[(l0, l1)] = (delta, bound, delta * kf.denominator * den <= kf.numerator * num)
+        if delta * den * min_k.denominator > min_k.numerator * num:
+            min_k = Fraction(delta * den, num)
     return HypothesisReport(entries=entries, min_k=min_k, k=kf, b=b, m=m, r=r)

@@ -201,10 +201,17 @@ def ratio_b(n: int, m: int, ell: int) -> Fraction:
 
 
 def _require_consecutive(n: int, m: int, ell: int) -> None:
-    if n_nm(n, m, ell) == 0 or n_nm(n, m, ell + 1) == 0:
-        raise PreconditionError(
-            f"ratios need N(ell) and N(ell+1) nonzero; n={n}, m={m}, ell={ell}"
-        )
+    """Raise unless N(ell) and N(ell+1) are both nonzero, without computing
+    them: for 0 <= ell <= n, N(ell) = C(a, k) with 0 <= k <= a exactly when
+    ell is feasible, and such a binomial is never 0.  The checks run in the
+    order n_nm would raise them."""
+    for side in (ell, ell + 1):
+        if not 0 <= side <= n:
+            raise PreconditionError(f"clique side {side} outside 0..{n}")
+        if m < 0 or not _feasible(n, m, side):
+            raise PreconditionError(
+                f"ratios need N(ell) and N(ell+1) nonzero; n={n}, m={m}, ell={ell}"
+            )
 
 
 def snm_bounds(n: int, m: int) -> tuple[LogCount, LogCount]:

@@ -258,12 +258,13 @@ def _recheck_caps(h: UniformHypergraph, i: int, ell: int, n: int, beta: float) -
         return f"v(H) = {h.n_vertices} > 5*ell*n = {5 * ell * n}"
     if Fraction(h.e()) < Fraction(beta) * ell**4:
         return f"e(H) = {h.e()} < beta*ell^4"
-    if h.max_degree(0, 1) * n > ell**3:
-        return f"Delta_(0,1) = {h.max_degree(0, 1)} > ell^3/n"
-    if h.max_degree(0, 2) > ell:
-        return f"Delta_(0,2) = {h.max_degree(0, 2)} > ell"
-    if i > 0 and h.max_degree(1, 0) > ell * ell:
-        return f"Delta_(1,0) = {h.max_degree(1, 0)} > ell^2"
+    deg = h.degree_table()
+    if deg[(0, 1)] * n > ell**3:
+        return f"Delta_(0,1) = {deg[(0, 1)]} > ell^3/n"
+    if deg[(0, 2)] > ell:
+        return f"Delta_(0,2) = {deg[(0, 2)]} > ell"
+    if i > 0 and deg[(1, 0)] > ell * ell:
+        return f"Delta_(1,0) = {deg[(1, 0)]} > ell^2"
     return None
 
 

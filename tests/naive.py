@@ -43,6 +43,17 @@ def max_constraint_degree(h, l0, l1):
     return best
 
 
+def max_degree_by_subtuples(h, l0, l1):
+    """Delta_(l0,l1) of h by one Counter pass over the (l0, l1) sub-tuples of
+    its constraints, one size pair at a time."""
+    counts = Counter()
+    for c, mult in h.constraints():
+        for s0 in itertools.combinations(c.a0, l0):
+            for s1 in itertools.combinations(c.a1, l1):
+                counts[(s0, s1)] += mult
+    return max(counts.values(), default=0)
+
+
 def four_cycles(n, has_edge):
     """Canonical vertex tuples (a, b, c, d) of every 4-cycle a-b-c-d-a.
 

@@ -117,6 +117,18 @@ def test_saturation_thresholds_are_half_cap_ceilings():
             assert t - 1 < cap / 2 <= t
 
 
+@pytest.mark.parametrize("k0,k1", [(1, 2), (2, 4)])
+def test_saturation_thresholds_are_memoized_per_index_pair(k0, k1):
+    rng = random.Random(10 * k0 + k1)
+    args = (k0, k1, 2, 5, 9, random_base_table(rng, k0, k1))
+    sched = DeltaSchedule(*args)
+    pairs = sched.index_set() + [(0, 0)]
+    first = {pair: sched.saturation_thresholds(*pair) for pair in pairs}
+    for pair in reversed(pairs):
+        assert sched.saturation_thresholds(*pair) is first[pair]
+        assert first[pair] == DeltaSchedule(*args).saturation_thresholds(*pair)
+
+
 def triangle_lift():
     """(0,2)-uniform hypergraph of the triangle: independent sets of K3."""
     h = UniformHypergraph(0, 2, 3)
@@ -248,7 +260,7 @@ def test_doomed_sweep_matches_the_subset_test(monkeypatch):
     assert shapes_per_sweep[1] > 0 and shapes_per_sweep[2] > 0, shapes_per_sweep
 
 
-@pytest.mark.parametrize("k0,k1", [(0, 2), (1, 1), (1, 2), (2, 2)])
+@pytest.mark.parametrize("k0,k1", [(0, 2), (1, 1), (1, 2), (2, 2), (2, 4)])
 def test_schedule_base_is_the_degree_table(k0, k1):
     rng = random.Random(10 * k0 + k1)
     for _ in range(8):

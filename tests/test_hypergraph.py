@@ -74,21 +74,84 @@ def test_text_round_trip():
         assert again == h
 
 
-@pytest.mark.parametrize("k0,k1", [(0, 2), (1, 1), (1, 2), (2, 2), (0, 4)])
+@pytest.mark.parametrize(
+    "k0,k1", [(0, 2), (1, 1), (1, 2), (2, 2), (0, 4), (2, 4), (3, 2), (0, 1), (3, 0), (1, 0)]
+)
 def test_degrees_match_naive_scan(k0, k1):
     rng = random.Random(100 * k0 + k1)
     for _ in range(10):
-        n = rng.randint(k0 + k1, 7)
+        n = rng.randint(k0 + k1, 8)
         h = random_hypergraph(rng, k0, k1, n, rng.randint(1, 12))
-        for l0 in range(k0 + 1):
-            for l1 in range(k1 + 1):
-                if (l0, l1) == (0, 0):
-                    continue
-                assert h.max_degree(l0, l1) == naive.max_constraint_degree(h, l0, l1)
+        expected = {
+            (l0, l1): naive.max_constraint_degree(h, l0, l1)
+            for l0 in range(k0 + 1)
+            for l1 in range(k1 + 1)
+            if (l0, l1) != (0, 0)
+        }
+        assert h.degree_table() == expected
+        for (l0, l1), delta in expected.items():
+            assert h.max_degree(l0, l1) == delta
         t0 = tuple(rng.sample(range(n), k0))
         rest = [v for v in range(n) if v not in t0]
         t1 = tuple(rng.sample(rest, min(k1, len(rest))))
         assert h.degree(t0, t1) == naive.constraint_degree(h, t0, t1)
+
+
+def packing_edge_hypergraph(used):
+    """A (2,4)-uniform hypergraph whose constraints use exactly `used`
+    vertices, with overlapping constraints and multiplicities."""
+    rng = random.Random(used)
+    verts = list(range(used))
+    rng.shuffle(verts)
+    h = UniformHypergraph(2, 4, used)
+    for start in range(0, used, 6):
+        picked = [verts[(start + j) % used] for j in range(6)]
+        h.add(Constraint.make(picked[:2], picked[2:]), rng.randint(1, 3))
+    hub = verts[:3]
+    for _ in range(40):
+        picked = hub + rng.sample(verts[3:], 3)
+        h.add(Constraint.make(picked[:2], picked[2:]), rng.randint(1, 3))
+    return h
+
+
+@pytest.mark.parametrize("packed", [True, False], ids=["inside", "outside"])
+def test_degree_table_on_both_sides_of_the_packing_bound(monkeypatch, packed):
+    # keys pack 14 shapes of 6 digits in base (used vertices + 1)
+    base = 2
+    while 14 * (base + 1) ** 6 < 2**63:
+        base += 1
+    h = packing_edge_hypergraph(base - 1 if packed else base)
+    fallbacks = []
+    by_counter = UniformHypergraph._degree_table_by_counter
+    monkeypatch.setattr(
+        UniformHypergraph,
+        "_degree_table_by_counter",
+        lambda self, shapes: fallbacks.append(shapes) or by_counter(self, shapes),
+    )
+    table = h.degree_table()
+    assert bool(fallbacks) is not packed
+    assert table == {
+        (l0, l1): naive.max_degree_by_subtuples(h, l0, l1)
+        for l0 in range(3)
+        for l1 in range(5)
+        if (l0, l1) != (0, 0)
+    }
+    assert table[(1, 0)] > table[(2, 4)] >= 1
+
+
+def test_degree_table_is_exact_past_float_multiplicities():
+    h = UniformHypergraph(1, 1, 3, [((0,), (1,), 2**60 + 1), ((0,), (2,), 1)])
+    assert h.degree_table() == {(0, 1): 2**60 + 1, (1, 0): 2**60 + 2, (1, 1): 2**60 + 1}
+
+
+def test_degree_table_edge_cases():
+    assert UniformHypergraph(2, 4, 9).degree_table() == {
+        (l0, l1): 0 for l0 in range(3) for l1 in range(5) if (l0, l1) != (0, 0)
+    }
+    degenerate = UniformHypergraph(0, 0, 4, allow_degenerate=True)
+    assert degenerate.degree_table() == {}
+    degenerate.add(Constraint.make((), ()), mult=3)
+    assert degenerate.degree_table() == {}
 
 
 def test_degree_of_full_constraint_is_multiplicity():

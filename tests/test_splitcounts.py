@@ -129,6 +129,11 @@ def test_ratio_requires_consecutive_feasibility():
         ratio_a(10, 1, 3)  # N(4) = 0 at a single edge
     with pytest.raises(PreconditionError):
         ratio_b(10, 45, 0)
+    for m in (44, 45):  # ell = n: N(n + 1) is outside the range at every m
+        with pytest.raises(PreconditionError):
+            ratio_a(10, m, 10)
+        with pytest.raises(PreconditionError):
+            ratio_b(10, m, 10)
 
 
 def brute_count_split_graphs(n, m):
