@@ -6,7 +6,10 @@ induced-C4 detection, exhaustive counts of induced-C4-free graphs by edge
 count, split-graph recognition with a witness partition, quasirandomness and
 closeness-to-split checked over all vertex subsets, a rejection sampler that
 deletes one edge per 4-cycle, and a branch-and-bound C4-free subgraph
-maximizer.  Counting is over labeled graphs throughout.
+maximizer.  Counting is over labeled graphs throughout.  The sampler's work
+grows with its draw, not with C(n, 2): it counts 4-cycles over the wedges of
+the drawn edges, and, since deleting edges only lowers codegrees, its sweep
+visits only the pairs with at least two common neighbours in the draw.
 
 The exhaustive F(n, m) tables and member lists come from vertex extension
 (the generation scheme of McKay, "Isomorph-free exhaustive generation",
@@ -27,6 +30,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Optional
@@ -61,6 +65,16 @@ SUBSET_SCAN_LIMIT = 16
 EX_C4_LIMIT = 14
 
 
+def _bits(x: int) -> list[int]:
+    """The positions of the set bits of x, ascending."""
+    out = []
+    while x:
+        low = x & -x
+        out.append(low.bit_length() - 1)
+        x ^= low
+    return out
+
+
 @dataclass(frozen=True)
 class LabeledGraph:
     """Graph on vertices 0..n-1 with edges as a bitmask over pair indices."""
@@ -90,13 +104,7 @@ class LabeledGraph:
         return bool((self.mask >> graph6.pair_index(u, v)) & 1)
 
     def edges(self) -> list[tuple[int, int]]:
-        out = []
-        k = self.mask
-        while k:
-            low = k & -k
-            out.append(graph6.pair_from_index(low.bit_length() - 1))
-            k ^= low
-        return out
+        return [graph6.pair_from_index(k) for k in _bits(self.mask)]
 
     def degree(self, v: int) -> int:
         # pairs (u, v) with u < v are the v consecutive bits from C(v, 2)
@@ -466,15 +474,6 @@ def _derived_seed(seed: int, attempt: int) -> int:
     return int.from_bytes(digest, "big")
 
 
-def _count_c4(n: int, adj: list[int]) -> int:
-    twice = 0
-    for u, v in itertools.combinations(range(n), 2):
-        co = (adj[u] & adj[v]).bit_count()
-        twice += co * (co - 1) // 2
-    assert twice % 2 == 0
-    return twice // 2
-
-
 def sample_c4free_by_deletion(
     n: int, m: int, delta: float, seed: int, max_attempts: int = 1
 ) -> DeletionSample:
@@ -482,6 +481,15 @@ def sample_c4free_by_deletion(
     X fits into the surplus, delete one edge per cycle plus enough further
     edges (lowest pair index first) to land on exactly m, which leaves a
     C4-free and hence induced-C4-free graph.  Otherwise redraw.
+
+    The work grows with the draw, not with C(n,2).  The partial Fisher-Yates
+    shuffle stores only displaced positions.  Codegrees come from wedges:
+    each pair of neighbours of a vertex gains one, Sum_w C(d_w, 2) steps, and
+    X = (1/2) Sum C(codegree, 2), since each 4-cycle has two diagonals.
+    Deleting edges only lowers codegrees, so the sweep that destroys the
+    4-cycles visits just the pairs with codegree at least 2 in the draw, in
+    ascending (u, v) order, and deletes the lowest-index edge of each 4-cycle
+    it still finds.
     """
     npairs = n * (n - 1) // 2
     m_prime = int((1 + delta) * m)
@@ -490,47 +498,38 @@ def sample_c4free_by_deletion(
     last_copies = -1
     for attempt in range(1, max_attempts + 1):
         rng = random.Random(_derived_seed(seed, attempt))
-        # partial Fisher-Yates over pair indices
-        arr = list(range(npairs))
+        moved: dict[int, int] = {}
+        nbrs: list[list[int]] = [[] for _ in range(n)]
         for i in range(m_prime):
             j = rng.randrange(i, npairs)
-            arr[i], arr[j] = arr[j], arr[i]
-        chosen = arr[:m_prime]
-        mask = 0
-        for k in chosen:
-            mask |= 1 << k
-        adj = LabeledGraph(n, mask).adjacency_masks()
-        copies = _count_c4(n, adj)
-        last_copies = copies
+            u, v = graph6.pair_from_index(moved.get(j, j))
+            moved[j] = moved.get(i, i)
+            nbrs[u].append(v)
+            nbrs[v].append(u)
+        wedges = (itertools.combinations(sorted(ws), 2) for ws in nbrs)
+        codeg = Counter(itertools.chain.from_iterable(wedges))
+        twice = sum(c * (c - 1) // 2 * k for c, k in Counter(codeg.values()).items())
+        assert twice % 2 == 0
+        copies = last_copies = twice // 2
         if copies > m_prime - m:
             continue
-        # destroy every 4-cycle of the draw: lowest-index edge of each
-        removed = 0
-        for u, v in itertools.combinations(range(n), 2):
+        adj = [sum(1 << w for w in ws) for ws in nbrs]
+        for u, v in sorted(pair for pair, c in codeg.items() if c >= 2):
             common = adj[u] & adj[v]
             if common.bit_count() < 2:
                 continue
-            nbrs = [w for w in range(n) if (common >> w) & 1]
-            for w, x in itertools.combinations(nbrs, 2):
-                cycle = [
-                    graph6.pair_index(u, w),
-                    graph6.pair_index(w, v),
-                    graph6.pair_index(v, x),
-                    graph6.pair_index(x, u),
-                ]
-                if all((mask >> k) & 1 for k in cycle):
-                    k = min(cycle)
-                    mask ^= 1 << k
-                    a, bb = graph6.pair_from_index(k)
-                    adj[a] &= ~(1 << bb)
-                    adj[bb] &= ~(1 << a)
-                    removed += 1
-        surplus = 0
-        while mask.bit_count() > m:
-            low = mask & -mask
-            mask ^= low
-            surplus += 1
-        out = LabeledGraph(n, mask)
+            for w, x in itertools.combinations(_bits(common), 2):
+                cycle = ((u, w), (w, v), (v, x), (x, u))
+                if all((adj[a] >> b) & 1 for a, b in cycle):
+                    a, b = min(cycle, key=lambda e: graph6.pair_index(*e))
+                    adj[a] &= ~(1 << b)
+                    adj[b] &= ~(1 << a)
+        kept = sorted(graph6.pair_index(u, v) for u in range(n) for v in _bits(adj[u]) if u < v)
+        surplus = len(kept) - m
+        bits = bytearray((npairs + 7) // 8)
+        for k in kept[surplus:]:
+            bits[k >> 3] |= 1 << (k & 7)
+        out = LabeledGraph(n, int.from_bytes(bits, "little"))
         return DeletionSample(out, attempt, True, m_prime, copies, surplus)
     return DeletionSample(None, max_attempts, False, m_prime, last_copies, 0)
 
@@ -542,13 +541,8 @@ def _find_c4(n: int, adj: list[int]) -> Optional[tuple[int, int, int, int]]:
     for u, v in itertools.combinations(range(n), 2):
         common = adj[u] & adj[v]
         if common.bit_count() >= 2:
-            nbrs = []
-            s = common
-            while s and len(nbrs) < 2:
-                low = s & -s
-                nbrs.append(low.bit_length() - 1)
-                s ^= low
-            return (u, nbrs[0], v, nbrs[1])
+            w, x = _bits(common)[:2]
+            return (u, w, v, x)
     return None
 
 

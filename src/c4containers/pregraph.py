@@ -299,6 +299,11 @@ class PermissibleResult:
         return self.status == "success"
 
 
+def _permissible_target(beta: float, ell: int) -> float:
+    """The float beta*l^4 that the greedy stops at and the tree re-checks."""
+    return beta * ell**4
+
+
 def build_permissible(p: Pregraph, ell: int, beta: float) -> PermissibleResult:
     """Greedy construction of a permissible H_i with at least beta*l^4 edges.
 
@@ -332,7 +337,7 @@ def build_permissible(p: Pregraph, ell: int, beta: float) -> PermissibleResult:
     pair_deg = [dict(), dict(), dict()]  # B-side pairs
     blocked: set[tuple[int, int]] = set()
     t02 = _saturation_threshold((0, 2), ell, n)
-    target = beta * ell**4
+    target = _permissible_target(beta, ell)
     insertions = 0
 
     copies = iter(good_c4_enumerate(p))  # one cursor for the whole run

@@ -49,7 +49,6 @@ import json
 import math
 import warnings
 from dataclasses import asdict, dataclass, field
-from fractions import Fraction
 from typing import Optional
 
 import numpy as np
@@ -64,6 +63,7 @@ from .pregraph import (
     PermissibleResult,
     Pregraph,
     _count_within,
+    _permissible_target,
     _subset_pair_counts,
     build_permissible,
     close_to_clique_cost,
@@ -253,10 +253,11 @@ def _selection_candidates(p: Pregraph, params: TreeParams):
 
 
 def _recheck_caps(h: UniformHypergraph, i: int, ell: int, n: int, beta: float) -> Optional[str]:
-    """Exact verification of the selection caps; None when all hold."""
+    """Verification of the selection caps; None when all hold.  The degree
+    caps are exact integer tests, and e(H) meets the greedy's own target."""
     if h.n_vertices > 5 * ell * n:
         return f"v(H) = {h.n_vertices} > 5*ell*n = {5 * ell * n}"
-    if Fraction(h.e()) < Fraction(beta) * ell**4:
+    if h.e() < _permissible_target(beta, ell):
         return f"e(H) = {h.e()} < beta*ell^4"
     deg = h.degree_table()
     if deg[(0, 1)] * n > ell**3:

@@ -5,13 +5,16 @@ cleverness, so that a disagreement with the library points at the library.
 None of these functions share code with src/ beyond its data types.
 """
 
+import hashlib
 import itertools
 import math
+import random
 from collections import Counter
 
 import numpy as np
 
-from c4containers import Constraint, Pregraph, UniformHypergraph
+from c4containers import Constraint, LabeledGraph, Pregraph, UniformHypergraph
+from c4containers.oracle import DeletionSample
 from c4containers.pregraph import ConstraintSystem, PermissibleResult
 
 
@@ -241,3 +244,125 @@ def doomed_by_subset_test(proc, fresh):
         for key in proc.active
         if any(set(t0) <= set(key[0]) and set(t1) <= set(key[1]) for t0, t1 in fresh)
     ]
+
+
+def _pair_index(u, v):
+    u, v = min(u, v), max(u, v)
+    return v * (v - 1) // 2 + u
+
+
+def _pair_from_index(k):
+    v = 1
+    while v * (v + 1) // 2 <= k:
+        v += 1
+    return (k - v * (v - 1) // 2, v)
+
+
+def graph6_encode_by_bits(n, mask):
+    """graph6 text of an n-vertex edge mask, packing one bit at a time: pair
+    index k is bit 5 - k % 6 of group k // 6, offset by 63, after the size
+    header (one character up to n = 62, else '~' and three characters)."""
+    npairs = n * (n - 1) // 2
+    if n < 0 or n > 258047 or mask < 0 or mask >> npairs:
+        raise ValueError("out of range")
+    if n <= 62:
+        out = [chr(n + 63)]
+    else:
+        out = ["~"] + [chr(((n >> s) & 63) + 63) for s in (12, 6, 0)]
+    for start in range(0, npairs, 6):
+        group = 0
+        for i in range(6):
+            k = start + i
+            bit = (mask >> k) & 1 if k < npairs else 0
+            group = (group << 1) | bit
+        out.append(chr(group + 63))
+    return "".join(out)
+
+
+def graph6_decode_by_bits(text):
+    """(n, mask) of a graph6 string, unpacking one bit at a time; raises
+    ValueError with the library's messages, in the library's order."""
+    s = text.strip()
+    if not s:
+        raise ValueError("empty graph6 string")
+    if s[0] == "~":
+        if len(s) < 4 or s[1] == "~":
+            raise ValueError("unsupported graph6 size header")
+        n = 0
+        for ch in s[1:4]:
+            n = (n << 6) | (ord(ch) - 63)
+        body = s[4:]
+    else:
+        n = ord(s[0]) - 63
+        body = s[1:]
+    if n < 0:
+        raise ValueError("bad graph6 size header")
+    npairs = n * (n - 1) // 2
+    need = (npairs + 5) // 6
+    if len(body) != need:
+        raise ValueError(f"graph6 body has {len(body)} groups, expected {need}")
+    mask = 0
+    for gi, ch in enumerate(body):
+        group = ord(ch) - 63
+        if not 0 <= group < 64:
+            raise ValueError(f"bad graph6 character {ch!r}")
+        for i in range(6):
+            k = gi * 6 + i
+            bit = (group >> (5 - i)) & 1
+            if k < npairs:
+                mask |= bit << k
+            elif bit:
+                raise ValueError("nonzero padding bits")
+    return n, mask
+
+
+def sample_by_full_scan(n, m, delta, seed, max_attempts=1):
+    """The edge-deletion sampler with two scans over all C(n,2) pairs per
+    draw.  Each attempt shuffles list(range(C(n,2))) by a partial
+    Fisher-Yates seeded with blake2b("seed:attempt"), counts 4-cycles from
+    the codegree of every pair, and, when X <= m' - m, walks every pair
+    (u, v) in order, deleting the lowest-index edge of each 4-cycle
+    u-w-v-x through two of its current common neighbours, then the
+    lowest-index edges until m remain.  Returns a DeletionSample."""
+    npairs = n * (n - 1) // 2
+    m_prime = int((1 + delta) * m)
+    if not 0 < m <= m_prime <= npairs:
+        raise ValueError("bad budget")
+    last_copies = -1
+    for attempt in range(1, max_attempts + 1):
+        digest = hashlib.blake2b(f"{seed}:{attempt}".encode(), digest_size=8).digest()
+        rng = random.Random(int.from_bytes(digest, "big"))
+        arr = list(range(npairs))
+        for i in range(m_prime):
+            j = rng.randrange(i, npairs)
+            arr[i], arr[j] = arr[j], arr[i]
+        mask = 0
+        for k in arr[:m_prime]:
+            mask |= 1 << k
+        adj = [0] * n
+        for k in arr[:m_prime]:
+            u, v = _pair_from_index(k)
+            adj[u] |= 1 << v
+            adj[v] |= 1 << u
+        copies = last_copies = count_c4_subgraphs(n, adj)
+        if copies > m_prime - m:
+            continue
+        for u, v in itertools.combinations(range(n), 2):
+            common = adj[u] & adj[v]
+            if common.bit_count() < 2:
+                continue
+            ws = [w for w in range(n) if (common >> w) & 1]
+            for w, x in itertools.combinations(ws, 2):
+                cycle = [_pair_index(u, w), _pair_index(w, v), _pair_index(v, x), _pair_index(x, u)]
+                if all((mask >> k) & 1 for k in cycle):
+                    k = min(cycle)
+                    mask ^= 1 << k
+                    a, b = _pair_from_index(k)
+                    adj[a] &= ~(1 << b)
+                    adj[b] &= ~(1 << a)
+        surplus = 0
+        while mask.bit_count() > m:
+            mask ^= mask & -mask
+            surplus += 1
+        return DeletionSample(LabeledGraph(n, mask), attempt, True, m_prime, copies, surplus)
+    return DeletionSample(None, max_attempts, False, m_prime, last_copies, 0)

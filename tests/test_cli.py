@@ -1,6 +1,7 @@
 """The command-line interface: output formats, config/manifest round trips,
 parameter precedence, and exit codes."""
 
+import hashlib
 import json
 import math
 import random
@@ -250,7 +251,10 @@ def test_stability_probe_reports_selection(capsys):
 
 
 # stability-probe --n 20 --m 40 as printed before the permissible greedy
-# walked its good copies in one pass (it rescanned them after every insertion)
+# walked its good copies in one pass (it rescanned them after every insertion),
+# except case 3: its e(H) = 100 now meets the re-check, which reads the same
+# float beta*ell^4 = 100.0 that the greedy stopped at, where it used to fail
+# against the exact binary value of Fraction(0.01) * 10**4
 PROBE_N20 = {
     "e_E": 0,
     "e_M": 190,
@@ -258,10 +262,18 @@ PROBE_N20 = {
     "n": 20,
     "params": {"K": 500.0, "b": 4, "beta": 0.01, "delta": 0.01, "eps": 0.01, "m": 40, "r": 1},
     "selection": {
-        "reason": "case 1 (ell=2): Delta_(0,1) = 1 > ell^3/n; "
-                  "case 2 (ell=1): v(H) = 190 > 5*ell*n = 100; "
-                  "case 3 (ell=10): e(H) = 100 < beta*ell^4",
-        "status": "not_applicable",
+        "case": 3,
+        "delta_01": 50,
+        "delta_02": 10,
+        "delta_10": 50,
+        "e_H": 100,
+        "ell": 10,
+        "hypothesis_ok": False,
+        "i": 2,
+        "insertions": 100,
+        "min_K": 509066.40625,
+        "status": "selected",
+        "v_H": 190,
     },
 }
 
@@ -270,6 +282,18 @@ def test_stability_probe_at_n20_is_unchanged(capsys):
     code, out, _ = run(capsys, "stability-probe", "--n", "20", "--m", "40")
     assert code == 0
     assert json.loads(out) == PROBE_N20
+
+
+SAMPLER_N1000_SHA256 = "6d48df4eeaf9ca4f726a35f3b78d4b81efc26a089a03b7d860e5b24d3798531b"
+
+
+def test_sampler_at_n1000_is_unchanged(capsys):
+    """Three accepted draws at n = 1000, pinned by the sha256 of the whole
+    output as the full-scan sampler printed it."""
+    code, out, _ = run(capsys, "sampler", "--n", "1000", "--m", "999", "--runs", "3",
+                       "--max-attempts", "5", "--seed", "9")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == SAMPLER_N1000_SHA256
 
 
 def test_usage_errors_exit_2(capsys):

@@ -4,6 +4,7 @@ exhaustive edge-count tables, split recognition, and the deletion sampler."""
 import itertools
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -45,6 +46,85 @@ def test_graph6_round_trip(n, data):
     mask = data.draw(st.integers(0, (1 << (n * (n - 1) // 2)) - 1))
     g = LabeledGraph(n, mask)
     assert LabeledGraph.from_graph6(g.to_graph6()) == g
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 62, 63, 64, 200, 2000])
+def test_graph6_round_trip_across_size_headers(n):
+    npairs = n * (n - 1) // 2
+    rng = random.Random(n)
+    masks = {0, (1 << npairs) - 1, rng.getrandbits(npairs) if npairs else 0}
+    for mask in masks:
+        text = graph6.encode(n, mask)
+        assert text[0] == ("~" if n > 62 else chr(n + 63))
+        assert len(text) == (4 if n > 62 else 1) + (npairs + 5) // 6
+        assert graph6.decode(text) == (n, mask)
+        if n <= 200:
+            assert text == naive.graph6_encode_by_bits(n, mask)
+            assert naive.graph6_decode_by_bits(text) == (n, mask)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return ("ValueError", str(exc))
+
+
+GRAPH6_CHARS = st.characters(min_codepoint=0, max_codepoint=300)
+
+
+@given(st.integers(-3, 70), st.integers(-4, 1 << 80))
+def test_graph6_encode_matches_bitwise_reference(n, mask):
+    lib = _outcome(graph6.encode, n, mask)
+    ref = _outcome(naive.graph6_encode_by_bits, n, mask)
+    assert (lib[0] == "ValueError") == (ref[0] == "ValueError")
+    if lib[0] != "ValueError":
+        assert lib == ref
+
+
+@given(st.integers(0, 70), st.data())
+def test_graph6_decode_matches_bitwise_reference_on_malformed_text(n, data):
+    """One edit of a valid string: a character replaced, inserted or deleted,
+    the padding bits set, or the header swapped; the library and the
+    bit-by-bit reference return the same graph or raise the same error."""
+    npairs = n * (n - 1) // 2
+    text = graph6.encode(n, data.draw(st.integers(0, (1 << npairs) - 1)))
+    edit = data.draw(st.sampled_from(["replace", "insert", "delete", "padding", "header"]))
+    pos = data.draw(st.integers(0, len(text)))
+    if edit == "replace" and pos < len(text):
+        text = text[:pos] + data.draw(GRAPH6_CHARS) + text[pos + 1:]
+    elif edit == "insert":
+        text = text[:pos] + data.draw(GRAPH6_CHARS) + text[pos:]
+    elif edit == "delete":
+        text = text[:pos] + text[pos + 1:]
+    elif edit == "padding" and npairs % 6:
+        pad = data.draw(st.integers(1, (1 << (6 - npairs % 6)) - 1))
+        text = text[:-1] + chr(ord(text[-1]) | pad)
+    elif edit == "header":
+        text = data.draw(st.text(GRAPH6_CHARS, max_size=4)) + text[1 if n <= 62 else 4:]
+    assert _outcome(graph6.decode, text) == _outcome(naive.graph6_decode_by_bits, text)
+
+
+@given(st.text(GRAPH6_CHARS, max_size=12))
+def test_graph6_decode_matches_bitwise_reference_on_arbitrary_text(text):
+    assert _outcome(graph6.decode, text) == _outcome(naive.graph6_decode_by_bits, text)
+
+
+def test_graph6_decode_errors():
+    for text, message in [
+        ("", "empty graph6 string"),
+        ("~~??", "unsupported graph6 size header"),
+        ("~?", "unsupported graph6 size header"),
+        (">", "bad graph6 size header"),
+        ("D", "graph6 body has 0 groups, expected 2"),
+        ("D h", "bad graph6 character ' '"),
+        ("D>c", "bad graph6 character '>'"),
+        ("Dh\x7f", "bad graph6 character '\\x7f'"),
+        ("Dhd", "nonzero padding bits"),  # the last of the two padding bits
+        ("Dhe", "nonzero padding bits"),  # the first
+    ]:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            graph6.decode(text)
 
 
 def test_graph6_known_string():
@@ -325,6 +405,32 @@ def test_sampler_accepted_graphs_are_c4_free():
         assert naive.count_c4_subgraphs(g.n, g.adjacency_masks()) == 0
         assert s.m_prime == int(1.15 * 30)
     assert hits >= 6  # sparse regime, acceptance should be routine
+
+
+SAMPLER_GRID_N = [*range(4, 14), 25, 30, 60, 200]
+
+
+@pytest.mark.parametrize("n", SAMPLER_GRID_N)
+def test_sampler_matches_full_scan_reference(n):
+    """Every DeletionSample field, copies and attempts of rejected draws
+    included, equals the sampler that scans all C(n,2) pairs, over four
+    deltas, 30 seeds and 1 to 10 attempts.  Below n = 25, m spreads over the
+    whole range; from n = 25 on it sits in the sparse regime, 0.1 to 0.4
+    times n^(4/3)."""
+    npairs = n * (n - 1) // 2
+    rejected = deleted = 0
+    for delta in (0.1, 0.15, 0.3, 0.5):
+        for seed in range(30):
+            if n < 25:
+                m = max(1, int(npairs / (1 + delta) * random.Random(seed).random()))
+            else:
+                m = int((0.1, 0.2, 0.4)[seed % 3] * n ** (4 / 3))
+            attempts = 1 + seed % 10
+            got = sample_c4free_by_deletion(n, m, delta, seed, max_attempts=attempts)
+            assert got == naive.sample_by_full_scan(n, m, delta, seed, max_attempts=attempts)
+            rejected += not got.accepted
+            deleted += got.accepted and got.surplus_removed < got.m_prime - m
+    assert rejected and deleted  # both paths of the sampler ran
 
 
 def test_sampler_rejects_bad_budget():
