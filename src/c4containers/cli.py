@@ -35,6 +35,7 @@ from pathlib import Path
 from typing import Optional
 
 from . import __version__
+from . import tree as _tree
 from .engine import ContainerProcess, _drive
 from .errors import NumericError, PreconditionError, ScaleError
 from .hypergraph import Assignment, UniformHypergraph, check_container_hypothesis
@@ -50,7 +51,7 @@ from .tree import (
     PHI_FITTED_CONSTANTS,
     TreeParams,
     build_tree,
-    choose_hypergraph,
+    choose_hypergraph,  # not called here, but perfbench/tracing.py wraps it by this name
     phi_log,
     tree_json,
     tree_lines,
@@ -313,7 +314,7 @@ def _cmd_stability_probe(res: _Resolver) -> int:
         "leaf": {"is_leaf": cls.is_leaf, "kind": cls.kind, "ell": cls.ell},
     }
     if not cls.is_leaf:
-        sel = choose_hypergraph(p, params)
+        sel = _tree._choose_unchecked(p, params)  # choose_hypergraph would redo the leaf test
         entry: dict = {"status": sel.status}
         if sel.selected:
             h = sel.hypergraph

@@ -39,6 +39,7 @@ import numpy as np
 
 from . import graph6
 from .errors import ScaleError
+from .pregraph import _by_subset_size, _subset_pair_counts, _vertices
 
 __all__ = [
     "LabeledGraph",
@@ -103,14 +104,28 @@ class LabeledGraph:
     def has_edge(self, u: int, v: int) -> bool:
         return bool((self.mask >> graph6.pair_index(u, v)) & 1)
 
+    def _pair_bits(self) -> np.ndarray:
+        """Bit k of the mask at position k, unpacked from its bytes once."""
+        npairs = self.n * (self.n - 1) // 2
+        raw = np.frombuffer(self.mask.to_bytes((npairs + 7) // 8, "little"), dtype=np.uint8)
+        return np.unpackbits(raw, bitorder="little")[:npairs]
+
     def edges(self) -> list[tuple[int, int]]:
-        return [graph6.pair_from_index(k) for k in _bits(self.mask)]
+        """The edges (u, v), u < v, in pair-index order."""
+        ks = np.flatnonzero(self._pair_bits())
+        # pair index k = C(v, 2) + u, so v is the last vertex with C(v, 2) <= k
+        starts = np.arange(self.n) * (np.arange(self.n) - 1) // 2
+        v = np.searchsorted(starts, ks, side="right") - 1
+        return list(zip((ks - starts[v]).tolist(), v.tolist()))
 
     def degree(self, v: int) -> int:
-        # pairs (u, v) with u < v are the v consecutive bits from C(v, 2)
-        below = (self.mask >> (v * (v - 1) // 2)) & ((1 << v) - 1)
-        above = sum((self.mask >> (u * (u - 1) // 2 + v)) & 1 for u in range(v + 1, self.n))
-        return below.bit_count() + above
+        """The popcount of v's adjacency row: pairs (u, v) with u < v are
+        the v consecutive bits from C(v, 2), and (v, w) with w > v is bit
+        C(w, 2) + v."""
+        bits = self._pair_bits()
+        below = bits[v * (v - 1) // 2 : v * (v + 1) // 2]
+        w = np.arange(v + 1, self.n)
+        return int(below.sum()) + int(bits[w * (w - 1) // 2 + v].sum())
 
     def adjacency_masks(self) -> list[int]:
         """Per-vertex neighbor bitmasks over vertices (not pairs)."""
@@ -350,17 +365,6 @@ def is_split(g: LabeledGraph) -> Optional[SplitPartition]:
 # -- subset scans --------------------------------------------------------------
 
 
-def _subset_edge_counts(g: LabeledGraph) -> list[int]:
-    """e[S] for every vertex subset S (as bitmask), by peeling the low vertex."""
-    adj = g.adjacency_masks()
-    e = [0] * (1 << g.n)
-    for s in range(1, 1 << g.n):
-        low = (s & -s).bit_length() - 1
-        rest = s & (s - 1)
-        e[s] = e[rest] + (adj[low] & rest).bit_count()
-    return e
-
-
 @dataclass(frozen=True)
 class QuasirandomCheck:
     ok: bool
@@ -387,15 +391,13 @@ def is_eps_quasirandom(
         return not (lo <= dens <= hi)
 
     if g.n <= SUBSET_SCAN_LIMIT:
-        e = _subset_edge_counts(g)
-        for s in range(1 << g.n):
-            size = s.bit_count()
-            if size <= eps * g.n or size < 2:
-                continue
-            dens = e[s] / math.comb(size, 2)
-            if not (lo <= dens <= hi):
-                witness = tuple(v for v in range(g.n) if (s >> v) & 1)
-                return QuasirandomCheck(False, True, witness)
+        e = _subset_pair_counts(g.adjacency_masks())
+        skip = _by_subset_size(g.n, lambda size: size <= eps * g.n or size < 2)
+        dens = e / _by_subset_size(g.n, lambda size: max(math.comb(size, 2), 1))
+        bad = ~skip & ~((lo <= dens) & (dens <= hi))
+        if bad.any():
+            s = int(np.argmax(bad))  # the first violating subset
+            return QuasirandomCheck(False, True, _vertices(s, g.n))
         return QuasirandomCheck(True, True, None)
     rng = random.Random(seed)
     adj = g.adjacency_masks()
@@ -423,23 +425,21 @@ def is_eps_close_to_split(g: LabeledGraph, eps: float) -> CloseSplitCheck:
     """Is there a partition A, B with A nearly complete (missing at most an
     eps fraction of its pairs) and B carrying at most eps*e(G) edges?
     Exhaustive over all 2^n partitions for n <= 16, greedy beyond."""
+    adj = g.adjacency_masks()
     if g.n <= SUBSET_SCAN_LIMIT:
-        e = _subset_edge_counts(g)
+        e = _subset_pair_counts(adj)
         full = (1 << g.n) - 1
-        total = g.m
-        for a in range(1 << g.n):
-            size = a.bit_count()
-            if e[a] >= (1 - eps) * math.comb(size, 2) and e[full ^ a] <= eps * total:
-                av = tuple(v for v in range(g.n) if (a >> v) & 1)
-                bv = tuple(v for v in range(g.n) if not (a >> v) & 1)
-                return CloseSplitCheck(True, True, (av, bv))
+        floor = _by_subset_size(g.n, lambda size: (1 - eps) * math.comb(size, 2))
+        ok = (e >= floor) & (e[::-1] <= eps * g.m)  # e[::-1][S] = e[full ^ S]
+        if ok.any():
+            a = int(np.argmax(ok))  # the first passing subset
+            return CloseSplitCheck(True, True, (_vertices(a, g.n), _vertices(full ^ a, g.n)))
         return CloseSplitCheck(False, True, None)
     # greedy: grow A from the top of the degree order while it stays nearly complete
-    order = sorted(range(g.n), key=lambda v: (-g.degree(v), v))
+    order = sorted(range(g.n), key=lambda v: (-adj[v].bit_count(), v))
     best = None
     amask = 0
     count = 0
-    adj = g.adjacency_masks()
     for size, v in enumerate(order, start=1):
         count += (adj[v] & amask).bit_count()
         amask |= 1 << v

@@ -31,7 +31,9 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
+
+import numpy as np
 
 from .errors import PreconditionError
 from .hypergraph import Constraint, UniformHypergraph
@@ -159,11 +161,9 @@ class GoodC4:
         return tuple(sorted({v for e in self.cycle_edges for v in e}))
 
 
-def good_c4_enumerate(p: Pregraph) -> list[GoodC4]:
-    """All good copies of C4, one per embedding, in a fixed lexicographic
-    order (by vertex 4-tuple, then by the diagonal split chosen)."""
+def _good_c4_stream(p: Pregraph) -> Iterator[GoodC4]:
+    """The good copies of C4 one at a time, in good_c4_enumerate's order."""
     undecided = p.mixed | p.neutral
-    out = []
     for quad in itertools.combinations(range(p.n), 4):
         pairs = tuple(itertools.combinations(quad, 2))  # sorted pairs, in sorted order
         if any(e in p.fixed for e in pairs):
@@ -173,8 +173,13 @@ def good_c4_enumerate(p: Pregraph) -> list[GoodC4]:
             if any(e not in p.mixed for e in cycle):
                 continue
             extra = tuple(pairs[k] for k in (i, j) if pairs[k] in undecided)
-            out.append(GoodC4(cycle, extra))
-    return out
+            yield GoodC4(cycle, extra)
+
+
+def good_c4_enumerate(p: Pregraph) -> list[GoodC4]:
+    """All good copies of C4, one per embedding, in a fixed lexicographic
+    order (by vertex 4-tuple, then by the diagonal split chosen)."""
+    return list(_good_c4_stream(p))
 
 
 @dataclass(frozen=True)
@@ -225,31 +230,26 @@ def _saturation_threshold(shape: tuple[int, int], ell: int, n: int) -> int:
     return max(raw, 1)
 
 
-def _neutralize(
-    p: Pregraph,
-    index: dict[Pair, int],
-    a_deg: Sequence[dict[int, int]],
-    b_deg: Sequence[dict[int, int]],
-    ell: int,
-    n: int,
-) -> Pregraph:
-    """The neutralization rule, given a_deg[i] and b_deg[i], the A-side and
-    B-side degrees in H_i of each ground index (absent keys count as 0).
-
-    A mixed edge (1,0)-saturated in H_1 or H_2 moves to E; any other mixed
-    edge (0,1)-saturated in some H_i moves to N.
+def _saturation_move(
+    k: int, a_deg: Sequence[dict[int, int]], b_deg: Sequence[dict[int, int]], t10: int, t01: int
+) -> Optional[str]:
+    """The neutralization rule for the mixed edge with ground index k, given
+    a_deg[i] and b_deg[i], the A-side and B-side degrees in H_i of each
+    ground index (absent keys count as 0): "E" when it is (1,0)-saturated in
+    H_1 or H_2, else "N" when it is (0,1)-saturated in some H_i, else None.
     """
-    t10 = _saturation_threshold((1, 0), ell, n)
-    t01 = _saturation_threshold((0, 1), ell, n)
-    to_fixed = {
-        f for f in p.mixed
-        if a_deg[1].get(index[f], 0) >= t10 or a_deg[2].get(index[f], 0) >= t10
-    }
-    to_neutral = {
-        f for f in p.mixed - to_fixed if any(d.get(index[f], 0) >= t01 for d in b_deg)
-    }
+    if a_deg[1].get(k, 0) >= t10 or a_deg[2].get(k, 0) >= t10:
+        return "E"
+    if any(d.get(k, 0) >= t01 for d in b_deg):
+        return "N"
+    return None
+
+
+def _moved_pregraph(p: Pregraph, moved: dict[Pair, str]) -> Pregraph:
+    """p with each mixed edge f of moved taken to E or N, as moved[f] says."""
+    to_fixed = {f for f, tag in moved.items() if tag == "E"}
     return Pregraph(
-        p.n, p.mixed - to_fixed - to_neutral, p.fixed | to_fixed, p.neutral | to_neutral
+        p.n, p.mixed - moved.keys(), p.fixed | to_fixed, p.neutral | (moved.keys() - to_fixed)
     )
 
 
@@ -282,7 +282,14 @@ def preprocess_saturation(
                 b[k] += mult
         a_deg.append(a)
         b_deg.append(b)
-    return _neutralize(p, index, a_deg, b_deg, ell, n)
+    t10 = _saturation_threshold((1, 0), ell, n)
+    t01 = _saturation_threshold((0, 1), ell, n)
+    moved = {}
+    for f in p.mixed:
+        tag = _saturation_move(index[f], a_deg, b_deg, t10, t01)
+        if tag is not None:
+            moved[f] = tag
+    return _moved_pregraph(p, moved)
 
 
 @dataclass(frozen=True)
@@ -307,14 +314,15 @@ def _permissible_target(beta: float, ell: int) -> float:
 def build_permissible(p: Pregraph, ell: int, beta: float) -> PermissibleResult:
     """Greedy construction of a permissible H_i with at least beta*l^4 edges.
 
-    After each insertion the neutralized pregraph is re-derived from the
-    original one and the current degree state, and the next copy inserted is
-    the first good copy of it (in enumeration order) whose cycle contains no
-    (0,2)-saturated pair of any H_i.  Insertion order makes the result
-    deterministic; the saturation rules make every intermediate hypergraph
-    permissible by construction.
+    The next copy inserted is always the first good copy of the current
+    neutralized pregraph (in enumeration order) whose cycle contains no
+    (0,2)-saturated pair of any H_i, where the neutralized pregraph is p
+    after the rule of ``preprocess_saturation`` at the current degrees.
+    Insertion order makes the result deterministic; the saturation rules
+    make every intermediate hypergraph permissible by construction.
 
-    One pass over the good copies of p finds every such copy.  Degrees only
+    One pass over a lazy stream of the good copies of p finds every such
+    copy, and the pass stops as soon as the target is met.  Degrees only
     rise, so neutralization only moves mixed edges out of M and into E or N;
     a copy's diagonal count i never changes; and saturated pairs stay
     blocked.  A good copy of p is good in the neutralized pregraph exactly
@@ -322,6 +330,9 @@ def build_permissible(p: Pregraph, ell: int, beta: float) -> PermissibleResult:
     copy that fails once fails for good, and a cursor that never moves back
     meets the copies in the same order as a full rescan would.  Each copy is
     inserted at most once, since its cycle fixes its vertex set and diagonals.
+    An insertion changes the degrees of its own ground indices only, so the
+    rule is re-applied to those alone, and the neutralized pregraph itself is
+    built once, for the result.
     """
     if ell < 1:
         raise PreconditionError(f"scale parameter must be at least 1, got {ell}")
@@ -336,20 +347,20 @@ def build_permissible(p: Pregraph, ell: int, beta: float) -> PermissibleResult:
     deg01 = [dict(), dict(), dict()]  # B-side singletons
     pair_deg = [dict(), dict(), dict()]  # B-side pairs
     blocked: set[tuple[int, int]] = set()
+    moved: dict[Pair, str] = {}  # mixed edges of p neutralized so far, to "E" or "N"
+    t10 = _saturation_threshold((1, 0), ell, n)
+    t01 = _saturation_threshold((0, 1), ell, n)
     t02 = _saturation_threshold((0, 2), ell, n)
     target = _permissible_target(beta, ell)
     insertions = 0
 
-    copies = iter(good_c4_enumerate(p))  # one cursor for the whole run
-    while True:
-        pp = _neutralize(p, index, deg10, deg01, ell, n)
-        if any(h.e() >= target for h in hs):
-            break
+    copies = _good_c4_stream(p)  # one cursor for the whole run
+    while not any(h.e() >= target for h in hs):
         found = None
         for copy in copies:
-            if any(e not in pp.mixed for e in copy.cycle_edges):
+            if any(e in moved for e in copy.cycle_edges):
                 continue
-            if any(e in pp.fixed for e in copy.extra_mixed):
+            if any(moved.get(e) == "E" for e in copy.extra_mixed):
                 continue
             c = _encode_copy(copy, index)
             if any(t in blocked for t in itertools.combinations(c.a1, 2)):
@@ -358,7 +369,8 @@ def build_permissible(p: Pregraph, ell: int, beta: float) -> PermissibleResult:
             break
         if found is None:
             return PermissibleResult(
-                "exhausted", None, None, ConstraintSystem(ground, *hs), pp, insertions
+                "exhausted", None, None, ConstraintSystem(ground, *hs),
+                _moved_pregraph(p, moved), insertions,
             )
         i, c = found
         hs[i].add(c)
@@ -371,9 +383,15 @@ def build_permissible(p: Pregraph, ell: int, beta: float) -> PermissibleResult:
             pair_deg[i][t] = pair_deg[i].get(t, 0) + 1
             if pair_deg[i][t] >= t02:
                 blocked.add(t)
+        for k in (*c.a0, *c.a1):
+            if ground[k] in p.mixed:
+                tag = _saturation_move(k, deg10, deg01, t10, t01)
+                if tag is not None:
+                    moved[ground[k]] = tag
     winner = max(range(3), key=lambda i: (hs[i].e() >= target, hs[i].e()))
     return PermissibleResult(
-        "success", winner, hs[winner], ConstraintSystem(ground, *hs), pp, insertions
+        "success", winner, hs[winner], ConstraintSystem(ground, *hs),
+        _moved_pregraph(p, moved), insertions,
     )
 
 
@@ -431,23 +449,45 @@ def random_order_independent_set(
 # -- structural classification --------------------------------------------------
 
 
-def _subset_pair_counts(n: int, pairs: frozenset[Pair]) -> list[int]:
-    """count[S] = pairs with both endpoints in the subset S (bitmask)."""
+def _adjacency(n: int, pairs: Iterable[Pair]) -> list[int]:
+    """Per-vertex neighbour bitmasks of the graph (0..n-1, pairs)."""
     adj = [0] * n
     for u, v in pairs:
         adj[u] |= 1 << v
         adj[v] |= 1 << u
-    count = [0] * (1 << n)
-    for s in range(1, 1 << n):
-        low = (s & -s).bit_length() - 1
-        rest = s & (s - 1)
-        count[s] = count[rest] + (adj[low] & rest).bit_count()
+    return adj
+
+
+def _subset_pair_counts(adj: Sequence[int]) -> np.ndarray:
+    """count[S] = edges with both endpoints in the vertex subset S (a
+    bitmask), for every S, given the neighbour bitmasks adj of the graph.
+
+    One doubling pass: the subsets with top vertex v are S + v for the
+    subsets S of 0..v-1, and count[S + v] = count[S] + |adj[v] & S|.
+    """
+    n = len(adj)
+    masks = np.arange(1 << n, dtype=np.int64)
+    count = np.zeros(1 << n, dtype=np.int64)
+    for v in range(n):
+        low = slice(0, 1 << v)
+        count[1 << v : 2 << v] = count[low] + np.bitwise_count(masks[low] & adj[v])
     return count
 
 
-def _count_within(pairs: Iterable[Pair], vertices: set[int] | frozenset[int]) -> int:
-    """Pairs with both endpoints in the vertex set."""
-    return sum(1 for u, v in pairs if u in vertices and v in vertices)
+def _by_subset_size(n: int, f) -> np.ndarray:
+    """f(|S|) for every vertex subset S of 0..n-1 (a bitmask), calling f
+    once per size, so each value is the Python float or bool f returns."""
+    return np.array([f(size) for size in range(n + 1)])[np.bitwise_count(np.arange(1 << n))]
+
+
+def _pairs_within(adj: Sequence[int], mask: int) -> int:
+    """Edges with both endpoints in the vertex bitmask."""
+    return sum((adj[v] & mask).bit_count() for v in range(len(adj)) if (mask >> v) & 1) // 2
+
+
+def _vertices(mask: int, n: int) -> tuple[int, ...]:
+    """The vertices in the bitmask, ascending."""
+    return tuple(v for v in range(n) if (mask >> v) & 1)
 
 
 @dataclass(frozen=True)
@@ -458,74 +498,72 @@ class AlmostSplitResult:
     w: Optional[tuple[int, ...]] = None
 
 
-def _almost_split_ok(p: Pregraph, eps: float, umask: int, e_e: list[int], e_m: list[int]) -> bool:
-    full = (1 << p.n) - 1
-    size = umask.bit_count()
-    budget = 7 * math.sqrt(eps) * size * p.n
-    return (
-        p.e_e() <= math.comb(size, 2)
-        and e_e[umask] >= (1 - eps) * math.comb(size, 2)
-        and e_m[full ^ umask] <= budget
-    )
-
-
 def is_almost_split_pregraph(p: Pregraph, eps: float) -> AlmostSplitResult:
     """Search for a vertex split (U, W) with E concentrated on a near-clique
     U and few mixed edges inside W: e(E) <= C(|U|,2), e_E(U) >= (1-eps) of
     that clique, and e_M(W) <= 7*sqrt(eps)*|U|*n.
 
-    Exhaustive over all 2^n subsets up to n = 12; beyond that a greedy
-    E-degree prefix with single-vertex swaps is tried and the result is
-    flagged non-exact.
+    Up to n = 12 every one of the 2^n subsets U is tested at once, from the
+    E and M subset counts, and the smallest U as a bitmask is returned.
+    Beyond that, for each size the top of the E-degree order is tried,
+    then improved by single-vertex swaps: a member leaves (in the iteration
+    order of the current set) for the first outsider in degree order that
+    either passes the test or raises e_E(U), until no swap helps.  Each
+    trial reads its counts from the neighbour bitmasks of the two swapped
+    vertices.  The greedy result is flagged non-exact.
     """
     if eps <= 0:
         raise PreconditionError(f"eps must be positive, got {eps}")
-    if p.n <= EXACT_PARTITION_LIMIT:
-        e_e = _subset_pair_counts(p.n, p.fixed)
-        e_m = _subset_pair_counts(p.n, p.mixed)
-        for umask in range(1 << p.n):
-            if _almost_split_ok(p, eps, umask, e_e, e_m):
-                u = tuple(v for v in range(p.n) if (umask >> v) & 1)
-                w = tuple(v for v in range(p.n) if not (umask >> v) & 1)
-                return AlmostSplitResult(True, True, u, w)
-        return AlmostSplitResult(False, True)
-    deg_e = [0] * p.n
-    for u, v in p.fixed:
-        deg_e[u] += 1
-        deg_e[v] += 1
-    order = sorted(range(p.n), key=lambda v: (-deg_e[v], v))
+    n = p.n
+    adj_e, adj_m = _adjacency(n, p.fixed), _adjacency(n, p.mixed)
+    full = (1 << n) - 1
 
-    def exact_check(uset: set[int]) -> Optional[AlmostSplitResult]:
-        size = len(uset)
-        inside_e = _count_within(p.fixed, uset)
-        inside_m = sum(1 for a, b in p.mixed if a not in uset and b not in uset)
-        if (
-            p.e_e() <= math.comb(size, 2)
-            and inside_e >= (1 - eps) * math.comb(size, 2)
-            and inside_m <= 7 * math.sqrt(eps) * size * p.n
-        ):
-            w = tuple(v for v in range(p.n) if v not in uset)
-            return AlmostSplitResult(True, False, tuple(sorted(uset)), w)
-        return None
+    def split(umask: int, exact: bool) -> AlmostSplitResult:
+        return AlmostSplitResult(True, exact, _vertices(umask, n), _vertices(full ^ umask, n))
 
-    for size in range(p.n + 1):
+    if n <= EXACT_PARTITION_LIMIT:
+        e_e = _subset_pair_counts(adj_e)
+        e_m_outside = _subset_pair_counts(adj_m)[::-1]  # full ^ S runs backwards
+        fits = _by_subset_size(n, lambda size: p.e_e() <= math.comb(size, 2))
+        floor = _by_subset_size(n, lambda size: (1 - eps) * math.comb(size, 2))
+        budget = _by_subset_size(n, lambda size: 7 * math.sqrt(eps) * size * p.n)
+        ok = fits & (e_e >= floor) & (e_m_outside <= budget)
+        return split(int(np.argmax(ok)), True) if ok.any() else AlmostSplitResult(False, True)
+    deg_e = [a.bit_count() for a in adj_e]
+    order = sorted(range(n), key=lambda v: (-deg_e[v], v))
+
+    for size in range(n + 1):
+        # no U of this size passes when e(E) > C(size, 2), whatever the swaps
+        if p.e_e() > math.comb(size, 2):
+            continue
+        floor = (1 - eps) * math.comb(size, 2)
+        budget = 7 * math.sqrt(eps) * size * p.n
         uset = set(order[:size])
-        hit = exact_check(uset)
-        if hit:
-            return hit
+        umask = sum(1 << v for v in uset)
+        inside_e = _pairs_within(adj_e, umask)
+        outside_m = _pairs_within(adj_m, full ^ umask)
+        if inside_e >= floor and outside_m <= budget:
+            return split(umask, False)
         # single swaps: trade the least-connected member for the best outsider
-        for _ in range(p.n):
+        for _ in range(n):
             improved = False
+            wmask = full ^ umask
             for v_out in list(uset):
+                kept = umask ^ (1 << v_out)
+                e_kept = inside_e - (adj_e[v_out] & umask).bit_count()
                 for v_in in order:
-                    if v_in in uset:
+                    if (umask >> v_in) & 1:
                         continue
-                    trial = (uset - {v_out}) | {v_in}
-                    hit = exact_check(trial)
-                    if hit:
-                        return hit
-                    if _count_within(p.fixed, trial) > _count_within(p.fixed, uset):
-                        uset = trial
+                    t_e = e_kept + (adj_e[v_in] & kept).bit_count()
+                    t_m = (
+                        outside_m - (adj_m[v_in] & wmask).bit_count()
+                        + (adj_m[v_out] & wmask & ~(1 << v_in)).bit_count()
+                    )
+                    if t_e >= floor and t_m <= budget:
+                        return split(kept | 1 << v_in, False)
+                    if t_e > inside_e:
+                        uset = (uset - {v_out}) | {v_in}
+                        umask, inside_e, outside_m = kept | 1 << v_in, t_e, t_m
                         improved = True
                         break
                 if improved:
@@ -590,41 +628,43 @@ def close_to_clique_cost(n: int, edges: Iterable[Pair], ell: int) -> CliqueCost:
     """Fewest edge additions plus deletions turning the graph into K_ell:
     min over ell-subsets U of (C(ell,2) - e(U)) + (e(G) - e(U)).
 
-    Exact for n <= 16 by scanning all subsets; larger n fall back to the
-    top-degree subset with single swaps, flagged non-exact.
+    Exact for n <= 16, from the edge counts of all 2^n subsets at once; the
+    witness is the densest ell-subset that is smallest as a bitmask.  Larger
+    n start from the top-degree subset and take single swaps (a member, in
+    the iteration order of the current set, for the first outsider that
+    raises e(U)) until none helps, each trial counted from the neighbour
+    bitmasks of the two swapped vertices; that result is flagged non-exact.
     """
     pairs = _norm_pairs(edges, n)
     if not 0 <= ell <= n:
         raise PreconditionError(f"clique size {ell} outside 0..{n}")
     total = len(pairs)
     target = math.comb(ell, 2)
+    adj = _adjacency(n, pairs)
     if n <= EXACT_SUBSET_LIMIT:
-        counts = _subset_pair_counts(n, pairs)
-        best_mask = None
-        best_inside = -1
-        for s in range(1 << n):
-            if s.bit_count() == ell and counts[s] > best_inside:
-                best_inside = counts[s]
-                best_mask = s
-        subset = tuple(v for v in range(n) if (best_mask >> v) & 1)
+        candidates = np.flatnonzero(_by_subset_size(n, lambda size: size == ell))
+        counts = _subset_pair_counts(adj)[candidates]
+        best = int(np.argmax(counts))  # the first of the densest
+        best_inside = int(counts[best])
+        subset = _vertices(int(candidates[best]), n)
         return CliqueCost(target - best_inside + total - best_inside, True, subset)
-    deg = [0] * n
-    for u, v in pairs:
-        deg[u] += 1
-        deg[v] += 1
+    deg = [a.bit_count() for a in adj]
     uset = set(sorted(range(n), key=lambda v: (-deg[v], v))[:ell])
-    current = _count_within(pairs, uset)
+    umask = sum(1 << v for v in uset)
+    current = _pairs_within(adj, umask)
     improved = True
     while improved:
         improved = False
         for v_out in list(uset):
+            kept = umask ^ (1 << v_out)
+            e_kept = current - (adj[v_out] & umask).bit_count()
             for v_in in range(n):
-                if v_in in uset:
+                if (umask >> v_in) & 1:
                     continue
-                trial = (uset - {v_out}) | {v_in}
-                t = _count_within(pairs, trial)
+                t = e_kept + (adj[v_in] & kept).bit_count()
                 if t > current:
-                    uset, current = trial, t
+                    uset = (uset - {v_out}) | {v_in}
+                    umask, current = kept | 1 << v_in, t
                     improved = True
                     break
             if improved:

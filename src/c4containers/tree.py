@@ -62,7 +62,9 @@ from .pregraph import (
     EXACT_SUBSET_LIMIT,
     PermissibleResult,
     Pregraph,
-    _count_within,
+    _adjacency,
+    _by_subset_size,
+    _pairs_within,
     _permissible_target,
     _subset_pair_counts,
     build_permissible,
@@ -182,34 +184,30 @@ def _concentrated_ell(p: Pregraph, params: TreeParams) -> Optional[int]:
     e_E(U) >= (1-eps) C(ell,2), and mixed mass e_M(U^c) above the
     7 sqrt(eps) ell n budget; None when no such pair exists.
 
-    Exact (every subset scanned) within the subset-DP range; beyond it only
-    the densest fixed-edge subset per size is examined.
+    Exact within the subset-DP range, where every subset is tested at once
+    from the E and M subset counts; beyond it only the densest fixed-edge
+    subset per size is examined.
     """
     n, r = p.n, params.r
     e_e = p.e_e()
     budget = 7 * math.sqrt(params.eps) * n
+    adj_e, adj_m = _adjacency(n, p.fixed), _adjacency(n, p.mixed)
     if n <= EXACT_SUBSET_LIMIT:
-        fixed_in = _subset_pair_counts(n, p.fixed)
-        mixed_in = _subset_pair_counts(n, p.mixed)
-        full = (1 << n) - 1
-        best = -1
-        for s in range(1 << n):
-            ell = s.bit_count()
-            if ell <= best or ell * ell < r or e_e > math.comb(ell, 2):
-                continue
-            if fixed_in[s] < (1 - params.eps) * math.comb(ell, 2):
-                continue
-            if mixed_in[full ^ s] > budget * ell:
-                best = ell
-        return None if best < 0 else best
+        fixed_in = _subset_pair_counts(adj_e)
+        mixed_out = _subset_pair_counts(adj_m)[::-1]  # full ^ S runs backwards
+        fits = _by_subset_size(n, lambda ell: ell * ell >= r and e_e <= math.comb(ell, 2))
+        floor = _by_subset_size(n, lambda ell: (1 - params.eps) * math.comb(ell, 2))
+        heavy = _by_subset_size(n, lambda ell: budget * ell)
+        ok = fits & (fixed_in >= floor) & (mixed_out > heavy)
+        return int(_by_subset_size(n, lambda ell: ell)[ok].max()) if ok.any() else None
+    full = (1 << n) - 1
     for ell in range(n, 0, -1):
         if ell * ell < r or e_e > math.comb(ell, 2):
             continue
-        witness = close_to_clique_cost(n, p.fixed, ell)
-        u = frozenset(witness.subset)
-        if _count_within(p.fixed, u) < (1 - params.eps) * math.comb(ell, 2):
+        umask = sum(1 << v for v in close_to_clique_cost(n, p.fixed, ell).subset)
+        if _pairs_within(adj_e, umask) < (1 - params.eps) * math.comb(ell, 2):
             continue
-        if _count_within(p.mixed, frozenset(range(n)) - u) > budget * ell:
+        if _pairs_within(adj_m, full ^ umask) > budget * ell:
             return ell
     return None
 

@@ -366,3 +366,305 @@ def sample_by_full_scan(n, m, delta, seed, max_attempts=1):
             surplus += 1
         return DeletionSample(LabeledGraph(n, mask), attempt, True, m_prime, copies, surplus)
     return DeletionSample(None, max_attempts, False, m_prime, last_copies, 0)
+
+
+# -- graph methods, one bit at a time ------------------------------------------
+
+
+def edges_by_bit_peeling(g):
+    """The edges of a LabeledGraph in pair-index order, peeling the lowest
+    set bit off the whole mask once per edge."""
+    out = []
+    mask = g.mask
+    while mask:
+        low = mask & -mask
+        out.append(_pair_from_index(low.bit_length() - 1))
+        mask ^= low
+    return out
+
+
+def degree_by_shifts(g, v):
+    """deg(v) in a LabeledGraph, shifting the whole mask once per other vertex."""
+    return sum((g.mask >> _pair_index(u, v)) & 1 for u in range(g.n) if u != v)
+
+
+# -- subset scans and swap searches --------------------------------------------
+
+
+def subset_pair_counts_by_peeling(n, pairs):
+    """count[S] = pairs with both endpoints in the subset S (a bitmask), for
+    every S, by peeling off the lowest vertex: count[S] = count[S - low] plus
+    the pairs from low into S - low."""
+    adj = [0] * n
+    for u, v in pairs:
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+    count = [0] * (1 << n)
+    for s in range(1, 1 << n):
+        low = (s & -s).bit_length() - 1
+        rest = s & (s - 1)
+        count[s] = count[rest] + (adj[low] & rest).bit_count()
+    return count
+
+
+def _count_within(pairs, vertices):
+    return sum(1 for u, v in pairs if u in vertices and v in vertices)
+
+
+def _vertex_tuple(mask, n):
+    return tuple(v for v in range(n) if (mask >> v) & 1)
+
+
+def almost_split_by_subset_scan(p, eps):
+    """The first subset U, ascending as a bitmask, with e(E) <= C(|U|,2),
+    e_E(U) >= (1-eps) C(|U|,2) and e_M(W) <= 7 sqrt(eps) |U| n for W the
+    rest, testing each of the 2^n subsets in a Python loop.  Returns
+    (U, W), or None when no subset passes."""
+    e_e = subset_pair_counts_by_peeling(p.n, p.fixed)
+    e_m = subset_pair_counts_by_peeling(p.n, p.mixed)
+    full = (1 << p.n) - 1
+    for umask in range(1 << p.n):
+        size = umask.bit_count()
+        if (
+            len(p.fixed) <= math.comb(size, 2)
+            and e_e[umask] >= (1 - eps) * math.comb(size, 2)
+            and e_m[full ^ umask] <= 7 * math.sqrt(eps) * size * p.n
+        ):
+            return _vertex_tuple(umask, p.n), _vertex_tuple(full ^ umask, p.n)
+    return None
+
+
+def almost_split_by_recounting_swaps(p, eps):
+    """The greedy almost-split search, recounting every fixed and mixed pair
+    for each trial.  For each size, U starts as the top of the order by
+    (-E-degree, vertex); each member of U, in the iteration order of the
+    Python set U, is traded for each outsider in that order; the first
+    trial that passes the almost-split test is returned, and the first one
+    with more E-pairs inside replaces U (rebuilt as (U - {out}) | {in}),
+    at most n times per size.  Returns (U, W), or None."""
+    deg_e = [0] * p.n
+    for u, v in p.fixed:
+        deg_e[u] += 1
+        deg_e[v] += 1
+    order = sorted(range(p.n), key=lambda v: (-deg_e[v], v))
+
+    def passes(uset):
+        size = len(uset)
+        inside_e = _count_within(p.fixed, uset)
+        inside_m = sum(1 for a, b in p.mixed if a not in uset and b not in uset)
+        return (
+            len(p.fixed) <= math.comb(size, 2)
+            and inside_e >= (1 - eps) * math.comb(size, 2)
+            and inside_m <= 7 * math.sqrt(eps) * size * p.n
+        )
+
+    def split(uset):
+        return tuple(sorted(uset)), tuple(v for v in range(p.n) if v not in uset)
+
+    for size in range(p.n + 1):
+        uset = set(order[:size])
+        if passes(uset):
+            return split(uset)
+        for _ in range(p.n):
+            improved = False
+            for v_out in list(uset):
+                for v_in in order:
+                    if v_in in uset:
+                        continue
+                    trial = (uset - {v_out}) | {v_in}
+                    if passes(trial):
+                        return split(trial)
+                    if _count_within(p.fixed, trial) > _count_within(p.fixed, uset):
+                        uset = trial
+                        improved = True
+                        break
+                if improved:
+                    break
+            if not improved:
+                break
+    return None
+
+
+def clique_cost_by_subset_scan(n, edges, ell):
+    """(cost, U) with U the first densest ell-subset, ascending as a
+    bitmask, and cost (C(ell,2) - e(U)) + (e(G) - e(U)), testing each of
+    the 2^n subsets in a Python loop."""
+    pairs = {pair_key(u, v) for u, v in edges}
+    counts = subset_pair_counts_by_peeling(n, pairs)
+    best_mask, best_inside = None, -1
+    for s in range(1 << n):
+        if s.bit_count() == ell and counts[s] > best_inside:
+            best_mask, best_inside = s, counts[s]
+    cost = math.comb(ell, 2) - best_inside + len(pairs) - best_inside
+    return cost, _vertex_tuple(best_mask, n)
+
+
+def clique_cost_by_recounting_swaps(n, edges, ell):
+    """The greedy clique-edit search, recounting e(U) for each trial: U
+    starts as the ell top vertices by (-degree, vertex); the first trade of
+    a member (in the iteration order of the Python set U) for an outsider
+    (ascending) that raises e(U) replaces U by (U - {out}) | {in}, until no
+    trade helps.  Returns (cost, sorted U)."""
+    pairs = {pair_key(u, v) for u, v in edges}
+    deg = [0] * n
+    for u, v in pairs:
+        deg[u] += 1
+        deg[v] += 1
+    uset = set(sorted(range(n), key=lambda v: (-deg[v], v))[:ell])
+    current = _count_within(pairs, uset)
+    improved = True
+    while improved:
+        improved = False
+        for v_out in list(uset):
+            for v_in in range(n):
+                if v_in in uset:
+                    continue
+                trial = (uset - {v_out}) | {v_in}
+                t = _count_within(pairs, trial)
+                if t > current:
+                    uset, current = trial, t
+                    improved = True
+                    break
+            if improved:
+                break
+    return math.comb(ell, 2) - current + len(pairs) - current, tuple(sorted(uset))
+
+
+def concentrated_ell_by_subset_scan(p, eps, r):
+    """Largest size ell of a vertex subset U with ell^2 >= r,
+    e(E) <= C(ell,2), e_E(U) >= (1-eps) C(ell,2) and e_M(rest) above
+    7 sqrt(eps) n ell, testing each of the 2^n subsets; None if none."""
+    fixed_in = subset_pair_counts_by_peeling(p.n, p.fixed)
+    mixed_in = subset_pair_counts_by_peeling(p.n, p.mixed)
+    budget = 7 * math.sqrt(eps) * p.n
+    full = (1 << p.n) - 1
+    best = None
+    for s in range(1 << p.n):
+        ell = s.bit_count()
+        if ell * ell < r or len(p.fixed) > math.comb(ell, 2):
+            continue
+        if fixed_in[s] < (1 - eps) * math.comb(ell, 2):
+            continue
+        if mixed_in[full ^ s] > budget * ell and (best is None or ell > best):
+            best = ell
+    return best
+
+
+def concentrated_ell_by_recounting_swaps(p, eps, r):
+    """Largest ell with ell^2 >= r and e(E) <= C(ell,2) whose swap-search
+    clique witness U (clique_cost_by_recounting_swaps on E) has
+    e_E(U) >= (1-eps) C(ell,2) and e_M(rest) above 7 sqrt(eps) n ell,
+    counting pairs one by one; None if no ell qualifies."""
+    budget = 7 * math.sqrt(eps) * p.n
+    for ell in range(p.n, 0, -1):
+        if ell * ell < r or len(p.fixed) > math.comb(ell, 2):
+            continue
+        u = set(clique_cost_by_recounting_swaps(p.n, p.fixed, ell)[1])
+        if _count_within(p.fixed, u) < (1 - eps) * math.comb(ell, 2):
+            continue
+        if sum(1 for a, b in p.mixed if a not in u and b not in u) > budget * ell:
+            return ell
+    return None
+
+
+# -- the permissible greedy over a list of copies ----------------------------------
+
+
+def neutralize_from_scratch(p, index, a_deg, b_deg, ell):
+    """A new Pregraph from p: every mixed edge with A-side degree >= l^2 in
+    H_1 or H_2 moves to E, then every other one with B-side degree
+    >= max(1, floor(l^3/n)) in some H_i moves to N; a_deg[i] and b_deg[i]
+    map ground indices to degrees in H_i."""
+    t10, t01 = ell * ell, max(ell**3 // p.n, 1)
+    to_fixed = {
+        f for f in p.mixed
+        if a_deg[1].get(index[f], 0) >= t10 or a_deg[2].get(index[f], 0) >= t10
+    }
+    to_neutral = {
+        f for f in p.mixed - to_fixed if any(d.get(index[f], 0) >= t01 for d in b_deg)
+    }
+    return Pregraph(p.n, p.mixed - to_fixed - to_neutral, p.fixed | to_fixed,
+                    p.neutral | to_neutral)
+
+
+def build_permissible_by_cursor(p, ell, beta):
+    """The permissible greedy with a cursor over the full list of good
+    copies of p, rebuilding the neutralized pregraph from scratch before
+    every insertion: a copy is skipped when a cycle edge is no longer mixed,
+    a diagonal it counts is fixed, or its cycle holds a pair of B-side
+    degree >= l in one H_i; the run stops once some H_i has beta*l^4
+    constraints.  Returns a PermissibleResult."""
+    n = p.n
+    ground = tuple(sorted(p.mixed | p.neutral))
+    index = {e: k for k, e in enumerate(ground)}
+    hs = [UniformHypergraph(i, 4, len(ground)) for i in range(3)]
+    deg10 = [dict(), dict(), dict()]
+    deg01 = [dict(), dict(), dict()]
+    pair_deg = [dict(), dict(), dict()]
+    blocked = set()
+    target = beta * ell**4
+    insertions = 0
+    copies = iter(list(good_c4_copies_in_order(p)))
+    while True:
+        pp = neutralize_from_scratch(p, index, deg10, deg01, ell)
+        if any(h.e() >= target for h in hs):
+            break
+        found = None
+        for cycle, extra in copies:
+            if any(e not in pp.mixed for e in cycle):
+                continue
+            if any(e in pp.fixed for e in extra):
+                continue
+            c = Constraint.make([index[e] for e in extra], [index[e] for e in cycle])
+            if any(t in blocked for t in itertools.combinations(c.a1, 2)):
+                continue
+            found = (len(extra), c)
+            break
+        if found is None:
+            return PermissibleResult(
+                "exhausted", None, None, ConstraintSystem(ground, *hs), pp, insertions
+            )
+        i, c = found
+        hs[i].add(c)
+        insertions += 1
+        for k in c.a0:
+            deg10[i][k] = deg10[i].get(k, 0) + 1
+        for k in c.a1:
+            deg01[i][k] = deg01[i].get(k, 0) + 1
+        for t in itertools.combinations(c.a1, 2):
+            pair_deg[i][t] = pair_deg[i].get(t, 0) + 1
+            if pair_deg[i][t] >= ell:
+                blocked.add(t)
+    winner = max(range(3), key=lambda i: (hs[i].e() >= target, hs[i].e()))
+    return PermissibleResult(
+        "success", winner, hs[winner], ConstraintSystem(ground, *hs), pp, insertions
+    )
+
+
+def quasirandom_by_subset_scan(g, eps):
+    """The first subset S, ascending as a bitmask, with |S| > eps*n and
+    |S| >= 2 whose edge density e(S)/C(|S|,2) leaves [(1-eps)p, (1+eps)p],
+    p the density of g, as a vertex tuple; None when every subset fits."""
+    counts = subset_pair_counts_by_peeling(g.n, edges_by_bit_peeling(g))
+    p = g.m / math.comb(g.n, 2)
+    lo, hi = (1 - eps) * p, (1 + eps) * p
+    for s in range(1 << g.n):
+        size = s.bit_count()
+        if size <= eps * g.n or size < 2:
+            continue
+        if not lo <= counts[s] / math.comb(size, 2) <= hi:
+            return _vertex_tuple(s, g.n)
+    return None
+
+
+def close_to_split_by_subset_scan(g, eps):
+    """The first subset A, ascending as a bitmask, with
+    e(A) >= (1-eps) C(|A|,2) and e(rest) <= eps*e(G), as (A, rest); None
+    when no subset passes."""
+    counts = subset_pair_counts_by_peeling(g.n, edges_by_bit_peeling(g))
+    full = (1 << g.n) - 1
+    for a in range(1 << g.n):
+        size = a.bit_count()
+        if counts[a] >= (1 - eps) * math.comb(size, 2) and counts[full ^ a] <= eps * g.m:
+            return _vertex_tuple(a, g.n), _vertex_tuple(full ^ a, g.n)
+    return None

@@ -284,6 +284,59 @@ def test_stability_probe_at_n20_is_unchanged(capsys):
     assert json.loads(out) == PROBE_N20
 
 
+# stability-probe --n 64 --m 128 as printed while the leaf tests recounted
+# every pair per swap trial and the permissible greedy listed all good copies
+# up front; that stdout hashes to the sha256 below
+PROBE_N64 = {
+    "e_E": 0,
+    "e_M": 2016,
+    "leaf": {"ell": None, "is_leaf": False, "kind": "not_leaf"},
+    "n": 64,
+    "params": {"K": 500.0, "b": 5, "beta": 0.01, "delta": 0.01, "eps": 0.01, "m": 128, "r": 1},
+    "selection": {
+        "case": 1,
+        "delta_01": 5,
+        "delta_02": 5,
+        "delta_10": 20,
+        "e_H": 25,
+        "ell": 7,
+        "hypothesis_ok": False,
+        "i": 2,
+        "insertions": 25,
+        "min_K": 27063380924.065384,
+        "status": "selected",
+        "v_H": 2016,
+    },
+}
+PROBE_N64_SHA256 = "bd19ee6013a6c031e4045bb2d6c063abc4adaf65a6d119799a40387083b14ea2"
+# the n = 96 output printed by that code began with these hex digits; the
+# full value pins the rest of today's output
+PROBE_N96_SHA256 = "117374d763d8b73ff12688de185a698c07d0744b70073adb6d4bd4b484bed7f8"
+
+
+def test_stability_probe_at_n64_and_n96_is_unchanged(capsys):
+    code, out, _ = run(capsys, "stability-probe", "--n", "64", "--m", "128")
+    assert code == 0
+    assert json.loads(out) == PROBE_N64
+    assert hashlib.sha256(out.encode()).hexdigest() == PROBE_N64_SHA256
+    code, out, _ = run(capsys, "stability-probe", "--n", "96", "--m", "192")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == PROBE_N96_SHA256
+
+
+def test_stability_probe_runs_the_leaf_test_once(capsys, monkeypatch):
+    from c4containers import cli, tree
+
+    calls = []
+    for mod in (cli, tree):
+        inner = mod.is_leaf_pregraph
+        monkeypatch.setattr(mod, "is_leaf_pregraph",
+                            lambda *a, inner=inner, **k: calls.append(a) or inner(*a, **k))
+    code, out, _ = run(capsys, "stability-probe", "--n", "20", "--m", "40")
+    assert code == 0 and json.loads(out) == PROBE_N20
+    assert len(calls) == 1
+
+
 SAMPLER_N1000_SHA256 = "6d48df4eeaf9ca4f726a35f3b78d4b81efc26a089a03b7d860e5b24d3798531b"
 
 

@@ -456,3 +456,50 @@ def test_ex_c4_on_subgraph_instance():
     # the 5-cycle itself has no 4-cycle, so nothing needs deleting
     c5 = LabeledGraph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])
     assert ex_c4(c5) == 5
+
+
+@st.composite
+def subset_scan_graphs(draw, min_n, max_n):
+    """Graphs on min_n..max_n vertices: uniform at a drawn density, or a
+    clique on a random vertex set plus sparse noise, which is close to
+    split for a moderate eps."""
+    n = draw(st.integers(min_n, max_n))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    density = draw(st.sampled_from([0.0, 0.1, 0.5, 0.9, 1.0]))
+    clique = set(rng.sample(range(n), rng.randint(0, n))) if draw(st.booleans()) else None
+    edges = [
+        (u, v) for u, v in itertools.combinations(range(n), 2)
+        if (clique is not None and u in clique and v in clique)
+        or rng.random() < (density / 10 if clique is not None else density)
+    ]
+    return LabeledGraph.from_edges(n, edges)
+
+
+@settings(max_examples=60, deadline=None)
+@given(subset_scan_graphs(2, 16), st.sampled_from([0.05, 0.1, 0.3, 0.6]))
+def test_exact_quasirandom_matches_the_subset_scan(g, eps):
+    got = is_eps_quasirandom(g, eps)
+    want = naive.quasirandom_by_subset_scan(g, eps)
+    assert got.exact
+    assert (got.ok, got.witness) == (want is None, want)
+
+
+@settings(max_examples=60, deadline=None)
+@given(subset_scan_graphs(4, 16), st.sampled_from([0.01, 0.05, 0.2, 0.5]))
+def test_exact_close_to_split_matches_the_subset_scan(g, eps):
+    got = is_eps_close_to_split(g, eps)
+    want = naive.close_to_split_by_subset_scan(g, eps)
+    assert got.exact
+    assert (got.ok, got.partition) == (want is not None, want)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 90), st.data())
+def test_edges_and_degree_match_the_bit_by_bit_versions(n, data):
+    npairs = n * (n - 1) // 2
+    density = data.draw(st.sampled_from([0.0, 0.01, 0.2, 0.9, 1.0]))
+    rng = random.Random(data.draw(st.integers(0, 2**32 - 1)))
+    g = LabeledGraph(n, sum(1 << k for k in range(npairs) if rng.random() < density))
+    assert g.edges() == naive.edges_by_bit_peeling(g)
+    assert all(type(u) is int and type(v) is int for u, v in g.edges())
+    assert [g.degree(v) for v in range(n)] == [naive.degree_by_shifts(g, v) for v in range(n)]

@@ -2,12 +2,17 @@
 saturation preprocessing, the permissible greedy, and leaf classification."""
 
 import itertools
+import json
 import math
 import random
+import warnings
 from collections import Counter
+from dataclasses import asdict
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import naive
 from c4containers import (
@@ -27,7 +32,14 @@ from c4containers import (
     random_order_independent_set,
 )
 from c4containers.hypergraph import UniformHypergraph
-from c4containers.pregraph import _saturation_threshold
+from c4containers.pregraph import (
+    EXACT_PARTITION_LIMIT,
+    EXACT_SUBSET_LIMIT,
+    _adjacency,
+    _saturation_threshold,
+    _subset_pair_counts,
+)
+from c4containers.tree import TreeParams, _concentrated_ell
 
 
 def random_pregraph(rng, n, n_mixed, n_fixed):
@@ -249,6 +261,7 @@ def test_permissible_matches_the_rescan_on_random_pregraphs():
         beta = rng.choice([0.01, 0.05, 0.5])
         got = build_permissible(p, ell, beta)
         assert_same_permissible(got, naive.build_permissible_by_rescan(p, ell, beta))
+        assert_same_permissible(got, naive.build_permissible_by_cursor(p, ell, beta))
         outcomes[got.status] += 1
         outcomes["to E"] += got.preprocessed.fixed != p.fixed
         outcomes["to N"] += got.preprocessed.neutral != p.neutral
@@ -403,3 +416,271 @@ def test_clique_cost_matches_naive():
         s = set(res.subset)
         inside = sum(1 for a, b in edges if a in s and b in s)
         assert res.cost == math.comb(ell, 2) - inside + len(edges) - inside
+
+
+# -- the fast paths against the slow references --------------------------------
+
+
+@st.composite
+def three_part_pregraphs(draw, min_n, max_n):
+    """Pregraphs on min_n..max_n vertices with nonempty M, E and N.  With
+    planted set, E lies mostly on a random vertex set U (each pair inside
+    with one drawn probability, pairs outside rarely), which makes
+    almost-split and near-clique answers common; a hub outside U may add E
+    edges to other outsiders, so that the top of the E-degree order is not
+    U and the swap searches have work to do.  Otherwise E, M and N are
+    spread over random pairs."""
+    n = draw(st.integers(min_n, max_n))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    planted = draw(st.booleans())
+    u = sorted(rng.sample(range(n), draw(st.integers(2, n))))
+    p_in = draw(st.sampled_from([0.3, 0.8, 0.95, 1.0]))
+    p_out = draw(st.sampled_from([0.0, 0.02, 0.1, 0.3]))
+    p_m = draw(st.sampled_from([0.05, 0.3, 0.7, 1.0]))
+    p_n = draw(st.sampled_from([0.0, 0.05, 0.2]))
+    outsiders = [v for v in range(n) if v not in u]
+    hub_edges = set()
+    if planted and outsiders and draw(st.booleans()):
+        hub, *rest = outsiders
+        hub_edges = {(min(hub, v), max(hub, v)) for v in rest if rng.random() < 0.8}
+    pairs = list(itertools.combinations(range(n), 2))
+    rng.shuffle(pairs)
+    first_e = (u[0], u[1]) if planted else pairs[0]
+    pairs.remove(first_e)
+    sets = {"E": [first_e], "M": [pairs[0]], "N": [pairs[1]]}
+    for a, b in pairs[2:]:
+        inside = a in u and b in u
+        if (a, b) in hub_edges or rng.random() < ((p_in if inside else p_out) if planted else p_out):
+            sets["E"].append((a, b))
+        elif rng.random() < p_n:
+            sets["N"].append((a, b))
+        elif rng.random() < p_m:
+            sets["M"].append((a, b))
+    return Pregraph(n, sets["M"], sets["E"], sets["N"])
+
+
+# 0.0625 and 0.25 make 7*sqrt(eps) exact (1.75 and 3.5), so the M budget
+# can be met with equality
+EPSILONS = st.sampled_from([0.001, 0.01, 0.05, 0.0625, 0.2, 0.25, 0.6])
+
+
+@settings(max_examples=40, deadline=None)
+@given(three_part_pregraphs(3, EXACT_SUBSET_LIMIT))
+def test_subset_pair_counts_match_the_peeling_dp(p):
+    for pairs in (p.fixed, p.mixed, p.neutral):
+        want = naive.subset_pair_counts_by_peeling(p.n, pairs)
+        assert _subset_pair_counts(_adjacency(p.n, pairs)).tolist() == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(three_part_pregraphs(3, EXACT_PARTITION_LIMIT), EPSILONS)
+def test_exact_almost_split_matches_the_subset_scan(p, eps):
+    got = is_almost_split_pregraph(p, eps)
+    want = naive.almost_split_by_subset_scan(p, eps)
+    assert got.exact
+    assert (got.u, got.w) == (want if got.found else (None, None))
+    assert got.found == (want is not None)
+
+
+@settings(max_examples=40, deadline=None)
+@given(three_part_pregraphs(3, EXACT_SUBSET_LIMIT), st.data())
+def test_exact_clique_cost_matches_the_subset_scan(p, data):
+    edges = p.fixed | p.mixed
+    ell = data.draw(st.integers(0, p.n))
+    got = close_to_clique_cost(p.n, edges, ell)
+    assert got.exact
+    assert (got.cost, got.subset) == naive.clique_cost_by_subset_scan(p.n, edges, ell)
+
+
+@settings(max_examples=40, deadline=None)
+@given(three_part_pregraphs(6, EXACT_SUBSET_LIMIT), st.sampled_from([0.001, 0.01, 0.05, 0.2]))
+def test_exact_concentrated_ell_matches_the_subset_scan(p, eps):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        params = TreeParams(p.n, 1, eps=eps)
+    want = naive.concentrated_ell_by_subset_scan(p, eps, params.r)
+    assert _concentrated_ell(p, params) == want
+
+
+def test_exact_concentrated_ell_matches_the_subset_scan_on_planted_cliques():
+    """E a clique on k random vertices, one pair short a quarter of the time, and M
+    at least half of the other pairs, so that both answers, an ell and None,
+    come up often."""
+    rng = random.Random(61)
+    seen = Counter()
+    for _ in range(30):
+        n = rng.randint(9, 14)
+        u = sorted(rng.sample(range(n), rng.randint(3, n // 3)))
+        fixed = list(itertools.combinations(u, 2))[rng.random() < 0.25 :]
+        rest = [q for q in itertools.combinations(range(n), 2) if q not in fixed]
+        rng.shuffle(rest)
+        p = Pregraph(n, rest[1 : rng.randint(len(rest) // 2, len(rest))], fixed, rest[:1])
+        eps = rng.choice([0.0001, 0.001, 0.01])
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            params = TreeParams(n, 1, eps=eps)
+        got = _concentrated_ell(p, params)
+        assert got == naive.concentrated_ell_by_subset_scan(p, eps, params.r)
+        seen[got is None] += 1
+    assert seen[True] >= 5 and seen[False] >= 5, seen
+
+
+@settings(max_examples=25, deadline=None)
+@given(three_part_pregraphs(EXACT_PARTITION_LIMIT + 1, 40), EPSILONS)
+def test_almost_split_swaps_match_the_recounting_search(p, eps):
+    got = is_almost_split_pregraph(p, eps)
+    want = naive.almost_split_by_recounting_swaps(p, eps)
+    assert not got.exact
+    assert (got.u, got.w) == (want if got.found else (None, None))
+    assert got.found == (want is not None)
+
+
+def swap_regime_pregraph(rng, max_n):
+    """(pregraph, eps) past the exact range: E on a random vertex set plus
+    noise outside it, M and N random, and a large eps."""
+    n = rng.randint(EXACT_PARTITION_LIMIT + 1, max_n)
+    u = set(rng.sample(range(n), rng.randint(2, n)))
+    p_in, p_out = rng.choice([0.3, 0.5, 0.7, 0.9]), rng.choice([0.03, 0.1, 0.2])
+    p_m = rng.choice([0.05, 0.2, 0.5, 0.8, 1.0])
+    sets = {"E": [], "M": [], "N": []}
+    for a, b in itertools.combinations(range(n), 2):
+        if rng.random() < (p_in if a in u and b in u else p_out):
+            sets["E"].append((a, b))
+        elif rng.random() < 0.05:
+            sets["N"].append((a, b))
+        elif rng.random() < p_m:
+            sets["M"].append((a, b))
+    return Pregraph(n, sets["M"], sets["E"], sets["N"]), rng.choice([0.4, 0.6, 0.8])
+
+
+def test_almost_split_swaps_match_the_recounting_search_where_swaps_decide():
+    """Seeded pregraphs past the exact range, in the regime where a split
+    is often found only after swaps (large eps, E on a random vertex set
+    plus noise outside it).  The first six whose split is not a prefix of
+    the E-degree order, and the first six others, match the recounting
+    search."""
+    rng = random.Random(83)
+    seen = Counter()
+    for _ in range(3000):
+        if min(seen["swaps"], seen["other"]) >= 6:
+            break
+        p, eps = swap_regime_pregraph(rng, 28)
+        n = p.n
+        got = is_almost_split_pregraph(p, eps)
+        degree = Counter(v for e in p.fixed for v in e)
+        prefix = sorted(range(n), key=lambda v: (-degree[v], v))[: len(got.u or ())]
+        kind = "swaps" if got.found and set(got.u) != set(prefix) else "other"
+        if seen[kind] < 6:
+            seen[kind] += 1
+            want = naive.almost_split_by_recounting_swaps(p, eps)
+            assert (got.u, got.w) == (want if got.found else (None, None))
+    assert seen["swaps"] == seen["other"] == 6, seen
+
+
+def test_almost_split_swaps_follow_set_iteration_order():
+    """The members of U are tried in the iteration order of the Python set,
+    which is not sorted order once vertex numbers wrap its hash table.  On
+    this instance trying them in sorted order finds (1, 4, 10, 11) instead."""
+    p, eps = swap_regime_pregraph(random.Random(352), 24)
+    got = is_almost_split_pregraph(p, eps)
+    assert (p.n, eps, got.u) == (17, 0.8, (1, 2, 4, 9))
+    assert (got.u, got.w) == naive.almost_split_by_recounting_swaps(p, eps)
+
+
+@pytest.mark.parametrize("n", [EXACT_PARTITION_LIMIT, 16])
+def test_almost_split_meets_the_mixed_budget_with_equality(n):
+    """E empty, M a star at vertex 5 plus 1.75n pairs avoiding 0 and 5,
+    eps = 1/16: only U = {5} leaves e_M(W) = 1.75n = 7*sqrt(eps)*1*n,
+    which the scan finds and the greedy reaches by swapping 5 in for 0."""
+    star = [(min(5, v), max(5, v)) for v in range(n) if v != 5]
+    rest = [q for q in itertools.combinations(range(n), 2) if 0 not in q and 5 not in q]
+    p = Pregraph(n, star + rest[: int(1.75 * n)], [])
+    got = is_almost_split_pregraph(p, 0.0625)
+    assert (got.found, got.exact, got.u) == (True, n <= EXACT_PARTITION_LIMIT, (5,))
+    reference = (naive.almost_split_by_subset_scan if got.exact
+                 else naive.almost_split_by_recounting_swaps)
+    assert (got.u, got.w) == reference(p, 0.0625)
+
+
+@pytest.mark.parametrize("n", [16, 20])
+def test_concentrated_ell_needs_mixed_mass_strictly_above_the_budget(n):
+    """E = {01} and eps = 1/16, so ell = 2 with U = {0, 1} is the only
+    candidate and its budget 7*sqrt(eps)*n*2 = 3.5n is exact: M with 3.5n
+    pairs outside U gives None, one pair more gives 2."""
+    outside = list(itertools.combinations(range(2, n), 2))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        params = TreeParams(n, 1, eps=0.0625)
+    exact = n <= EXACT_SUBSET_LIMIT
+    reference = (naive.concentrated_ell_by_subset_scan if exact
+                 else naive.concentrated_ell_by_recounting_swaps)
+    for extra, want in ((0, None), (1, 2)):
+        p = Pregraph(n, outside[: int(3.5 * n) + extra], [(0, 1)])
+        assert _concentrated_ell(p, params) == want
+        assert reference(p, 0.0625, params.r) == want
+
+
+@settings(max_examples=25, deadline=None)
+@given(three_part_pregraphs(EXACT_SUBSET_LIMIT + 1, 30), st.sampled_from([0.001, 0.01, 0.05]))
+def test_concentrated_ell_beyond_the_scan_matches_the_recounting_search(p, eps):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        params = TreeParams(p.n, 1, eps=eps)
+    want = naive.concentrated_ell_by_recounting_swaps(p, eps, params.r)
+    assert _concentrated_ell(p, params) == want
+
+
+@settings(max_examples=25, deadline=None)
+@given(three_part_pregraphs(EXACT_SUBSET_LIMIT + 1, 40), st.data())
+def test_clique_swaps_match_the_recounting_search(p, data):
+    edges = p.fixed | p.mixed
+    ell = data.draw(st.integers(0, p.n))
+    got = close_to_clique_cost(p.n, edges, ell)
+    assert not got.exact
+    assert (got.cost, got.subset) == naive.clique_cost_by_recounting_swaps(p.n, edges, ell)
+
+
+@settings(max_examples=60, deadline=None)
+@given(three_part_pregraphs(4, 11), st.integers(1, 4), st.sampled_from([0.01, 0.05, 0.5, 2.0]))
+def test_permissible_matches_the_list_cursor(p, ell, beta):
+    ell = min(ell, p.n)
+    got = build_permissible(p, ell, beta)
+    assert_same_permissible(got, naive.build_permissible_by_cursor(p, ell, beta))
+    ground = got.system.ground
+    index = {e: k for k, e in enumerate(ground)}
+    degrees = [[Counter(), Counter()] for _ in range(3)]
+    for (a_deg, b_deg), h in zip(degrees, got.system):
+        for c, mult in h.constraints():
+            a_deg.update({k: mult for k in c.a0})
+            b_deg.update({k: mult for k in c.a1})
+    a_deg, b_deg = zip(*degrees)
+    want = naive.neutralize_from_scratch(p, index, a_deg, b_deg, ell)
+    assert got.preprocessed == want
+    assert preprocess_saturation(p, *got.system, ell, p.n) == want
+
+
+def _plain(value):
+    """Whether value is built from Python ints, bools and None, and tuples of them."""
+    if isinstance(value, tuple):
+        return all(_plain(x) for x in value)
+    return value is None or type(value) in (int, bool)
+
+
+@pytest.mark.parametrize("n", [16, 20, 30])
+def test_scan_results_are_plain_python_values(n):
+    """No numpy scalar leaks out of the exact scans or the swap searches:
+    every field is a Python int or bool, or a tuple of them, and json.dumps
+    takes it.  E is a 4-clique and M every other pair."""
+    clique = list(itertools.combinations(range(4), 2))
+    p = Pregraph(n, set(itertools.combinations(range(n), 2)) - set(clique), clique)
+    cost = close_to_clique_cost(n, p.mixed, 4)
+    split = is_almost_split_pregraph(p, 0.6)
+    assert split.found and cost.cost > 0
+    for result in (cost, split):
+        assert all(_plain(v) for v in vars(result).values()), result
+        json.dumps(asdict(result))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        params = TreeParams(n, 1)
+    ell = _concentrated_ell(p, params)
+    assert ell == 4 and type(ell) is int
