@@ -6,15 +6,19 @@ edges out of the ell*(n-ell) available ones, so
 
     N_{n,m}(ell) = C(ell*(n-ell), m - C(ell,2))
 
-when C(ell,2) <= m <= ell*(n-ell) + C(ell,2), and 0 otherwise.  This module
-evaluates N exactly (big integers) and in natural-log space (log-gamma),
-locates its maximizing ell, computes the real fixed point
+when C(ell,2) <= m <= ell*(n-ell) + C(ell,2), and 0 otherwise.  These ell
+form one band lo..hi, found in integer arithmetic.  This module evaluates N
+exactly and in natural-log space (log-gamma), locates its maximizing ell
+by a log-space scan of the band alone, computes the real fixed point
 
     ell_{n,m} = sqrt(m / ln(ell_{n,m} * n / m))
 
 that pins down the maximum's location in the regime n << m <= lambda*n^2,
 and evaluates the consecutive-ratio decomposition N(ell+1)/N(ell) =
-a(ell) * b(ell) with exact rational falling factorials.  The bounds
+a(ell) * b(ell) with exact rational falling factorials.  An exact N is a
+big binomial C(a, k): small ones come from math.comb, large ones from a
+product of prime powers (Legendre's formula), which needs no big-integer
+division.  The bounds
 
     max_ell N(ell)  <=  |S_{n,m}|  <=  sum_ell C(n,ell) * N(ell)
 
@@ -87,13 +91,87 @@ def _feasible(n: int, m: int, ell: int) -> bool:
     return math.comb(ell, 2) <= m <= ell * (n - ell) + math.comb(ell, 2)
 
 
+def _feasible_band(n: int, m: int) -> tuple[int, int]:
+    """(lo, hi) such that the feasible clique sides are exactly lo..hi; the
+    band is empty when lo > hi.
+
+    hi is the largest ell <= n with C(ell,2) <= m.  lo is the least ell with
+    ell*(n-ell) + C(ell,2) >= m, found by bisection: that function of ell
+    grows by n - ell - 1 >= 0 from ell to ell + 1, so it is nondecreasing on
+    0..n.  lo is n + 1 when even ell = n falls short."""
+    if m < 0:
+        return 1, 0
+    hi = min(n, (1 + math.isqrt(1 + 8 * m)) // 2)
+    lo, top = 0, n + 1
+    while lo < top:
+        mid = (lo + top) // 2
+        if mid * (n - mid) + mid * (mid - 1) // 2 >= m:
+            top = mid
+        else:
+            lo = mid + 1
+    return lo, hi
+
+
+# With j = min(k, a - k), math.comb(a, k) is faster while j < 1000 or
+# j < 10 sqrt(a); beyond both, the prime-power product is (the timing sweep,
+# run on CPython 3.11 only, is in CHANGES.md).  Its sieve holds a + 1
+# bytes, which caps a.
+_PRIME_PRODUCT_MIN_J = 1000
+_PRIME_PRODUCT_SQRT_SLOPE = 10
+_PRIME_PRODUCT_MAX_A = 1 << 25
+
+
+def _binomial(a: int, k: int) -> int:
+    """C(a, k) for 0 <= k <= a, by whichever exact route is faster."""
+    j = min(k, a - k)
+    if (
+        j < _PRIME_PRODUCT_MIN_J
+        or j * j < _PRIME_PRODUCT_SQRT_SLOPE**2 * a
+        or a > _PRIME_PRODUCT_MAX_A
+    ):
+        return math.comb(a, k)
+    return _prime_power_binomial(a, k)
+
+
+def _primes_upto(a: int) -> np.ndarray:
+    sieve = np.ones(a + 1, dtype=bool)
+    sieve[:2] = False
+    for p in range(2, math.isqrt(a) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = False
+    return np.flatnonzero(sieve)
+
+
+def _prime_power_binomial(a: int, k: int) -> int:
+    """C(a, k) as the product of p^e over the primes p <= a, where Legendre's
+    formula gives e = sum_i (a // p^i - k // p^i - (a - k) // p^i); the
+    factors are multiplied in a balanced tree, with no division."""
+    primes = _primes_upto(a)
+    exps = np.zeros(len(primes), dtype=np.int64)
+    powers = primes.copy()
+    live = np.arange(len(primes))  # the primes whose current power is <= a
+    while len(live):
+        q = powers[live]
+        exps[live] += a // q - k // q - (a - k) // q
+        powers[live] = q * primes[live]
+        live = live[powers[live] <= a]
+    keep = exps > 0
+    factors = [p if e == 1 else p**e for p, e in zip(primes[keep].tolist(), exps[keep].tolist())]
+    while len(factors) > 1:
+        if len(factors) % 2:
+            factors.append(1)
+        factors = [x * y for x, y in zip(factors[::2], factors[1::2])]
+    return factors[0] if factors else 1
+
+
 def n_nm(n: int, m: int, ell: int) -> int:
-    """Split graphs with clique side [ell], m edges total: exact count."""
+    """Split graphs with clique side [ell], m edges total: the exact count
+    C(ell*(n-ell), m - C(ell,2)), from `_binomial`."""
     if not 0 <= ell <= n:
         raise PreconditionError(f"clique side {ell} outside 0..{n}")
     if m < 0 or not _feasible(n, m, ell):
         return 0
-    return math.comb(ell * (n - ell), m - math.comb(ell, 2))
+    return _binomial(ell * (n - ell), m - math.comb(ell, 2))
 
 
 def _log_comb(a: float, k: float) -> float:
@@ -156,37 +234,44 @@ def ell_nm(n: int, m: int, lam: float = DEFAULT_LAMBDA) -> float:
     return ell
 
 
-def _log_n_nm_vector(n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """(ells, logs): ell = 0..n as floats and log N_{n,m}(ell) by log-gamma,
-    -inf where ell is infeasible."""
-    ells = np.arange(0, n + 1, dtype=np.float64)
-    cross = ells * (n - ells)
+def _log_n_nm_band(n: int, m: int, lo: int, hi: int) -> np.ndarray:
+    """log N_{n,m}(ell) by log-gamma for ell = lo..hi, all feasible.  The
+    floats ell, ell*(n-ell) and m - ell*(ell-1)/2 are exact while
+    n^2 < 2^53, so these are the band's entries of the full 0..n vector."""
+    ells = np.arange(lo, hi + 1, dtype=np.float64)
+    a = ells * (n - ells)
     k = m - ells * (ells - 1) / 2
-    ok = (k >= 0) & (k <= cross)
-    logs = np.full(n + 1, -np.inf)
-    a = cross[ok]
-    kk = k[ok]
-    logs[ok] = gammaln(a + 1) - gammaln(kk + 1) - gammaln(a - kk + 1)
-    return ells, logs
+    return gammaln(a + 1) - gammaln(k + 1) - gammaln(a - k + 1)
 
 
 def argmax_n_nm(n: int, m: int, lam: float = DEFAULT_LAMBDA) -> int:
     """The ell maximizing N_{n,m} over its whole feasible range (smallest on
-    ties), located by an exact log-space scan."""
+    ties), located by an exact log-space scan of the feasible band lo..hi
+    (see `_feasible_band`); no float is computed outside it."""
     _check_regime(n, m, lam)
-    _, logs = _log_n_nm_vector(n, m)
-    best = int(np.argmax(logs))  # argmax returns the first, hence smallest, ell
-    if logs[best] == -np.inf:
+    lo, hi = _feasible_band(n, m)
+    if lo > hi:
         raise PreconditionError(f"no feasible clique side for n={n}, m={m}")
-    return best
+    # argmax returns the first, hence smallest, ell
+    return lo + int(np.argmax(_log_n_nm_band(n, m, lo, hi)))
 
 
 def ratio_a(n: int, m: int, ell: int) -> Fraction:
     """First factor of N(ell+1)/N(ell): the falling-factorial ratio
-    ((ell+1)(n-ell-1))_{m-C(ell+1,2)} / ((ell)(n-ell))_{m-C(ell+1,2)}."""
+    (A)_k / (B)_k with A = (ell+1)(n-ell-1), B = ell(n-ell) and
+    k = m - C(ell+1,2).
+
+    It telescopes: for A >= B it is (A)_d / (A-k)_d with d = A - B, the
+    products over B < i <= A and B-k < i <= A-k, and for A < B it is
+    (B-k)_d / (B)_d with d = B - A.  Either way both sides have
+    |A - B| = |n - 2ell - 1| factors, not k; feasibility of ell and ell+1
+    gives k <= A and k <= B, so every factor is positive."""
     _require_consecutive(n, m, ell)
     k = m - math.comb(ell + 1, 2)
-    return Fraction(math.perm((ell + 1) * (n - ell - 1), k), math.perm(ell * (n - ell), k))
+    a, b = (ell + 1) * (n - ell - 1), ell * (n - ell)
+    if a >= b:
+        return Fraction(math.perm(a, a - b), math.perm(a - k, a - b))
+    return Fraction(math.perm(b - k, b - a), math.perm(b, b - a))
 
 
 def ratio_b(n: int, m: int, ell: int) -> Fraction:
@@ -219,10 +304,13 @@ def snm_bounds(n: int, m: int) -> tuple[LogCount, LogCount]:
     edges): the largest single term and the binomial-weighted sum."""
     if m < 0 or m > math.comb(n, 2):
         raise PreconditionError(f"edge count {m} infeasible for n={n}")
-    ells, logs = _log_n_nm_vector(n, m)
+    lo, hi = _feasible_band(n, m)
+    logs = np.full(n + 1, -np.inf)
+    logs[lo : hi + 1] = _log_n_nm_band(n, m, lo, hi)
     lower = float(np.max(logs))
     if lower == -math.inf:
         return LogCount(-math.inf), LogCount(-math.inf)
+    ells = np.arange(0, n + 1, dtype=np.float64)
     choose = gammaln(n + 1) - gammaln(ells + 1) - gammaln(n - ells + 1)
     terms = logs + choose
     top = float(np.max(terms))

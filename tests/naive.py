@@ -10,10 +10,18 @@ import itertools
 import math
 import random
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
+from scipy.special import gammaln
 
-from c4containers import Constraint, LabeledGraph, Pregraph, UniformHypergraph
+from c4containers import (
+    Constraint,
+    LabeledGraph,
+    PreconditionError,
+    Pregraph,
+    UniformHypergraph,
+)
 from c4containers.oracle import DeletionSample
 from c4containers.pregraph import ConstraintSystem, PermissibleResult
 
@@ -668,3 +676,56 @@ def close_to_split_by_subset_scan(g, eps):
         if counts[a] >= (1 - eps) * math.comb(size, 2) and counts[full ^ a] <= eps * g.m:
             return _vertex_tuple(a, g.n), _vertex_tuple(full ^ a, g.n)
     return None
+
+
+# -- split counts over every clique side -----------------------------------------
+
+
+def log_n_nm_full_vector(n, m):
+    """log N_{n,m}(ell) by log-gamma for every ell = 0..n, -inf where the
+    float test C(ell,2) <= m <= ell(n-ell) + C(ell,2) fails."""
+    ells = np.arange(0, n + 1, dtype=np.float64)
+    cross = ells * (n - ells)
+    k = m - ells * (ells - 1) / 2
+    ok = (k >= 0) & (k <= cross)
+    logs = np.full(n + 1, -np.inf)
+    a = cross[ok]
+    kk = k[ok]
+    logs[ok] = gammaln(a + 1) - gammaln(kk + 1) - gammaln(a - kk + 1)
+    return logs
+
+
+def snm_bounds_by_full_vector(n, m):
+    """(lower, upper) floats of snm_bounds from the full masked vector."""
+    logs = log_n_nm_full_vector(n, m)
+    lower = float(np.max(logs))
+    if lower == -math.inf:
+        return lower, lower
+    ells = np.arange(0, n + 1, dtype=np.float64)
+    choose = gammaln(n + 1) - gammaln(ells + 1) - gammaln(n - ells + 1)
+    terms = logs + choose
+    top = float(np.max(terms))
+    return lower, top + math.log(float(np.sum(np.exp(terms - top))))
+
+
+def argmax_n_nm_by_full_scan(n, m, lam):
+    """argmax_ell N_{n,m}(ell), smallest on ties, from a log-gamma vector over
+    every ell = 0..n with -inf at the infeasible ones."""
+    if m <= n:
+        raise PreconditionError(f"fixed-point regime needs m > n, got n={n}, m={m}")
+    if m > lam * n * n:
+        raise PreconditionError(
+            f"fixed-point regime needs m <= lambda*n^2 = {lam * n * n:.6g}, got m={m}"
+        )
+    logs = log_n_nm_full_vector(n, m)
+    best = int(np.argmax(logs))
+    if logs[best] == -np.inf:
+        raise PreconditionError(f"no feasible clique side for n={n}, m={m}")
+    return best
+
+
+def ratio_a_by_perms(n, m, ell):
+    """(A)_k / (B)_k with A = (ell+1)(n-ell-1), B = ell(n-ell) and
+    k = m - C(ell+1,2), as two falling factorials of length k."""
+    k = m - math.comb(ell + 1, 2)
+    return Fraction(math.perm((ell + 1) * (n - ell - 1), k), math.perm(ell * (n - ell), k))

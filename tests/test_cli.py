@@ -77,6 +77,17 @@ def test_count_split_prints_every_digit_of_a_huge_count(capsys):
     assert got == want
 
 
+# stdout of `count-split --n 4000 --m 200000 --ell 295`, the count at the argmax:
+# 195,054 digits, recorded when every exact count came from math.comb
+COUNT_SPLIT_N4000_SHA256 = "920d15d9a622962647826284a2ec0e869380de3749500a27674ab0054a50796e"
+
+
+def test_count_split_at_n4000_is_unchanged(capsys):
+    code, out, _ = run(capsys, "count-split", "--n", "4000", "--m", "200000", "--ell", "295")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == COUNT_SPLIT_N4000_SHA256
+
+
 def test_count_split_grid_row(capsys):
     code, out, _ = run(capsys, "count-split", "--n", "10000", "--m", "200000")
     assert code == 0

@@ -5,10 +5,15 @@ study where the counts concentrate."""
 import itertools
 import math
 import random
+import types
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import naive
+from c4containers import splitcounts
 from c4containers import (
     LabeledGraph,
     LogCount,
@@ -28,6 +33,7 @@ from c4containers import (
     snm_bounds,
     split_grid,
 )
+from c4containers.splitcounts import _binomial, _feasible, _feasible_band, _prime_power_binomial
 
 
 def brute_count_clique_side(n, m, ell):
@@ -189,3 +195,162 @@ def test_split_grid_rows_and_csv():
     assert len(lines) == 2 + len(rows)
     first = lines[2].split(",")
     assert int(first[0]) == n and int(first[1]) == rows[0].m
+
+
+# -- the feasible band and the prime-power binomial -------------------------------
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except PreconditionError as exc:
+        return ("PreconditionError", str(exc))
+
+
+def test_feasible_band_is_exactly_the_feasible_clique_sides():
+    for n in range(0, 41):
+        for m in range(-2, n * (n - 1) // 2 + 3):
+            lo, hi = _feasible_band(n, m)
+            assert [ell for ell in range(n + 1) if lo <= ell <= hi] == [
+                ell for ell in range(n + 1) if m >= 0 and _feasible(n, m, ell)
+            ]
+
+
+# the 24 points of acceptance criterion 8, then the 18 grid rows and the
+# three `count-split --ell` jobs of the benchmark's counts workload
+CRITERION_8_POINTS = [(n, m) for n in (10**4, 10**5, 10**6) for m in log_spaced_m(n, 8)]
+BENCHMARK_POINTS = [(n, m) for n in (10**4, 10**5, 10**6) for m in log_spaced_m(n, 6)] + [
+    (500, 2500),
+    (1000, 10000),
+    (2000, 50000),
+]
+
+
+@pytest.mark.parametrize(
+    "points", [CRITERION_8_POINTS, BENCHMARK_POINTS], ids=["criterion8", "benchmark"]
+)
+def test_band_argmax_matches_the_full_scan_on_fixed_points(points):
+    assert len(points) in (24, 21)
+    for n, m in points:
+        assert argmax_n_nm(n, m) == naive.argmax_n_nm_by_full_scan(n, m, 1 / 64)
+
+
+def test_band_argmax_raises_what_the_full_scan_raises():
+    # m > C(n, 2): the regime admits it at lambda = 1, but no clique side is feasible
+    cases = [(10, 50, 1.0), (3, 4, 1.0), (2, 3, 1.0), (100, 50, 1 / 64), (100, 9000, 1 / 64)]
+    for n, m, lam in cases:
+        want = _outcome(naive.argmax_n_nm_by_full_scan, n, m, lam)
+        assert isinstance(want, tuple)
+        assert _outcome(argmax_n_nm, n, m, lam) == want
+
+
+@st.composite
+def band_edge_instances(draw):
+    """(n, m, lam) with m often at a band edge of some ell: C(ell,2) or
+    ell(n-ell) + C(ell,2), give or take one."""
+    n = draw(st.integers(1, 3000))
+    ell = draw(st.integers(0, n))
+    edge = draw(st.sampled_from([math.comb(ell, 2), ell * (n - ell) + math.comb(ell, 2), None]))
+    if edge is None:
+        m = draw(st.integers(n + 1, max(n + 1, n * n)))
+    else:
+        m = edge + draw(st.integers(-1, 1))
+    lam = draw(st.sampled_from([1 / 64, 1 / 8, 0.5, 1.0, 4.0]))
+    return n, m, lam
+
+
+@settings(max_examples=300, deadline=None)
+@given(band_edge_instances())
+def test_band_argmax_matches_the_full_scan(instance):
+    n, m, lam = instance
+    assert _outcome(argmax_n_nm, n, m, lam) == _outcome(naive.argmax_n_nm_by_full_scan, n, m, lam)
+
+
+@settings(max_examples=100, deadline=None)
+@given(band_edge_instances())
+def test_snm_bounds_match_the_full_vector(instance):
+    n, m, _ = instance
+    if not 0 <= m <= math.comb(n, 2):
+        return
+    lower, upper = snm_bounds(n, m)
+    assert (lower.value, upper.value) == naive.snm_bounds_by_full_vector(n, m)
+
+
+# a prime (97, 10007) and prime powers (3^9, 2^14), each with k at 0, 1,
+# a - 1 and a, and around and above a / 2
+BINOMIAL_EDGE_CASES = (
+    [(97, k) for k in (0, 1, 2, 48, 49, 50, 96, 97)]
+    + [(3**9, k) for k in (0, 1, 3**8, 3**9 // 2 + 1, 3**9 - 1, 3**9)]
+    + [(2**14, k) for k in (0, 1, 2**13, 2**13 + 5, 2**14 - 1, 2**14)]
+    + [(10007, k) for k in (0, 1, 1000, 5003, 9000, 10006, 10007)]
+)
+
+
+def test_prime_power_binomial_matches_math_comb_on_edge_cases():
+    for a in range(0, 60):
+        for k in range(a + 1):
+            assert _prime_power_binomial(a, k) == math.comb(a, k)
+    for a, k in BINOMIAL_EDGE_CASES:
+        assert _prime_power_binomial(a, k) == math.comb(a, k)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 60000), st.data())
+def test_prime_power_binomial_matches_math_comb(a, data):
+    k = data.draw(st.integers(0, a))
+    assert _prime_power_binomial(a, k) == math.comb(a, k)
+    assert _binomial(a, k) == math.comb(a, k)
+
+
+def test_binomial_routes_by_the_cutoff(monkeypatch):
+    # j = min(k, a - k) must reach 1000 and 10 sqrt(a), and a must stay <= 2^25
+    cases = {
+        (5000, 999): "comb",
+        (5000, 1000): "primes",
+        (5000, 4001): "comb",
+        (5000, 4000): "primes",
+        (40000, 1999): "comb",
+        (40000, 2000): "primes",
+        (40000, 38000): "primes",
+        (2**25, 2**24): "primes",
+        (2**25 + 1, 2**24): "comb",
+        (1000, 500): "comb",
+        (10**6, 0): "comb",
+    }
+    # the spies stand in for both routes, so no big binomial is computed here
+    monkeypatch.setattr(splitcounts, "_prime_power_binomial", lambda a, k: "primes")
+    monkeypatch.setattr(splitcounts, "math", types.SimpleNamespace(comb=lambda a, k: "comb"))
+    assert {case: _binomial(*case) for case in cases} == cases
+
+
+def test_n_nm_takes_the_prime_power_route_at_scale(monkeypatch):
+    routed = []
+
+    def spy(a, k):
+        routed.append((a, k))
+        return _prime_power_binomial(a, k)
+
+    monkeypatch.setattr(splitcounts, "_prime_power_binomial", spy)
+    a, k = 148 * 1852, 50000 - math.comb(148, 2)
+    assert n_nm(2000, 50000, 148) == math.comb(a, k)
+    assert routed == [(a, k)]
+
+
+def test_ratio_a_matches_the_two_falling_factorials():
+    for n in range(1, 31):
+        for m in range(n * (n - 1) // 2 + 1):
+            for ell in range(n):
+                if _feasible(n, m, ell) and _feasible(n, m, ell + 1):
+                    assert ratio_a(n, m, ell) == naive.ratio_a_by_perms(n, m, ell)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(2, 400), st.data())
+def test_ratio_a_matches_the_two_falling_factorials_at_larger_n(n, data):
+    ell = data.draw(st.integers(0, n - 1))
+    lo = max(math.comb(ell + 1, 2), math.comb(ell, 2))
+    hi = min(ell * (n - ell) + math.comb(ell, 2), (ell + 1) * (n - ell - 1) + math.comb(ell + 1, 2))
+    if lo > hi:
+        return
+    m = data.draw(st.sampled_from([lo, hi]) | st.integers(lo, hi))
+    assert ratio_a(n, m, ell) == naive.ratio_a_by_perms(n, m, ell)
