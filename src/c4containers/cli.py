@@ -10,10 +10,13 @@ Subcommands:
   phi              ln phi(m), exactly or via the fitted bounds
   stability-probe  leaf test and hypergraph selection diagnostics
 
-Configuration is resolved per flag as CLI value, then config-file value, then
-the built-in default.  Config files are flat ``key = value`` text, one pair
-per line, `#` comments allowed.  Every run that writes results via --out also
-writes ``<out>.manifest`` beside them, a config file that reproduces the run:
+Each subcommand declares only the flags its run reads, plus --seed and
+--out; an undeclared flag is a usage error (exit 2).  Configuration is
+resolved per flag as CLI value, then config-file value, then the built-in
+default; config-file keys the subcommand does not read are ignored.  Config
+files are flat ``key = value`` text, one pair per line, `#` comments allowed.
+Every run that writes results via --out also writes ``<out>.manifest`` beside
+them, a config file that reproduces the run:
 
     c4containers --config results.csv.manifest
 
@@ -211,10 +214,13 @@ def _cmd_phi(res: _Resolver) -> int:
     n = res.get("n", int, required=True)
     m = res.get("m", int, required=True)
     p = res.get("p", float, required=True)
-    mode = res.get("mode", str, "exact" if res.get("exact", bool, False) else None)
+    exact = res.get("exact", bool, False)
+    mode = res.get("mode", str, "exact" if exact else None)
     out = res.get("out", str)
     if mode is None:
         raise PreconditionError("phi needs --mode exact|lower_bound|upper_bound (or --exact)")
+    if exact and mode != "exact":
+        raise PreconditionError(f"--exact contradicts --mode {mode}")
     value = phi_log(n, m, p, mode)
     consts = PHI_FITTED_CONSTANTS
     lines = [
@@ -340,14 +346,24 @@ def _cmd_stability_probe(res: _Resolver) -> int:
 # -- parser and dispatch -----------------------------------------------------------
 
 
+# each subcommand's handler and the flags it resolves; every run also resolves
+# --seed and --out, so the parser gives those to every subcommand
 _COMMANDS = {
-    "containers": _cmd_containers,
-    "tree": _cmd_tree,
-    "count-split": _cmd_count_split,
-    "enumerate": _cmd_enumerate,
-    "sampler": _cmd_sampler,
-    "phi": _cmd_phi,
-    "stability-probe": _cmd_stability_probe,
+    "containers": (_cmd_containers, ("input", "K", "b", "m", "r", "force")),
+    "tree": (_cmd_tree, ("n", "m", "eps", "delta", "beta", "lambda", "force")),
+    "count-split": (_cmd_count_split, ("n", "m", "ell", "lambda")),
+    "enumerate": (_cmd_enumerate, ("n", "m")),
+    "sampler": (_cmd_sampler, ("n", "m", "delta", "runs", "max-attempts")),
+    "phi": (_cmd_phi, ("n", "m", "p", "mode", "exact")),
+    "stability-probe": (_cmd_stability_probe, ("input", "n", "m", "eps", "delta", "beta", "lambda")),
+}
+
+_FLAG_SPECS = {
+    **{f: {"type": int} for f in ("n", "m", "seed", "ell", "runs", "max-attempts", "b", "r")},
+    **{f: {"type": float} for f in ("eps", "delta", "beta", "lambda", "p", "K")},
+    **{f: {} for f in ("out", "input")},
+    **{f: {"action": "store_const", "const": True} for f in ("exact", "force")},
+    "mode": {"choices": ["exact", "lower_bound", "upper_bound"]},
 }
 
 
@@ -361,32 +377,10 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     top.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = top.add_subparsers(dest="command")
-    for name in _COMMANDS:
+    for name, (_, flags) in _COMMANDS.items():
         sp = sub.add_parser(name)
-        sp.add_argument("--n", type=int)
-        sp.add_argument("--m", type=int)
-        sp.add_argument("--eps", type=float)
-        sp.add_argument("--delta", type=float)
-        sp.add_argument("--beta", type=float)
-        sp.add_argument("--lambda", type=float, dest="lambda_")
-        sp.add_argument("--seed", type=int)
-        sp.add_argument("--out")
-        sp.add_argument("--exact", action="store_const", const=True, default=None)
-        sp.add_argument("--force", action="store_const", const=True, default=None)
-        if name == "count-split":
-            sp.add_argument("--ell", type=int)
-        if name == "phi":
-            sp.add_argument("--p", type=float)
-            sp.add_argument("--mode", choices=["exact", "lower_bound", "upper_bound"])
-        if name == "sampler":
-            sp.add_argument("--runs", type=int)
-            sp.add_argument("--max-attempts", type=int)
-        if name in ("containers", "stability-probe"):
-            sp.add_argument("--input")
-        if name == "containers":
-            sp.add_argument("--K", type=float)
-            sp.add_argument("--b", type=int)
-            sp.add_argument("--r", type=int)
+        for flag in (*flags, "seed", "out"):
+            sp.add_argument(f"--{flag}", **_FLAG_SPECS[flag])
     return top
 
 
@@ -413,12 +407,9 @@ def main(argv: Optional[list[str]] = None) -> int:
         if ns.command is None:
             parser.print_usage(sys.stderr)
             return 2
-        # --lambda lands in ns.lambda_; expose it under its config name
-        if getattr(ns, "lambda_", None) is not None:
-            setattr(ns, "lambda", ns.lambda_)
         res = _Resolver(ns, cfg)
         res.resolved["seed"] = res.get("seed", int, 0)
-        return _COMMANDS[ns.command](res)
+        return _COMMANDS[ns.command][0](res)
     except PreconditionError as exc:
         print(f"error (precondition): {exc}", file=sys.stderr)
         return 3

@@ -232,7 +232,7 @@ class UniformHypergraph:
         return "\n".join(lines) + "\n"
 
     @staticmethod
-    def from_text(text: str, *, allow_degenerate: bool = False) -> "UniformHypergraph":
+    def from_text(text: str) -> "UniformHypergraph":
         lines = [ln for ln in (raw.strip() for raw in text.splitlines()) if ln and not ln.startswith("#")]
         if not lines:
             raise ValueError("empty hypergraph text")
@@ -240,7 +240,7 @@ class UniformHypergraph:
         if len(head) != 3:
             raise ValueError(f"bad header {lines[0]!r}, expected 'k0 k1 n'")
         k0, k1, n = map(int, head)
-        h = UniformHypergraph(k0, k1, n, allow_degenerate=allow_degenerate)
+        h = UniformHypergraph(k0, k1, n)
         for ln in lines[1:]:
             parts = ln.split("|")
             if len(parts) != 3:

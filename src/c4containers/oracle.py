@@ -39,7 +39,7 @@ import numpy as np
 
 from . import graph6
 from .errors import ScaleError
-from .pregraph import _by_subset_size, _subset_pair_counts, _vertices
+from .pregraph import EXACT_SUBSET_LIMIT, _by_subset_size, _subset_pair_counts, _vertices
 
 __all__ = [
     "LabeledGraph",
@@ -62,8 +62,9 @@ __all__ = [
 
 EXACT_COUNT_LIMIT = 8
 BACKTRACK_LIMIT = 7
-SUBSET_SCAN_LIMIT = 16
 EX_C4_LIMIT = 14
+QUASIRANDOM_SEED = 0
+QUASIRANDOM_SAMPLES = 20000
 
 
 def _bits(x: int) -> list[int]:
@@ -372,11 +373,10 @@ class QuasirandomCheck:
     witness: Optional[tuple[int, ...]]  # a violating subset when not ok
 
 
-def is_eps_quasirandom(
-    g: LabeledGraph, eps: float, *, seed: int = 0, samples: int = 20000
-) -> QuasirandomCheck:
+def is_eps_quasirandom(g: LabeledGraph, eps: float) -> QuasirandomCheck:
     """Every subset on more than eps*n vertices must induce density within
-    (1 +- eps) of the global one.  Exhaustive for n <= 16, sampled beyond."""
+    (1 +- eps) of the global one.  Exhaustive for n <= 16; beyond, it tests
+    QUASIRANDOM_SAMPLES random subsets drawn from QUASIRANDOM_SEED."""
     if g.n < 2:
         raise ValueError("density needs at least two vertices")
     p = g.m / math.comb(g.n, 2)
@@ -390,7 +390,7 @@ def is_eps_quasirandom(
         dens = count / math.comb(size, 2)
         return not (lo <= dens <= hi)
 
-    if g.n <= SUBSET_SCAN_LIMIT:
+    if g.n <= EXACT_SUBSET_LIMIT:
         e = _subset_pair_counts(g.adjacency_masks())
         skip = _by_subset_size(g.n, lambda size: size <= eps * g.n or size < 2)
         dens = e / _by_subset_size(g.n, lambda size: max(math.comb(size, 2), 1))
@@ -399,9 +399,9 @@ def is_eps_quasirandom(
             s = int(np.argmax(bad))  # the first violating subset
             return QuasirandomCheck(False, True, _vertices(s, g.n))
         return QuasirandomCheck(True, True, None)
-    rng = random.Random(seed)
+    rng = random.Random(QUASIRANDOM_SEED)
     adj = g.adjacency_masks()
-    for _ in range(samples):
+    for _ in range(QUASIRANDOM_SAMPLES):
         size = rng.randint(max(2, int(eps * g.n) + 1), g.n)
         subset = rng.sample(range(g.n), size)
         smask = 0
@@ -426,7 +426,7 @@ def is_eps_close_to_split(g: LabeledGraph, eps: float) -> CloseSplitCheck:
     eps fraction of its pairs) and B carrying at most eps*e(G) edges?
     Exhaustive over all 2^n partitions for n <= 16, greedy beyond."""
     adj = g.adjacency_masks()
-    if g.n <= SUBSET_SCAN_LIMIT:
+    if g.n <= EXACT_SUBSET_LIMIT:
         e = _subset_pair_counts(adj)
         full = (1 << g.n) - 1
         floor = _by_subset_size(g.n, lambda size: (1 - eps) * math.comb(size, 2))

@@ -57,7 +57,7 @@ from .engine import ContainerProcess, Cylinder, Fingerprint
 from .errors import HypothesisError, PreconditionError, ScaleError
 from .graph6 import pair_index
 from .hypergraph import UniformHypergraph
-from .oracle import EXACT_COUNT_LIMIT, enumerate_fnm_masks
+from .oracle import EXACT_COUNT_LIMIT, enumerate_fnm_masks, fnm_table
 from .pregraph import (
     EXACT_SUBSET_LIMIT,
     PermissibleResult,
@@ -70,6 +70,7 @@ from .pregraph import (
     build_permissible,
     close_to_clique_cost,
     complete_pregraph,
+    is_almost_split_pregraph,
     is_leaf_pregraph,
 )
 from .splitcounts import LogCount, log_sum
@@ -324,7 +325,6 @@ class TreeNode:
     children: list["TreeNode"] = field(default_factory=list)
     fingerprint: Optional[Fingerprint] = None
     members: int = 0
-    selection: Optional[SelectionResult] = None
     normalized: Optional[tuple[int, int]] = None  # (b, m) the engine ran with
     renormalized: bool = False
 
@@ -407,7 +407,6 @@ def _expand(node: TreeNode, members: np.ndarray, params: TreeParams, force: bool
         node.status, node.classification = "leaf", cls.kind
         return
     sel = _choose_unchecked(p, params)
-    node.selection = sel
     if not sel.selected:
         node.status, node.classification = "fallback_leaf", "selection_not_applicable"
         return
@@ -505,18 +504,14 @@ def _leaf_log_count(p: Pregraph, m: int) -> float:
     return math.log(math.comb(p.e_m(), free))
 
 
-def classify_leaves(tree: ContainerTree, eps: Optional[float] = None) -> dict[str, list[LeafInfo]]:
+def classify_leaves(tree: ContainerTree) -> dict[str, list[LeafInfo]]:
     """Bucket the leaves into almost_split / discarded / fallback.
 
-    The almost-split test is re-run at the given eps (defaulting to the
-    build eps); discarded leaves carry the case tag of the counting argument
-    that dismisses them (case_1: edge overflow or mixed underflow, case_2:
-    the ratio condition).
+    The almost-split test is re-run at the tree's build eps; discarded leaves
+    carry the case tag of the counting argument that dismisses them (case_1:
+    edge overflow or mixed underflow, case_2: the ratio condition).
     """
-    from .pregraph import is_almost_split_pregraph
-
-    if eps is None:
-        eps = tree.params.eps
+    eps = tree.params.eps
     out: dict[str, list[LeafInfo]] = {"almost_split": [], "discarded": [], "fallback": []}
     m = tree.params.m
     for leaf in tree.leaves():
@@ -550,10 +545,10 @@ def tree_lines(tree: ContainerTree) -> list[str]:
     return lines
 
 
-def tree_summary(tree: ContainerTree, eps: Optional[float] = None) -> dict:
+def tree_summary(tree: ContainerTree) -> dict:
     """JSON-ready summary: parameters, leaf buckets, coverage, and the
     observed log-mass of graphs sitting in discarded leaves."""
-    buckets = classify_leaves(tree, eps)
+    buckets = classify_leaves(tree)
     covered, total = verify_coverage(tree)
     discarded_mass = log_sum(
         LogCount(info.log_count) for info in buckets["discarded"]
@@ -577,8 +572,8 @@ def tree_summary(tree: ContainerTree, eps: Optional[float] = None) -> dict:
     }
 
 
-def tree_json(tree: ContainerTree, eps: Optional[float] = None) -> str:
-    return json.dumps(tree_summary(tree, eps), indent=2, sort_keys=True)
+def tree_json(tree: ContainerTree) -> str:
+    return json.dumps(tree_summary(tree), indent=2, sort_keys=True)
 
 
 # -- the edge-count weight phi ----------------------------------------------------
@@ -598,27 +593,20 @@ PHI_FITTED_CONSTANTS = {
 }
 
 
-def phi_log(
-    n: int,
-    m: int,
-    p: float,
-    count_mode: str,
-    *,
-    c_lower: float = PHI_FITTED_CONSTANTS["c_lower"],
-    c_container: float = PHI_FITTED_CONSTANTS["c_container"],
-    gamma: float = PHI_FITTED_CONSTANTS["gamma"],
-    deletion_regime: float = PHI_FITTED_CONSTANTS["deletion_regime"],
-) -> LogCount:
+def phi_log(n: int, m: int, p: float, count_mode: str) -> LogCount:
     """ln phi(m) where phi(m) = |F_{n,m}(C4)| * (p/(1-p))^m.
 
-    count_mode "exact" reads the brute-force table (n <= 8).  "lower_bound"
-    takes the best of the split-graph bound (c*n*p/sqrt(m ln(n^2/m)))^m and,
-    inside its sparse regime m <= deletion_regime * n^(4/3), the deletion
-    bound ((e-gamma) n^2 p / (2m(1-p)))^m.  "upper_bound" takes the tighter
+    count_mode "exact" reads the brute-force table (n <= 8).  The bounds use
+    the constants of PHI_FITTED_CONSTANTS.  "lower_bound" takes the best of
+    the split-graph bound (c_lower*n*p/sqrt(m ln(n^2/m)))^m and, inside its
+    sparse regime m <= deletion_regime * n^(4/3), the deletion bound
+    ((e-gamma) n^2 p / (2m(1-p)))^m.  "upper_bound" takes the tighter
     (smaller) of the counting bound (e n^2 p / (2m(1-p)))^m and, inside the
     dense regime m >= n^(4/3) (ln n)^4, the container bound with constant
     c_container.
     """
+    if count_mode not in ("exact", "lower_bound", "upper_bound"):
+        raise PreconditionError(f"count_mode must be exact/lower_bound/upper_bound, got {count_mode!r}")
     if not 0 < p < 1:
         raise PreconditionError(f"need 0 < p < 1, got {p}")
     if n < 1 or m < 0 or m > math.comb(n, 2):
@@ -628,25 +616,18 @@ def phi_log(
     if count_mode == "exact":
         if n > EXACT_COUNT_LIMIT:
             raise ScaleError(f"exact mode needs n <= {EXACT_COUNT_LIMIT}, got {n}")
-        from .oracle import fnm_table
-
         count = fnm_table(n)[m]
         if count == 0:
             return LogCount(float("-inf"))
         return LogCount(math.log(count) + m * math.log(p / (1 - p)))
+    consts = PHI_FITTED_CONSTANTS
     tail = math.log(n * n / m)
     if count_mode == "lower_bound":
-        if not 0 < c_lower:
-            raise PreconditionError("c_lower must be positive")
-        vals = [m * (math.log(c_lower * n * p) - 0.5 * math.log(m * tail))]
-        if m <= deletion_regime * n ** (4 / 3):
-            if not 0 < gamma < math.e:
-                raise PreconditionError("gamma must lie in (0, e)")
-            vals.append(m * math.log((math.e - gamma) * n * n * p / (2 * m * (1 - p))))
+        vals = [m * (math.log(consts["c_lower"] * n * p) - 0.5 * math.log(m * tail))]
+        if m <= consts["deletion_regime"] * n ** (4 / 3):
+            vals.append(m * math.log((math.e - consts["gamma"]) * n * n * p / (2 * m * (1 - p))))
         return LogCount(max(vals))
-    if count_mode == "upper_bound":
-        vals = [m * math.log(math.e * n * n * p / (2 * m * (1 - p)))]
-        if m >= n ** (4 / 3) * math.log(n) ** 4:
-            vals.append(m * (math.log(c_container * n * p) - 0.5 * math.log(m * tail)))
-        return LogCount(min(vals))
-    raise PreconditionError(f"count_mode must be exact/lower_bound/upper_bound, got {count_mode!r}")
+    vals = [m * math.log(math.e * n * n * p / (2 * m * (1 - p)))]
+    if m >= n ** (4 / 3) * math.log(n) ** 4:
+        vals.append(m * (math.log(consts["c_container"] * n * p) - 0.5 * math.log(m * tail)))
+    return LogCount(min(vals))

@@ -14,11 +14,12 @@ from c4containers import (
     UniformHypergraph,
     build_container,
     check_container_hypothesis,
+    complete_pregraph,
     count_Fnm_c4,
     n_nm,
     phi_log,
 )
-from c4containers.cli import main
+from c4containers.cli import _build_parser, main
 
 pytestmark = pytest.mark.filterwarnings("ignore:parameter floor binds")
 
@@ -105,6 +106,13 @@ def test_phi_exact_value(capsys):
     assert row[:4] == ["6", "5", "0.3", "exact"]
     assert float(row[4]) == pytest.approx(phi_log(6, 5, 0.3, "exact").value, rel=1e-6)
     assert any("fitted" in ln for ln in out.splitlines() if ln.startswith("#"))
+
+
+def test_phi_exact_with_another_mode_exit_3(capsys):
+    code, out, err = run(capsys, "phi", "--n", "6", "--m", "5", "--p", "0.3",
+                         "--mode", "lower_bound", "--exact")
+    assert code == 3
+    assert out == "" and "--exact" in err
 
 
 def test_phi_requires_mode(capsys):
@@ -432,3 +440,68 @@ def test_count_split_regime_error_maps_to_precondition(capsys):
     # the grid path needs m in the fixed-point window
     code, _, err = run(capsys, "count-split", "--n", "100", "--m", "50")
     assert code == 3
+
+
+# the flags each subcommand resolves, besides --seed and --out, with a valid
+# value; the test writes each --input file itself
+DECLARED = {
+    "containers": {"input": None, "K": "8", "b": "2", "m": "4", "r": "2", "force": True},
+    "tree": {"n": "5", "m": "4", "eps": "0.02", "delta": "0.02", "beta": "0.02",
+             "lambda": "0.02", "force": True},
+    "count-split": {"n": "20", "m": "20", "ell": "4", "lambda": "0.02"},
+    "enumerate": {"n": "4", "m": "4"},
+    "sampler": {"n": "30", "m": "35", "delta": "0.1", "runs": "2", "max-attempts": "4"},
+    "phi": {"n": "6", "m": "5", "p": "0.3", "mode": "exact", "exact": True},
+    "stability-probe": {"input": None, "n": "7", "m": "10", "eps": "0.02", "delta": "0.02",
+                        "beta": "0.02", "lambda": "0.02"},
+}
+# flags that every subcommand accepted before each declared its own
+ONCE_SHARED = ("n", "m", "eps", "delta", "beta", "lambda", "exact", "force")
+FORMERLY_IGNORED = [
+    (cmd, flag) for cmd in sorted(DECLARED) for flag in ONCE_SHARED if flag not in DECLARED[cmd]
+]
+
+
+def parser_flags() -> dict[str, set[str]]:
+    sub = next(a for a in _build_parser()._actions if a.dest == "command")
+    return {
+        name: {opt[2:] for a in sp._actions for opt in a.option_strings if opt not in ("-h", "--help")}
+        for name, sp in sub.choices.items()
+    }
+
+
+def test_parser_declares_exactly_the_resolved_flags():
+    declared = parser_flags()
+    assert declared == {cmd: set(flags) | {"seed", "out"} for cmd, flags in DECLARED.items()}
+    assert sum(map(len, declared.values())) == 50
+    assert len(FORMERLY_IGNORED) == 30
+
+
+@pytest.mark.parametrize("command", sorted(DECLARED))
+def test_every_declared_flag_lands_in_the_manifest(tmp_path, capsys, command):
+    inputs = {
+        "containers": UniformHypergraph(0, 2, 4, [((), (0, 1)), ((), (2, 3))]).to_text(),
+        "stability-probe": complete_pregraph(7).to_text(),
+    }
+    flags = parser_flags()[command] - {"seed", "out"}
+    argv = [command, "--seed", "3", "--out", str(tmp_path / "out.txt")]
+    for flag in sorted(flags):
+        value = DECLARED[command][flag]
+        if flag == "input":
+            value = tmp_path / "input.txt"
+            value.write_text(inputs[command])
+        argv += [f"--{flag}"] if value is True else [f"--{flag}", str(value)]
+    code, _, _ = run(capsys, *argv)
+    assert code == 0
+    manifest = (tmp_path / "out.txt.manifest").read_text().splitlines()
+    keys = {line.split(" = ", 1)[0] for line in manifest}
+    assert keys - {"command", "version"} == flags | {"seed", "out"}
+
+
+@pytest.mark.parametrize("command,flag", FORMERLY_IGNORED)
+def test_undeclared_flag_is_a_usage_error(capsys, command, flag):
+    value = [] if flag in ("exact", "force") else ["1"]
+    with pytest.raises(SystemExit) as exc:
+        main([command, f"--{flag}", *value])
+    assert exc.value.code == 2
+    assert f"--{flag}" in capsys.readouterr().err

@@ -173,13 +173,6 @@ def test_summary_and_lines_shape():
     assert first[2] in ("internal", "leaf", "fallback_leaf")
 
 
-def test_leaf_reclassification_at_looser_eps():
-    tree = build_tree(TreeParams(7, 18))
-    tight = classify_leaves(tree)
-    loose = classify_leaves(tree, eps=0.2)
-    assert len(loose["almost_split"]) >= len(tight["almost_split"])
-
-
 def test_phi_exact_matches_direct_recomputation():
     table = fnm_table_backtracking(5)
     for m in range(1, 11):
@@ -202,12 +195,25 @@ def test_phi_bounds_bracket_exact_counts():
 
 
 def test_phi_deletion_branch_activates_in_the_sparse_regime():
-    # n=8, m=1 sits inside m <= 0.1 * n^(4/3); a huge gamma must be rejected
-    assert 1 <= 0.1 * 8 ** (4 / 3)
-    with pytest.raises(PreconditionError):
-        phi_log(8, 1, 0.3, "lower_bound", gamma=5.0)
-    # outside the regime gamma is never touched
-    phi_log(8, 20, 0.3, "lower_bound", gamma=5.0)
+    c = PHI_FITTED_CONSTANTS
+    n, p = 8, 0.3
+
+    def split(m):
+        return m * (math.log(c["c_lower"] * n * p) - 0.5 * math.log(m * math.log(n * n / m)))
+
+    def deletion(m):
+        return m * math.log((math.e - c["gamma"]) * n * n * p / (2 * m * (1 - p)))
+
+    # m = 1 sits inside m <= deletion_regime * n^(4/3) = 1.6, where the
+    # deletion bound beats the split-graph bound
+    assert 1 <= c["deletion_regime"] * n ** (4 / 3) < 20
+    assert deletion(1) == pytest.approx(2.43, abs=0.01)
+    assert split(1) == pytest.approx(-0.38, abs=0.01)
+    assert phi_log(n, 1, p, "lower_bound").value == pytest.approx(deletion(1), abs=1e-12)
+    # m = 20 lies outside the regime: the deletion expression would be larger
+    # there, but only the split-graph bound counts
+    assert deletion(20) > split(20)
+    assert phi_log(n, 20, p, "lower_bound").value == pytest.approx(split(20), abs=1e-12)
 
 
 def test_phi_argument_errors():
@@ -219,6 +225,12 @@ def test_phi_argument_errors():
         phi_log(6, 3, 0.3, "bogus_mode")
     with pytest.raises(ScaleError):
         phi_log(9, 3, 0.3, "exact")
+
+
+def test_phi_mode_is_checked_before_the_m0_shortcut():
+    with pytest.raises(PreconditionError, match="count_mode"):
+        phi_log(6, 0, 0.3, "bogus")
+    assert phi_log(6, 0, 0.3, "lower_bound").value == 0.0
 
 
 def test_phi_constants_documented():
