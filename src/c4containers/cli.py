@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import argparse
 import decimal
+import functools
 import hashlib
 import json
 import sys
@@ -171,6 +172,23 @@ def _cmd_enumerate(res: _Resolver) -> int:
     return 0
 
 
+def _decimal_str(x: int) -> str:
+    """str(x) for x >= 0 without its 4300-digit limit: x is rebuilt from its
+    binary halves, low + high * 2^w, in exact decimal arithmetic, whose big
+    products are subquadratic; decimal.Decimal(x) alone is quadratic."""
+    two_to = functools.cache(lambda w: decimal.Decimal(2) ** w)
+
+    def rebuild(y: int, w: int) -> decimal.Decimal:  # y < 2^w
+        if w <= 256:
+            return decimal.Decimal(y)
+        half = w // 2
+        return rebuild(y & ((1 << half) - 1), half) + rebuild(y >> half, w - half) * two_to(half)
+
+    exact = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, traps=[decimal.Inexact])
+    with decimal.localcontext(exact):
+        return str(rebuild(x, x.bit_length()))
+
+
 def _cmd_count_split(res: _Resolver) -> int:
     n = res.get("n", int, required=True)
     m = res.get("m", int, required=True)
@@ -178,8 +196,7 @@ def _cmd_count_split(res: _Resolver) -> int:
     lam = res.get("lambda", float, DEFAULT_LAMBDA)
     out = res.get("out", str)
     if ell is not None:
-        # str(int) refuses more than 4300 digits from Python 3.10.7 on; Decimal prints them all
-        lines = [str(decimal.Decimal(n_nm(n, m, ell)))]
+        lines = [_decimal_str(n_nm(n, m, ell))]
     else:
         lines = grid_csv_lines(split_grid(n, [m], lam))
     _write_output(lines, out, "count-split", res.resolved)

@@ -8,8 +8,10 @@ edges out of the ell*(n-ell) available ones, so
 
 when C(ell,2) <= m <= ell*(n-ell) + C(ell,2), and 0 otherwise.  These ell
 form one band lo..hi, found in integer arithmetic.  This module evaluates N
-exactly and in natural-log space (log-gamma), locates its maximizing ell
-by a log-space scan of the band alone, computes the real fixed point
+exactly and in natural-log space, with ln j! from a table of math.lgamma
+below j = 2048 and from Stirling's series beyond, truncated where its error
+is under 3e-17 of ln j!.  It locates N's maximizing ell by a log-space scan
+of the band alone, computes the real fixed point
 
     ell_{n,m} = sqrt(m / ln(ell_{n,m} * n / m))
 
@@ -37,7 +39,6 @@ from fractions import Fraction
 from typing import Iterable
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import NumericError, PreconditionError
 
@@ -174,12 +175,36 @@ def n_nm(n: int, m: int, ell: int) -> int:
     return _binomial(ell * (n - ell), m - math.comb(ell, 2))
 
 
-def _log_comb(a: float, k: float) -> float:
-    return float(gammaln(a + 1) - gammaln(k + 1) - gammaln(a - k + 1))
+_STIRLING_CUTOFF = 2048  # below it, ln j! is read from a table of math.lgamma
+_LOG_FACTORIALS = np.array([math.lgamma(j + 1) for j in range(_STIRLING_CUTOFF)])
+_BLOCK = 1 << 14  # entries per pass, so that the temporaries stay in cache
+
+
+def _log_factorial(j):
+    """ln j! for integer-valued j >= 0, a float for a scalar j and else an
+    array of j's shape: Stirling's series (A&S 6.1.41) to 1/(12 j) from the cutoff."""
+    flat = np.array(j, dtype=np.float64, copy=None).reshape(-1)
+    out = np.empty(flat.size)
+    for s in range(0, flat.size, _BLOCK):
+        x = np.maximum(flat[s : s + _BLOCK], _STIRLING_CUTOFF)
+        block = np.log(x, out=out[s : s + _BLOCK])
+        tmp = x + 0.5
+        block *= tmp
+        block -= x
+        block += np.divide(1 / 12, x, out=tmp)
+        block += 0.5 * math.log(2 * math.pi)  # (j + 1/2) ln j - j + ln(2 pi)/2 + 1/(12 j)
+    small = flat < _STIRLING_CUTOFF
+    out[small] = _LOG_FACTORIALS[flat[small].astype(np.intp)]
+    return out.reshape(np.shape(j)) if np.ndim(j) else float(out[0])
+
+
+def _log_comb(a: int, k: int) -> float:  # ln C(a, k), from a single ln j! call
+    fa, fk, fr = _log_factorial([a, k, a - k]).tolist()
+    return fa - fk - fr
 
 
 def log_n_nm(n: int, m: int, ell: int) -> LogCount:
-    """log N_{n,m}(ell); exact-integer route for small n, log-gamma beyond."""
+    """log N_{n,m}(ell); exact-integer route for small n, log-factorials beyond."""
     if not 0 <= ell <= n:
         raise PreconditionError(f"clique side {ell} outside 0..{n}")
     if m < 0 or not _feasible(n, m, ell):
@@ -235,13 +260,13 @@ def ell_nm(n: int, m: int, lam: float = DEFAULT_LAMBDA) -> float:
 
 
 def _log_n_nm_band(n: int, m: int, lo: int, hi: int) -> np.ndarray:
-    """log N_{n,m}(ell) by log-gamma for ell = lo..hi, all feasible.  The
+    """log N_{n,m}(ell) by log-factorials for ell = lo..hi, all feasible.  The
     floats ell, ell*(n-ell) and m - ell*(ell-1)/2 are exact while
     n^2 < 2^53, so these are the band's entries of the full 0..n vector."""
     ells = np.arange(lo, hi + 1, dtype=np.float64)
     a = ells * (n - ells)
     k = m - ells * (ells - 1) / 2
-    return gammaln(a + 1) - gammaln(k + 1) - gammaln(a - k + 1)
+    return _log_factorial(a) - _log_factorial(k) - _log_factorial(a - k)
 
 
 def argmax_n_nm(n: int, m: int, lam: float = DEFAULT_LAMBDA) -> int:
@@ -311,8 +336,7 @@ def snm_bounds(n: int, m: int) -> tuple[LogCount, LogCount]:
     if lower == -math.inf:
         return LogCount(-math.inf), LogCount(-math.inf)
     ells = np.arange(0, n + 1, dtype=np.float64)
-    choose = gammaln(n + 1) - gammaln(ells + 1) - gammaln(n - ells + 1)
-    terms = logs + choose
+    terms = logs + (_log_factorial(n) - _log_factorial(ells) - _log_factorial(n - ells))
     top = float(np.max(terms))
     upper = top + math.log(float(np.sum(np.exp(terms - top))))
     return LogCount(lower), LogCount(upper)

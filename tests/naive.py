@@ -2,7 +2,11 @@
 
 Everything here prefers transparent nested loops and full scans over
 cleverness, so that a disagreement with the library points at the library.
-None of these functions share code with src/ beyond its data types.
+None of these functions share code with src/ beyond its data types, with
+one exception: the full-vector split-count references take ln j! from the
+package's `_log_factorial` by default, so that they check the feasible band
+and the bounds bit for bit; `gammaln_log_factorial` (scipy) is the
+independent reference for ln j! itself.
 """
 
 import hashlib
@@ -24,6 +28,7 @@ from c4containers import (
 )
 from c4containers.oracle import DeletionSample
 from c4containers.pregraph import ConstraintSystem, PermissibleResult
+from c4containers.splitcounts import _log_factorial
 
 
 def pair_key(u, v):
@@ -391,6 +396,15 @@ def edges_by_bit_peeling(g):
     return out
 
 
+def adjacency_masks_by_pair_tests(g):
+    """Per-vertex neighbor bitmasks of a LabeledGraph, testing the mask bit
+    of every ordered pair (v, w) on its own."""
+    return [
+        sum(1 << w for w in range(g.n) if w != v and (g.mask >> _pair_index(v, w)) & 1)
+        for v in range(g.n)
+    ]
+
+
 def degree_by_shifts(g, v):
     """deg(v) in a LabeledGraph, shifting the whole mask once per other vertex."""
     return sum((g.mask >> _pair_index(u, v)) & 1 for u in range(g.n) if u != v)
@@ -681,9 +695,14 @@ def close_to_split_by_subset_scan(g, eps):
 # -- split counts over every clique side -----------------------------------------
 
 
-def log_n_nm_full_vector(n, m):
-    """log N_{n,m}(ell) by log-gamma for every ell = 0..n, -inf where the
-    float test C(ell,2) <= m <= ell(n-ell) + C(ell,2) fails."""
+def gammaln_log_factorial(j):
+    """ln j! as scipy's log-gamma of j + 1, for scalars or arrays."""
+    return gammaln(np.asarray(j, dtype=np.float64) + 1)
+
+
+def log_n_nm_full_vector(n, m, log_factorial=_log_factorial):
+    """log N_{n,m}(ell) by log-factorials for every ell = 0..n, -inf where
+    the float test C(ell,2) <= m <= ell(n-ell) + C(ell,2) fails."""
     ells = np.arange(0, n + 1, dtype=np.float64)
     cross = ells * (n - ells)
     k = m - ells * (ells - 1) / 2
@@ -691,7 +710,7 @@ def log_n_nm_full_vector(n, m):
     logs = np.full(n + 1, -np.inf)
     a = cross[ok]
     kk = k[ok]
-    logs[ok] = gammaln(a + 1) - gammaln(kk + 1) - gammaln(a - kk + 1)
+    logs[ok] = log_factorial(a) - log_factorial(kk) - log_factorial(a - kk)
     return logs
 
 
@@ -702,22 +721,22 @@ def snm_bounds_by_full_vector(n, m):
     if lower == -math.inf:
         return lower, lower
     ells = np.arange(0, n + 1, dtype=np.float64)
-    choose = gammaln(n + 1) - gammaln(ells + 1) - gammaln(n - ells + 1)
+    choose = _log_factorial(n) - _log_factorial(ells) - _log_factorial(n - ells)
     terms = logs + choose
     top = float(np.max(terms))
     return lower, top + math.log(float(np.sum(np.exp(terms - top))))
 
 
-def argmax_n_nm_by_full_scan(n, m, lam):
-    """argmax_ell N_{n,m}(ell), smallest on ties, from a log-gamma vector over
-    every ell = 0..n with -inf at the infeasible ones."""
+def argmax_n_nm_by_full_scan(n, m, lam, log_factorial=_log_factorial):
+    """argmax_ell N_{n,m}(ell), smallest on ties, from a log-factorial vector
+    over every ell = 0..n with -inf at the infeasible ones."""
     if m <= n:
         raise PreconditionError(f"fixed-point regime needs m > n, got n={n}, m={m}")
     if m > lam * n * n:
         raise PreconditionError(
             f"fixed-point regime needs m <= lambda*n^2 = {lam * n * n:.6g}, got m={m}"
         )
-    logs = log_n_nm_full_vector(n, m)
+    logs = log_n_nm_full_vector(n, m, log_factorial)
     best = int(np.argmax(logs))
     if logs[best] == -np.inf:
         raise PreconditionError(f"no feasible clique side for n={n}, m={m}")

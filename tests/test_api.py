@@ -1,8 +1,12 @@
 """The public surface: every module's ``__all__`` matches its public
-top-level definitions, and the package re-exports only listed names."""
+top-level definitions, the package re-exports only listed names, and
+importing it loads only its declared runtime dependencies."""
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -45,3 +49,20 @@ def test_package_reexports_are_listed():
                 if alias.name not in getattr(module, "__all__", ())
             ]
     assert unlisted == []
+
+
+def test_importing_the_cli_loads_no_scipy():
+    # a fresh interpreter, since this one may have imported scipy for tests
+    code = (
+        "import sys, c4containers.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    path = os.pathsep.join(filter(None, [str(PACKAGE_DIR.parent), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert done.stdout == "[]\n"

@@ -1,12 +1,15 @@
 """The command-line interface: output formats, config/manifest round trips,
 parameter precedence, and exit codes."""
 
+import decimal
 import hashlib
 import json
 import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from c4containers import (
     Assignment,
@@ -19,7 +22,7 @@ from c4containers import (
     n_nm,
     phi_log,
 )
-from c4containers.cli import _build_parser, main
+from c4containers.cli import _build_parser, _decimal_str, main
 
 pytestmark = pytest.mark.filterwarnings("ignore:parameter floor binds")
 
@@ -87,6 +90,39 @@ def test_count_split_at_n4000_is_unchanged(capsys):
     code, out, _ = run(capsys, "count-split", "--n", "4000", "--m", "200000", "--ell", "295")
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == COUNT_SPLIT_N4000_SHA256
+
+
+# stdout of `count-split --n 8000 --m 800000 --ell 590`, the count at the argmax:
+# 779,994 digits, recorded when the CLI printed str(decimal.Decimal(count))
+COUNT_SPLIT_N8000_SHA256 = "eff19e19c2e7b0571db3714940d15a6648cbd623a6ae0cc066f7800f90a77dbb"
+
+
+def test_count_split_at_n8000_is_unchanged(capsys):
+    code, out, _ = run(capsys, "count-split", "--n", "8000", "--m", "800000", "--ell", "590")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == COUNT_SPLIT_N8000_SHA256
+
+
+def test_count_split_prints_zero_at_an_infeasible_clique_side(capsys):
+    code, out, _ = run(capsys, "count-split", "--n", "20", "--m", "20", "--ell", "19")
+    assert code == 0
+    assert out == "0\n"
+
+
+def test_decimal_str_matches_decimal_on_fixed_counts():
+    # 0, small counts, both sides of 2^256 (where the halving stops) and of
+    # the 4300-digit str(int) limit, and the 195,054-digit count at n = 4000
+    counts = [0, 1, 9, 10, n_nm(20, 20, 4), 2**256 - 1, 2**256, 2**256 + 1, 2**513 + 7]
+    counts += [10**4299, 10**4300 - 1, 10**4300, 10**4300 + 1, 7**5100]
+    counts.append(n_nm(4000, 200000, 295))
+    for x in counts:
+        assert _decimal_str(x) == str(decimal.Decimal(x))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 40000).flatmap(lambda bits: st.integers(0, (1 << bits) - 1)))
+def test_decimal_str_matches_decimal(x):
+    assert _decimal_str(x) == str(decimal.Decimal(x))
 
 
 def test_count_split_grid_row(capsys):

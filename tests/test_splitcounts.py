@@ -8,6 +8,8 @@ import random
 import types
 from fractions import Fraction
 
+import mpmath
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -274,6 +276,84 @@ def test_snm_bounds_match_the_full_vector(instance):
         return
     lower, upper = snm_bounds(n, m)
     assert (lower.value, upper.value) == naive.snm_bounds_by_full_vector(n, m)
+
+
+# -- ln j! ------------------------------------------------------------------------
+
+# every j below 300 and around the table cutoff (2048), 2^e - 1, 2^e and
+# 2^e + 1 up to 2^50, and seeded draws up to 10^6 and up to 2^50
+LOG_FACTORIAL_POINTS = (
+    list(range(300))
+    + list(range(2030, 2070))
+    + [2**e + d for e in range(7, 51) for d in (-1, 0, 1)]
+    + random.Random(11).sample(range(10**6), 200)
+    + random.Random(12).sample(range(2**50), 200)
+)
+
+
+def test_log_factorial_matches_mpmath_loggamma():
+    assert splitcounts._STIRLING_CUTOFF in LOG_FACTORIAL_POINTS
+    got = splitcounts._log_factorial(np.array(LOG_FACTORIAL_POINTS, dtype=np.float64))
+    with mpmath.workdps(60):
+        for j, value in zip(LOG_FACTORIAL_POINTS, got.tolist()):
+            want = mpmath.loggamma(j + 1)
+            assert abs(mpmath.mpf(value) - want) <= 1e-14 * abs(want), j
+
+
+def test_log_factorial_gives_one_value_for_every_input_form():
+    js = [0, 1, 2, 2047, 2048, 2049, 10**6, 2**40]
+    array = splitcounts._log_factorial(np.array(js, dtype=np.float64))
+    assert array.shape == (len(js),)
+    grid = splitcounts._log_factorial(np.array(js, dtype=np.float64).reshape(2, 4))
+    assert grid.shape == (2, 4) and grid.ravel().tolist() == array.tolist()
+    assert splitcounts._log_factorial(js).tolist() == array.tolist()
+    for j, want in zip(js, array.tolist()):
+        for form in (j, float(j), np.float64(j), np.array(j), np.array(float(j))):
+            value = splitcounts._log_factorial(form)
+            assert type(value) is float and value == want, (j, form)
+    assert splitcounts._log_factorial(np.array([], dtype=np.float64)).shape == (0,)
+
+
+def test_log_factorial_is_the_same_in_every_block():
+    # an array three blocks long, small and large j mixed, against each
+    # entry alone
+    block = splitcounts._BLOCK
+    js = np.arange(3 * block + 5, dtype=np.float64)
+    js[1::2] *= 7919
+    values = splitcounts._log_factorial(js)
+    for i in [0, 1, 2, block - 1, block, block + 1, 2 * block, 3 * block - 1, 3 * block + 4]:
+        assert values[i] == splitcounts._log_factorial(js[i]), i
+    assert values[::997].tolist() == [splitcounts._log_factorial(j) for j in js[::997].tolist()]
+
+
+def _criterion_7_points():
+    """The (n, m) pairs acceptance criterion 7 samples: 20 distinct m per n."""
+    rng = random.Random(707)
+    points = []
+    for n in range(20, 201, 20):
+        seen = set()
+        while len(seen) < 20:
+            m = rng.randint(1, n * (n - 1) // 2)
+            if m not in seen:
+                seen.add(m)
+                points.append((n, m, 1.0))
+    return points
+
+
+# criterion 7's pairs at lambda = 1 (those with m <= n raise), criterion 8's
+# and the benchmark's points, and 60 log-spaced m at each of five n
+SCIPY_ARGMAX_POINTS = (
+    _criterion_7_points()
+    + [(n, m, 1 / 64) for n, m in CRITERION_8_POINTS + BENCHMARK_POINTS]
+    + [(n, m, 1 / 64) for n in (500, 2000, 8000, 30000, 300000) for m in log_spaced_m(n, 60)]
+)
+
+
+def test_argmax_matches_a_scipy_gammaln_argmax():
+    assert len(SCIPY_ARGMAX_POINTS) == 545
+    for n, m, lam in SCIPY_ARGMAX_POINTS:
+        want = _outcome(naive.argmax_n_nm_by_full_scan, n, m, lam, naive.gammaln_log_factorial)
+        assert _outcome(argmax_n_nm, n, m, lam) == want, (n, m, lam)
 
 
 # a prime (97, 10007) and prime powers (3^9, 2^14), each with k at 0, 1,
