@@ -129,24 +129,16 @@ class LabeledGraph:
         return int(below.sum()) + int(bits[w * (w - 1) // 2 + v].sum())
 
     def adjacency_masks(self) -> list[int]:
-        """Per-vertex neighbor bitmasks over vertices (not pairs).  Below 32
-        vertices each row is shifted out of the mask; from 32 on, where that
-        is slower, the rows of the n x n adjacency bit matrix are packed."""
-        if self.n < 32:
-            adj = [0] * self.n
-            for v in range(1, self.n):
-                below = (self.mask >> (v * (v - 1) // 2)) & ((1 << v) - 1)
-                adj[v] |= below
-                while below:
-                    low = below & -below
-                    adj[low.bit_length() - 1] |= 1 << v
-                    below ^= low
-            return adj
-        lower = np.tri(self.n, k=-1, dtype=bool)  # row-major: pair index C(v, 2) + u
-        matrix = np.zeros((self.n, self.n), dtype=bool)
-        matrix[lower] = matrix.T[lower] = self._pair_bits()
-        rows = np.packbits(matrix, axis=1, bitorder="little")
-        return [int.from_bytes(row.tobytes(), "little") for row in rows]
+        """Per-vertex neighbor bitmasks over vertices (not pairs)."""
+        adj = [0] * self.n
+        for v in range(1, self.n):
+            below = (self.mask >> (v * (v - 1) // 2)) & ((1 << v) - 1)
+            adj[v] |= below
+            while below:
+                low = below & -below
+                adj[low.bit_length() - 1] |= 1 << v
+                below ^= low
+        return adj
 
     def to_graph6(self) -> str:
         return graph6.encode(self.n, self.mask)
@@ -389,6 +381,15 @@ def is_eps_quasirandom(g: LabeledGraph, eps: float) -> QuasirandomCheck:
         raise ValueError("density needs at least two vertices")
     p = g.m / math.comb(g.n, 2)
     lo, hi = (1 - eps) * p, (1 + eps) * p
+
+    def bad(size: int, count: int) -> bool:
+        if size <= max(1, int(eps * g.n)) or (size > g.n):
+            return False
+        if size * (size - 1) == 0:
+            return False
+        dens = count / math.comb(size, 2)
+        return not (lo <= dens <= hi)
+
     if g.n <= EXACT_SUBSET_LIMIT:
         e = _subset_pair_counts(g.adjacency_masks())
         skip = _by_subset_size(g.n, lambda size: size <= eps * g.n or size < 2)
@@ -408,7 +409,7 @@ def is_eps_quasirandom(g: LabeledGraph, eps: float) -> QuasirandomCheck:
         for v in subset:
             count += (adj[v] & smask).bit_count()
             smask |= 1 << v
-        if not lo <= count / math.comb(size, 2) <= hi:  # size >= 2 and size > eps*n
+        if bad(size, count):
             return QuasirandomCheck(False, False, tuple(sorted(subset)))
     return QuasirandomCheck(True, False, None)
 

@@ -8,10 +8,9 @@ edges out of the ell*(n-ell) available ones, so
 
 when C(ell,2) <= m <= ell*(n-ell) + C(ell,2), and 0 otherwise.  These ell
 form one band lo..hi, found in integer arithmetic.  This module evaluates N
-exactly and in natural-log space, with ln j! from a table of math.lgamma
-below j = 2048 and from Stirling's series beyond, truncated where its error
-is under 3e-17 of ln j!.  It locates N's maximizing ell by a log-space scan
-of the band alone, computes the real fixed point
+exactly and in natural-log space (ln j! from a math.lgamma table below 2048,
+Stirling's series beyond, error under 3e-17 of ln j!), locates its maximizing
+ell by a log-space scan of the band alone, computes the real fixed point
 
     ell_{n,m} = sqrt(m / ln(ell_{n,m} * n / m))
 

@@ -508,7 +508,6 @@ def test_edges_and_degree_match_the_bit_by_bit_versions(n, data):
 @settings(max_examples=100, deadline=None)
 @given(st.integers(0, 100), st.data())
 def test_adjacency_masks_match_the_pair_by_pair_version(n, data):
-    # n < 32 takes the row-shifting route, n >= 32 the packed bit matrix
     npairs = n * (n - 1) // 2
     density = data.draw(st.sampled_from([0.0, 0.01, 0.2, 0.9, 1.0]))
     rng = random.Random(data.draw(st.integers(0, 2**32 - 1)))
@@ -523,12 +522,3 @@ def test_adjacency_masks_of_every_graph_on_at_most_four_vertices():
         for mask in range(1 << (n * (n - 1) // 2)):
             g = LabeledGraph(n, mask)
             assert g.adjacency_masks() == naive.adjacency_masks_by_pair_tests(g)
-
-
-@pytest.mark.parametrize("n", [31, 32, 33, 300])
-def test_adjacency_masks_on_both_sides_of_the_route_cutoff(n):
-    rng = random.Random(n)
-    npairs = n * (n - 1) // 2
-    for density in (0.0, 0.005, 0.5, 1.0):
-        g = LabeledGraph(n, sum(1 << k for k in range(npairs) if rng.random() < density))
-        assert g.adjacency_masks() == naive.adjacency_masks_by_pair_tests(g)

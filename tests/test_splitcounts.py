@@ -8,7 +8,6 @@ import random
 import types
 from fractions import Fraction
 
-import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -292,6 +291,8 @@ LOG_FACTORIAL_POINTS = (
 
 
 def test_log_factorial_matches_mpmath_loggamma():
+    import mpmath  # the test extra's reference; only this test needs it
+
     assert splitcounts._STIRLING_CUTOFF in LOG_FACTORIAL_POINTS
     got = splitcounts._log_factorial(np.array(LOG_FACTORIAL_POINTS, dtype=np.float64))
     with mpmath.workdps(60):
