@@ -40,7 +40,7 @@ from typing import Optional
 
 from . import __version__
 from . import tree as _tree
-from .engine import ContainerProcess, _drive
+from .engine import ContainerProcess, _drive, normalize_parameters
 from .errors import NumericError, PreconditionError, ScaleError
 from .hypergraph import Assignment, UniformHypergraph, check_container_hypothesis
 from .oracle import EXACT_COUNT_LIMIT, fnm_table, sample_c4free_by_deletion
@@ -341,8 +341,9 @@ def _cmd_stability_probe(res: _Resolver) -> int:
         entry: dict = {"status": sel.status}
         if sel.selected:
             h = sel.hypergraph
-            hyp = check_container_hypothesis(h, params.K, params.b,
-                                             min(params.m, h.n_vertices), params.r)
+            hyp = check_container_hypothesis(
+                h, params.K, *normalize_parameters(params.b, params.m, h.n_vertices), params.r
+            )
             deg = {pair: delta for pair, (delta, _, _) in hyp.entries.items()}
             entry.update(
                 case=sel.case, ell=sel.ell, i=sel.i, e_H=h.e(), v_H=h.n_vertices,

@@ -15,8 +15,9 @@ round's NO vertices are frozen to 1-c and form the cylinder.
 Degree caps for the saturation thresholds follow a two-parameter schedule:
 the base row is the degree table of H itself and each earlier index pair
 takes a max of a doubled finer entry and a (b/v or b/m)-scaled same-size
-entry.  ``DeltaSchedule`` evaluates both that recursion and its closed form
-in exact rational arithmetic.
+entry.  ``DeltaSchedule`` evaluates the closed form as a max of integer
+numerators over one common denominator, so each cap costs one ``Fraction``;
+the literal recursion stays alongside it in exact rationals.
 
 The engine is driven either by an assignment (``build_container``), by a
 previously produced fingerprint (``replay_container``, which realizes the
@@ -39,7 +40,6 @@ from .errors import HypothesisError, PreconditionError
 from .hypergraph import (
     Assignment,
     Constraint,
-    HypothesisReport,
     UniformHypergraph,
     check_container_hypothesis,
 )
@@ -102,14 +102,18 @@ class DeltaSchedule:
     """Degree caps Delta^(i0,i1)_(l0,l1) in exact rationals.
 
     The admissible index pairs are U = {(1,0),...,(k0,0),(k0,1),...,(k0,k1)};
-    the base pair (k0, k1) reads the degree table of H directly and the rest
-    follow the max-of-two recursion.  ``delta`` uses the closed form
+    the base pair (k0, k1) reads the base row (the degree table of H, ints,
+    though Fractions are accepted) directly and the rest follow the
+    max-of-two recursion.  With e0 = k0 - i0 and e1 = k1 - i1, ``delta`` uses
+    the closed form
 
-        max over 0<=dj<=kj-ij of
-            2^(d0+d1) (b/v)^(k1-i1-d1) (b/m)^(k0-i0-d0) Delta_(l0+d0,l1+d1)(H)
+        max over 0<=dj<=ej of
+            2^(d0+d1) (b/v)^(e1-d1) (b/m)^(e0-d0) Delta_(l0+d0,l1+d1)(H)
 
-    and ``delta_recursive`` evaluates the recursion literally; the two agree
-    and tests compare them.
+    taken as the max of the numerators 2^(d0+d1) b^(e0-d0+e1-d1) m^d0 v^d1
+    Delta_(l0+d0,l1+d1)(H) over the common denominator m^e0 v^e1, and builds
+    one ``Fraction`` from them.  ``delta_recursive`` evaluates the recursion
+    literally; the two agree and tests compare them.
     """
 
     def __init__(self, k0: int, k1: int, b: int, m: int, v: int, base: dict[tuple[int, int], int | Fraction]):
@@ -119,16 +123,15 @@ class DeltaSchedule:
             raise ValueError("b, m, v must be positive")
         self.k0, self.k1 = k0, k1
         self.b, self.m, self.v = b, m, v
-        self.base: dict[tuple[int, int], Fraction] = {}
+        self.base: dict[tuple[int, int], int | Fraction] = {}
         for l0 in range(k0 + 1):
             for l1 in range(k1 + 1):
                 if (l0, l1) == (0, 0):
                     continue
                 if (l0, l1) not in base:
                     raise ValueError(f"base table is missing pair {(l0, l1)}")
-                self.base[(l0, l1)] = Fraction(base[(l0, l1)])
+                self.base[(l0, l1)] = base[(l0, l1)]
         self._memo: dict[tuple[int, int, int, int], Fraction] = {}
-        self._thresholds: dict[tuple[int, int], dict[tuple[int, int], int]] = {}
 
     def index_set(self) -> list[tuple[int, int]]:
         u = [(i, 0) for i in range(1, self.k0 + 1)]
@@ -143,20 +146,14 @@ class DeltaSchedule:
 
     def delta(self, i0: int, i1: int, l0: int, l1: int) -> Fraction:
         self._check_args(i0, i1, l0, l1)
-        bv = Fraction(self.b, self.v)
-        bm = Fraction(self.b, self.m)
-        best = Fraction(0)
-        for d0 in range(self.k0 - i0 + 1):
-            for d1 in range(self.k1 - i1 + 1):
-                val = (
-                    Fraction(2) ** (d0 + d1)
-                    * bv ** (self.k1 - i1 - d1)
-                    * bm ** (self.k0 - i0 - d0)
-                    * self.base[(l0 + d0, l1 + d1)]
-                )
-                if val > best:
-                    best = val
-        return best
+        b, m, v = self.b, self.m, self.v
+        e0, e1 = self.k0 - i0, self.k1 - i1
+        top = max(
+            2 ** (d0 + d1) * b ** (e0 - d0 + e1 - d1) * m**d0 * v**d1 * self.base[(l0 + d0, l1 + d1)]
+            for d0 in range(e0 + 1)
+            for d1 in range(e1 + 1)
+        )
+        return Fraction(top, m**e0 * v**e1)
 
     def delta_recursive(self, i0: int, i1: int, l0: int, l1: int) -> Fraction:
         self._check_args(i0, i1, l0, l1)
@@ -164,7 +161,7 @@ class DeltaSchedule:
         if key in self._memo:
             return self._memo[key]
         if (i0, i1) == (self.k0, self.k1):
-            val = self.base[(l0, l1)]
+            val = Fraction(self.base[(l0, l1)])
         elif i0 == self.k0 and i1 < self.k1:
             val = max(
                 2 * self.delta_recursive(i0, i1 + 1, l0, l1 + 1),
@@ -185,19 +182,13 @@ class DeltaSchedule:
 
         Degrees are integers, so the half-cap comparison collapses to a
         ceiling.  Index (0, 0) has no admissible size pairs and gets {}.
-        The base row is fixed, so each index pair is computed once and the
-        same dict is returned afterwards; callers must not mutate it.
         """
-        if (i0, i1) in self._thresholds:
-            return self._thresholds[(i0, i1)]
-        out: dict[tuple[int, int], int] = {}
-        for l0 in range(i0 + 1):
-            for l1 in range(i1 + 1):
-                if (l0, l1) == (0, 0):
-                    continue
-                out[(l0, l1)] = math.ceil(self.delta(i0, i1, l0, l1) / 2)
-        self._thresholds[(i0, i1)] = out
-        return out
+        return {
+            (l0, l1): math.ceil(self.delta(i0, i1, l0, l1) / 2)
+            for l0 in range(i0 + 1)
+            for l1 in range(i1 + 1)
+            if (l0, l1) != (0, 0)
+        }
 
 
 def _as_assignment(h, n: int) -> Assignment:
@@ -249,12 +240,10 @@ class Fingerprint:
 class ContainerResult:
     fingerprint: Fingerprint
     cylinder: Cylinder
-    report: HypothesisReport
     hypothesis_ok: bool
     b: int
     m: int
     r: int
-    final_c: int
     n_rounds: int
 
 
@@ -290,12 +279,9 @@ class ContainerProcess:
         r: int,
         *,
         force: bool = False,
-        check_invariants: bool = False,
     ):
         if h.is_empty():
             raise PreconditionError("container construction needs a non-empty hypergraph")
-        if (h.k0, h.k1) == (0, 0):
-            raise ValueError("degenerate uniformity")
         if r < 1:
             raise ValueError("r must be positive")
         self.h_k0, self.h_k1 = h.k0, h.k1
@@ -315,13 +301,11 @@ class ContainerProcess:
         # or one Counter pass past the int64 packing bound): the base row
         base = {pair: entry[0] for pair, entry in self.report.entries.items()}
         self.sched = DeltaSchedule(h.k0, h.k1, b2, m2, h.n_vertices, base)
-        self.check_invariants = check_invariants
         self.s = 0
         self.s0: set[int] = set()
         self.s1: set[int] = set()
         self.done = False
         self.cylinder: Optional[Cylinder] = None
-        self.final_c = -1
         self._question: Optional[tuple[int, int]] = None
         self._open_round({c.key(): mult for c, mult in h.constraints()}, h.k0, h.k1)
 
@@ -446,14 +430,11 @@ class ContainerProcess:
 
     def _close_round(self) -> None:
         (self.s1 if self.c == 1 else self.s0).update(self.yes)
-        if self.check_invariants:
-            self._assert_degree_caps()
         if sum(self.gstar.values()) < self._beta(self.s + 1) * self.e_h:
             labels: list[Optional[int]] = [None] * self.n
             for v in self.no:
                 labels[v] = 1 - self.c
             self.cylinder = Cylinder(tuple(labels))
-            self.final_c = self.c
             self.done = True
             return
         if self.s + 1 >= self.h_k0 + self.h_k1:
@@ -463,19 +444,6 @@ class ContainerProcess:
             )
         self.s += 1
         self._open_round(dict(self.gstar), *self.k_star)
-
-    def _assert_degree_caps(self) -> None:
-        i0, i1 = self.k_star
-        g = UniformHypergraph(i0, i1, self.n, allow_degenerate=True)
-        for (a0, a1), mult in self.gstar.items():
-            g.add(Constraint(a0, a1), mult)
-        for (l0, l1), got in g.degree_table().items():
-            cap = self.sched.delta(i0, i1, l0, l1)
-            if got > cap:
-                raise AssertionError(
-                    f"degree cap violated after round {self.s}: "
-                    f"Delta_({l0},{l1}) = {got} > {cap}"
-                )
 
     def clone(self) -> "ContainerProcess":
         """An independent copy; the report, schedule and thresholds stay shared."""
@@ -499,12 +467,10 @@ class ContainerProcess:
         return ContainerResult(
             fingerprint=self.fingerprint(),
             cylinder=self.cylinder,
-            report=self.report,
             hypothesis_ok=self.hypothesis_ok,
             b=self.b,
             m=self.m,
             r=self.r,
-            final_c=self.final_c,
             n_rounds=self.s + 1,
         )
 
@@ -524,7 +490,6 @@ def build_container(
     assignment,
     *,
     force: bool = False,
-    check_invariants: bool = False,
 ) -> ContainerResult:
     """Fingerprint and cylinder for one assignment with at most m ones.
 
@@ -537,7 +502,7 @@ def build_container(
         raise PreconditionError(f"assignment has {a.ones_count} ones, above the budget m={m}")
     if not a.in_solution_set(h):
         raise PreconditionError("assignment violates a constraint of H")
-    proc = ContainerProcess(h, k, b, m, r, force=force, check_invariants=check_invariants)
+    proc = ContainerProcess(h, k, b, m, r, force=force)
     return _drive(proc, lambda v, c: a.bits[v] == c)
 
 

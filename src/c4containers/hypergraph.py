@@ -72,9 +72,8 @@ class Constraint:
 class UniformHypergraph:
     """A (k0, k1)-uniform constraint multi-hypergraph on vertices 0..n-1.
 
-    The degenerate (0, 0)-uniform shape (whose only possible constraint is
-    (empty, empty)) is rejected unless ``allow_degenerate`` is set; the
-    container engine produces it internally at the end of a run.
+    The degenerate (0, 0)-uniform shape, whose only possible constraint is
+    (empty, empty), is rejected.
     """
 
     def __init__(
@@ -83,13 +82,11 @@ class UniformHypergraph:
         k1: int,
         n_vertices: int,
         constraints: Iterable[tuple[Iterable[int], Iterable[int]] | tuple[Iterable[int], Iterable[int], int]] = (),
-        *,
-        allow_degenerate: bool = False,
     ):
         if k0 < 0 or k1 < 0:
             raise ValueError("uniformities must be nonnegative")
-        if (k0, k1) == (0, 0) and not allow_degenerate:
-            raise ValueError("(0, 0)-uniform hypergraphs are degenerate; pass allow_degenerate")
+        if (k0, k1) == (0, 0):
+            raise ValueError("(0, 0)-uniform hypergraphs are degenerate")
         if n_vertices < 0:
             raise ValueError("n_vertices must be nonnegative")
         self.k0 = k0
@@ -162,13 +159,13 @@ class UniformHypergraph:
         """Delta_{(l0,l1)} for every (l0, l1) != (0, 0) with l0 <= k0, l1 <= k1.
 
         One pass over the sub-tuples of the stored constraints, never over
-        all vertex tuples: an empty hypergraph reports 0 for every pair, and
-        the degenerate (0, 0) shape has no pair and gives {}.  Sub-tuples are
-        packed into int64 keys as the module docstring describes; past the
-        packing bound a single Python pass gives the same table.
+        all vertex tuples: an empty hypergraph reports 0 for every pair.
+        Sub-tuples are packed into int64 keys as the module docstring
+        describes; past the packing bound a single Python pass gives the same
+        table.
         """
         shapes, plan, shape_ids = _subtuple_plan(self.k0, self.k1)
-        if not shapes or not self._edges:
+        if not self._edges:
             return dict.fromkeys(shapes, 0)
         width, n_edges = self.k0 + self.k1, len(self._edges)
         # position-major: row j holds position j (A0, then A1) of every constraint

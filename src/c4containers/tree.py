@@ -325,7 +325,6 @@ class TreeNode:
     children: list["TreeNode"] = field(default_factory=list)
     fingerprint: Optional[Fingerprint] = None
     members: int = 0
-    normalized: Optional[tuple[int, int]] = None  # (b, m) the engine ran with
     renormalized: bool = False
 
     @property
@@ -420,7 +419,6 @@ def _expand(node: TreeNode, members: np.ndarray, params: TreeParams, force: bool
         node.status = "fallback_leaf"
         node.classification = f"container_hypothesis(min_k={float(exc.min_k):.6g})"
         return
-    node.normalized = (proc.b, proc.m)
     node.renormalized = (proc.b, proc.m) != (params.b, params.m)
     groups = _drive_members(proc, members, bits)
     ordered = sorted(

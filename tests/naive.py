@@ -259,6 +259,61 @@ def doomed_by_subset_test(proc, fresh):
     ]
 
 
+def delta_by_fraction_products(sched, i0, i1, l0, l1):
+    """The closed-form cap Delta^(i0,i1)_(l0,l1) of a DeltaSchedule as a max
+    of Fraction products, one power of 2, b/v and b/m per term."""
+    bv = Fraction(sched.b, sched.v)
+    bm = Fraction(sched.b, sched.m)
+    best = Fraction(0)
+    for d0 in range(sched.k0 - i0 + 1):
+        for d1 in range(sched.k1 - i1 + 1):
+            val = (
+                Fraction(2) ** (d0 + d1)
+                * bv ** (sched.k1 - i1 - d1)
+                * bm ** (sched.k0 - i0 - d0)
+                * Fraction(sched.base[(l0 + d0, l1 + d1)])
+            )
+            if val > best:
+                best = val
+    return best
+
+
+def drive_checking_degree_caps(proc, bits):
+    """Answer every question of a ContainerProcess from bits and check the
+    lemma's degree caps on each round's reduced hypergraph G*.
+
+    G* of a round is (k*)-uniform, with k* read before the answer that closes
+    the round: ``gstar`` once the process is done, ``active`` once the next
+    round has opened.  Each Delta_(l0,l1)(G*) must be at most
+    Delta^(k*)_(l0,l1) of the schedule.  Returns the number of rounds checked.
+    """
+    rounds = 0
+    while (q := proc.pending()) is not None:
+        v, c = q
+        s, (i0, i1) = proc.s, proc.k_star
+        proc.answer(bits[v] == c)
+        if proc.done:
+            gstar = proc.gstar
+        elif proc.s != s:
+            gstar = proc.active
+        else:
+            continue
+        rounds += 1
+        if (i0, i1) == (0, 0):
+            continue
+        g = UniformHypergraph(i0, i1, proc.n)
+        for (a0, a1), mult in gstar.items():
+            g.add(Constraint(a0, a1), mult)
+        for l0 in range(i0 + 1):
+            for l1 in range(i1 + 1):
+                if (l0, l1) == (0, 0):
+                    continue
+                got = max_degree_by_subtuples(g, l0, l1)
+                cap = proc.sched.delta(i0, i1, l0, l1)
+                assert got <= cap, f"round {s}: Delta_({l0},{l1}) = {got} > {cap}"
+    return rounds
+
+
 def _pair_index(u, v):
     u, v = min(u, v), max(u, v)
     return v * (v - 1) // 2 + u

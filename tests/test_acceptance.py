@@ -21,6 +21,7 @@ import naive
 from c4containers import (
     Assignment,
     Constraint,
+    ContainerProcess,
     DeltaSchedule,
     HypothesisError,
     LabeledGraph,
@@ -149,6 +150,19 @@ def container_suite():
         stats["instances"] += 1
     stats["elapsed"] = time.time() - t0
     return stats
+
+
+def test_degree_caps_hold_on_the_suite_instances():
+    """The lemma's degree caps on G* after every round of every container of
+    the first 60 criterion-1 instances (same generator, same seed)."""
+    rng = random.Random(112)
+    rounds = 0
+    for _ in range(60):
+        h, b, m, r = _random_suite_instance(rng)
+        k = check_container_hypothesis(h, 1, b, m, r).min_k
+        for a in _members_up_to(h, m):
+            rounds += naive.drive_checking_degree_caps(ContainerProcess(h, k, b, m, r), a.bits)
+    assert rounds > 1000
 
 
 def test_criterion_01_container_soundness(capsys, container_suite):

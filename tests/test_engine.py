@@ -2,6 +2,7 @@
 fingerprints, and the monotone wrapper."""
 
 import itertools
+import math
 import random
 from collections import Counter
 from fractions import Fraction
@@ -117,16 +118,38 @@ def test_saturation_thresholds_are_half_cap_ceilings():
             assert t - 1 < cap / 2 <= t
 
 
-@pytest.mark.parametrize("k0,k1", [(1, 2), (2, 4)])
-def test_saturation_thresholds_are_memoized_per_index_pair(k0, k1):
-    rng = random.Random(10 * k0 + k1)
-    args = (k0, k1, 2, 5, 9, random_base_table(rng, k0, k1))
-    sched = DeltaSchedule(*args)
-    pairs = sched.index_set() + [(0, 0)]
-    first = {pair: sched.saturation_thresholds(*pair) for pair in pairs}
-    for pair in reversed(pairs):
-        assert sched.saturation_thresholds(*pair) is first[pair]
-        assert first[pair] == DeltaSchedule(*args).saturation_thresholds(*pair)
+def test_closed_form_matches_fraction_products():
+    """The integer-numerator closed form against the Fraction-product loop,
+    exactly, on int and Fraction base rows with zero entries, for every
+    shape up to (4, 4); on int rows the thresholds are the half-cap
+    ceilings of the reference."""
+    rng = random.Random(4242)
+    shapes = [(k0, k1) for k0 in range(5) for k1 in range(5) if (k0, k1) != (0, 0)]
+    comparisons = 0
+    for k0, k1 in shapes:
+        for trial in range(12):
+            v = rng.randint(max(1, k0 + k1), 16)
+            m = v if trial < 3 else rng.randint(1, v)
+            b = m if trial < 3 else rng.randint(1, m)
+            pairs = [(l0, l1) for l0 in range(k0 + 1) for l1 in range(k1 + 1) if (l0, l1) != (0, 0)]
+            ints = {pair: rng.choice((0, rng.randint(0, 60))) for pair in pairs}
+            fracs = random_base_table(rng, k0, k1)
+            fracs[rng.choice(pairs)] = Fraction(0)
+            for base in (ints, fracs):
+                sched = DeltaSchedule(k0, k1, b, m, v, base)
+                for i0, i1 in sched.index_set():
+                    for l0 in range(i0 + 1):
+                        for l1 in range(i1 + 1):
+                            if (l0, l1) == (0, 0):
+                                continue
+                            want = naive.delta_by_fraction_products(sched, i0, i1, l0, l1)
+                            got = sched.delta(i0, i1, l0, l1)
+                            assert type(got) is Fraction and got == want
+                            if base is ints:
+                                thr = sched.saturation_thresholds(i0, i1)[(l0, l1)]
+                                assert thr == math.ceil(want / 2)
+                            comparisons += 1
+    assert comparisons > 5000
 
 
 def triangle_lift():
@@ -370,11 +393,15 @@ def test_hypothesis_error_carries_threshold():
     assert forced.cylinder.contains((0, 0, 0))
 
 
-def test_invariant_checking_mode_runs_clean():
+def test_degree_caps_hold_after_every_round():
     h = triangle_lift()
     k = passing_parameters(h, 2, 3, 1)
+    rounds = 0
     for a in members_up_to(h, 3):
-        build_container(h, k, 2, 3, 1, a, check_invariants=True)
+        proc = ContainerProcess(h, k, 2, 3, 1)
+        rounds += naive.drive_checking_degree_caps(proc, a.bits)
+        assert proc.result() == build_container(h, k, 2, 3, 1, a)
+    assert rounds > 0
 
 
 def random_uniform_instance(rng, k):

@@ -49,10 +49,11 @@ def test_uniformity_enforced_on_add():
 
 
 def test_degenerate_shape_needs_flag():
+    for constraints in ((), [((), ())]):
+        with pytest.raises(ValueError):
+            UniformHypergraph(0, 0, 4, constraints)
     with pytest.raises(ValueError):
-        UniformHypergraph(0, 0, 4)
-    h = UniformHypergraph(0, 0, 4, allow_degenerate=True)
-    assert h.is_empty()
+        UniformHypergraph.from_text("0 0 4\n")
 
 
 def test_multiplicity_counted():
@@ -148,10 +149,6 @@ def test_degree_table_edge_cases():
     assert UniformHypergraph(2, 4, 9).degree_table() == {
         (l0, l1): 0 for l0 in range(3) for l1 in range(5) if (l0, l1) != (0, 0)
     }
-    degenerate = UniformHypergraph(0, 0, 4, allow_degenerate=True)
-    assert degenerate.degree_table() == {}
-    degenerate.add(Constraint.make((), ()), mult=3)
-    assert degenerate.degree_table() == {}
 
 
 def test_degree_of_full_constraint_is_multiplicity():
