@@ -273,7 +273,7 @@ def _cmd_tree(res: _Resolver) -> int:
     lines.append(f"# covered={covered} total={total}")
     _write_output(lines, out, "tree", res.resolved)
     if out is not None:
-        Path(f"{out}.summary.json").write_text(tree_json(tree) + "\n")
+        Path(f"{out}.summary.json").write_text(tree_json(tree, (covered, total)) + "\n")
     print(f"covered={covered} total={total}")
     return 0 if covered == total else 1
 

@@ -577,7 +577,6 @@ def is_almost_split_pregraph(p: Pregraph, eps: float) -> AlmostSplitResult:
 class LeafClassification:
     kind: str  # almost_split | ratio_leaf | e_overflow | m_underflow | not_leaf
     ell: Optional[int] = None
-    split: Optional[AlmostSplitResult] = None
 
     @property
     def is_leaf(self) -> bool:
@@ -602,9 +601,8 @@ def is_leaf_pregraph(p: Pregraph, m: int, eps: float, delta: float) -> LeafClass
         raise PreconditionError(f"delta must lie in (0, 1], got {delta}")
     if m >= p.n * p.n:
         raise PreconditionError(f"need m < n^2, got n={p.n}, m={m}")
-    split = is_almost_split_pregraph(p, eps)
-    if split.found:
-        return LeafClassification("almost_split", split=split)
+    if is_almost_split_pregraph(p, eps).found:
+        return LeafClassification("almost_split")
     ell = 1
     while math.comb(ell, 2) <= p.e_e():
         if p.e_m() <= (1 - delta) * ell * p.n:

@@ -463,20 +463,25 @@ def build_tree(params: TreeParams, force: bool = False) -> ContainerTree:
 
 
 def verify_coverage(tree: ContainerTree) -> tuple[int, int]:
-    """(covered, total) over the exhaustive member list; covered counts the
-    members contained in at least one leaf pregraph."""
+    """(covered, total): how many members of F_{n,m}(C4), enumerated afresh
+    apart from the build's pools, lie in some leaf pregraph.  Top down, a node
+    keeps its parent's survivors that lie in its own pregraph, and each leaf
+    marks its survivors; a member in several leaves counts once.  Containers
+    nest, so this equals a per-leaf scan; a child outside its parent would
+    lose members here, so the check never passes falsely."""
     n, m = tree.params.n, tree.params.m
     members = enumerate_fnm_masks(n, m).astype(np.int64)
     covered = np.zeros(len(members), dtype=bool)
-    for leaf in tree.leaves():
-        p = leaf.pregraph
-        e_mask = 0
-        for u, v in p.fixed:
-            e_mask |= 1 << pair_index(u, v)
-        me_mask = e_mask
-        for u, v in p.mixed:
-            me_mask |= 1 << pair_index(u, v)
-        covered |= ((members & e_mask) == e_mask) & ((members & ~me_mask) == 0)
+    stack = [(tree.root, np.arange(len(members)))]
+    while stack:
+        node, idx = stack.pop()
+        e_mask = sum(1 << pair_index(u, v) for u, v in node.pregraph.fixed)
+        m_mask = sum(1 << pair_index(u, v) for u, v in node.pregraph.mixed)
+        idx = idx[(members[idx] & ~m_mask) == e_mask]  # E <= g <= E | M
+        if node.is_leaf:
+            covered[idx] = True
+        else:
+            stack.extend((child, idx) for child in node.children)
     return int(covered.sum()), len(members)
 
 
@@ -505,26 +510,23 @@ def _leaf_log_count(p: Pregraph, m: int) -> float:
 def classify_leaves(tree: ContainerTree) -> dict[str, list[LeafInfo]]:
     """Bucket the leaves into almost_split / discarded / fallback.
 
-    The almost-split test is re-run at the tree's build eps; discarded leaves
-    carry the case tag of the counting argument that dismisses them (case_1:
-    edge overflow or mixed underflow, case_2: the ratio condition).
+    Almost-splitness at the build eps is read from the build's leaf test and
+    tested here only on the no_progress and depth_cap leaves, which skipped
+    it.  Discarded leaves carry the case tag of the counting argument that
+    dismisses them (case_1: edge overflow or mixed underflow, case_2: ratio).
     """
-    eps = tree.params.eps
+    eps, m = tree.params.eps, tree.params.m
     out: dict[str, list[LeafInfo]] = {"almost_split": [], "discarded": [], "fallback": []}
-    m = tree.params.m
     for leaf in tree.leaves():
-        p = leaf.pregraph
-        log_count = _leaf_log_count(p, m)
-        if is_almost_split_pregraph(p, eps).found:
+        kind, p = leaf.classification, leaf.pregraph
+        untested = kind in ("no_progress", "depth_cap")
+        if kind == "almost_split" or untested and is_almost_split_pregraph(p, eps).found:
             bucket, case = "almost_split", "almost_split"
-            kind = leaf.classification or "almost_split"
-        elif leaf.status == "leaf" and leaf.classification in _DISCARD_CASE:
-            bucket, case = "discarded", _DISCARD_CASE[leaf.classification]
-            kind = leaf.classification
+        elif kind in _DISCARD_CASE:
+            bucket, case = "discarded", _DISCARD_CASE[kind]
         else:
             bucket, case = "fallback", "fallback"
-            kind = leaf.classification
-        out[bucket].append(LeafInfo(leaf.node_id, kind, case, leaf.members, log_count))
+        out[bucket].append(LeafInfo(leaf.node_id, kind, case, leaf.members, _leaf_log_count(p, m)))
     return out
 
 
@@ -543,11 +545,11 @@ def tree_lines(tree: ContainerTree) -> list[str]:
     return lines
 
 
-def tree_summary(tree: ContainerTree) -> dict:
-    """JSON-ready summary: parameters, leaf buckets, coverage, and the
-    observed log-mass of graphs sitting in discarded leaves."""
+def tree_summary(tree: ContainerTree, coverage: tuple[int, int]) -> dict:
+    """JSON-ready summary: parameters, leaf buckets, the observed log-mass of
+    graphs in discarded leaves, and ``verify_coverage``'s (covered, total)."""
     buckets = classify_leaves(tree)
-    covered, total = verify_coverage(tree)
+    covered, total = coverage
     discarded_mass = log_sum(
         LogCount(info.log_count) for info in buckets["discarded"]
     )
@@ -570,8 +572,8 @@ def tree_summary(tree: ContainerTree) -> dict:
     }
 
 
-def tree_json(tree: ContainerTree) -> str:
-    return json.dumps(tree_summary(tree), indent=2, sort_keys=True)
+def tree_json(tree: ContainerTree, coverage: tuple[int, int]) -> str:
+    return json.dumps(tree_summary(tree, coverage), indent=2, sort_keys=True)
 
 
 # -- the edge-count weight phi ----------------------------------------------------

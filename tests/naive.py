@@ -803,3 +803,47 @@ def ratio_a_by_perms(n, m, ell):
     k = m - C(ell+1,2), as two falling factorials of length k."""
     k = m - math.comb(ell + 1, 2)
     return Fraction(math.perm((ell + 1) * (n - ell - 1), k), math.perm(ell * (n - ell), k))
+
+
+def verify_coverage_by_leaf_scan(tree, members):
+    """(covered, total) for a container tree: how many of the given member
+    edge masks lie in at least one leaf pregraph (E <= g <= E | M), testing
+    every member against every leaf.  Unlike a top-down filter it never
+    looks at internal nodes."""
+    members = np.asarray(members, dtype=np.int64)
+    covered = np.zeros(len(members), dtype=bool)
+    for leaf in tree.leaves():
+        p = leaf.pregraph
+        e_mask = 0
+        for u, v in p.fixed:
+            e_mask |= 1 << _pair_index(u, v)
+        me_mask = e_mask
+        for u, v in p.mixed:
+            me_mask |= 1 << _pair_index(u, v)
+        covered |= ((members & e_mask) == e_mask) & ((members & ~me_mask) == 0)
+    return int(covered.sum()), len(members)
+
+
+_DISCARD_CASE = {"e_overflow": "case_1", "m_underflow": "case_1", "ratio_leaf": "case_2"}
+
+
+def classify_leaves_by_retest(tree):
+    """Leaf buckets as {almost_split, discarded, fallback} -> list of
+    (node_id, kind, case, members, log_count) tuples, re-running the
+    almost-split test on every leaf by the full subset scan, whatever the
+    build recorded."""
+    eps, m = tree.params.eps, tree.params.m
+    out = {"almost_split": [], "discarded": [], "fallback": []}
+    for leaf in tree.leaves():
+        p = leaf.pregraph
+        free = m - len(p.fixed)
+        feasible = 0 <= free <= len(p.mixed)
+        log_count = math.log(math.comb(len(p.mixed), free)) if feasible else float("-inf")
+        if almost_split_by_subset_scan(p, eps) is not None:
+            bucket, case = "almost_split", "almost_split"
+        elif leaf.status == "leaf" and leaf.classification in _DISCARD_CASE:
+            bucket, case = "discarded", _DISCARD_CASE[leaf.classification]
+        else:
+            bucket, case = "fallback", "fallback"
+        out[bucket].append((leaf.node_id, leaf.classification, case, leaf.members, log_count))
+    return out

@@ -190,6 +190,44 @@ def test_tree_writes_artifacts(tmp_path, capsys):
     assert summary["covered"] == summary["total_members"]
 
 
+# sha256 of stdout, the node table, .summary.json and .manifest of
+# `tree --n 7 --m M [--force] --out tree.txt`, joined in that order, as the
+# leaf-by-leaf coverage scan wrote them
+TREE_N7_SHA256 = {
+    (3, True): "1d00e6d28d2ec5d73c15027ac5ad5e6d4c36628f360c2504d83635576c505c03",
+    (13, True): "39f904bff260f6d8113b4fd614cd1a27498cf3e9b593e23f33ace6f8bad37640",
+    (15, True): "34fe3a226a74d6c3b2102b1caada7542350c12bc392269a9107b62c40f9d4fcb",
+    (18, False): "fdad0fb15287d4f767f7b69c6f3516464058ebbbcdffe06d14c4b469ddfb428b",
+}
+
+
+@pytest.mark.parametrize("m,force", sorted(TREE_N7_SHA256))
+def test_tree_n7_artifacts_are_unchanged(tmp_path, capsys, monkeypatch, m, force):
+    monkeypatch.chdir(tmp_path)  # the manifest records --out as given
+    argv = ["tree", "--n", "7", "--m", str(m), "--out", "tree.txt"] + ["--force"] * force
+    code, stdout, _ = run(capsys, *argv)
+    assert code == 0
+    files = [(tmp_path / f).read_text() for f in ("tree.txt", "tree.txt.summary.json", "tree.txt.manifest")]
+    digest = hashlib.sha256("".join([stdout, *files]).encode()).hexdigest()
+    assert digest == TREE_N7_SHA256[(m, force)]
+
+
+def test_tree_out_checks_coverage_once(tmp_path, capsys, monkeypatch):
+    """One coverage check per run, so F_{n,m} is enumerated twice: once for
+    the build and once for the check."""
+    from c4containers import cli, tree
+
+    calls = []
+    for mod, name in ((cli, "verify_coverage"), (tree, "verify_coverage"),
+                      (tree, "enumerate_fnm_masks")):
+        inner = getattr(mod, name)
+        monkeypatch.setattr(mod, name, lambda *a, name=name, inner=inner, **k:
+                            calls.append(name) or inner(*a, **k))
+    code, _, _ = run(capsys, "tree", "--n", "7", "--m", "18", "--out", str(tmp_path / "t.txt"))
+    assert code == 0
+    assert sorted(calls) == ["enumerate_fnm_masks"] * 2 + ["verify_coverage"]
+
+
 def test_manifest_rerun_is_identical(tmp_path, capsys):
     out1 = tmp_path / "a.csv"
     run(capsys, "count-split", "--n", "50000", "--m", "1000000", "--out", str(out1))

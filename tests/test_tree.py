@@ -2,22 +2,28 @@
 hypergraph selection, tree growth with exhaustive member tracking, leaf
 classification, and the edge-count weight phi."""
 
+import dataclasses
 import json
 import math
 
+import naive
 import pytest
 
 from c4containers import (
     PHI_FITTED_CONSTANTS,
+    ContainerTree,
     PreconditionError,
     ScaleError,
+    TreeNode,
     TreeParams,
     build_tree,
     choose_hypergraph,
     classify_leaves,
     complete_pregraph,
     count_Fnm_c4,
+    enumerate_fnm_masks,
     fnm_table_backtracking,
+    is_almost_split_pregraph,
     phi_log,
     tree_json,
     tree_lines,
@@ -147,7 +153,8 @@ def test_default_tree_expands_when_the_condition_holds():
 
 def test_summary_and_lines_shape():
     tree = build_tree(TreeParams(7, 18))
-    summary = tree_summary(tree)
+    coverage = verify_coverage(tree)
+    summary = tree_summary(tree, coverage)
     assert summary["covered"] == summary["total_members"]
     assert summary["n_nodes"] == len(tree.nodes)
     assert summary["n_leaves"] == len(tree.leaves())
@@ -159,7 +166,7 @@ def test_summary_and_lines_shape():
             if info["members"]:
                 assert math.log(info["members"]) <= info["log_count"] + 1e-9
 
-    parsed = json.loads(tree_json(tree))
+    parsed = json.loads(tree_json(tree, coverage))
     assert parsed["params"]["n"] == 7 and parsed["params"]["m"] == 18
 
     lines = tree_lines(tree)
@@ -168,6 +175,87 @@ def test_summary_and_lines_shape():
     first = lines[1].split()
     assert int(first[0]) == tree.root.node_id
     assert first[2] in ("internal", "leaf", "fallback_leaf")
+
+
+@pytest.mark.parametrize(
+    "n,m,force", [(7, 3, True), (7, 13, True), (7, 15, True), (7, 18, False), (8, 26, False)]
+)
+def test_report_passes_match_the_leaf_scan_and_the_retest(n, m, force):
+    tree = build_tree(TreeParams(n, m), force=force)
+    members = enumerate_fnm_masks(n, m)
+    assert verify_coverage(tree) == naive.verify_coverage_by_leaf_scan(tree, members)
+    buckets = classify_leaves(tree)
+    got = {k: [dataclasses.astuple(info) for info in v] for k, v in buckets.items()}
+    assert got == naive.classify_leaves_by_retest(tree)
+
+
+def test_coverage_drops_members_that_escape_an_ancestor():
+    """Fixing one more edge at an internal node puts the members of its
+    leaves that lack the edge outside an ancestor.  The top-down count then
+    equals a leaf scan in which every leaf below the node fixes the edge too
+    (or is dropped, if it discards it), and falls below the plain leaf scan,
+    which never looks at internal nodes."""
+    tree = build_tree(TreeParams(7, 18))
+    members = enumerate_fnm_masks(7, 18)
+    total = len(members)
+
+    def fixing(p, edge):
+        return Pregraph(p.n, p.mixed - {edge}, p.fixed | {edge})
+
+    def leaf_scan_fixing(node, edge):
+        below, stack = set(), [node]
+        while stack:
+            nd = stack.pop()
+            below.add(nd.node_id)
+            stack.extend(nd.children)
+        leaves = []
+        for nd in tree.leaves():
+            if nd.node_id not in below:
+                leaves.append(nd)
+            elif edge in nd.pregraph.mixed | nd.pregraph.fixed:
+                leaves.append(dataclasses.replace(nd, pregraph=fixing(nd.pregraph, edge)))
+        return naive.verify_coverage_by_leaf_scan(dataclasses.replace(tree, nodes=leaves), members)
+
+    # the first node below the root, and edge, that leave some member uncovered
+    candidates = (
+        (nd, e) for nd in tree.nodes if nd.depth and not nd.is_leaf
+        for e in sorted(nd.pregraph.mixed)
+    )
+    for node, edge in candidates:
+        want = leaf_scan_fixing(node, edge)
+        if want[0] < total:
+            break
+    else:
+        pytest.fail("no fixed edge below the root leaves a member uncovered")
+    node.pregraph = fixing(node.pregraph, edge)
+    assert verify_coverage(tree) == want
+    assert naive.verify_coverage_by_leaf_scan(tree, members) == (total, total)
+
+
+def test_untested_fallback_leaves_are_retested_for_almost_split():
+    """no_progress and depth_cap leaves never met the build's leaf test, so
+    an almost-split one lands in the almost_split bucket under its own
+    kind."""
+    params = TreeParams(7, 10)
+    split = Pregraph(7, [(4, 5)], [(0, 1), (0, 2), (1, 2)])
+    assert is_almost_split_pregraph(split, params.eps).found
+    assert not is_almost_split_pregraph(complete_pregraph(7), params.eps).found
+    root = TreeNode(0, -1, complete_pregraph(7), 0, members=3)
+    root.children = [
+        TreeNode(1, 0, split, 1, "fallback_leaf", "no_progress", members=1),
+        TreeNode(2, 0, split, 1, "fallback_leaf", "depth_cap", members=1),
+        TreeNode(3, 0, complete_pregraph(7), 1, "fallback_leaf", "no_progress", members=1),
+    ]
+    tree = ContainerTree(params, False, root, [root, *root.children], 3)
+    buckets = classify_leaves(tree)
+    assert [(i.node_id, i.kind, i.case) for i in buckets["almost_split"]] == [
+        (1, "no_progress", "almost_split"), (2, "depth_cap", "almost_split"),
+    ]
+    assert [(i.node_id, i.kind, i.case) for i in buckets["fallback"]] == [
+        (3, "no_progress", "fallback"),
+    ]
+    got = {k: [dataclasses.astuple(info) for info in v] for k, v in buckets.items()}
+    assert got == naive.classify_leaves_by_retest(tree)
 
 
 def test_phi_exact_matches_direct_recomputation():
