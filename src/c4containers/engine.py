@@ -247,6 +247,12 @@ class ContainerResult:
     n_rounds: int
 
 
+def _below_beta(e: int, e_h: int, k0: int, k1: int, b: int, m: int, v: int, s: int) -> bool:
+    """e < beta_s e(H) with beta_s = 2^(-s(k0+k1+1)) (b/v)^min(k1,s) (b/m)^max(0,s-k1),
+    compared in integers: e 2^(s(k0+k1+1)) v^min(k1,s) m^max(0,s-k1) < b^s e(H)."""
+    return e * 2 ** (s * (k0 + k1 + 1)) * v ** min(k1, s) * m ** max(0, s - k1) < b**s * e_h
+
+
 class ContainerProcess:
     """Round-by-round container construction driven by an external oracle.
 
@@ -256,18 +262,21 @@ class ContainerProcess:
 
     Round s (counted from 0) runs on the constraints in ``active``, keyed by
     their sorted tuple pair, and asks about the c-side (c = 1 while the round's
-    hypergraph has a nonempty 1-side).  ``cdeg`` and ``incidence`` hold each
-    vertex's c-side degree and constraints, so the next question is one
-    dictionary scan, kept until it is answered.  YES answers move constraints,
-    with the asked vertex removed, into the counter ``gstar`` of uniformity
-    ``k_star``; ``pair_deg`` counts its sub-pair degrees against
+    hypergraph has a nonempty 1-side).  ``active`` is the only record of which
+    constraints are live; ``cdeg`` holds each vertex's live c-side degree, so
+    the next question is one dictionary scan, kept until it is answered.
+    ``incidence[side][u]`` holds every constraint of the round with u on that
+    side; it is built when the round opens and never changed, so clones share
+    it and read the live constraints through ``active``.  YES answers move
+    constraints, with the asked vertex removed, into the counter ``gstar`` of
+    uniformity ``k_star``; ``pair_deg`` counts its sub-pair degrees against
     ``thresholds``, ``saturated`` collects the pairs that reached theirs, and
-    one sweep over the active constraints drops each one containing a newly
-    saturated pair, found by looking up its sub-tuple pairs of the shapes
-    saturated in that answer.  ``yes`` and ``no`` list the vertices answered
-    each way in this round; ``s0`` and ``s1`` accumulate the YES vertices of
-    all rounds.  A round ends after b YES answers or when no constraint is
-    left; G* then either yields the cylinder or opens the next round.
+    the active constraints containing a newly saturated pair are dropped,
+    found by intersecting the incidence sets of the pair's vertices.  ``yes``
+    and ``no`` list the vertices answered each way in this round; ``s0`` and
+    ``s1`` accumulate the YES vertices of all rounds.  A round ends after b
+    YES answers or when no constraint is left; G* then either yields the
+    cylinder or opens the next round.
     """
 
     def __init__(
@@ -309,15 +318,6 @@ class ContainerProcess:
         self._question: Optional[tuple[int, int]] = None
         self._open_round({c.key(): mult for c, mult in h.constraints()}, h.k0, h.k1)
 
-    def _beta(self, s: int) -> Fraction:
-        k0, k1 = self.h_k0, self.h_k1
-        alpha = Fraction(1, 2 ** (s * (k0 + k1 + 1)))
-        return (
-            alpha
-            * Fraction(self.b, self.n) ** min(k1, s)
-            * Fraction(self.b, self.m) ** max(0, s - k1)
-        )
-
     def _open_round(self, edges: dict[Key, int], i0: int, i1: int) -> None:
         """Start a round on the (i0, i1)-uniform constraints ``edges``."""
         self.c = c = 1 if i1 > 0 else 0
@@ -325,11 +325,13 @@ class ContainerProcess:
         self.thresholds = self.sched.saturation_thresholds(*self.k_star)
         self.active = edges
         self.cdeg: Counter[int] = Counter()
-        self.incidence: dict[int, set[Key]] = {}
+        self.incidence: tuple[list[set[Key]], ...] = tuple([set() for _ in range(self.n)] for _ in range(2))
         for key, mult in edges.items():
             for u in key[c]:
                 self.cdeg[u] += mult
-                self.incidence.setdefault(u, set()).add(key)
+            for side, part in zip(self.incidence, key):
+                for u in part:
+                    side[u].add(key)
         self.gstar: Counter[Key] = Counter()
         self.pair_deg: Counter[Key] = Counter()
         self.saturated: set[Key] = set()
@@ -358,7 +360,6 @@ class ContainerProcess:
             self.cdeg[u] -= mult
             if self.cdeg[u] == 0:
                 del self.cdeg[u]
-            self.incidence[u].discard(key)
         return mult
 
     def _add_to_gstar(self, key: Key, mult: int) -> list[Key]:
@@ -378,26 +379,23 @@ class ContainerProcess:
         return fresh
 
     def _doomed(self, fresh: list[Key]) -> list[Key]:
-        """The active constraints that contain a pair of ``fresh``.
+        """The active constraints that contain a pair of ``fresh``, in ``active`` order.
 
-        Keys and pairs are sorted tuples, so a pair of shape (l0, l1) lies
-        inside a key exactly when it is one of the key's (l0, l1) sub-tuple
-        pairs: each key costs a few hash lookups, not one subset test per pair.
+        A pair whose sub-pair one element smaller is saturated is skipped: the
+        keys holding that sub-pair left ``active`` when it saturated, or are
+        found through it now.  The keys of any other pair are the intersection
+        of the round's incidence sets of its vertices, smallest first.
         """
-        targets = set(fresh)
-        shapes = {(len(t0), len(t1)) for t0, t1 in fresh}
-        return [
-            key
-            for key in self.active
-            if any(
-                not targets.isdisjoint(
-                    itertools.product(
-                        itertools.combinations(key[0], l0), itertools.combinations(key[1], l1)
-                    )
-                )
-                for l0, l1 in shapes
-            )
-        ]
+        hits: set[Key] = set()
+        inc0, inc1 = self.incidence
+        for t0, t1 in fresh:
+            if t0 and any((s, t1) in self.saturated for s in itertools.combinations(t0, len(t0) - 1)):
+                continue
+            if t1 and any((t0, s) in self.saturated for s in itertools.combinations(t1, len(t1) - 1)):
+                continue
+            sets = sorted([inc0[u] for u in t0] + [inc1[u] for u in t1], key=len)
+            hits.update(sets[0].intersection(*sets[1:]))
+        return [key for key in self.active if key in hits]
 
     def answer(self, yes: bool) -> None:
         """Record the answer for the pending vertex and run the cleanup step."""
@@ -407,7 +405,7 @@ class ContainerProcess:
         v, c = q
         self._question = None
         fresh: list[Key] = []
-        hit = list(self.incidence.get(v, ()))
+        hit = [key for key in self.incidence[c][v] if key in self.active]
         if yes:
             self.yes.append(v)
             for key in hit:
@@ -430,7 +428,8 @@ class ContainerProcess:
 
     def _close_round(self) -> None:
         (self.s1 if self.c == 1 else self.s0).update(self.yes)
-        if sum(self.gstar.values()) < self._beta(self.s + 1) * self.e_h:
+        e = sum(self.gstar.values())
+        if _below_beta(e, self.e_h, self.h_k0, self.h_k1, self.b, self.m, self.n, self.s + 1):
             labels: list[Optional[int]] = [None] * self.n
             for v in self.no:
                 labels[v] = 1 - self.c
@@ -446,12 +445,11 @@ class ContainerProcess:
         self._open_round(dict(self.gstar), *self.k_star)
 
     def clone(self) -> "ContainerProcess":
-        """An independent copy; the report, schedule and thresholds stay shared."""
+        """An independent copy; the report, schedule, thresholds and incidence stay shared."""
         other = copy.copy(self)
         other.s0, other.s1 = set(self.s0), set(self.s1)
         other.active = dict(self.active)
         other.cdeg = Counter(self.cdeg)
-        other.incidence = {u: set(ks) for u, ks in self.incidence.items()}
         other.gstar = Counter(self.gstar)
         other.pair_deg = Counter(self.pair_deg)
         other.saturated = set(self.saturated)

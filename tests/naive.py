@@ -259,6 +259,14 @@ def doomed_by_subset_test(proc, fresh):
     ]
 
 
+def beta_by_fractions(k0, k1, b, m, v, s):
+    """The share beta_s of e(H) below which round s - 1 of the container
+    game closes on a cylinder: 2^(-s(k0+k1+1)) (b/v)^min(k1,s)
+    (b/m)^max(0,s-k1), as a product of Fraction powers."""
+    alpha = Fraction(1, 2 ** (s * (k0 + k1 + 1)))
+    return alpha * Fraction(b, v) ** min(k1, s) * Fraction(b, m) ** max(0, s - k1)
+
+
 def delta_by_fraction_products(sched, i0, i1, l0, l1):
     """The closed-form cap Delta^(i0,i1)_(l0,l1) of a DeltaSchedule as a max
     of Fraction products, one power of 2, b/v and b/m per term."""

@@ -1,6 +1,7 @@
 """Container construction: the round game, degree-cap schedule, cylinders,
 fingerprints, and the monotone wrapper."""
 
+import hashlib
 import itertools
 import math
 import random
@@ -28,7 +29,9 @@ from c4containers import (
     monotone_containers,
     normalize_parameters,
     replay_container,
+    sample_c4free_by_deletion,
 )
+from c4containers.engine import _below_beta
 
 
 def members_up_to(h, m):
@@ -152,6 +155,24 @@ def test_closed_form_matches_fraction_products():
     assert comparisons > 5000
 
 
+def test_round_close_test_matches_fraction_beta():
+    """e(G*) < beta_s e(H), decided in integers, against the Fraction product
+    of tests/naive.py on a grid of (k0, k1, b, m, v, s, e(G*)) that puts
+    e(G*) on both sides of beta_s e(H) and, where it is an integer, on it."""
+    on_boundary = 0
+    for k0, k1 in [(0, 1), (0, 2), (1, 0), (1, 1), (2, 0), (1, 2), (2, 4), (3, 1)]:
+        for b, m, v in [(1, 1, 1), (1, 3, 5), (2, 2, 7), (2, 5, 5), (3, 4, 9), (4, 10, 28)]:
+            for s in range(1, k0 + k1 + 1):
+                beta = naive.beta_by_fractions(k0, k1, b, m, v, s)
+                for e_h in (1, 15, beta.denominator, 3 * beta.denominator + 1, 7 * beta.denominator):
+                    edge = beta * e_h
+                    near = {math.floor(edge) + d for d in (-1, 0, 1, 2)}
+                    for e in sorted(x for x in near | {0, 1, e_h} if x >= 0):
+                        assert _below_beta(e, e_h, k0, k1, b, m, v, s) == (e < edge), (k0, k1, b, m, v, s, e_h, e)
+                        on_boundary += e == edge
+    assert on_boundary > 100, on_boundary
+
+
 def triangle_lift():
     """(0,2)-uniform hypergraph of the triangle: independent sets of K3."""
     h = UniformHypergraph(0, 2, 3)
@@ -219,8 +240,16 @@ def test_round_yes_vertices_come_from_the_assignment():
             assert set(fp.s0) == yes_by_c[0] and not yes_by_c[0] & a.ones()
 
 
+def clone_instances():
+    """The hand-built instances and H_2 of two complete pregraphs, whose
+    constraints have vertices on both sides."""
+    return small_instances() + [
+        (build_constraint_hypergraphs(complete_pregraph(n)).h2, 2, m, 1) for n, m in ((5, 3), (6, 2))
+    ]
+
+
 def test_clone_at_every_question_runs_on_alone():
-    for h, b, m, r in small_instances():
+    for h, b, m, r in clone_instances():
         k = passing_parameters(h, b, m, r)
         for a in members_up_to(h, m):
             expected = build_container(h, k, b, m, r, a)
@@ -246,10 +275,46 @@ def test_clone_at_every_question_runs_on_alone():
             assert questions > 0
 
 
+def live_state(proc):
+    return list(proc.active.items()), dict(proc.cdeg), proc.pending()
+
+
+def test_driving_a_clone_leaves_the_original_alone():
+    """At every question, a clone driven to the end leaves the original's
+    active constraints, degrees and pending question as they were, and so
+    does the original driven to the end for a clone.  Both read one shared
+    incidence index."""
+    checked = 0
+    for h, b, m, r in clone_instances():
+        k = passing_parameters(h, b, m, r)
+        for a in members_up_to(h, m):
+            proc = ContainerProcess(h, k, b, m, r)
+            while (q := proc.pending()) is not None:
+                state = live_state(proc)
+                for flip in (False, True):
+                    twin = proc.clone()
+                    assert twin.incidence is proc.incidence
+                    v, c = q
+                    try:
+                        twin.answer((a.bits[v] == c) != flip)
+                        drive(twin, a.bits)
+                    except PreconditionError:
+                        pass
+                    assert live_state(proc) == state
+                twin = proc.clone()
+                drive(proc, a.bits)
+                assert live_state(twin) == state
+                proc = twin
+                proc.answer(a.bits[q[0]] == q[1])
+                checked += 1
+    assert checked > 1000, checked
+
+
 def test_doomed_sweep_matches_the_subset_test(monkeypatch):
-    """The sub-tuple lookup sweep against the pairwise set-inclusion sweep,
-    on every member of the small instances and of H_2 of small complete
-    pregraphs, call by call and container by container."""
+    """The incidence sweep against the pairwise set-inclusion sweep, on
+    every member of the small instances and of H_2 of small complete
+    pregraphs and on sampled members of H_2 of K_8, call by call and
+    container by container."""
     cases = small_instances() + [
         (build_constraint_hypergraphs(complete_pregraph(n)).h2, 2, m, 1)
         for n, m in ((4, 6), (5, 4), (6, 3))
@@ -258,6 +323,16 @@ def test_doomed_sweep_matches_the_subset_test(monkeypatch):
     for h, b, m, r in cases:
         proc = ContainerProcess(h, passing_parameters(h, b, m, r), b, m, r)
         runs += [(proc, a.bits) for a in members_up_to(h, m)]
+    # H_2 of K_8 at m = 8, where some round-0 thresholds are 1: one YES
+    # saturates a pair and its sub-pairs together, so the sweep skips pairs
+    system = build_constraint_hypergraphs(complete_pregraph(8))
+    h = system.h2
+    proc = ContainerProcess(h, passing_parameters(h, 2, 8, 1), 2, 8, 1)
+    assert min(proc.thresholds.values()) == 1
+    for seed in range(4):
+        sample = sample_c4free_by_deletion(8, 8, 0.1, seed, max_attempts=50)
+        assert sample.accepted
+        runs.append((proc, [int(sample.graph.has_edge(u, v)) for u, v in system.ground]))
 
     def containers():
         out = []
@@ -270,17 +345,25 @@ def test_doomed_sweep_matches_the_subset_test(monkeypatch):
     fast = containers()
     lookup = ContainerProcess._doomed
     shapes_per_sweep = Counter()
+    skippable = Counter()
 
     def reference(proc, fresh):
         doomed = naive.doomed_by_subset_test(proc, fresh)
         assert lookup(proc, fresh) == doomed
         shapes_per_sweep[len({(len(t0), len(t1)) for t0, t1 in fresh})] += 1
+        if proc.n == h.n_vertices:
+            for t0, t1 in fresh:
+                smaller = [(t0[:i] + t0[i + 1 :], t1) for i in range(len(t0))]
+                smaller += [(t0, t1[:i] + t1[i + 1 :]) for i in range(len(t1))]
+                skippable[any(pair in proc.saturated for pair in smaller)] += 1
         return doomed
 
     monkeypatch.setattr(ContainerProcess, "_doomed", reference)
     assert containers() == fast
     # some answers saturate pairs of two shapes at once
     assert shapes_per_sweep[1] > 0 and shapes_per_sweep[2] > 0, shapes_per_sweep
+    # on H_2 of K_8 the sweep meets fresh pairs with a saturated sub-pair
+    assert skippable[True] > 0, skippable
 
 
 @pytest.mark.parametrize("k0,k1", [(0, 2), (1, 1), (1, 2), (2, 2), (2, 4)])
@@ -299,6 +382,32 @@ def test_schedule_base_is_the_degree_table(k0, k1):
             for l1 in range(k1 + 1)
             if (l0, l1) != (0, 0)
         }
+
+
+# sha256 of the build and replay fingerprints and cylinders ("s0 s1 cylinder",
+# one line each) for the seed-0 deletion-sampler member on H_2 of K_n, with
+# b = 2, r = 1 and K the exact min_K.  Recorded with the per-key sweep that
+# the incidence index replaced; the rounds there saturate thousands of pairs.
+ENGINE_PINS = {
+    (13, 15): "96a7d5a3f033707028fda4a9e1ea03670ed1b07552b1821c863a18bfa28b0d99",
+    (16, 18): "935eb446a39f517ab6fd4efc66111fe34960635698e64ecf3baa200db8e1a1b8",
+}
+
+
+@pytest.mark.parametrize("n,m", sorted(ENGINE_PINS))
+def test_engine_output_is_pinned_on_large_h2(n, m):
+    system = build_constraint_hypergraphs(complete_pregraph(n))
+    h = system.h2
+    b, m2 = normalize_parameters(2, m, h.n_vertices)
+    k = check_container_hypothesis(h, 1, b, m2, 1).min_k
+    sample = sample_c4free_by_deletion(n, m, 0.1, 0, max_attempts=50)
+    assert sample.accepted
+    bits = [int(sample.graph.has_edge(u, v)) for u, v in system.ground]
+    built = build_container(h, k, 2, m, 1, bits)
+    again = replay_container(h, k, 2, m, 1, built.fingerprint)
+    assert again == built
+    text = "".join(f"{r.fingerprint.s0} {r.fingerprint.s1} {r.cylinder.to_string()}\n" for r in (built, again))
+    assert hashlib.sha256(text.encode()).hexdigest() == ENGINE_PINS[(n, m)]
 
 
 def test_cylinder_string_round_trip_and_membership():

@@ -1,4 +1,4 @@
-"""Time CLI jobs at growing scale, one child interpreter per job.
+"""Time CLI and engine jobs at growing scale, one child interpreter per job.
 
     PYTHONPATH=src python3 tools/scale.py JOB [JOB ...]
 
@@ -9,19 +9,26 @@ JOB is one of
            N_{N,m}, an exact count of up to a million digits;
   grid-N   `count-split --n N --m M` at the largest m of the benchmark grid;
   tree-M   `tree --n 8 --m M --force --out tree.txt` in a temporary
-           directory: the node table, its `.summary.json` and `.manifest`.
+           directory: the node table, its `.summary.json` and `.manifest`;
+  engine-N `build_container` then `replay_container` on H_2 of
+           `complete_pregraph(N)` at m = N + N//5, b = 2, r = 1 and K the
+           exact min_K, for the first member the deletion sampler accepts
+           at seed 0 (delta = 0.1).
 
 Each job runs in its own child interpreter, so each peak RSS belongs to one
 job.  The child calls ``c4containers.cli.main`` in-process and times that
 call alone, which leaves out the interpreter start, the package import and
-the argmax that picks L.  One JSON line per job: job, argv, seconds, peak
-RSS in MB and the sha256 of the job's stdout followed, for tree-M, by the
-node table, the summary and the manifest.  Only ``cli.main`` and the
-argmax are called, so the same script times any checkout put on
-PYTHONPATH.
+the argmax that picks L; engine-N times the build and the replay alone,
+after H_2, K and the member are made.  One JSON line per job: job, argv,
+seconds, peak RSS in MB and the sha256 of the job's stdout followed, for
+tree-M, by the node table, the summary and the manifest; for engine-N the
+output is one "s0 s1 cylinder" line for the build and one for the replay.
+Only public functions are called, so the same script times any checkout
+put on PYTHONPATH.
 
 Not part of the test suite: ell-8000 and tree-20 take tens of seconds,
-and lower M take minutes.
+and lower M take minutes.  engine-20 (14,535 constraints) takes about a
+second.
 """
 
 from __future__ import annotations
@@ -57,7 +64,32 @@ def job_argv(job: str) -> list[str]:
     raise SystemExit(f"unknown job {job!r}")
 
 
+def engine(n: int) -> tuple[str, str, float]:
+    from c4containers import (build_constraint_hypergraphs, build_container,
+                              check_container_hypothesis, complete_pregraph,
+                              normalize_parameters, replay_container, sample_c4free_by_deletion)
+
+    m = n + n // 5
+    system = build_constraint_hypergraphs(complete_pregraph(n))
+    h = system.h2
+    b, m2 = normalize_parameters(2, m, h.n_vertices)
+    k = check_container_hypothesis(h, 1, b, m2, 1).min_k
+    sample = sample_c4free_by_deletion(n, m, 0.1, 0, max_attempts=1000)
+    if not sample.accepted:
+        raise SystemExit(f"no member of F_{{{n},{m}}} drawn")
+    bits = [int(sample.graph.has_edge(u, v)) for u, v in system.ground]
+    start = time.perf_counter()
+    built = build_container(h, k, 2, m, 1, bits)
+    again = replay_container(h, k, 2, m, 1, built.fingerprint)
+    seconds = time.perf_counter() - start
+    out = "".join(f"{r.fingerprint.s0} {r.fingerprint.s1} {r.cylinder.to_string()}\n" for r in (built, again))
+    return f"build_container+replay_container H_2(K_{n}) m={m} K={k}", out, seconds
+
+
 def run(job: str) -> dict:
+    if job.startswith("engine-"):
+        argv, out, seconds = engine(int(job.split("-")[1]))
+        return record(job, argv, seconds, out)
     from c4containers.cli import main
 
     argv = job_argv(job)
@@ -71,12 +103,16 @@ def run(job: str) -> dict:
         files = [open(f).read() for f in TREE_FILES] if argv[0] == "tree" else []
     if code != 0:
         raise SystemExit(f"{' '.join(argv)} exited with {code}")
+    return record(job, " ".join(argv), seconds, "".join([buf.getvalue(), *files]))
+
+
+def record(job: str, argv: str, seconds: float, output: str) -> dict:
     return {
         "job": job,
-        "argv": " ".join(argv),
+        "argv": argv,
         "seconds": round(seconds, 3),
         "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
-        "sha256": hashlib.sha256("".join([buf.getvalue(), *files]).encode()).hexdigest(),
+        "sha256": hashlib.sha256(output.encode()).hexdigest(),
     }
 
 
