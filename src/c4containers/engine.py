@@ -60,6 +60,8 @@ __all__ = [
 ]
 
 Key = tuple[tuple[int, ...], tuple[int, ...]]
+# (c, constraints, c-side degrees, incidence): see _index_round
+RoundIndex = tuple[int, dict[Key, int], Counter[int], tuple[list[set[Key]], list[set[Key]]]]
 
 
 def normalize_parameters(b: int, m: int, v: int) -> tuple[int, int]:
@@ -253,6 +255,25 @@ def _below_beta(e: int, e_h: int, k0: int, k1: int, b: int, m: int, v: int, s: i
     return e * 2 ** (s * (k0 + k1 + 1)) * v ** min(k1, s) * m ** max(0, s - k1) < b**s * e_h
 
 
+def _index_round(edges: dict[Key, int], i1: int, n: int) -> RoundIndex:
+    """The index of a round on the (i0, i1)-uniform constraints ``edges``.
+
+    The round asks about side c = 1 while i1 > 0, else c = 0.  ``edges`` is
+    kept as it is; each vertex gets its c-side degree, and
+    ``incidence[side][u]`` the constraints with u on that side.
+    """
+    c = 1 if i1 > 0 else 0
+    cdeg: Counter[int] = Counter()
+    incidence: tuple[list[set[Key]], ...] = tuple([set() for _ in range(n)] for _ in range(2))
+    for key, mult in edges.items():
+        for u in key[c]:
+            cdeg[u] += mult
+        for side, part in zip(incidence, key):
+            for u in part:
+                side[u].add(key)
+    return c, edges, cdeg, incidence
+
+
 class ContainerProcess:
     """Round-by-round container construction driven by an external oracle.
 
@@ -267,16 +288,18 @@ class ContainerProcess:
     the next question is one dictionary scan, kept until it is answered.
     ``incidence[side][u]`` holds every constraint of the round with u on that
     side; it is built when the round opens and never changed, so clones share
-    it and read the live constraints through ``active``.  YES answers move
-    constraints, with the asked vertex removed, into the counter ``gstar`` of
-    uniformity ``k_star``; ``pair_deg`` counts its sub-pair degrees against
-    ``thresholds``, ``saturated`` collects the pairs that reached theirs, and
-    the active constraints containing a newly saturated pair are dropped,
-    found by intersecting the incidence sets of the pair's vertices.  ``yes``
-    and ``no`` list the vertices answered each way in this round; ``s0`` and
-    ``s1`` accumulate the YES vertices of all rounds.  A round ends after b
-    YES answers or when no constraint is left; G* then either yields the
-    cylinder or opens the next round.
+    it and read the live constraints through ``active``.  Round 0's index
+    belongs to H: it is built once, kept in H's memo, and every process on H
+    shares its incidence and starts from copies of its constraints and
+    degrees.  YES answers move constraints, with the asked vertex removed,
+    into the counter ``gstar`` of uniformity ``k_star``; ``pair_deg`` counts
+    its sub-pair degrees against ``thresholds``, ``saturated`` collects the
+    pairs that reached theirs, and the active constraints containing a newly
+    saturated pair are dropped, found by intersecting the incidence sets of
+    the pair's vertices.  ``yes`` and ``no`` list the vertices answered each
+    way in this round; ``s0`` and ``s1`` accumulate the YES vertices of all
+    rounds.  A round ends after b YES answers or when no constraint is left;
+    G* then either yields the cylinder or opens the next round.
     """
 
     def __init__(
@@ -316,22 +339,19 @@ class ContainerProcess:
         self.done = False
         self.cylinder: Optional[Cylinder] = None
         self._question: Optional[tuple[int, int]] = None
-        self._open_round({c.key(): mult for c, mult in h.constraints()}, h.k0, h.k1)
+        index = h._derived(
+            "round_index", lambda: _index_round({c.key(): mult for c, mult in h.constraints()}, h.k1, h.n_vertices)
+        )
+        self._open_round(index, h.k0, h.k1)
 
-    def _open_round(self, edges: dict[Key, int], i0: int, i1: int) -> None:
-        """Start a round on the (i0, i1)-uniform constraints ``edges``."""
-        self.c = c = 1 if i1 > 0 else 0
-        self.k_star = (i0 - 1, i1) if c == 0 else (i0, i1 - 1)
+    def _open_round(self, index: RoundIndex, i0: int, i1: int) -> None:
+        """Start a round on the (i0, i1)-uniform constraints of ``index``:
+        its constraints and degrees are copied, its incidence is shared."""
+        self.c, edges, cdeg, self.incidence = index
+        self.k_star = (i0 - 1, i1) if self.c == 0 else (i0, i1 - 1)
         self.thresholds = self.sched.saturation_thresholds(*self.k_star)
-        self.active = edges
-        self.cdeg: Counter[int] = Counter()
-        self.incidence: tuple[list[set[Key]], ...] = tuple([set() for _ in range(self.n)] for _ in range(2))
-        for key, mult in edges.items():
-            for u in key[c]:
-                self.cdeg[u] += mult
-            for side, part in zip(self.incidence, key):
-                for u in part:
-                    side[u].add(key)
+        self.active = dict(edges)
+        self.cdeg = Counter(cdeg)
         self.gstar: Counter[Key] = Counter()
         self.pair_deg: Counter[Key] = Counter()
         self.saturated: set[Key] = set()
@@ -442,10 +462,11 @@ class ContainerProcess:
                 "the driving assignment cannot lie in F(H)"
             )
         self.s += 1
-        self._open_round(dict(self.gstar), *self.k_star)
+        self._open_round(_index_round(self.gstar, self.k_star[1], self.n), *self.k_star)
 
     def clone(self) -> "ContainerProcess":
-        """An independent copy; the report, schedule, thresholds and incidence stay shared."""
+        """An independent copy.  The report, schedule, thresholds and incidence
+        stay shared; round 0's incidence is H's own, shared by every process on H."""
         other = copy.copy(self)
         other.s0, other.s1 = set(self.s0), set(self.s1)
         other.active = dict(self.active)

@@ -16,14 +16,23 @@ each sub-tuple is packed into one int64 key (its shape id, then one digit
 per position, a relabeled vertex + 1 or 0 for a padded position), and one
 sort groups equal keys.  When a key could reach 2^63, or the multiplicities
 could sum past 2^53 (the sums run in float64), one Python pass accumulates
-all shapes together instead.  Every degree query of the package reads this
-table.  The container engine requires, for every (l0, l1) != (0, 0) with
-l0 <= k0 and l1 <= k1,
+all shapes together instead.  H's memo (below) keeps the table, and every
+degree query of the package reads it, except ``degree(t0, t1)``: a scan of
+the constraints that only tests call.
+
+The container engine requires, for every (l0, l1) != (0, 0) with l0 <= k0
+and l1 <= k1,
 
     Delta_{(l0,l1)}(H) <= K * b^(l0+l1-1) / (m^l0 * v^l1) * e(H) * (m/r)^[l0>0]
 
 with v = v(H); check_container_hypothesis evaluates all of these in exact
 rational arithmetic and reports the minimal K that would pass.
+
+Each hypergraph keeps one private memo of what depends only on its
+constraint multiset: the degree table and the index the container engine
+opens its first round on.  An entry is filled on first use, and ``add``, the
+only mutator, clears the memo, so nothing in it outlives a change to H;
+``degree_table`` hands out a copy.
 
 Serialization is a line-oriented text format: a header line "k0 k1 n"
 followed by one constraint per line, "mult | a0 vertices | a1 vertices".
@@ -36,7 +45,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Iterator, Sequence
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -93,6 +102,7 @@ class UniformHypergraph:
         self.k1 = k1
         self.n_vertices = n_vertices
         self._edges: Counter[Constraint] = Counter()
+        self._memo: dict[str, object] = {}
         for item in constraints:
             if len(item) == 3:
                 a0, a1, mult = item
@@ -112,6 +122,14 @@ class UniformHypergraph:
             if not 0 <= u < self.n_vertices:
                 raise ValueError(f"vertex {u} outside ground set of size {self.n_vertices}")
         self._edges[c] += mult
+        self._memo.clear()
+
+    def _derived(self, name: str, build: Callable[[], Any]) -> Any:
+        """``build()``, computed once per constraint multiset and kept in the
+        memo under ``name``; the caller must not change what it returns."""
+        if name not in self._memo:
+            self._memo[name] = build()
+        return self._memo[name]
 
     # -- basic accessors ---------------------------------------------------
 
@@ -158,7 +176,13 @@ class UniformHypergraph:
     def degree_table(self) -> dict[tuple[int, int], int]:
         """Delta_{(l0,l1)} for every (l0, l1) != (0, 0) with l0 <= k0, l1 <= k1.
 
-        One pass over the sub-tuples of the stored constraints, never over
+        Computed once per constraint multiset: the first call fills H's memo,
+        ``add`` clears it, and every call returns a fresh copy of the table.
+        """
+        return dict(self._derived("degree_table", self._degree_table))
+
+    def _degree_table(self) -> dict[tuple[int, int], int]:
+        """One pass over the sub-tuples of the stored constraints, never over
         all vertex tuples: an empty hypergraph reports 0 for every pair.
         Sub-tuples are packed into int64 keys as the module docstring
         describes; past the packing bound a single Python pass gives the same

@@ -31,6 +31,7 @@ from c4containers import (
     replay_container,
     sample_c4free_by_deletion,
 )
+from c4containers import engine, hypergraph
 from c4containers.engine import _below_beta
 
 
@@ -308,6 +309,95 @@ def test_driving_a_clone_leaves_the_original_alone():
                 proc.answer(a.bits[q[0]] == q[1])
                 checked += 1
     assert checked > 1000, checked
+
+
+def containers_of_every_member(h, b, m, r):
+    k = passing_parameters(h, b, m, r)
+    return [build_container(h, k, b, m, r, a) for a in members_up_to(h, m)]
+
+
+def test_add_after_a_build_gives_the_containers_of_a_fresh_hypergraph():
+    """A build fills H's memo (degree table and round-0 index); ``add``
+    clears it, so the grown H gives the table and the containers of a
+    hypergraph built from scratch with the same constraints."""
+    rng = random.Random(3)
+    h = UniformHypergraph(1, 2, 7)
+    for _ in range(4):
+        picked = rng.sample(range(7), 3)
+        h.add(Constraint.make(picked[:1], picked[1:]))
+    for step in range(4):
+        containers_of_every_member(h, 2, 4, 1)
+        picked = rng.sample(range(7), 3)
+        h.add(Constraint.make(picked[:1], picked[1:]), 1 + step % 2)
+        fresh = UniformHypergraph(1, 2, 7, [(c.a0, c.a1, mult) for c, mult in h.constraints()])
+        table = h.degree_table()
+        assert table == fresh.degree_table()
+        assert table == {pair: naive.max_degree_by_subtuples(h, *pair) for pair in table}
+        assert containers_of_every_member(h, 2, 4, 1) == containers_of_every_member(fresh, 2, 4, 1)
+
+
+def round_index_snapshot(h):
+    c, edges, cdeg, incidence = h._memo["round_index"]
+    return c, list(edges.items()), dict(cdeg), [[sorted(keys) for keys in side] for side in incidence]
+
+
+def test_interleaved_processes_on_one_h_match_sequential_runs():
+    """A build of one member and a replay of another, answered in turn on
+    one H, give the containers of running each alone, share H's round-0
+    incidence, and leave H's round-0 index as it was."""
+    system = build_constraint_hypergraphs(complete_pregraph(6))
+    h = system.h2
+    k = passing_parameters(h, 2, 4, 1)
+    members = members_up_to(h, 4)
+    pairs = 0
+    for a, other in zip(members[::7], members[3::7]):
+        expected = build_container(h, k, 2, 4, 1, a)
+        target = build_container(h, k, 2, 4, 1, other)
+        snapshot = round_index_snapshot(h)
+        build = ContainerProcess(h, k, 2, 4, 1)
+        replay = ContainerProcess(h, k, 2, 4, 1)
+        assert build.incidence is replay.incidence is h._memo["round_index"][3]
+        s0, s1 = set(target.fingerprint.s0), set(target.fingerprint.s1)
+        while build.pending() is not None or replay.pending() is not None:
+            if (q := build.pending()) is not None:
+                build.answer(a.bits[q[0]] == q[1])
+            if (q := replay.pending()) is not None:
+                replay.answer(q[0] in (s1 if q[1] == 1 else s0))
+        assert build.result() == expected
+        assert replay.result() == target
+        assert round_index_snapshot(h) == snapshot
+        pairs += 1
+    assert pairs >= 10, pairs
+
+
+def test_build_and_replay_share_one_table_and_one_round_0_index(monkeypatch):
+    """Build then replay on a fresh H make one degree table (one sub-tuple
+    plan asked for) and one round-0 index; later rounds index their G*."""
+    # K from a twin of H, so that H's own memo starts empty
+    k = passing_parameters(build_constraint_hypergraphs(complete_pregraph(10)).h2, 2, 10, 1)
+    system = build_constraint_hypergraphs(complete_pregraph(10))
+    sample = sample_c4free_by_deletion(10, 10, 0.1, 0, max_attempts=50)
+    bits = [int(sample.graph.has_edge(u, v)) for u, v in system.ground]
+    h = system.h2
+    tables, round_0 = [], []
+    plan, index_round = hypergraph._subtuple_plan, engine._index_round
+
+    def counting_plan(k0, k1):
+        tables.append((k0, k1))
+        return plan(k0, k1)
+
+    def counting_index(edges, i1, n):
+        round_0.append(sum(map(len, next(iter(edges)))) == h.k0 + h.k1)
+        return index_round(edges, i1, n)
+
+    monkeypatch.setattr(hypergraph, "_subtuple_plan", counting_plan)
+    monkeypatch.setattr(engine, "_index_round", counting_index)
+    built = build_container(h, k, 2, 10, 1, bits)
+    assert replay_container(h, k, 2, 10, 1, built.fingerprint) == built
+    assert len(tables) == 1
+    assert round_0.count(True) == 1
+    assert built.n_rounds > 1
+    assert round_0.count(False) == 2 * (built.n_rounds - 1)
 
 
 def test_doomed_sweep_matches_the_subset_test(monkeypatch):

@@ -151,6 +151,42 @@ def test_degree_table_edge_cases():
     }
 
 
+def subtuple_table(h):
+    return {
+        (l0, l1): naive.max_degree_by_subtuples(h, l0, l1)
+        for l0 in range(h.k0 + 1)
+        for l1 in range(h.k1 + 1)
+        if (l0, l1) != (0, 0)
+    }
+
+
+@pytest.mark.parametrize("k0,k1", [(0, 2), (1, 2), (2, 4)])
+def test_add_after_degree_table_gives_the_table_of_a_fresh_hypergraph(k0, k1):
+    rng = random.Random(31 * k0 + k1)
+    for _ in range(10):
+        n = rng.randint(k0 + k1, 9)
+        h = random_hypergraph(rng, k0, k1, n, rng.randint(1, 6))
+        for _ in range(rng.randint(1, 4)):
+            assert h.degree_table() == subtuple_table(h)
+            # new constraints, and more copies of an old one, both count
+            picked = rng.sample(range(n), k0 + k1)
+            h.add(Constraint.make(picked[:k0], picked[k0:]), rng.randint(1, 3))
+            old, _ = next(iter(h.constraints()))
+            h.add(old, rng.randint(1, 2))
+            fresh = UniformHypergraph(k0, k1, n, [(c.a0, c.a1, mult) for c, mult in h.constraints()])
+            assert h.degree_table() == fresh.degree_table() == subtuple_table(h)
+
+
+def test_degree_table_hands_out_a_copy():
+    h = random_hypergraph(random.Random(5), 1, 2, 7, 8)
+    table = h.degree_table()
+    expected = dict(table)
+    table[(1, 2)] += 100
+    del table[(0, 1)]
+    assert h.degree_table() == expected == subtuple_table(h)
+    assert h.degree_table() is not h.degree_table()
+
+
 def test_degree_of_full_constraint_is_multiplicity():
     h = UniformHypergraph(1, 2, 6)
     c = Constraint.make((0,), (1, 2))

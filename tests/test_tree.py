@@ -16,6 +16,7 @@ from c4containers import (
     ScaleError,
     TreeNode,
     TreeParams,
+    UniformHypergraph,
     build_tree,
     choose_hypergraph,
     classify_leaves,
@@ -30,6 +31,8 @@ from c4containers import (
     tree_summary,
     verify_coverage,
 )
+from c4containers import hypergraph
+from c4containers.cli import main
 from c4containers.pregraph import Pregraph
 
 pytestmark = pytest.mark.filterwarnings("ignore:parameter floor binds")
@@ -127,6 +130,42 @@ def test_forced_trees_cover_every_member(m):
     walk_structure(tree)
     buckets = classify_leaves(tree)
     assert sum(len(v) for v in buckets.values()) == len(tree.leaves())
+
+
+def count_degree_tables(monkeypatch):
+    """(hypergraphs asked for a degree table, by id; tables built).  Every
+    table build asks for the sub-tuple plan once."""
+    asked, built = {}, []
+    table, plan = UniformHypergraph.degree_table, hypergraph._subtuple_plan
+
+    def asking(h):
+        asked[id(h)] = h  # held, so no id is reused
+        return table(h)
+
+    def planning(k0, k1):
+        built.append((k0, k1))
+        return plan(k0, k1)
+
+    monkeypatch.setattr(UniformHypergraph, "degree_table", asking)
+    monkeypatch.setattr(hypergraph, "_subtuple_plan", planning)
+    return asked, built
+
+
+def test_tree_builds_one_degree_table_per_candidate_hypergraph(monkeypatch):
+    """The selection re-check and the node's container process read one
+    table of each candidate H."""
+    asked, built = count_degree_tables(monkeypatch)
+    tree = build_tree(TreeParams(8, 26))
+    assert any(not nd.is_leaf for nd in tree.nodes)
+    assert len(built) == len(asked) > 1
+
+
+def test_stability_probe_builds_one_degree_table(monkeypatch, capsys):
+    """The re-check of the selected H and the hypothesis report share its table."""
+    asked, built = count_degree_tables(monkeypatch)
+    assert main(["stability-probe", "--n", "16", "--m", "32"]) == 0
+    assert json.loads(capsys.readouterr().out)["selection"]["status"] == "selected"
+    assert len(built) == len(asked) == 1
 
 
 def test_default_tree_small_m_is_an_honest_fallback():

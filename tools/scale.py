@@ -13,22 +13,26 @@ JOB is one of
   engine-N `build_container` then `replay_container` on H_2 of
            `complete_pregraph(N)` at m = N + N//5, b = 2, r = 1 and K the
            exact min_K, for the first member the deletion sampler accepts
-           at seed 0 (delta = 0.1).
+           at seed 0 (delta = 0.1);
+  containers-N  `containers --input h.txt --K K --b 2 --m N//4 --r 1` in a
+           temporary directory, on a (1,2)-uniform H with N vertices and 2N
+           distinct constraints drawn with `random.Random(N)`, and K the
+           smallest integer at or above min_K.  The CLI refuses N > 20.
 
-Each job runs in its own child interpreter, so each peak RSS belongs to one
-job.  The child calls ``c4containers.cli.main`` in-process and times that
-call alone, which leaves out the interpreter start, the package import and
-the argmax that picks L; engine-N times the build and the replay alone,
-after H_2, K and the member are made.  One JSON line per job: job, argv,
-seconds, peak RSS in MB and the sha256 of the job's stdout followed, for
-tree-M, by the node table, the summary and the manifest; for engine-N the
-output is one "s0 s1 cylinder" line for the build and one for the replay.
-Only public functions are called, so the same script times any checkout
-put on PYTHONPATH.
+Each job runs in its own child interpreter, so each peak RSS belongs to
+one job.  The child calls ``c4containers.cli.main`` in-process and times
+that call alone, which leaves out the interpreter start, the package
+import, the argmax that picks L and the writing of h.txt; engine-N times
+the build and the replay alone, after H_2, K and the member are made.
+One JSON line per job: job, argv, seconds, peak RSS in MB and the sha256
+of the job's stdout followed, for tree-M, by the node table, the summary
+and the manifest; for engine-N the output is one "s0 s1 cylinder" line
+for the build and one for the replay.  Only public functions are called,
+so the same script times any checkout put on PYTHONPATH.
 
 Not part of the test suite: ell-8000 and tree-20 take tens of seconds,
-and lower M take minutes.  engine-20 (14,535 constraints) takes about a
-second.
+and lower M take minutes.  On a 2-core x86_64 host engine-20 (14,535
+constraints) takes 0.2-0.3 s, and containers-20 8-10 s at 37 MB peak RSS.
 """
 
 from __future__ import annotations
@@ -37,7 +41,9 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import os
+import random
 import resource
 import subprocess
 import sys
@@ -61,7 +67,26 @@ def job_argv(job: str) -> list[str]:
         return ["count-split", "--n", str(n), "--m", str(log_spaced_m(n, 6)[-1])]
     if kind == "tree":
         return ["tree", "--n", "8", "--m", str(n), "--force", "--out", TREE_FILES[0]]
+    if kind == "containers":
+        return ["containers", "--input", "h.txt", "--K", str(containers_input(n)),
+                "--b", "2", "--m", str(n // 4), "--r", "1"]
     raise SystemExit(f"unknown job {job!r}")
+
+
+def containers_input(n: int) -> int:
+    """Write the seeded (1,2)-uniform H on n vertices to h.txt; return its K."""
+    from c4containers import Constraint, UniformHypergraph, check_container_hypothesis, normalize_parameters
+
+    rng = random.Random(n)
+    h = UniformHypergraph(1, 2, n)
+    while h.support_size() < 2 * n:
+        a0, *a1 = rng.sample(range(n), 3)
+        c = Constraint.make((a0,), a1)
+        if not h.multiplicity(c):
+            h.add(c)
+    with open("h.txt", "w") as f:
+        f.write(h.to_text())
+    return math.ceil(check_container_hypothesis(h, 1, *normalize_parameters(2, n // 4, n), 1).min_k)
 
 
 def engine(n: int) -> tuple[str, str, float]:
@@ -92,10 +117,10 @@ def run(job: str) -> dict:
         return record(job, argv, seconds, out)
     from c4containers.cli import main
 
-    argv = job_argv(job)
     buf = io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
-        os.chdir(tmp)  # tree --out writes here; the manifest records the relative path
+        os.chdir(tmp)  # tree --out writes here (the manifest records the relative path); h.txt goes here
+        argv = job_argv(job)
         start = time.perf_counter()
         with contextlib.redirect_stdout(buf):
             code = main(argv)
