@@ -34,15 +34,18 @@ import decimal
 import functools
 import hashlib
 import json
+import math
 import sys
 from pathlib import Path
 from typing import Optional
 
+import numpy as np
+
 from . import __version__
 from . import tree as _tree
-from .engine import ContainerProcess, _drive, normalize_parameters
+from .engine import ContainerProcess, _drive_members, normalize_parameters
 from .errors import NumericError, PreconditionError, ScaleError
-from .hypergraph import Assignment, UniformHypergraph, check_container_hypothesis
+from .hypergraph import UniformHypergraph, check_container_hypothesis
 from .oracle import EXACT_COUNT_LIMIT, fnm_table, sample_c4free_by_deletion
 from .pregraph import Pregraph, complete_pregraph, is_leaf_pregraph
 from .splitcounts import (
@@ -286,33 +289,34 @@ def _cmd_containers(res: _Resolver) -> int:
     r = res.get("r", int, required=True)
     force = res.get("force", bool, False)
     out = res.get("out", str)
+    if min(b, m, r) < 1 or not 0 < k < math.inf:
+        raise PreconditionError(f"need b, m, r >= 1 and a finite K > 0, got b={b}, m={m}, r={r}, K={k}")
     h = _read_input(path, UniformHypergraph.from_text)
-    if h.n_vertices > 20:
-        raise ScaleError(f"exhaustive member scan needs v(H) <= 20, got {h.n_vertices}")
+    v = h.n_vertices
+    if v > 20:
+        raise ScaleError(f"exhaustive member scan needs v(H) <= 20, got {v}")
     lines = [
         "# containers for every member of F_{<=m}(H); sets are index lists joined by '+'",
         "assignment,s0,s1,cylinder",
     ]
-    # one process checks the hypothesis; every member runs on a clone of it.
-    # It is built at the first member, so an empty member set raises nothing.
-    proc: Optional[ContainerProcess] = None
-    for mask in range(1 << h.n_vertices):
-        bits = [(mask >> i) & 1 for i in range(h.n_vertices)]
-        a = Assignment.from_bits(bits)
-        if a.ones_count > m or not a.in_solution_set(h):
-            continue
-        if proc is None:
-            proc = ContainerProcess(h, k, b, m, r, force=force)
-        result = _drive(proc.clone(), lambda v, c: bits[v] == c)
-        fp = result.fingerprint
-        lines.append(
-            "{},{},{},{}".format(
-                "".join(str(x) for x in bits),
-                "+".join(str(v) for v in fp.s0),
-                "+".join(str(v) for v in fp.s1),
-                result.cylinder.to_string(),
+    # bit u of a mask is vertex u: walk the masks with at most m ones, then
+    # drop each one that violates a constraint, h = 0 on A0 and h = 1 on A1
+    masks = np.fromiter((x for x in range(1 << v) if x.bit_count() <= m), dtype=np.int64)
+    for c, _ in h.constraints():
+        a0, a1 = sum(1 << u for u in c.a0), sum(1 << u for u in c.a1)
+        masks = masks[(masks & a0 != 0) | (masks & a1 != a1)]
+    # one process checks the hypothesis and runs every member; an empty
+    # member set builds none, so it raises nothing
+    rows: list[tuple[int, str]] = []
+    if len(masks):
+        proc = ContainerProcess(h, k, b, m, r, force=force)
+        for result, pool in _drive_members(proc, masks, range(v)):
+            fp = result.fingerprint
+            tail = "{},{},{}".format(
+                "+".join(map(str, fp.s0)), "+".join(map(str, fp.s1)), result.cylinder.to_string()
             )
-        )
+            rows.extend((x, tail) for x in pool.tolist())
+    lines += [f"{format(x, f'0{v}b')[::-1]},{tail}" for x, tail in sorted(rows)]
     _write_output(lines, out, "containers", res.resolved)
     return 0
 

@@ -16,14 +16,16 @@ Degree caps for the saturation thresholds follow a two-parameter schedule:
 the base row is the degree table of H itself and each earlier index pair
 takes a max of a doubled finer entry and a (b/v or b/m)-scaled same-size
 entry.  ``DeltaSchedule`` evaluates the closed form as a max of integer
-numerators over one common denominator, so each cap costs one ``Fraction``;
-the literal recursion stays alongside it in exact rationals.
+numerators over one common denominator; a saturation threshold is the
+integer ceiling of that ratio halved, and the literal recursion stays
+alongside it in exact rationals.
 
 The engine is driven either by an assignment (``build_container``), by a
 previously produced fingerprint (``replay_container``, which realizes the
-fingerprint-to-container function and makes determinism testable), or
-step by step through ``ContainerProcess`` for callers that multiplex many
-assignments over one shared execution prefix.
+fingerprint-to-container function and makes determinism testable), or by a
+pool of member bitmasks (``_drive_members``, the multiplexed driver that the
+container tree and the ``containers`` command share): members that give the
+same answers share one execution prefix, so one run serves them all.
 """
 
 from __future__ import annotations
@@ -35,6 +37,8 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Optional, Sequence
+
+import numpy as np
 
 from .errors import HypothesisError, PreconditionError
 from .hypergraph import (
@@ -113,9 +117,10 @@ class DeltaSchedule:
             2^(d0+d1) (b/v)^(e1-d1) (b/m)^(e0-d0) Delta_(l0+d0,l1+d1)(H)
 
     taken as the max of the numerators 2^(d0+d1) b^(e0-d0+e1-d1) m^d0 v^d1
-    Delta_(l0+d0,l1+d1)(H) over the common denominator m^e0 v^e1, and builds
-    one ``Fraction`` from them.  ``delta_recursive`` evaluates the recursion
-    literally; the two agree and tests compare them.
+    Delta_(l0+d0,l1+d1)(H) over the common denominator m^e0 v^e1 (``_ratio``).
+    ``delta`` builds one ``Fraction`` from them, and ``saturation_thresholds``
+    halves them and rounds up in integers.  ``delta_recursive`` evaluates the
+    recursion literally; the two agree and tests compare them.
     """
 
     def __init__(self, k0: int, k1: int, b: int, m: int, v: int, base: dict[tuple[int, int], int | Fraction]):
@@ -146,7 +151,9 @@ class DeltaSchedule:
         if not (0 <= l0 <= i0 and 0 <= l1 <= i1) or (l0, l1) == (0, 0):
             raise ValueError(f"size pair {(l0, l1)} out of range for index {(i0, i1)}")
 
-    def delta(self, i0: int, i1: int, l0: int, l1: int) -> Fraction:
+    def _ratio(self, i0: int, i1: int, l0: int, l1: int) -> tuple[int | Fraction, int]:
+        """(top, den) with Delta^(i0,i1)_(l0,l1) = top / den: the closed form's
+        max numerator over its common denominator m^e0 v^e1."""
         self._check_args(i0, i1, l0, l1)
         b, m, v = self.b, self.m, self.v
         e0, e1 = self.k0 - i0, self.k1 - i1
@@ -155,7 +162,10 @@ class DeltaSchedule:
             for d0 in range(e0 + 1)
             for d1 in range(e1 + 1)
         )
-        return Fraction(top, m**e0 * v**e1)
+        return top, m**e0 * v**e1
+
+    def delta(self, i0: int, i1: int, l0: int, l1: int) -> Fraction:
+        return Fraction(*self._ratio(i0, i1, l0, l1))
 
     def delta_recursive(self, i0: int, i1: int, l0: int, l1: int) -> Fraction:
         self._check_args(i0, i1, l0, l1)
@@ -182,15 +192,17 @@ class DeltaSchedule:
     def saturation_thresholds(self, i0: int, i1: int) -> dict[tuple[int, int], int]:
         """Integer thresholds t with deg >= t iff deg >= Delta^(i0,i1)/2.
 
-        Degrees are integers, so the half-cap comparison collapses to a
-        ceiling.  Index (0, 0) has no admissible size pairs and gets {}.
+        Degrees are integers, so the half-cap comparison collapses to the
+        ceiling of top / (2 den) for the cap's ``_ratio`` (top, den), taken in
+        integers.  Index (0, 0) has no admissible size pairs and gets {}.
         """
-        return {
-            (l0, l1): math.ceil(self.delta(i0, i1, l0, l1) / 2)
-            for l0 in range(i0 + 1)
-            for l1 in range(i1 + 1)
-            if (l0, l1) != (0, 0)
-        }
+        thresholds = {}
+        for l0 in range(i0 + 1):
+            for l1 in range(i1 + 1):
+                if (l0, l1) != (0, 0):
+                    top, den = self._ratio(i0, i1, l0, l1)
+                    thresholds[(l0, l1)] = -(-top // (2 * den))
+        return thresholds
 
 
 def _as_assignment(h, n: int) -> Assignment:
@@ -211,14 +223,6 @@ class Cylinder:
 
     def to_string(self) -> str:
         return "".join("*" if x is None else str(x) for x in self.labels)
-
-    @staticmethod
-    def from_string(s: str) -> "Cylinder":
-        table = {"0": 0, "1": 1, "*": None}
-        try:
-            return Cylinder(tuple(table[ch] for ch in s))
-        except KeyError as exc:
-            raise ValueError(f"bad cylinder character {exc.args[0]!r}") from exc
 
     def forced(self, value: int) -> tuple[int, ...]:
         return tuple(i for i, x in enumerate(self.labels) if x == value)
@@ -498,6 +502,38 @@ def _drive(proc: ContainerProcess, oracle: Callable[[int, int], bool]) -> Contai
     while (q := proc.pending()) is not None:
         proc.answer(oracle(*q))
     return proc.result()
+
+
+def _drive_members(
+    proc: ContainerProcess, pool: np.ndarray, bits: Sequence[int]
+) -> list[tuple[ContainerResult, np.ndarray]]:
+    """Run the construction for every member mask of ``pool`` at once.
+
+    A member answers the question (v, c) YES when its bit ``bits[v]`` equals
+    c.  Members that agree on every answer so far share one engine state, and
+    each pending question splits the pool; ``proc`` itself carries one of the
+    branches.  Returns one (result, members) pair per leaf of the execution.
+    """
+    out: list[tuple[ContainerResult, np.ndarray]] = []
+    stack: list[tuple[ContainerProcess, np.ndarray]] = [(proc, pool)]
+    while stack:
+        cur, mem = stack.pop()
+        q = cur.pending()
+        if q is None:
+            out.append((cur.result(), mem))
+            continue
+        v, c = q
+        has = (mem >> int(bits[v])) & 1
+        yes_mem = mem[has == c]
+        no_mem = mem[has != c]
+        if len(no_mem):
+            branch = cur.clone() if len(yes_mem) else cur
+            branch.answer(False)
+            stack.append((branch, no_mem))
+        if len(yes_mem):
+            cur.answer(True)
+            stack.append((cur, yes_mem))
+    return out
 
 
 def build_container(

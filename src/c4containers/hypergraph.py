@@ -17,8 +17,7 @@ per position, a relabeled vertex + 1 or 0 for a padded position), and one
 sort groups equal keys.  When a key could reach 2^63, or the multiplicities
 could sum past 2^53 (the sums run in float64), one Python pass accumulates
 all shapes together instead.  H's memo (below) keeps the table, and every
-degree query of the package reads it, except ``degree(t0, t1)``: a scan of
-the constraints that only tests call.
+degree query of the package reads it.
 
 The container engine requires, for every (l0, l1) != (0, 0) with l0 <= k0
 and l1 <= k1,
@@ -161,17 +160,6 @@ class UniformHypergraph:
         return f"UniformHypergraph(k0={self.k0}, k1={self.k1}, n={self.n_vertices}, e={self.e()})"
 
     # -- degrees -----------------------------------------------------------
-
-    def degree(self, t0: Iterable[int], t1: Iterable[int]) -> int:
-        """Total multiplicity of constraints with t0 inside A0 and t1 inside A1."""
-        s0, s1 = frozenset(t0), frozenset(t1)
-        if s0 & s1:
-            raise ValueError("degree query sides must be disjoint")
-        total = 0
-        for c, mult in self._edges.items():
-            if s0 <= set(c.a0) and s1 <= set(c.a1):
-                total += mult
-        return total
 
     def degree_table(self) -> dict[tuple[int, int], int]:
         """Delta_{(l0,l1)} for every (l0, l1) != (0, 0) with l0 <= k0, l1 <= k1.

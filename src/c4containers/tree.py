@@ -53,7 +53,7 @@ from typing import Optional
 
 import numpy as np
 
-from .engine import ContainerProcess, Cylinder, Fingerprint
+from .engine import ContainerProcess, Cylinder, Fingerprint, _drive_members
 from .errors import HypothesisError, PreconditionError, ScaleError
 from .graph6 import pair_index
 from .hypergraph import UniformHypergraph
@@ -344,44 +344,6 @@ class ContainerTree:
         return [nd for nd in self.nodes if nd.is_leaf]
 
 
-def _drive_members(proc: ContainerProcess, pool: np.ndarray, bits: np.ndarray) -> dict:
-    """Run the container construction for every mask in the pool at once.
-
-    Members that agree on every answer so far share one engine state; each
-    pending query (vertex, c) splits the pool by the queried edge bit.  The
-    result maps cylinder strings to [cylinder, smallest fingerprint, pools].
-    """
-    out: dict[str, list] = {}
-    stack: list[tuple[ContainerProcess, np.ndarray]] = [(proc, pool)]
-    while stack:
-        cur, mem = stack.pop()
-        q = cur.pending()
-        if q is None:
-            res = cur.result()
-            key = res.cylinder.to_string()
-            fp = res.fingerprint
-            entry = out.get(key)
-            if entry is None:
-                out[key] = [res.cylinder, fp, [mem]]
-            else:
-                entry[2].append(mem)
-                if (fp.s0, fp.s1) < (entry[1].s0, entry[1].s1):
-                    entry[1] = fp
-            continue
-        v, c = q
-        has = (mem >> int(bits[v])) & 1
-        yes_mem = mem[has == c]
-        no_mem = mem[has != c]
-        if len(no_mem):
-            branch = cur.clone() if len(yes_mem) else cur
-            branch.answer(False)
-            stack.append((branch, no_mem))
-        if len(yes_mem):
-            cur.answer(True)
-            stack.append((cur, yes_mem))
-    return out
-
-
 def _apply_cylinder(p: Pregraph, ground: tuple, cyl: Cylinder) -> Pregraph:
     drop = {ground[k] for k in cyl.forced(0)}
     fix = {ground[k] for k in cyl.forced(1)}
@@ -420,7 +382,13 @@ def _expand(node: TreeNode, members: np.ndarray, params: TreeParams, force: bool
         node.classification = f"container_hypothesis(min_k={float(exc.min_k):.6g})"
         return
     node.renormalized = (proc.b, proc.m) != (params.b, params.m)
-    groups = _drive_members(proc, members, bits)
+    # members whose leaves give one cylinder share a child, under the
+    # smallest of their fingerprints
+    groups: dict[str, list] = {}
+    for res, mem in _drive_members(proc, members, bits):
+        entry = groups.setdefault(res.cylinder.to_string(), [res.cylinder, res.fingerprint, []])
+        entry[1] = min(entry[1], res.fingerprint, key=lambda fp: (fp.s0, fp.s1))
+        entry[2].append(mem)
     ordered = sorted(
         groups.values(), key=lambda e: (e[1].s0, e[1].s1, e[0].to_string())
     )

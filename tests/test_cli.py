@@ -20,6 +20,7 @@ from c4containers import (
     complete_pregraph,
     count_Fnm_c4,
     n_nm,
+    normalize_parameters,
     phi_log,
 )
 from c4containers.cli import _build_parser, _decimal_str, main
@@ -286,33 +287,51 @@ def test_containers_rows_are_valid(tmp_path, capsys):
             assert {int(v) for v in s1.split("+")} <= ones
 
 
+CONTAINERS_16_SHA256 = "460fe3c2cf58a29b4f72a5adbca120650f39377435e4683c31daad520a7a2392"
+
+
 def test_containers_rows_match_per_member_builds(tmp_path, capsys):
+    """The command's rows against one ``build_container`` per member of a
+    scan of every mask: a seeded H on 8 vertices at m = 4 and at m = 10 >= v,
+    where no mask has too many ones, and the input of ``tools/scale.py
+    containers-16`` (16 vertices, 32 distinct constraints, m = 4), whose
+    output keeps its sha256."""
     rng = random.Random(8)
-    h = UniformHypergraph(1, 2, 8)
-    while h.support_size() < 7:
+    h8 = UniformHypergraph(1, 2, 8)
+    while h8.support_size() < 7:
         picked = rng.sample(range(8), 3)
-        h.add(Constraint.make(picked[:1], picked[1:]))
-    k = math.ceil(check_container_hypothesis(h, 1, 2, 4, 1).min_k)
-    path = tmp_path / "h.txt"
-    path.write_text(h.to_text())
-    code, out, _ = run(
-        capsys, "containers", "--input", str(path),
-        "--K", str(k), "--b", "2", "--m", "4", "--r", "1",
-    )
-    assert code == 0
-    rows = []
-    for mask in range(1 << 8):
-        bits = [(mask >> i) & 1 for i in range(8)]
-        a = Assignment.from_bits(bits)
-        if a.ones_count > 4 or not a.in_solution_set(h):
-            continue
-        res = build_container(h, k, 2, 4, 1, a)
-        rows.append("{},{},{},{}".format(
-            "".join(map(str, bits)), "+".join(map(str, res.fingerprint.s0)),
-            "+".join(map(str, res.fingerprint.s1)), res.cylinder.to_string(),
-        ))
-    assert len(rows) > 50
-    assert out.splitlines()[2:] == rows
+        h8.add(Constraint.make(picked[:1], picked[1:]))
+    rng = random.Random(16)
+    h16 = UniformHypergraph(1, 2, 16)
+    while h16.support_size() < 32:
+        a0, *a1 = rng.sample(range(16), 3)
+        c = Constraint.make((a0,), a1)
+        if not h16.multiplicity(c):
+            h16.add(c)
+    for h, m, at_least in [(h8, 4, 50), (h8, 10, 100), (h16, 4, 700)]:
+        v = h.n_vertices
+        k = math.ceil(check_container_hypothesis(h, 1, *normalize_parameters(2, m, v), 1).min_k)
+        path = tmp_path / "h.txt"
+        path.write_text(h.to_text())
+        code, out, _ = run(
+            capsys, "containers", "--input", str(path),
+            "--K", str(k), "--b", "2", "--m", str(m), "--r", "1",
+        )
+        assert code == 0
+        rows = []
+        for mask in range(1 << v):
+            bits = [(mask >> i) & 1 for i in range(v)]
+            a = Assignment.from_bits(bits)
+            if a.ones_count > m or not a.in_solution_set(h):
+                continue
+            res = build_container(h, k, 2, m, 1, a)
+            rows.append("{},{},{},{}".format(
+                "".join(map(str, bits)), "+".join(map(str, res.fingerprint.s0)),
+                "+".join(map(str, res.fingerprint.s1)), res.cylinder.to_string(),
+            ))
+        assert len(rows) > at_least
+        assert out.splitlines()[2:] == rows
+    assert hashlib.sha256(out.encode()).hexdigest() == CONTAINERS_16_SHA256
 
 
 def test_containers_with_no_member_checks_nothing(tmp_path, capsys):
@@ -326,6 +345,27 @@ def test_containers_with_no_member_checks_nothing(tmp_path, capsys):
     )
     assert code == 0
     assert out.splitlines()[1:] == ["assignment,s0,s1,cylinder"]
+
+
+@pytest.mark.parametrize("with_members", [True, False])
+@pytest.mark.parametrize(
+    "flag,value",
+    [("m", "0"), ("m", "-1"), ("b", "0"), ("r", "0"), ("K", "0"), ("K", "-1"), ("K", "nan"), ("K", "inf")],
+)
+def test_containers_bad_parameter_exit_3(tmp_path, capsys, flag, value, with_members):
+    """b, m and r below 1 and a K that is not finite and positive fail the
+    precondition before the scan, whether or not H has a member."""
+    if with_members:
+        h = UniformHypergraph(0, 2, 4, [((), (0, 1)), ((), (2, 3))])
+    else:  # every member has ones at all three vertices, above m = 2
+        h = UniformHypergraph(1, 0, 3, [((0,), ()), ((1,), ()), ((2,), ())])
+    path = tmp_path / "h.txt"
+    path.write_text(h.to_text())
+    values = {"K": "8", "b": "2", "m": "2", "r": "1", flag: value}
+    argv = [arg for name, val in values.items() for arg in (f"--{name}", val)]
+    code, out, err = run(capsys, "containers", "--input", str(path), *argv)
+    assert_precondition_exit(code, err)
+    assert out == ""
 
 
 def test_stability_probe_reports_selection(capsys):

@@ -8,6 +8,7 @@ import random
 from collections import Counter
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import naive
@@ -336,6 +337,41 @@ def test_add_after_a_build_gives_the_containers_of_a_fresh_hypergraph():
         assert containers_of_every_member(h, 2, 4, 1) == containers_of_every_member(fresh, 2, 4, 1)
 
 
+def test_multiplexed_driver_matches_one_drive_per_member():
+    """``engine._drive_members`` on a pool of member masks gives every member
+    the result of one ``_drive`` per member on a clone, on H_2 of K_6, on a
+    seeded (1,2)-uniform H and on that H at half its min_K with force=True.
+    Each vertex is read at a shuffled bit position, every member lands in
+    exactly one leaf, and a pool of one member gives that member's result."""
+    rng = random.Random(16)
+    seeded = UniformHypergraph(1, 2, 12)
+    while seeded.support_size() < 24:
+        a0, *a1 = rng.sample(range(12), 3)
+        seeded.add(Constraint.make((a0,), a1))
+    h2 = build_constraint_hypergraphs(complete_pregraph(6)).h2
+    for h, b, m, starved in [(h2, 2, 4, False), (seeded, 2, 4, False), (seeded, 2, 4, True)]:
+        k = passing_parameters(h, b, m, 1) / (2 if starved else 1)
+        members = members_up_to(h, m)
+        position = list(range(h.n_vertices))
+        rng.shuffle(position)
+        masks = np.array([sum(x << position[v] for v, x in enumerate(a.bits)) for a in members], dtype=np.int64)
+        proc = ContainerProcess(h, k, b, m, 1, force=starved)
+        assert proc.hypothesis_ok is not starved
+        expected = {
+            int(mask): engine._drive(proc.clone(), lambda v, c, a=a: a.bits[v] == c)
+            for mask, a in zip(masks, members)
+        }
+        leaves = engine._drive_members(proc, masks, position)
+        got = [(int(mask), res) for res, pool in leaves for mask in pool]
+        assert len(got) == len(members) > 100
+        assert dict(got) == expected
+        assert len(leaves) > 40
+        for mask in masks[::17]:
+            one = ContainerProcess(h, k, b, m, 1, force=starved)
+            [(res, pool)] = engine._drive_members(one, masks[masks == mask], position)
+            assert res == expected[int(mask)] and pool.tolist() == [mask]
+
+
 def round_index_snapshot(h):
     c, edges, cdeg, incidence = h._memo["round_index"]
     return c, list(edges.items()), dict(cdeg), [[sorted(keys) for keys in side] for side in incidence]
@@ -503,7 +539,6 @@ def test_engine_output_is_pinned_on_large_h2(n, m):
 def test_cylinder_string_round_trip_and_membership():
     cyl = Cylinder((None, 0, 1, None))
     assert cyl.to_string() == "*01*"
-    assert Cylinder.from_string("*01*") == cyl
     assert cyl.contains((1, 0, 1, 0))
     assert not cyl.contains((1, 1, 1, 0))
 

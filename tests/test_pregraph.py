@@ -145,7 +145,7 @@ def test_constraint_violation_equals_realized_copy():
 def test_saturation_thresholds():
     c = ((), (0, 1, 2, 3))
     h = UniformHypergraph(0, 4, 10, [c, c, c, c, c])
-    deg_01, deg_02 = h.degree((), (0,)), h.degree((), (0, 1))
+    deg_01, deg_02 = naive.constraint_degree(h, (), (0,)), naive.constraint_degree(h, (), (0, 1))
     assert deg_01 == deg_02 == 5
     # shape (0,1): threshold max(l^3 // n, 1)
     assert _saturation_threshold((0, 1), ell=3, n=10) == 2 <= deg_01  # 27//10
@@ -155,7 +155,7 @@ def test_saturation_thresholds():
     assert _saturation_threshold((0, 2), ell=5, n=10) == 5 <= deg_02
     assert _saturation_threshold((0, 2), ell=6, n=10) == 6 > deg_02
     h1 = UniformHypergraph(1, 4, 10, [((0,), (1, 2, 3, 4)), ((0,), (1, 2, 3, 5))])
-    deg_10 = h1.degree((0,), ())
+    deg_10 = naive.constraint_degree(h1, (0,), ())
     assert deg_10 == 2
     # shape (1,0): threshold l^2
     assert _saturation_threshold((1, 0), ell=1, n=10) == 1 <= deg_10

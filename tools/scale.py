@@ -32,7 +32,7 @@ so the same script times any checkout put on PYTHONPATH.
 
 Not part of the test suite: ell-8000 and tree-20 take tens of seconds,
 and lower M take minutes.  On a 2-core x86_64 host engine-20 (14,535
-constraints) takes 0.2-0.3 s, and containers-20 8-10 s at 37 MB peak RSS.
+constraints) takes 0.2-0.3 s, and containers-20 0.07-0.23 s at 37 MB peak RSS.
 """
 
 from __future__ import annotations
