@@ -119,8 +119,7 @@ class DeltaSchedule:
     taken as the max of the numerators 2^(d0+d1) b^(e0-d0+e1-d1) m^d0 v^d1
     Delta_(l0+d0,l1+d1)(H) over the common denominator m^e0 v^e1 (``_ratio``).
     ``delta`` builds one ``Fraction`` from them, and ``saturation_thresholds``
-    halves them and rounds up in integers.  ``delta_recursive`` evaluates the
-    recursion literally; the two agree and tests compare them.
+    halves them and rounds up in integers.
     """
 
     def __init__(self, k0: int, k1: int, b: int, m: int, v: int, base: dict[tuple[int, int], int | Fraction]):
@@ -138,7 +137,6 @@ class DeltaSchedule:
                 if (l0, l1) not in base:
                     raise ValueError(f"base table is missing pair {(l0, l1)}")
                 self.base[(l0, l1)] = base[(l0, l1)]
-        self._memo: dict[tuple[int, int, int, int], Fraction] = {}
 
     def index_set(self) -> list[tuple[int, int]]:
         u = [(i, 0) for i in range(1, self.k0 + 1)]
@@ -166,28 +164,6 @@ class DeltaSchedule:
 
     def delta(self, i0: int, i1: int, l0: int, l1: int) -> Fraction:
         return Fraction(*self._ratio(i0, i1, l0, l1))
-
-    def delta_recursive(self, i0: int, i1: int, l0: int, l1: int) -> Fraction:
-        self._check_args(i0, i1, l0, l1)
-        key = (i0, i1, l0, l1)
-        if key in self._memo:
-            return self._memo[key]
-        if (i0, i1) == (self.k0, self.k1):
-            val = Fraction(self.base[(l0, l1)])
-        elif i0 == self.k0 and i1 < self.k1:
-            val = max(
-                2 * self.delta_recursive(i0, i1 + 1, l0, l1 + 1),
-                Fraction(self.b, self.v) * self.delta_recursive(i0, i1 + 1, l0, l1),
-            )
-        elif i1 == 0 and i0 < self.k0:
-            val = max(
-                2 * self.delta_recursive(i0 + 1, 0, l0 + 1, l1),
-                Fraction(self.b, self.m) * self.delta_recursive(i0 + 1, 0, l0, l1),
-            )
-        else:  # pragma: no cover - excluded by _check_args
-            raise ValueError(f"index pair {(i0, i1)} is not admissible")
-        self._memo[key] = val
-        return val
 
     def saturation_thresholds(self, i0: int, i1: int) -> dict[tuple[int, int], int]:
         """Integer thresholds t with deg >= t iff deg >= Delta^(i0,i1)/2.

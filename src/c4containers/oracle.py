@@ -38,7 +38,7 @@ from typing import Iterable, Optional
 import numpy as np
 
 from . import graph6
-from .errors import ScaleError
+from .errors import PreconditionError, ScaleError
 from .pregraph import EXACT_SUBSET_LIMIT, _by_subset_size, _subset_pair_counts, _vertices
 
 __all__ = [
@@ -191,7 +191,7 @@ def _check_exact_range(n: int) -> None:
     if n > EXACT_COUNT_LIMIT:
         raise ScaleError(f"exhaustive enumeration supports n <= {EXACT_COUNT_LIMIT}, got n = {n}")
     if n < 0:
-        raise ValueError("n must be nonnegative")
+        raise PreconditionError("n must be nonnegative")
 
 
 @lru_cache(maxsize=None)
@@ -334,15 +334,27 @@ class SplitPartition:
     independent: tuple[int, ...]
 
 
+@lru_cache(maxsize=1)
+def _vertex_rows(n: int) -> tuple[int, ...]:
+    """Per vertex v, the pair-index bitmask of its pairs: the v bits from
+    C(v, 2), and bit C(w, 2) + v for each w > v.  They hold n C(n, 2) bits,
+    so only the last n is kept."""
+    rows, tops = [], 0  # tops has bit C(w, 2) for each w above v
+    for v in reversed(range(n)):
+        rows.append(((1 << v) - 1) << (v * (v - 1) // 2) | tops << v)
+        tops |= 1 << (v * (v - 1) // 2)
+    return tuple(reversed(rows))
+
+
 def is_split(g: LabeledGraph) -> Optional[SplitPartition]:
     """Degree-sequence split test; returns a verified partition or None.
 
     With degrees sorted nonincreasingly and h the largest i with d_i >= i-1,
     the graph is split iff sum of the top h degrees equals h(h-1) plus the
     sum of the rest, in which case the top h vertices form the clique side.
+    Degrees are read from the mask, and only a split graph builds adjacency.
     """
-    adj = g.adjacency_masks()
-    deg = [a.bit_count() for a in adj]
+    deg = [(g.mask & row).bit_count() for row in _vertex_rows(g.n)]
     order = sorted(range(g.n), key=lambda v: (-deg[v], v))
     degs = [deg[v] for v in order]
     h = 0
@@ -351,15 +363,13 @@ def is_split(g: LabeledGraph) -> Optional[SplitPartition]:
             h = i
     if sum(degs[:h]) != h * (h - 1) + sum(degs[h:]):
         return None
+    adj = g.adjacency_masks()
     clique = tuple(sorted(order[:h]))
     independent = tuple(sorted(order[h:]))
     cmask = sum(1 << v for v in clique)
-    for v in clique:
-        if (adj[v] | 1 << v) & cmask != cmask:  # pragma: no cover - split theorem guarantees this
-            raise AssertionError("degree test accepted but clique side is not complete")
-    for v in independent:
-        if adj[v] & ~cmask:  # pragma: no cover
-            raise AssertionError("degree test accepted but independent side has an edge")
+    complete = all((adj[v] | 1 << v) & cmask == cmask for v in clique)
+    if not complete or any(adj[v] & ~cmask for v in independent):  # pragma: no cover
+        raise AssertionError("degree test accepted a partition that is not split")
     return SplitPartition(clique, independent)
 
 
@@ -381,15 +391,6 @@ def is_eps_quasirandom(g: LabeledGraph, eps: float) -> QuasirandomCheck:
         raise ValueError("density needs at least two vertices")
     p = g.m / math.comb(g.n, 2)
     lo, hi = (1 - eps) * p, (1 + eps) * p
-
-    def bad(size: int, count: int) -> bool:
-        if size <= max(1, int(eps * g.n)) or (size > g.n):
-            return False
-        if size * (size - 1) == 0:
-            return False
-        dens = count / math.comb(size, 2)
-        return not (lo <= dens <= hi)
-
     if g.n <= EXACT_SUBSET_LIMIT:
         e = _subset_pair_counts(g.adjacency_masks())
         skip = _by_subset_size(g.n, lambda size: size <= eps * g.n or size < 2)
@@ -409,7 +410,7 @@ def is_eps_quasirandom(g: LabeledGraph, eps: float) -> QuasirandomCheck:
         for v in subset:
             count += (adj[v] & smask).bit_count()
             smask |= 1 << v
-        if bad(size, count):
+        if not lo <= count / math.comb(size, 2) <= hi:  # size >= 2 and above eps*n
             return QuasirandomCheck(False, False, tuple(sorted(subset)))
     return QuasirandomCheck(True, False, None)
 
@@ -447,10 +448,7 @@ def is_eps_close_to_split(g: LabeledGraph, eps: float) -> CloseSplitCheck:
             rest = [u for u in range(g.n) if not (amask >> u) & 1]
             eb = sum(1 for x, y in itertools.combinations(rest, 2) if g.has_edge(x, y))
             if eb <= eps * g.m:
-                best = (
-                    tuple(v for v in range(g.n) if (amask >> v) & 1),
-                    tuple(rest),
-                )
+                best = (_vertices(amask, g.n), tuple(rest))
     return CloseSplitCheck(best is not None, False, best)
 
 
@@ -492,9 +490,11 @@ def sample_c4free_by_deletion(
     it still finds.
     """
     npairs = n * (n - 1) // 2
+    if not math.isfinite(delta):
+        raise PreconditionError(f"delta must be finite, got {delta}")
     m_prime = int((1 + delta) * m)
     if not 0 < m <= m_prime <= npairs:
-        raise ValueError(f"need 0 < m <= (1+delta)m <= C(n,2); got m={m}, m'={m_prime}")
+        raise PreconditionError(f"need 0 < m <= (1+delta)m <= C(n,2); got m={m}, m'={m_prime}")
     last_copies = -1
     for attempt in range(1, max_attempts + 1):
         rng = random.Random(_derived_seed(seed, attempt))

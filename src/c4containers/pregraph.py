@@ -25,6 +25,7 @@ and leaf classifications that drive the container tree.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
@@ -62,7 +63,6 @@ __all__ = [
 
 Pair = tuple[int, int]
 
-EXACT_PARTITION_LIMIT = 12
 EXACT_SUBSET_LIMIT = 16
 
 
@@ -498,13 +498,34 @@ class AlmostSplitResult:
     w: Optional[tuple[int, ...]] = None
 
 
+@functools.lru_cache(maxsize=1)
+def _near_clique_scan(p: Pregraph, eps: float) -> tuple[Optional[int], frozenset[int]]:
+    """Test all 2^n vertex subsets U at once, from the E and M subset counts.
+    U is dense when e(E) <= C(|U|,2) and e_E(U) >= (1-eps) C(|U|,2).  Returns
+    the smallest dense U (a bitmask) with e_M(U^c) <= 7*sqrt(eps)*|U|*n, or
+    None, for the almost-split test; and the sizes of the dense U with
+    e_M(U^c) > 7*sqrt(eps)*n*|U|, for case 2 of the hypergraph selection.
+    A tree node asks both of one frozen p, so the last answers are kept."""
+    n = p.n
+    fixed_in = _subset_pair_counts(_adjacency(n, p.fixed))
+    fits = _by_subset_size(n, lambda size: p.e_e() <= math.comb(size, 2))
+    dense = fits & (fixed_in >= _by_subset_size(n, lambda size: (1 - eps) * math.comb(size, 2)))
+    if not dense.any():
+        return None, frozenset()
+    mixed_out = _subset_pair_counts(_adjacency(n, p.mixed))[::-1]  # full ^ S runs backwards
+    split = dense & (mixed_out <= _by_subset_size(n, lambda size: 7 * math.sqrt(eps) * size * n))
+    heavy = dense & (mixed_out > _by_subset_size(n, lambda size: 7 * math.sqrt(eps) * n * size))
+    sizes = frozenset(_by_subset_size(n, lambda size: size)[heavy].tolist())
+    return (int(np.argmax(split)) if split.any() else None), sizes
+
+
 def is_almost_split_pregraph(p: Pregraph, eps: float) -> AlmostSplitResult:
     """Search for a vertex split (U, W) with E concentrated on a near-clique
     U and few mixed edges inside W: e(E) <= C(|U|,2), e_E(U) >= (1-eps) of
     that clique, and e_M(W) <= 7*sqrt(eps)*|U|*n.
 
-    Up to n = 12 every one of the 2^n subsets U is tested at once, from the
-    E and M subset counts, and the smallest U as a bitmask is returned.
+    Up to n = 16 every one of the 2^n subsets U is tested at once by the
+    near-clique scan, and the smallest U as a bitmask is returned.
     Beyond that, for each size the top of the E-degree order is tried,
     then improved by single-vertex swaps: a member leaves (in the iteration
     order of the current set) for the first outsider in degree order that
@@ -515,20 +536,15 @@ def is_almost_split_pregraph(p: Pregraph, eps: float) -> AlmostSplitResult:
     if eps <= 0:
         raise PreconditionError(f"eps must be positive, got {eps}")
     n = p.n
-    adj_e, adj_m = _adjacency(n, p.fixed), _adjacency(n, p.mixed)
     full = (1 << n) - 1
 
     def split(umask: int, exact: bool) -> AlmostSplitResult:
         return AlmostSplitResult(True, exact, _vertices(umask, n), _vertices(full ^ umask, n))
 
-    if n <= EXACT_PARTITION_LIMIT:
-        e_e = _subset_pair_counts(adj_e)
-        e_m_outside = _subset_pair_counts(adj_m)[::-1]  # full ^ S runs backwards
-        fits = _by_subset_size(n, lambda size: p.e_e() <= math.comb(size, 2))
-        floor = _by_subset_size(n, lambda size: (1 - eps) * math.comb(size, 2))
-        budget = _by_subset_size(n, lambda size: 7 * math.sqrt(eps) * size * p.n)
-        ok = fits & (e_e >= floor) & (e_m_outside <= budget)
-        return split(int(np.argmax(ok)), True) if ok.any() else AlmostSplitResult(False, True)
+    if n <= EXACT_SUBSET_LIMIT:
+        umask = _near_clique_scan(p, eps)[0]
+        return AlmostSplitResult(False, True) if umask is None else split(umask, True)
+    adj_e, adj_m = _adjacency(n, p.fixed), _adjacency(n, p.mixed)
     deg_e = [a.bit_count() for a in adj_e]
     order = sorted(range(n), key=lambda v: (-deg_e[v], v))
 
@@ -571,6 +587,27 @@ def is_almost_split_pregraph(p: Pregraph, eps: float) -> AlmostSplitResult:
             if not improved:
                 break
     return AlmostSplitResult(False, False)
+
+
+def _concentrated_ell(p: Pregraph, eps: float, r: int) -> Optional[int]:
+    """Case 2 of the selection: the largest ell with ell^2 >= r and a size-ell
+    U that is dense (see the near-clique scan) with e_M(U^c) above
+    7*sqrt(eps)*n*ell; None if none.  Exact up to n = 16; beyond it only the
+    densest fixed-edge subset per size is examined."""
+    n = p.n
+    if n <= EXACT_SUBSET_LIMIT:
+        return max((ell for ell in _near_clique_scan(p, eps)[1] if ell * ell >= r), default=None)
+    adj_e, adj_m = _adjacency(n, p.fixed), _adjacency(n, p.mixed)
+    full = (1 << n) - 1
+    for ell in range(n, 0, -1):
+        if ell * ell < r or p.e_e() > math.comb(ell, 2):
+            continue
+        umask = sum(1 << v for v in close_to_clique_cost(n, p.fixed, ell).subset)
+        if _pairs_within(adj_e, umask) < (1 - eps) * math.comb(ell, 2):
+            continue
+        if _pairs_within(adj_m, full ^ umask) > 7 * math.sqrt(eps) * n * ell:
+            return ell
+    return None
 
 
 @dataclass(frozen=True)

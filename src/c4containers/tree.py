@@ -7,8 +7,9 @@ pair of K_n mixed, nothing fixed).  At an internal node we
 
   1. pick a permissible constraint hypergraph H_i via ``choose_hypergraph``,
      following the three-branch case analysis of the stability machinery
-     (lots of mixed edges; fixed edges concentrated on a near-clique;
-     the minimal-scale branch),
+     (lots of mixed edges; fixed edges on a near-clique, which ``pregraph``
+     tests in the same subset scan as the almost-split leaves; the
+     minimal-scale branch),
   2. run the asymmetric container construction on H_i once per tracked
      member graph, sharing query prefixes so that the whole family costs
      little more than a single run, and
@@ -59,14 +60,10 @@ from .graph6 import pair_index
 from .hypergraph import UniformHypergraph
 from .oracle import EXACT_COUNT_LIMIT, enumerate_fnm_masks, fnm_table
 from .pregraph import (
-    EXACT_SUBSET_LIMIT,
     PermissibleResult,
     Pregraph,
-    _adjacency,
-    _by_subset_size,
-    _pairs_within,
+    _concentrated_ell,
     _permissible_target,
-    _subset_pair_counts,
     build_permissible,
     close_to_clique_cost,
     complete_pregraph,
@@ -129,14 +126,10 @@ class TreeParams:
             raise PreconditionError(f"need n >= 3 (ln ln n must be positive), got {self.n}")
         if not 1 <= self.m <= math.comb(self.n, 2):
             raise PreconditionError(f"need 1 <= m <= C(n,2), got n={self.n}, m={self.m}")
-        for name in ("eps", "delta"):
+        for name, top in (("eps", 1), ("delta", 1), ("beta", math.inf), ("lam", math.inf)):
             val = getattr(self, name)
-            if not 0 < val < 1:
-                raise PreconditionError(f"{name} must lie in (0,1), got {val}")
-        if self.beta <= 0:
-            raise PreconditionError(f"beta must be positive, got {self.beta}")
-        if self.lam <= 0:
-            raise PreconditionError(f"lam must be positive, got {self.lam}")
+            if not 0 < val < top:  # false for NaN
+                raise PreconditionError(f"{name} must lie in (0,{top}), got {val}")
         log_n = math.log(self.n)
         xi = 1 / math.log(log_n)
         raw_b = math.floor(xi * self.m / log_n**2)
@@ -180,39 +173,6 @@ class SelectionResult:
         return self.status == "selected"
 
 
-def _concentrated_ell(p: Pregraph, params: TreeParams) -> Optional[int]:
-    """Largest ell admitting a size-ell set U with e(E) <= C(ell,2),
-    e_E(U) >= (1-eps) C(ell,2), and mixed mass e_M(U^c) above the
-    7 sqrt(eps) ell n budget; None when no such pair exists.
-
-    Exact within the subset-DP range, where every subset is tested at once
-    from the E and M subset counts; beyond it only the densest fixed-edge
-    subset per size is examined.
-    """
-    n, r = p.n, params.r
-    e_e = p.e_e()
-    budget = 7 * math.sqrt(params.eps) * n
-    adj_e, adj_m = _adjacency(n, p.fixed), _adjacency(n, p.mixed)
-    if n <= EXACT_SUBSET_LIMIT:
-        fixed_in = _subset_pair_counts(adj_e)
-        mixed_out = _subset_pair_counts(adj_m)[::-1]  # full ^ S runs backwards
-        fits = _by_subset_size(n, lambda ell: ell * ell >= r and e_e <= math.comb(ell, 2))
-        floor = _by_subset_size(n, lambda ell: (1 - params.eps) * math.comb(ell, 2))
-        heavy = _by_subset_size(n, lambda ell: budget * ell)
-        ok = fits & (fixed_in >= floor) & (mixed_out > heavy)
-        return int(_by_subset_size(n, lambda ell: ell)[ok].max()) if ok.any() else None
-    full = (1 << n) - 1
-    for ell in range(n, 0, -1):
-        if ell * ell < r or e_e > math.comb(ell, 2):
-            continue
-        umask = sum(1 << v for v in close_to_clique_cost(n, p.fixed, ell).subset)
-        if _pairs_within(adj_e, umask) < (1 - params.eps) * math.comb(ell, 2):
-            continue
-        if _pairs_within(adj_m, full ^ umask) > budget * ell:
-            return ell
-    return None
-
-
 def _selection_candidates(p: Pregraph, params: TreeParams):
     """Yield (case, ell, skip_reason) for the three branches, in proof order.
 
@@ -232,7 +192,7 @@ def _selection_candidates(p: Pregraph, params: TreeParams):
     else:
         yield 1, ell1, None
 
-    ell2 = _concentrated_ell(p, params)
+    ell2 = _concentrated_ell(p, params.eps, r)
     if ell2 is None:
         yield 2, 0, "no near-clique concentration of E with heavy mixed remainder"
     else:

@@ -9,6 +9,7 @@ and the bounds bit for bit; `gammaln_log_factorial` (scipy) is the
 independent reference for ln j! itself.
 """
 
+import functools
 import hashlib
 import itertools
 import math
@@ -284,6 +285,26 @@ def delta_by_fraction_products(sched, i0, i1, l0, l1):
             if val > best:
                 best = val
     return best
+
+
+def delta_by_recursion(sched, i0, i1, l0, l1):
+    """The cap Delta^(i0,i1)_(l0,l1) of a DeltaSchedule by the literal
+    max-of-two recursion over its base, b, m and v: the base row at
+    (k0, k1); max(2 Delta_(l0,l1+1), (b/v) Delta_(l0,l1)) of index
+    (k0, i1 + 1) along the k1 leg; max(2 Delta_(l0+1,l1), (b/m) Delta_(l0,l1))
+    of index (i0 + 1, 0) along the k0 leg."""
+
+    @functools.cache
+    def rec(i0, i1, l0, l1):
+        if (i0, i1) == (sched.k0, sched.k1):
+            return Fraction(sched.base[(l0, l1)])
+        if i0 == sched.k0:
+            return max(2 * rec(i0, i1 + 1, l0, l1 + 1),
+                       Fraction(sched.b, sched.v) * rec(i0, i1 + 1, l0, l1))
+        return max(2 * rec(i0 + 1, 0, l0 + 1, l1),
+                   Fraction(sched.b, sched.m) * rec(i0 + 1, 0, l0, l1))
+
+    return rec(i0, i1, l0, l1)
 
 
 def drive_checking_degree_caps(proc, bits):

@@ -220,7 +220,7 @@ def test_criterion_03_delta_schedule_identity(capsys):
                             if (l0, l1) == (0, 0):
                                 continue
                             comparisons += 1
-                            if sched.delta(i0, i1, l0, l1) != sched.delta_recursive(i0, i1, l0, l1):
+                            if sched.delta(i0, i1, l0, l1) != naive.delta_by_recursion(sched, i0, i1, l0, l1):
                                 mismatches += 1
     ok = mismatches == 0 and comparisons > 0
     _report(

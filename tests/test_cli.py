@@ -550,6 +550,32 @@ def test_non_numeric_config_value_exit_3(tmp_path, capsys):
     assert_precondition_exit(code, err)
 
 
+@pytest.mark.parametrize("command", [("tree", "--n", "5", "--m", "4"), PROBE])
+@pytest.mark.parametrize("flag", ["beta", "lambda"])
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_tree_parameter_that_is_not_finite_exit_3(capsys, command, flag, value):
+    """beta and lambda must be positive and finite, NaN failing too."""
+    code, out, err = run(capsys, *command, f"--{flag}", value)
+    assert_precondition_exit(code, err)
+    assert out == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("enumerate", "--n", "-1"),
+        ("sampler", "--n", "0", "--m", "0"),
+        ("sampler", "--n", "5", "--m", "3", "--delta", "-0.5"),
+        ("sampler", "--n", "5", "--m", "3", "--delta", "nan"),
+        ("sampler", "--n", "5", "--m", "3", "--delta", "inf"),
+    ],
+)
+def test_out_of_range_enumerate_and_sampler_exit_3(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert_precondition_exit(code, err)
+    assert out == ""
+
+
 def test_count_split_regime_error_maps_to_precondition(capsys):
     # the grid path needs m in the fixed-point window
     code, _, err = run(capsys, "count-split", "--n", "100", "--m", "50")

@@ -100,7 +100,7 @@ def test_schedule_recursion_matches_closed_form():
                     for l1 in range(i1 + 1):
                         if (l0, l1) == (0, 0):
                             continue
-                        assert sched.delta_recursive(i0, i1, l0, l1) == sched.delta(
+                        assert naive.delta_by_recursion(sched, i0, i1, l0, l1) == sched.delta(
                             i0, i1, l0, l1
                         )
 

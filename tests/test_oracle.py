@@ -493,6 +493,24 @@ def test_exact_close_to_split_matches_the_subset_scan(g, eps):
     assert (got.ok, got.partition) == (want is not None, want)
 
 
+@settings(max_examples=20, deadline=None)
+@given(subset_scan_graphs(17, 24), st.sampled_from([0.05, 0.2, 0.5]))
+def test_checks_past_the_exact_range_return_valid_witnesses(g, eps):
+    """Past n = 16 the quasirandom check samples subsets and the close-to-split
+    check is greedy: a reported witness must still be one."""
+    q, c = is_eps_quasirandom(g, eps), is_eps_close_to_split(g, eps)
+    assert not q.exact and not c.exact
+    inside = lambda vs: sum(1 for u, v in itertools.combinations(vs, 2) if g.has_edge(u, v))
+    if not q.ok:
+        s, p = q.witness, g.m / math.comb(g.n, 2)
+        assert len(s) > eps * g.n
+        assert not (1 - eps) * p <= inside(s) / math.comb(len(s), 2) <= (1 + eps) * p
+    if c.ok:
+        a, b = c.partition
+        assert sorted(a + b) == list(range(g.n))
+        assert inside(a) >= (1 - eps) * math.comb(len(a), 2) and inside(b) <= eps * g.m
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.integers(0, 90), st.data())
 def test_edges_and_degree_match_the_bit_by_bit_versions(n, data):

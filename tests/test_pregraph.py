@@ -33,13 +33,13 @@ from c4containers import (
 )
 from c4containers.hypergraph import UniformHypergraph
 from c4containers.pregraph import (
-    EXACT_PARTITION_LIMIT,
     EXACT_SUBSET_LIMIT,
     _adjacency,
+    _concentrated_ell,
     _saturation_threshold,
     _subset_pair_counts,
 )
-from c4containers.tree import TreeParams, _concentrated_ell
+from c4containers.tree import TreeParams
 
 
 def random_pregraph(rng, n, n_mixed, n_fixed):
@@ -473,7 +473,7 @@ def test_subset_pair_counts_match_the_peeling_dp(p):
 
 
 @settings(max_examples=60, deadline=None)
-@given(three_part_pregraphs(3, EXACT_PARTITION_LIMIT), EPSILONS)
+@given(three_part_pregraphs(3, EXACT_SUBSET_LIMIT), EPSILONS)
 def test_exact_almost_split_matches_the_subset_scan(p, eps):
     got = is_almost_split_pregraph(p, eps)
     want = naive.almost_split_by_subset_scan(p, eps)
@@ -499,7 +499,7 @@ def test_exact_concentrated_ell_matches_the_subset_scan(p, eps):
         warnings.simplefilter("ignore")
         params = TreeParams(p.n, 1, eps=eps)
     want = naive.concentrated_ell_by_subset_scan(p, eps, params.r)
-    assert _concentrated_ell(p, params) == want
+    assert _concentrated_ell(p, eps, params.r) == want
 
 
 def test_exact_concentrated_ell_matches_the_subset_scan_on_planted_cliques():
@@ -519,14 +519,14 @@ def test_exact_concentrated_ell_matches_the_subset_scan_on_planted_cliques():
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             params = TreeParams(n, 1, eps=eps)
-        got = _concentrated_ell(p, params)
+        got = _concentrated_ell(p, eps, params.r)
         assert got == naive.concentrated_ell_by_subset_scan(p, eps, params.r)
         seen[got is None] += 1
     assert seen[True] >= 5 and seen[False] >= 5, seen
 
 
 @settings(max_examples=25, deadline=None)
-@given(three_part_pregraphs(EXACT_PARTITION_LIMIT + 1, 40), EPSILONS)
+@given(three_part_pregraphs(EXACT_SUBSET_LIMIT + 1, 40), EPSILONS)
 def test_almost_split_swaps_match_the_recounting_search(p, eps):
     got = is_almost_split_pregraph(p, eps)
     want = naive.almost_split_by_recounting_swaps(p, eps)
@@ -535,10 +535,40 @@ def test_almost_split_swaps_match_the_recounting_search(p, eps):
     assert got.found == (want is not None)
 
 
-def swap_regime_pregraph(rng, max_n):
-    """(pregraph, eps) past the exact range: E on a random vertex set plus
-    noise outside it, M and N random, and a large eps."""
-    n = rng.randint(EXACT_PARTITION_LIMIT + 1, max_n)
+@settings(max_examples=30, deadline=None)
+@given(
+    three_part_pregraphs(3, EXACT_SUBSET_LIMIT),
+    st.sampled_from([0.001, 0.01, 0.0625]),
+    st.sampled_from([0.05, 0.25, 0.6]),
+    st.integers(1, 16),
+    st.booleans(),
+)
+def test_leaf_test_and_case_2_read_the_scan_of_their_own_eps(p, eps_a, eps_b, r, leaf_first):
+    """The almost-split test and case 2 of the selection share one kept
+    near-clique scan.  Called in either order, with two eps taking turns on
+    one pregraph, both match the subset-scan references, so an answer kept
+    for one eps is never read for the other."""
+    want = {
+        eps: (naive.almost_split_by_subset_scan(p, eps),
+              naive.concentrated_ell_by_subset_scan(p, eps, r))
+        for eps in (eps_a, eps_b)
+    }
+    for eps in (eps_a, eps_b, eps_a, eps_b):
+        if leaf_first:
+            split = is_almost_split_pregraph(p, eps)
+            ell = _concentrated_ell(p, eps, r)
+        else:
+            ell = _concentrated_ell(p, eps, r)
+            split = is_almost_split_pregraph(p, eps)
+        assert split.exact and (split.u, split.w) == (want[eps][0] or (None, None))
+        assert ell == want[eps][1]
+
+
+def swap_regime_pregraph(rng, max_n, min_n=EXACT_SUBSET_LIMIT + 1):
+    """(pregraph, eps) on min_n..max_n vertices, by default past the exact
+    range: E on a random vertex set plus noise outside it, M and N random,
+    and a large eps."""
+    n = rng.randint(min_n, max_n)
     u = set(rng.sample(range(n), rng.randint(2, n)))
     p_in, p_out = rng.choice([0.3, 0.5, 0.7, 0.9]), rng.choice([0.03, 0.1, 0.2])
     p_m = rng.choice([0.05, 0.2, 0.5, 0.8, 1.0])
@@ -580,14 +610,15 @@ def test_almost_split_swaps_match_the_recounting_search_where_swaps_decide():
 def test_almost_split_swaps_follow_set_iteration_order():
     """The members of U are tried in the iteration order of the Python set,
     which is not sorted order once vertex numbers wrap its hash table.  On
-    this instance trying them in sorted order finds (1, 4, 10, 11) instead."""
-    p, eps = swap_regime_pregraph(random.Random(352), 24)
+    this instance trying them in sorted order finds (1, 4, 10, 11) instead.
+    It was first drawn with sizes from 13, and is kept as drawn."""
+    p, eps = swap_regime_pregraph(random.Random(352), 24, min_n=13)
     got = is_almost_split_pregraph(p, eps)
     assert (p.n, eps, got.u) == (17, 0.8, (1, 2, 4, 9))
     assert (got.u, got.w) == naive.almost_split_by_recounting_swaps(p, eps)
 
 
-@pytest.mark.parametrize("n", [EXACT_PARTITION_LIMIT, 16])
+@pytest.mark.parametrize("n", [12, EXACT_SUBSET_LIMIT, EXACT_SUBSET_LIMIT + 1])
 def test_almost_split_meets_the_mixed_budget_with_equality(n):
     """E empty, M a star at vertex 5 plus 1.75n pairs avoiding 0 and 5,
     eps = 1/16: only U = {5} leaves e_M(W) = 1.75n = 7*sqrt(eps)*1*n,
@@ -596,7 +627,7 @@ def test_almost_split_meets_the_mixed_budget_with_equality(n):
     rest = [q for q in itertools.combinations(range(n), 2) if 0 not in q and 5 not in q]
     p = Pregraph(n, star + rest[: int(1.75 * n)], [])
     got = is_almost_split_pregraph(p, 0.0625)
-    assert (got.found, got.exact, got.u) == (True, n <= EXACT_PARTITION_LIMIT, (5,))
+    assert (got.found, got.exact, got.u) == (True, n <= EXACT_SUBSET_LIMIT, (5,))
     reference = (naive.almost_split_by_subset_scan if got.exact
                  else naive.almost_split_by_recounting_swaps)
     assert (got.u, got.w) == reference(p, 0.0625)
@@ -616,7 +647,7 @@ def test_concentrated_ell_needs_mixed_mass_strictly_above_the_budget(n):
                  else naive.concentrated_ell_by_recounting_swaps)
     for extra, want in ((0, None), (1, 2)):
         p = Pregraph(n, outside[: int(3.5 * n) + extra], [(0, 1)])
-        assert _concentrated_ell(p, params) == want
+        assert _concentrated_ell(p, 0.0625, params.r) == want
         assert reference(p, 0.0625, params.r) == want
 
 
@@ -627,7 +658,7 @@ def test_concentrated_ell_beyond_the_scan_matches_the_recounting_search(p, eps):
         warnings.simplefilter("ignore")
         params = TreeParams(p.n, 1, eps=eps)
     want = naive.concentrated_ell_by_recounting_swaps(p, eps, params.r)
-    assert _concentrated_ell(p, params) == want
+    assert _concentrated_ell(p, eps, params.r) == want
 
 
 @settings(max_examples=25, deadline=None)
@@ -682,5 +713,5 @@ def test_scan_results_are_plain_python_values(n):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         params = TreeParams(n, 1)
-    ell = _concentrated_ell(p, params)
+    ell = _concentrated_ell(p, 0.01, params.r)
     assert ell == 4 and type(ell) is int

@@ -62,6 +62,10 @@ def test_parameter_validation():
         TreeParams(7, 5, eps=1.0)
     with pytest.raises(PreconditionError):
         TreeParams(7, 5, beta=-1.0)
+    for name in ("beta", "lam"):
+        for value in (math.nan, math.inf, 0.0):
+            with pytest.raises(PreconditionError):
+                TreeParams(7, 5, **{name: value})
 
 
 def test_selection_on_the_complete_root():
@@ -158,6 +162,23 @@ def test_tree_builds_one_degree_table_per_candidate_hypergraph(monkeypatch):
     tree = build_tree(TreeParams(8, 26))
     assert any(not nd.is_leaf for nd in tree.nodes)
     assert len(built) == len(asked) > 1
+
+
+def test_forced_tree_builds_one_near_clique_scan_per_node(monkeypatch):
+    """The leaf test and case 2 of the selection read one kept pass of E and
+    M subset counts per node, in pregraph; with case 3's clique costs, the
+    forced n = 8, m = 24 tree builds subset counts at most 3,946 times, where
+    one build per reader took 5,576."""
+    from c4containers import pregraph, tree
+
+    assert not hasattr(tree, "_subset_pair_counts")
+    calls = []
+    inner = pregraph._subset_pair_counts
+    monkeypatch.setattr(pregraph, "_subset_pair_counts",
+                        lambda adj: calls.append(len(adj)) or inner(adj))
+    pregraph._near_clique_scan.cache_clear()
+    build_tree(TreeParams(8, 24), force=True)
+    assert 0 < len(calls) <= 3946
 
 
 def test_stability_probe_builds_one_degree_table(monkeypatch, capsys):
