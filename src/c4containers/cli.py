@@ -214,6 +214,8 @@ def _cmd_sampler(res: _Resolver) -> int:
     runs = res.get("runs", int, 1)
     attempts = res.get("max-attempts", int, 1)
     out = res.get("out", str)
+    if runs < 1:
+        raise PreconditionError(f"--runs must be at least 1, got {runs}")
     lines = [
         "# edge-deletion sampler; each row is one independent seeded run",
         "run,seed,accepted,attempts,m_prime,surplus_removed,graph6",
@@ -302,8 +304,7 @@ def _cmd_containers(res: _Resolver) -> int:
     # bit u of a mask is vertex u: walk the masks with at most m ones, then
     # drop each one that violates a constraint, h = 0 on A0 and h = 1 on A1
     masks = np.fromiter((x for x in range(1 << v) if x.bit_count() <= m), dtype=np.int64)
-    for c, _ in h.constraints():
-        a0, a1 = sum(1 << u for u in c.a0), sum(1 << u for u in c.a1)
+    for a0, a1 in h.constraint_masks():
         masks = masks[(masks & a0 != 0) | (masks & a1 != a1)]
     # one process checks the hypothesis and runs every member; an empty
     # member set builds none, so it raises nothing

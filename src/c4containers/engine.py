@@ -276,7 +276,13 @@ class ContainerProcess:
     its sub-pair degrees against ``thresholds``, ``saturated`` collects the
     pairs that reached theirs, and the active constraints containing a newly
     saturated pair are dropped, found by intersecting the incidence sets of
-    the pair's vertices.  ``yes`` and ``no`` list the vertices answered each
+    the pair's vertices.  ``thresholds`` keeps only the undominated size
+    classes: (l0, l1) is dominated when (l0 - 1, l1) or (l0, l1 - 1) has a
+    threshold no larger.  A key of G* holding a pair holds its sub-pairs, so
+    a dominated pair saturates no earlier than its sub-pair in that smaller
+    class, which lies in every constraint the pair lies in: counting only the
+    undominated classes drops the same constraints at the same answers.
+    ``yes`` and ``no`` list the vertices answered each
     way in this round; ``s0`` and ``s1`` accumulate the YES vertices of all
     rounds.  A round ends after b YES answers or when no constraint is left;
     G* then either yields the cylinder or opens the next round.
@@ -329,7 +335,12 @@ class ContainerProcess:
         its constraints and degrees are copied, its incidence is shared."""
         self.c, edges, cdeg, self.incidence = index
         self.k_star = (i0 - 1, i1) if self.c == 0 else (i0, i1 - 1)
-        self.thresholds = self.sched.saturation_thresholds(*self.k_star)
+        thresholds = self.sched.saturation_thresholds(*self.k_star)
+        self.thresholds = {
+            (l0, l1): t
+            for (l0, l1), t in thresholds.items()
+            if thresholds.get((l0 - 1, l1), t + 1) > t and thresholds.get((l0, l1 - 1), t + 1) > t
+        }
         self.active = dict(edges)
         self.cdeg = Counter(cdeg)
         self.gstar: Counter[Key] = Counter()
@@ -367,8 +378,6 @@ class ContainerProcess:
         fresh: list[Key] = []
         a0, a1 = key
         for (l0, l1), thr in self.thresholds.items():
-            if l0 > len(a0) or l1 > len(a1):
-                continue
             for s0 in itertools.combinations(a0, l0):
                 for s1 in itertools.combinations(a1, l1):
                     pair = (s0, s1)

@@ -29,7 +29,8 @@ rational arithmetic and reports the minimal K that would pass.
 
 Each hypergraph keeps one private memo of what depends only on its
 constraint multiset: the degree table and the index the container engine
-opens its first round on.  An entry is filled on first use, and ``add``, the
+opens its first round on, and the (A0, A1) bitmasks that membership tests
+read.  An entry is filled on first use, and ``add``, the
 only mutator, clears the memo, so nothing in it outlives a change to H;
 ``degree_table`` hands out a copy.
 
@@ -145,6 +146,14 @@ class UniformHypergraph:
 
     def constraints(self) -> Iterator[tuple[Constraint, int]]:
         yield from self._edges.items()
+
+    def constraint_masks(self) -> list[tuple[int, int]]:
+        """One (A0, A1) bitmask pair per distinct constraint, bit u for vertex
+        u: the assignment with ones mask x violates it exactly when
+        x & A0 == 0 and x & A1 == A1.  Kept in H's memo."""
+        return self._derived(
+            "constraint_masks", lambda: [(sum(1 << u for u in c.a0), sum(1 << u for u in c.a1)) for c in self._edges]
+        )
 
     def multiplicity(self, c: Constraint) -> int:
         return self._edges.get(c, 0)
@@ -325,8 +334,10 @@ class Assignment:
         return all(self.bits[u] == 0 for u in c.a0) and all(self.bits[u] == 1 for u in c.a1)
 
     def in_solution_set(self, h: UniformHypergraph) -> bool:
-        """True when this assignment violates none of the constraints of h."""
-        return not any(self.violates(c) for c, _ in h.constraints())
+        """True when this assignment violates none of the constraints of h,
+        tested on h's constraint bitmasks."""
+        x = sum(1 << u for u, bit in enumerate(self.bits) if bit)
+        return all(x & a0 or x & a1 != a1 for a0, a1 in h.constraint_masks())
 
 
 # -- container hypothesis ----------------------------------------------------

@@ -483,13 +483,18 @@ def sample_c4free_by_deletion(
     The work grows with the draw, not with C(n,2).  The partial Fisher-Yates
     shuffle stores only displaced positions.  Codegrees come from wedges:
     each pair of neighbours of a vertex gains one, Sum_w C(d_w, 2) steps, and
-    X = (1/2) Sum C(codegree, 2), since each 4-cycle has two diagonals.
+    X = (1/2) Sum C(codegree, 2), since each 4-cycle has two diagonals.  The
+    codegree counter keys the pair u < v by the int u * n + v, not a tuple:
+    the garbage collector does not track ints, so a large draw adds nothing
+    for it to count or scan, and the keys sort in (u, v) order.
     Deleting edges only lowers codegrees, so the sweep that destroys the
     4-cycles visits just the pairs with codegree at least 2 in the draw, in
     ascending (u, v) order, and deletes the lowest-index edge of each 4-cycle
     it still finds.
     """
     npairs = n * (n - 1) // 2
+    if max_attempts < 1:
+        raise PreconditionError(f"max_attempts must be at least 1, got {max_attempts}")
     if not math.isfinite(delta):
         raise PreconditionError(f"delta must be finite, got {delta}")
     m_prime = int((1 + delta) * m)
@@ -506,15 +511,15 @@ def sample_c4free_by_deletion(
             moved[j] = moved.get(i, i)
             nbrs[u].append(v)
             nbrs[v].append(u)
-        wedges = (itertools.combinations(sorted(ws), 2) for ws in nbrs)
-        codeg = Counter(itertools.chain.from_iterable(wedges))
+        codeg = Counter(u * n + v for ws in nbrs for u, v in itertools.combinations(sorted(ws), 2))
         twice = sum(c * (c - 1) // 2 * k for c, k in Counter(codeg.values()).items())
         assert twice % 2 == 0
         copies = last_copies = twice // 2
         if copies > m_prime - m:
             continue
         adj = [sum(1 << w for w in ws) for ws in nbrs]
-        for u, v in sorted(pair for pair, c in codeg.items() if c >= 2):
+        for key in sorted(key for key, c in codeg.items() if c >= 2):
+            u, v = divmod(key, n)
             common = adj[u] & adj[v]
             if common.bit_count() < 2:
                 continue

@@ -260,6 +260,23 @@ def doomed_by_subset_test(proc, fresh):
     ]
 
 
+def add_to_gstar_all_classes(proc, key, mult):
+    """ContainerProcess._add_to_gstar counting every size class: the degree
+    of each of the 2^(k0+k1) - 1 sub-pairs of key against the full
+    saturation table of the round's k*.  Returns the newly saturated pairs."""
+    proc.gstar[key] += mult
+    fresh = []
+    for (l0, l1), thr in proc.sched.saturation_thresholds(*proc.k_star).items():
+        for s0 in itertools.combinations(key[0], l0):
+            for s1 in itertools.combinations(key[1], l1):
+                pair = (s0, s1)
+                proc.pair_deg[pair] += mult
+                if proc.pair_deg[pair] >= thr and pair not in proc.saturated:
+                    proc.saturated.add(pair)
+                    fresh.append(pair)
+    return fresh
+
+
 def beta_by_fractions(k0, k1, b, m, v, s):
     """The share beta_s of e(H) below which round s - 1 of the container
     game closes on a cylinder: 2^(-s(k0+k1+1)) (b/v)^min(k1,s)
@@ -413,6 +430,20 @@ def graph6_decode_by_bits(text):
     return n, mask
 
 
+def draw_by_full_shuffle(n, m_prime, seed, attempt):
+    """The pair indices of one draw of the deletion sampler: the first
+    m_prime entries of list(range(C(n,2))) after a partial Fisher-Yates
+    shuffle seeded with blake2b("seed:attempt")."""
+    npairs = n * (n - 1) // 2
+    digest = hashlib.blake2b(f"{seed}:{attempt}".encode(), digest_size=8).digest()
+    rng = random.Random(int.from_bytes(digest, "big"))
+    arr = list(range(npairs))
+    for i in range(m_prime):
+        j = rng.randrange(i, npairs)
+        arr[i], arr[j] = arr[j], arr[i]
+    return arr[:m_prime]
+
+
 def sample_by_full_scan(n, m, delta, seed, max_attempts=1):
     """The edge-deletion sampler with two scans over all C(n,2) pairs per
     draw.  Each attempt shuffles list(range(C(n,2))) by a partial
@@ -427,17 +458,12 @@ def sample_by_full_scan(n, m, delta, seed, max_attempts=1):
         raise ValueError("bad budget")
     last_copies = -1
     for attempt in range(1, max_attempts + 1):
-        digest = hashlib.blake2b(f"{seed}:{attempt}".encode(), digest_size=8).digest()
-        rng = random.Random(int.from_bytes(digest, "big"))
-        arr = list(range(npairs))
-        for i in range(m_prime):
-            j = rng.randrange(i, npairs)
-            arr[i], arr[j] = arr[j], arr[i]
+        drawn = draw_by_full_shuffle(n, m_prime, seed, attempt)
         mask = 0
-        for k in arr[:m_prime]:
+        for k in drawn:
             mask |= 1 << k
         adj = [0] * n
-        for k in arr[:m_prime]:
+        for k in drawn:
             u, v = _pair_from_index(k)
             adj[u] |= 1 << v
             adj[v] |= 1 << u

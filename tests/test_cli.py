@@ -482,6 +482,24 @@ def test_sampler_at_n1000_is_unchanged(capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == SAMPLER_N1000_SHA256
 
 
+SAMPLER_N200_SHA256 = {
+    0: "f36ba13c1eaf4c2331557231f7e4cccda19f9ecf66044235a3b026c784726bf0",
+    1: "5dbd0f6ede57155ffc57ee23797c17365fd1cd1a29b091b101706718749544cd",
+    2: "23076e44975b8dcbdfcd2f534c0ea248ec4bd82642a5fe39c1f75e63040cde9f",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(SAMPLER_N200_SHA256))
+def test_sampler_at_n200_is_unchanged(capsys, seed):
+    """The benchmark's sampler row (20 runs of up to 10 draws at n = 200),
+    pinned by the sha256 of the whole output as the tuple-keyed codegree
+    counter printed it."""
+    code, out, _ = run(capsys, "sampler", "--n", "200", "--m", "400", "--runs", "20",
+                       "--max-attempts", "10", "--seed", str(seed))
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == SAMPLER_N200_SHA256[seed]
+
+
 def test_usage_errors_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])
@@ -568,6 +586,8 @@ def test_tree_parameter_that_is_not_finite_exit_3(capsys, command, flag, value):
         ("sampler", "--n", "5", "--m", "3", "--delta", "-0.5"),
         ("sampler", "--n", "5", "--m", "3", "--delta", "nan"),
         ("sampler", "--n", "5", "--m", "3", "--delta", "inf"),
+        ("sampler", "--n", "5", "--m", "3", "--runs", "0"),
+        ("sampler", "--n", "5", "--m", "3", "--max-attempts", "0"),
     ],
 )
 def test_out_of_range_enumerate_and_sampler_exit_3(capsys, argv):

@@ -492,6 +492,66 @@ def test_doomed_sweep_matches_the_subset_test(monkeypatch):
     assert skippable[True] > 0, skippable
 
 
+def test_undominated_classes_doom_what_every_class_dooms(monkeypatch):
+    """G* degrees counted on the undominated size classes only, against
+    every class (naive.add_to_gstar_all_classes): answer by answer the same
+    doomed constraints and live constraints, and the same containers, on
+    every member of the small instances and of H_2 of K_4..K_6 and on
+    sampled members of H_2 of K_8 and K_10."""
+    cases = small_instances() + [
+        (build_constraint_hypergraphs(complete_pregraph(n)).h2, 2, m, 1)
+        for n, m in ((4, 6), (5, 4), (6, 3))
+    ]
+    runs = []
+    for h, b, m, r in cases:
+        proc = ContainerProcess(h, passing_parameters(h, b, m, r), b, m, r)
+        runs += [(proc, a.bits) for a in members_up_to(h, m)]
+    for n, m in ((8, 8), (10, 10)):
+        system = build_constraint_hypergraphs(complete_pregraph(n))
+        h = system.h2
+        proc = ContainerProcess(h, passing_parameters(h, 2, m, 1), 2, m, 1)
+        assert len(proc.thresholds) < len(proc.sched.saturation_thresholds(*proc.k_star))
+        for seed in range(6):
+            sample = sample_c4free_by_deletion(n, m, 0.1, seed, max_attempts=50)
+            assert sample.accepted
+            runs.append((proc, [int(sample.graph.has_edge(u, v)) for u, v in system.ground]))
+
+    lookup = ContainerProcess._doomed
+    doomed_now = []
+
+    def recording(proc, fresh):
+        doomed = lookup(proc, fresh)
+        doomed_now.extend(doomed)
+        return doomed
+
+    monkeypatch.setattr(ContainerProcess, "_doomed", recording)
+
+    def steps():
+        out = []
+        for proc, bits in runs:
+            twin = proc.clone()
+            while (q := twin.pending()) is not None:
+                doomed_now.clear()
+                twin.answer(bits[q[0]] == q[1])
+                out.append((q, list(doomed_now), list(twin.active)))
+            out.append(twin.result())
+        return out
+
+    pruned = steps()
+    outside = Counter()
+
+    def every_class(proc, key, mult):
+        fresh = naive.add_to_gstar_all_classes(proc, key, mult)
+        outside[any((len(t0), len(t1)) not in proc.thresholds for t0, t1 in fresh)] += 1
+        return fresh
+
+    monkeypatch.setattr(ContainerProcess, "_add_to_gstar", every_class)
+    assert steps() == pruned
+    # some answers saturate pairs of classes that the engine does not count
+    assert outside[True] > 0, outside
+    assert any(step[1] for step in pruned if isinstance(step, tuple))
+
+
 @pytest.mark.parametrize("k0,k1", [(0, 2), (1, 1), (1, 2), (2, 2), (2, 4)])
 def test_schedule_base_is_the_degree_table(k0, k1):
     rng = random.Random(10 * k0 + k1)

@@ -217,6 +217,31 @@ def test_solution_set_membership():
     assert not Assignment.from_bits((0, 1, 0)).in_solution_set(h)
 
 
+@pytest.mark.parametrize("k0,k1", [(0, 2), (1, 2), (2, 4)])
+def test_membership_by_masks_matches_violates(k0, k1):
+    """in_solution_set reads H's memoized (A0, A1) bitmasks; it must agree
+    with a constraint-by-constraint ``violates`` scan on random assignments,
+    also after ``add`` gives H a constraint that some assignment violates."""
+    rng = random.Random(100 * k0 + k1)
+    outcomes = set()
+    for _ in range(30):
+        n = rng.randint(k0 + k1, 12)
+        h = random_hypergraph(rng, k0, k1, n, rng.randint(1, 6))
+        assignments = [Assignment.from_bits([rng.randint(0, 1) for _ in range(n)]) for _ in range(20)]
+        for round_ in range(2):
+            for a in assignments:
+                want = not any(a.violates(c) for c, _ in h.constraints())
+                assert a.in_solution_set(h) == want
+                outcomes.add(want)
+            # a constraint that the first assignment violates, if its bits allow one
+            zeros = [u for u, bit in enumerate(assignments[0].bits) if not bit]
+            ones = [u for u, bit in enumerate(assignments[0].bits) if bit]
+            if round_ == 0 and len(zeros) >= k0 and len(ones) >= k1:
+                h.add(Constraint.make(rng.sample(zeros, k0), rng.sample(ones, k1)))
+                assert not assignments[0].in_solution_set(h)
+    assert outcomes == {True, False}
+
+
 def test_hypothesis_check_hand_example():
     # one (0,2) constraint with multiplicity 2 on 4 vertices
     h = UniformHypergraph(0, 2, 4, [((), (0, 1), 2)])

@@ -5,6 +5,7 @@ import itertools
 import math
 import random
 import re
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 import naive
 from c4containers import (
     LabeledGraph,
+    PreconditionError,
     ScaleError,
     count_Fnm_c4,
     enumerate_fnm_masks,
@@ -433,11 +435,31 @@ def test_sampler_matches_full_scan_reference(n):
     assert rejected and deleted  # both paths of the sampler ran
 
 
+def test_sampler_copies_count_the_4_cycles_of_the_last_draw():
+    """``copies`` against a brute-force count over every vertex 4-tuple of
+    the last draw, rebuilt by naive.draw_by_full_shuffle, for n = 4..12 over
+    accepted and rejected draws."""
+    seen = Counter()
+    for n in range(4, 13):
+        npairs = n * (n - 1) // 2
+        for seed in range(12):
+            delta = (0.1, 0.3, 0.6)[seed % 3]
+            m = max(1, int(npairs / (1 + delta) * random.Random(seed).uniform(0.2, 0.8)))
+            got = sample_c4free_by_deletion(n, m, delta, seed, max_attempts=1 + seed % 3)
+            drawn = set(naive.draw_by_full_shuffle(n, got.m_prime, seed, got.attempts))
+            cycles = naive.four_cycles(n, lambda u, v: graph6.pair_index(u, v) in drawn)
+            assert got.copies == len(cycles), (n, seed)
+            seen[got.accepted, got.copies > 0] += 1
+    assert seen[True, True] and seen[False, True] and seen[True, False], seen
+
+
 def test_sampler_rejects_bad_budget():
     with pytest.raises(ValueError):
         sample_c4free_by_deletion(5, 0, 0.1, seed=0)
     with pytest.raises(ValueError):
         sample_c4free_by_deletion(5, 10, 0.5, seed=0)
+    with pytest.raises(PreconditionError):
+        sample_c4free_by_deletion(5, 3, 0.1, seed=0, max_attempts=0)
 
 
 def test_ex_c4_matches_exhaustive_maximum():

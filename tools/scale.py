@@ -14,6 +14,8 @@ JOB is one of
            `complete_pregraph(N)` at m = N + N//5, b = 2, r = 1 and K the
            exact min_K, for the first member the deletion sampler accepts
            at seed 0 (delta = 0.1);
+  sampler-N  `sampler --n N --m 2N --runs 20 --max-attempts 10 --seed 0`,
+           the benchmark's sampler row at N = 200;
   containers-N  `containers --input h.txt --K K --b 2 --m N//4 --r 1` in a
            temporary directory, on a (1,2)-uniform H with N vertices and 2N
            distinct constraints drawn with `random.Random(N)`, and K the
@@ -32,7 +34,8 @@ so the same script times any checkout put on PYTHONPATH.
 
 Not part of the test suite: ell-8000 and tree-20 take tens of seconds,
 and lower M take minutes.  On a 2-core x86_64 host engine-20 (14,535
-constraints) takes 0.2-0.3 s, and containers-20 0.07-0.23 s at 37 MB peak RSS.
+constraints) takes 0.14-0.15 s, containers-20 0.07-0.23 s at 37 MB peak RSS,
+and sampler-200 0.07 s.
 """
 
 from __future__ import annotations
@@ -67,6 +70,9 @@ def job_argv(job: str) -> list[str]:
         return ["count-split", "--n", str(n), "--m", str(log_spaced_m(n, 6)[-1])]
     if kind == "tree":
         return ["tree", "--n", "8", "--m", str(n), "--force", "--out", TREE_FILES[0]]
+    if kind == "sampler":
+        return ["sampler", "--n", str(n), "--m", str(2 * n), "--runs", "20", "--max-attempts", "10",
+                "--seed", "0"]
     if kind == "containers":
         return ["containers", "--input", "h.txt", "--K", str(containers_input(n)),
                 "--b", "2", "--m", str(n // 4), "--r", "1"]
