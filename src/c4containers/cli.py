@@ -390,7 +390,9 @@ _FLAG_SPECS = {
 }
 
 
+@functools.lru_cache(maxsize=1)
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parsing leaves it unchanged."""
     top = argparse.ArgumentParser(
         prog="c4containers",
         description="containers, counts, and trees for induced-C4-free graphs",

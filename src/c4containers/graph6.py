@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 
-__all__ = ["pair_index", "pair_from_index", "encode", "decode"]
+__all__ = ["pair_index", "pair_from_index", "pairs_from_indices", "encode", "decode"]
 
 _GROUP_WEIGHTS = np.array([32, 16, 8, 4, 2, 1], dtype=np.uint8)
 
@@ -32,6 +32,17 @@ def pair_from_index(k: int) -> tuple[int, int]:
     # v is the largest integer with v(v-1)/2 <= k, that is floor((1 + sqrt(8k+1))/2)
     v = (math.isqrt(8 * k + 1) + 1) // 2
     return (k - v * (v - 1) // 2, v)
+
+
+def pairs_from_indices(ks) -> tuple[np.ndarray, np.ndarray]:
+    """pair_from_index over a sequence of indices below 2**60, as int64 arrays
+    (u, v).  There 8k+1 fits an int64.  Rounding is monotone, so the float64
+    square root never puts v too low; once 8k+1 passes 2**53 it can put v
+    one too high, and one step down corrects it."""
+    k = np.asarray(ks, dtype=np.int64)
+    v = ((np.sqrt(8 * k + 1) + 1) // 2).astype(np.int64)
+    v -= v * (v - 1) // 2 > k
+    return k - v * (v - 1) // 2, v
 
 
 def _size_header(n: int) -> str:

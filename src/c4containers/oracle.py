@@ -30,7 +30,6 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Optional
@@ -472,6 +471,45 @@ def _derived_seed(seed: int, attempt: int) -> int:
     return int.from_bytes(digest, "big")
 
 
+def _draw(npairs: int, m_prime: int, seed: int, attempt: int) -> list[int]:
+    """The first m_prime pair indices of a partial Fisher-Yates shuffle of
+    range(npairs), in draw order, storing only displaced positions.  Step i
+    reads ``getrandbits`` with the rejection loop that ``randrange(i,
+    npairs)`` runs, so it consumes the same stream and draws the same j."""
+    getrandbits = random.Random(_derived_seed(seed, attempt)).getrandbits
+    moved: dict[int, int] = {}
+    drawn: list[int] = []
+    for i in range(m_prime):
+        width = npairs - i
+        nbits = width.bit_length()
+        r = getrandbits(nbits)
+        while r >= width:
+            r = getrandbits(nbits)
+        j = i + r
+        drawn.append(moved.get(j, j))
+        moved[j] = moved.get(i, i)
+    return drawn
+
+
+def _codegrees(n: int, us: np.ndarray, vs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The codegree of every pair u < v with a common neighbour in the graph
+    with edges (us[i], vs[i]), as keys u * n + v ascending and their counts.
+
+    The 2m half-edges, sorted by (end, other end), are the neighbour lists of
+    a CSR layout; each half-edge is paired with those after it in its list,
+    so every wedge u-w-v gives the key u * n + v exactly once."""
+    ends = np.concatenate((us, vs))
+    others = np.concatenate((vs, us))
+    order = np.argsort(ends * n + others)
+    ends, others = ends[order], others[order]
+    deg = np.bincount(ends, minlength=n)
+    start = np.cumsum(deg) - deg
+    later = start[ends] + deg[ends] - 1 - np.arange(ends.size)  # entries after it in its list
+    first = np.repeat(np.arange(ends.size), later)
+    second = first + 1 + np.arange(first.size) - np.repeat(np.cumsum(later) - later, later)
+    return np.unique(others[first] * n + others[second], return_counts=True)
+
+
 def sample_c4free_by_deletion(
     n: int, m: int, delta: float, seed: int, max_attempts: int = 1
 ) -> DeletionSample:
@@ -480,17 +518,15 @@ def sample_c4free_by_deletion(
     edges (lowest pair index first) to land on exactly m, which leaves a
     C4-free and hence induced-C4-free graph.  Otherwise redraw.
 
-    The work grows with the draw, not with C(n,2).  The partial Fisher-Yates
-    shuffle stores only displaced positions.  Codegrees come from wedges:
-    each pair of neighbours of a vertex gains one, Sum_w C(d_w, 2) steps, and
-    X = (1/2) Sum C(codegree, 2), since each 4-cycle has two diagonals.  The
-    codegree counter keys the pair u < v by the int u * n + v, not a tuple:
-    the garbage collector does not track ints, so a large draw adds nothing
-    for it to count or scan, and the keys sort in (u, v) order.
-    Deleting edges only lowers codegrees, so the sweep that destroys the
-    4-cycles visits just the pairs with codegree at least 2 in the draw, in
-    ascending (u, v) order, and deletes the lowest-index edge of each 4-cycle
-    it still finds.
+    The work grows with the draw, not with C(n,2).  The draw (``_draw``) is
+    a partial Fisher-Yates shuffle that stores only displaced positions and
+    reads ``getrandbits`` as ``randrange`` would.  Codegrees come from wedges
+    in a few numpy calls (``_codegrees``), Sum_w C(d_w, 2) keys in all, and
+    X = (1/2) Sum C(codegree, 2), since each 4-cycle has two diagonals.
+    Only an accepted draw builds neighbour sets.  Deleting edges only
+    lowers codegrees, so the sweep that destroys the 4-cycles visits just the
+    pairs with codegree at least 2 in the draw, in ascending (u, v) order,
+    and deletes the lowest-index edge of each 4-cycle it still finds.
     """
     npairs = n * (n - 1) // 2
     if max_attempts < 1:
@@ -502,34 +538,33 @@ def sample_c4free_by_deletion(
         raise PreconditionError(f"need 0 < m <= (1+delta)m <= C(n,2); got m={m}, m'={m_prime}")
     last_copies = -1
     for attempt in range(1, max_attempts + 1):
-        rng = random.Random(_derived_seed(seed, attempt))
-        moved: dict[int, int] = {}
-        nbrs: list[list[int]] = [[] for _ in range(n)]
-        for i in range(m_prime):
-            j = rng.randrange(i, npairs)
-            u, v = graph6.pair_from_index(moved.get(j, j))
-            moved[j] = moved.get(i, i)
-            nbrs[u].append(v)
-            nbrs[v].append(u)
-        codeg = Counter(u * n + v for ws in nbrs for u, v in itertools.combinations(sorted(ws), 2))
-        twice = sum(c * (c - 1) // 2 * k for c, k in Counter(codeg.values()).items())
+        drawn = _draw(npairs, m_prime, seed, attempt)
+        us, vs = graph6.pairs_from_indices(drawn)
+        keys, counts = _codegrees(n, us, vs)
+        twice = int((counts * (counts - 1) // 2).sum())
         assert twice % 2 == 0
         copies = last_copies = twice // 2
         if copies > m_prime - m:
             continue
-        adj = [sum(1 << w for w in ws) for ws in nbrs]
-        for key in sorted(key for key, c in codeg.items() if c >= 2):
+        nbrs: list[set[int]] = [set() for _ in range(n)]
+        for u, v in zip(us.tolist(), vs.tolist()):
+            nbrs[u].add(v)
+            nbrs[v].add(u)
+        deleted: set[int] = set()
+        for key in keys[counts >= 2].tolist():
             u, v = divmod(key, n)
-            common = adj[u] & adj[v]
-            if common.bit_count() < 2:
+            common = nbrs[u] & nbrs[v]
+            if len(common) < 2:
                 continue
-            for w, x in itertools.combinations(_bits(common), 2):
+            for w, x in itertools.combinations(sorted(common), 2):
                 cycle = ((u, w), (w, v), (v, x), (x, u))
-                if all((adj[a] >> b) & 1 for a, b in cycle):
-                    a, b = min(cycle, key=lambda e: graph6.pair_index(*e))
-                    adj[a] &= ~(1 << b)
-                    adj[b] &= ~(1 << a)
-        kept = sorted(graph6.pair_index(u, v) for u in range(n) for v in _bits(adj[u]) if u < v)
+                if all(b in nbrs[a] for a, b in cycle):
+                    k = min(graph6.pair_index(a, b) for a, b in cycle)
+                    a, b = graph6.pair_from_index(k)
+                    nbrs[a].discard(b)
+                    nbrs[b].discard(a)
+                    deleted.add(k)
+        kept = sorted(k for k in drawn if k not in deleted)
         surplus = len(kept) - m
         bits = bytearray((npairs + 7) // 8)
         for k in kept[surplus:]:

@@ -444,6 +444,13 @@ def draw_by_full_shuffle(n, m_prime, seed, attempt):
     return arr[:m_prime]
 
 
+def codegrees_by_wedge_counter(n, nbrs):
+    """The codegree of every pair u < v with a common neighbour, keyed by
+    u * n + v: a Counter over each vertex's pairs of neighbours, given the
+    neighbour lists nbrs."""
+    return Counter(u * n + v for ws in nbrs for u, v in itertools.combinations(sorted(ws), 2))
+
+
 def sample_by_full_scan(n, m, delta, seed, max_attempts=1):
     """The edge-deletion sampler with two scans over all C(n,2) pairs per
     draw.  Each attempt shuffles list(range(C(n,2))) by a partial

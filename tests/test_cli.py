@@ -5,12 +5,17 @@ import decimal
 import hashlib
 import json
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import c4containers
 from c4containers import (
     Assignment,
     Constraint,
@@ -23,7 +28,7 @@ from c4containers import (
     normalize_parameters,
     phi_log,
 )
-from c4containers.cli import _build_parser, _decimal_str, main
+from c4containers.cli import _COMMANDS, _build_parser, _decimal_str, main
 
 pytestmark = pytest.mark.filterwarnings("ignore:parameter floor binds")
 
@@ -506,6 +511,58 @@ def test_usage_errors_exit_2(capsys):
     assert exc.value.code == 2
     assert main([]) == 2
     capsys.readouterr()
+
+
+def main_exit(capsys, argv):
+    """main(argv) in this process: exit code, stdout and stderr, where an
+    argparse exit counts as the code it raises."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def main_in_fresh_process(argv):
+    """main(argv) in a new interpreter, so with a parser built for it alone."""
+    env = {**os.environ, "COLUMNS": "80",
+           "PYTHONPATH": str(Path(c4containers.__file__).resolve().parents[1])}
+    script = "import sys; from c4containers.cli import main; sys.exit(main(sys.argv[1:]))"
+    done = subprocess.run([sys.executable, "-c", script, *argv], capture_output=True,
+                          text=True, env=env, timeout=120)
+    return done.returncode, done.stdout, done.stderr
+
+
+def test_parser_is_built_once():
+    assert _build_parser() is _build_parser()
+
+
+@pytest.mark.parametrize("argv", [["--help"], [], ["--version"],
+                                  *([cmd, "--help"] for cmd in sorted(_COMMANDS))])
+def test_help_and_usage_match_a_fresh_process(capsys, monkeypatch, argv):
+    """Help, usage and version text from the kept parser, asked twice after
+    other calls have used it, equal what a new interpreter prints."""
+    monkeypatch.setenv("COLUMNS", "80")
+    main_exit(capsys, ["enumerate", "--n", "4", "--m", "4"])
+    first = main_exit(capsys, argv)
+    assert first == main_exit(capsys, argv) == main_in_fresh_process(argv)
+    assert first[0] == (2 if argv == [] else 0)
+
+
+def test_usage_error_leaves_the_parser_as_a_fresh_process_has_it(capsys, monkeypatch):
+    """An argparse error (exit 2) part-way through a subcommand's flags, then
+    a valid call: each prints what it prints in a new interpreter."""
+    monkeypatch.setenv("COLUMNS", "80")
+    calls = [
+        ["sampler", "--n", "30", "--m", "35", "--bogus", "1"],
+        ["sampler", "--n", "30", "--m", "35", "--seed", "7", "--runs", "3"],
+        ["tree", "--n", "not-an-int"],
+        ["enumerate", "--n", "5"],
+    ]
+    got = [main_exit(capsys, argv) for argv in calls]
+    assert [code for code, _, _ in got] == [2, 0, 2, 0]
+    assert got == [main_in_fresh_process(argv) for argv in calls]
 
 
 def test_scale_error_exit_4(capsys):

@@ -28,7 +28,7 @@ from c4containers import (
     is_split,
     sample_c4free_by_deletion,
 )
-from c4containers import graph6
+from c4containers import graph6, oracle
 
 
 def test_pair_index_is_a_bijection():
@@ -451,6 +451,64 @@ def test_sampler_copies_count_the_4_cycles_of_the_last_draw():
             assert got.copies == len(cycles), (n, seed)
             seen[got.accepted, got.copies > 0] += 1
     assert seen[True, True] and seen[False, True] and seen[True, False], seen
+
+
+def test_draw_matches_the_randrange_shuffle():
+    """The getrandbits draw against the randrange reference, index for index
+    and in draw order, whole shuffles included.  At n = 12 the 66 widths
+    cross 64, 32, 16, 8, 4 and 2, where the number of bits read changes."""
+    for n, m_prime in [(12, 66), (12, 65), (12, 1), (2, 1), (3, 3), (9, 36), (17, 128),
+                       (17, 136), (200, 440), (1000, 1200)]:
+        for seed in range(4):
+            for attempt in (1, 2):
+                got = oracle._draw(n * (n - 1) // 2, m_prime, seed, attempt)
+                assert got == naive.draw_by_full_shuffle(n, m_prime, seed, attempt), (n, m_prime)
+
+
+def _draw_edges(n, m_prime, seed):
+    drawn = naive.draw_by_full_shuffle(n, m_prime, seed, 1)
+    nbrs = [[] for _ in range(n)]
+    for k in drawn:
+        u, v = graph6.pair_from_index(k)
+        nbrs[u].append(v)
+        nbrs[v].append(u)
+    us, vs = graph6.pairs_from_indices(drawn)
+    return nbrs, us, vs
+
+
+def test_codegrees_match_the_wedge_counter():
+    """The numpy codegrees, keys and counts, against a Counter over every
+    vertex's pairs of neighbours, on seeded draws with n = 4..60: one edge
+    (no wedge), sparse draws with isolated vertices, and the complete graph."""
+    seen = Counter()
+    for n in range(4, 61):
+        npairs = n * (n - 1) // 2
+        rnd = random.Random(n)
+        for m_prime in sorted({1, 2, n // 2, rnd.randint(1, npairs), npairs - 1, npairs}):
+            nbrs, us, vs = _draw_edges(n, m_prime, n + m_prime)
+            keys, counts = oracle._codegrees(n, us, vs)
+            want = sorted(naive.codegrees_by_wedge_counter(n, nbrs).items())
+            assert keys.tolist() == [k for k, _ in want], (n, m_prime)
+            assert counts.tolist() == [c for _, c in want], (n, m_prime)
+            seen["no wedge"] += not want
+            seen["isolated"] += any(not ws for ws in nbrs)
+            seen["complete"] += m_prime == npairs and counts.tolist() == [n - 2] * npairs
+    assert seen["no wedge"] and seen["isolated"] and seen["complete"] == 57, seen
+
+
+def test_pairs_from_indices_matches_pair_from_index():
+    """The vectorised decode against graph6.pair_from_index: every k below
+    C(300, 2), then C(v,2) - 1, C(v,2) and C(v,2) + 1 for every v up to the
+    graph6 limit 258047 and a few v above it, up to k = 2**60 - 1.  From
+    about v = 10**8 on, the float square root overshoots at C(v,2) - 1."""
+    ks = list(range(300 * 299 // 2))
+    for v in [*range(2, 258048), 258048, 10**6, 10**7, 10**8, 3 * 10**8, 10**9, 1_518_500_000]:
+        c = v * (v - 1) // 2
+        ks += [c - 1, c, c + 1]
+    ks.append(2**60 - 1)
+    us, vs = graph6.pairs_from_indices(ks)
+    assert list(zip(us.tolist(), vs.tolist())) == [graph6.pair_from_index(k) for k in ks]
+    assert graph6.pairs_from_indices([])[0].size == 0
 
 
 def test_sampler_rejects_bad_budget():

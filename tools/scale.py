@@ -35,7 +35,7 @@ so the same script times any checkout put on PYTHONPATH.
 Not part of the test suite: ell-8000 and tree-20 take tens of seconds,
 and lower M take minutes.  On a 2-core x86_64 host engine-20 (14,535
 constraints) takes 0.14-0.15 s, containers-20 0.07-0.23 s at 37 MB peak RSS,
-and sampler-200 0.07 s.
+sampler-200 0.03-0.04 s and sampler-2000 0.17-0.23 s.
 """
 
 from __future__ import annotations
