@@ -46,7 +46,7 @@ from . import tree as _tree
 from .engine import ContainerProcess, _drive_members, normalize_parameters
 from .errors import NumericError, PreconditionError, ScaleError
 from .hypergraph import UniformHypergraph, check_container_hypothesis
-from .oracle import EXACT_COUNT_LIMIT, fnm_table, sample_c4free_by_deletion
+from .oracle import EXACT_COUNT_LIMIT, count_Fnm_c4, fnm_table, sample_c4free_by_deletion
 from .pregraph import Pregraph, complete_pregraph, is_leaf_pregraph
 from .splitcounts import (
     DEFAULT_LAMBDA,
@@ -164,13 +164,11 @@ def _cmd_enumerate(res: _Resolver) -> int:
     out = res.get("out", str)
     if n > EXACT_COUNT_LIMIT:
         raise ScaleError(f"exhaustive enumeration needs n <= {EXACT_COUNT_LIMIT}, got {n}")
-    table = fnm_table(n)
+    if m is not None and not 0 <= m <= n * (n - 1) // 2:
+        raise PreconditionError(f"m={m} outside 0..C({n},2)")
+    counts = enumerate(fnm_table(n)) if m is None else [(m, count_Fnm_c4(n, m))]
     lines = ["# exact labeled counts of induced-C4-free graphs", "n,m,count"]
-    targets = range(len(table)) if m is None else [m]
-    for mm in targets:
-        if not 0 <= mm < len(table):
-            raise PreconditionError(f"m={mm} outside 0..C({n},2)")
-        lines.append(f"{n},{mm},{table[mm]}")
+    lines += [f"{n},{mm},{count}" for mm, count in counts]
     _write_output(lines, out, "enumerate", res.resolved)
     return 0
 

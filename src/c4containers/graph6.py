@@ -5,8 +5,9 @@ gets index v(v-1)/2 + u, which enumerates pairs in exactly the column order
 graph6 uses (01, 02, 12, 03, 13, 23, ...).  Encoding packs that bit vector
 into 6-bit groups, most significant bit first, each offset by 63; the size
 header covers n up to 258047 via the single '~' extension.  Both directions
-take time linear in C(n, 2): encode unpacks the mask's bytes once, and decode
-builds the mask with one base-2 parse.
+take time linear in C(n, 2): encode unpacks the mask's bytes once, a fixed
+chunk at a time into the preallocated text, and decode builds the mask with
+one base-2 parse.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import numpy as np
 __all__ = ["pair_index", "pair_from_index", "pairs_from_indices", "encode", "decode"]
 
 _GROUP_WEIGHTS = np.array([32, 16, 8, 4, 2, 1], dtype=np.uint8)
+_CHUNK_GROUPS = 1 << 16
 
 
 def pair_index(u: int, v: int) -> int:
@@ -59,12 +61,19 @@ def encode(n: int, mask: int) -> str:
     npairs = n * (n - 1) // 2
     if mask >> npairs:
         raise ValueError("edge mask has bits beyond the pair range")
-    header = _size_header(n)
-    # bit k of the mask is bit k % 8 of byte k // 8; 8 bits per group cover the padding
+    header = _size_header(n).encode("ascii")
+    # bit k of the mask is bit k % 8 of byte k // 8; a chunk of _CHUNK_GROUPS
+    # groups is 3/4 as many bytes, so every chunk starts on a byte
     ngroups = (npairs + 5) // 6
-    raw = np.frombuffer(mask.to_bytes(ngroups, "little"), dtype=np.uint8)
-    bits = np.unpackbits(raw, bitorder="little")[: 6 * ngroups].reshape(ngroups, 6)
-    return header + (bits @ _GROUP_WEIGHTS + 63).tobytes().decode("ascii")
+    raw = np.frombuffer(mask.to_bytes((3 * ngroups + 3) // 4, "little"), dtype=np.uint8)
+    text = np.empty(len(header) + ngroups, dtype=np.uint8)
+    text[: len(header)] = list(header)
+    body = text[len(header) :]
+    for start in range(0, ngroups, _CHUNK_GROUPS):
+        bits = np.unpackbits(raw[3 * start // 4 : 3 * (start + _CHUNK_GROUPS) // 4], bitorder="little")
+        groups = bits[: 6 * (ngroups - start)].reshape(-1, 6)
+        body[start : start + _CHUNK_GROUPS] = groups @ _GROUP_WEIGHTS + 63
+    return str(text, "ascii")
 
 
 def decode(text: str) -> tuple[int, int]:

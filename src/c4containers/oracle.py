@@ -18,11 +18,13 @@ induced-C4-free graph on n vertices is one on the first n-1 vertices plus a
 last vertex x with some neighbourhood S, and only the induced 4-cycles
 through x need checking: x-a-c-b-x with a, b in S, c outside S, ac and bc
 edges and ab a non-edge.  So each S comes with a fixed list of (subset,
-pattern) tests over the old pairs, applied vectorized to the stored F_{n-1}
-layers.  A second, structurally different implementation (depth-first over
-pair decisions with pruning) recomputes the same tables so the two can be
-cross-validated; n is capped at 8 and 7 respectively, with a scale refusal
-beyond.
+pattern) tests over the old pairs, applied vectorized to the F_{n-1} layer
+with m - |S| edges.  Below n = 8 each layer is built on first demand, from
+only the layers it reaches in turn, and kept, so one (n, m) builds only what
+it needs.  A second, structurally different implementation (depth-first
+over pair decisions with pruning) recomputes the same tables so the two can
+be cross-validated; n is capped at 8 and 7 respectively, with a scale
+refusal beyond.
 """
 
 from __future__ import annotations
@@ -230,12 +232,11 @@ def _extension(n: int, m: int):
         if m == 0:
             yield 0, np.zeros(1, dtype=np.uint32), np.ones(1, dtype=bool)
         return
-    layers = _layers(n - 1)
     for s, pats in enumerate(_extension_patterns(n)):
         k = m - s.bit_count()
-        if not 0 <= k < len(layers):
+        if not 0 <= k <= (n - 1) * (n - 2) // 2:
             continue
-        g = layers[k]
+        g = _layer(n - 1, k)
         bad = np.zeros(g.shape, dtype=bool)
         for subset, pat in pats:
             bad |= (g & np.uint32(subset)) == np.uint32(pat)
@@ -249,36 +250,36 @@ def _fnm_masks(n: int, m: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _layers(n: int) -> tuple[np.ndarray, ...]:
-    """F_n split by edge count, built from F_{n-1} and kept for the process.
+def _layer(n: int, m: int) -> np.ndarray:
+    """F_{n,m}, built on first demand from the F_{n-1} layers it reaches and
+    kept for the process.
 
-    Only n < EXACT_COUNT_LIMIT is ever stored (F_7 is 711,359 masks, under
-    3 MB); the top level is extended from it on demand.
+    Only n < EXACT_COUNT_LIMIT is ever stored: all of F_7 is 711,359 masks,
+    under 3 MB.  The top level is extended from F_7 on every call and never
+    kept.
     """
-    return tuple(_fnm_masks(n, m) for m in range(n * (n - 1) // 2 + 1))
+    return _fnm_masks(n, m)
 
 
 @lru_cache(maxsize=None)
 def fnm_table(n: int) -> tuple[int, ...]:
-    """Counts of labeled induced-C4-free graphs on n vertices, by edge count.
-
-    Exact, by extending the stored F_{n-1} layers one vertex and counting the
-    survivors without storing them; refuses n above 8.  Cached per n, which
-    is at most nine small tuples.
+    """Counts of labeled induced-C4-free graphs on n vertices, by edge count:
+    count_Fnm_c4 at every m; refuses n above 8.  Cached per n, which is at
+    most nine small tuples.
     """
-    _check_exact_range(n)
-    return tuple(
-        sum(int(np.count_nonzero(keep)) for _, _, keep in _extension(n, m))
-        for m in range(n * (n - 1) // 2 + 1)
-    )
+    return tuple(count_Fnm_c4(n, m) for m in range(n * (n - 1) // 2 + 1))
 
 
 def count_Fnm_c4(n: int, m: int) -> int:
-    """|F_{n,m}|: labeled induced-C4-free graphs with exactly m edges, n <= 8."""
-    table = fnm_table(n)
-    if not 0 <= m < len(table):
-        raise ValueError(f"m = {m} outside 0..{len(table) - 1}")
-    return table[m]
+    """|F_{n,m}|: labeled induced-C4-free graphs with exactly m edges, n <= 8.
+
+    Exact, by extending the F_{n-1} layers that m reaches one vertex and
+    counting the survivors without storing them.
+    """
+    _check_exact_range(n)
+    if not 0 <= m <= n * (n - 1) // 2:
+        raise ValueError(f"m = {m} outside 0..{n * (n - 1) // 2}")
+    return sum(int(np.count_nonzero(keep)) for _, _, keep in _extension(n, m))
 
 
 def fnm_table_backtracking(n: int) -> tuple[int, ...]:

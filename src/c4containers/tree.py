@@ -58,7 +58,7 @@ from .engine import ContainerProcess, Cylinder, Fingerprint, _drive_members
 from .errors import HypothesisError, PreconditionError, ScaleError
 from .graph6 import pair_index
 from .hypergraph import UniformHypergraph
-from .oracle import EXACT_COUNT_LIMIT, enumerate_fnm_masks, fnm_table
+from .oracle import EXACT_COUNT_LIMIT, count_Fnm_c4, enumerate_fnm_masks
 from .pregraph import (
     PermissibleResult,
     Pregraph,
@@ -371,12 +371,12 @@ def build_tree(params: TreeParams, force: bool = False) -> ContainerTree:
     """Grow the container tree for F_{n,m}(C4), tracking every member.
 
     Members come from the exact enumeration of F_{n,m}(C4), which extends
-    the stored induced-C4-free graphs on n-1 vertices by one vertex, so n is
-    limited to its range, n <= 8.  With force=False a node whose hypergraph fails the
-    container hypothesis check at K = 5/beta becomes a fallback leaf; with
-    force=True the construction proceeds anyway (the produced cylinders are
-    still genuine containers for their members, only the fingerprint-size
-    guarantee is lost).
+    by one vertex only the layers of induced-C4-free graphs on n-1 vertices
+    that m reaches, so n is limited to its range, n <= 8.  With force=False
+    a node whose hypergraph fails the container hypothesis check at
+    K = 5/beta becomes a fallback leaf; with force=True the construction
+    proceeds anyway (the produced cylinders are still genuine containers for
+    their members, only the fingerprint-size guarantee is lost).
     """
     if params.n > EXACT_COUNT_LIMIT:
         raise ScaleError(
@@ -524,7 +524,7 @@ PHI_FITTED_CONSTANTS = {
 def phi_log(n: int, m: int, p: float, count_mode: str) -> LogCount:
     """ln phi(m) where phi(m) = |F_{n,m}(C4)| * (p/(1-p))^m.
 
-    count_mode "exact" reads the brute-force table (n <= 8).  The bounds use
+    count_mode "exact" reads count_Fnm_c4 (n <= 8).  The bounds use
     the constants of PHI_FITTED_CONSTANTS.  "lower_bound" takes the best of
     the split-graph bound (c_lower*n*p/sqrt(m ln(n^2/m)))^m and, inside its
     sparse regime m <= deletion_regime * n^(4/3), the deletion bound
@@ -544,7 +544,7 @@ def phi_log(n: int, m: int, p: float, count_mode: str) -> LogCount:
     if count_mode == "exact":
         if n > EXACT_COUNT_LIMIT:
             raise ScaleError(f"exact mode needs n <= {EXACT_COUNT_LIMIT}, got {n}")
-        count = fnm_table(n)[m]
+        count = count_Fnm_c4(n, m)
         if count == 0:
             return LogCount(float("-inf"))
         return LogCount(math.log(count) + m * math.log(p / (1 - p)))

@@ -375,10 +375,13 @@ def _pair_from_index(k):
 def graph6_encode_by_bits(n, mask):
     """graph6 text of an n-vertex edge mask, packing one bit at a time: pair
     index k is bit 5 - k % 6 of group k // 6, offset by 63, after the size
-    header (one character up to n = 62, else '~' and three characters)."""
+    header (one character up to n = 62, else '~' and three characters).
+    The bits are read from the mask's binary digits, reversed, so the time
+    stays linear in C(n, 2)."""
     npairs = n * (n - 1) // 2
     if n < 0 or n > 258047 or mask < 0 or mask >> npairs:
         raise ValueError("out of range")
+    digits = format(mask, "b")[::-1]
     if n <= 62:
         out = [chr(n + 63)]
     else:
@@ -387,7 +390,7 @@ def graph6_encode_by_bits(n, mask):
         group = 0
         for i in range(6):
             k = start + i
-            bit = (mask >> k) & 1 if k < npairs else 0
+            bit = int(digits[k]) if k < len(digits) else 0
             group = (group << 1) | bit
         out.append(chr(group + 63))
     return "".join(out)

@@ -67,6 +67,43 @@ def test_enumerate_n8(capsys):
     assert sum(int(r.split(",")[2]) for r in rows) == 40_091_516
 
 
+@pytest.mark.parametrize("m", ["40", "29", "-1"])
+def test_enumerate_refuses_an_out_of_range_m_before_any_work(capsys, monkeypatch, m):
+    from c4containers import cli, oracle
+
+    calls = []
+    for mod, name in ((oracle, "_layer"), (cli, "fnm_table"), (cli, "count_Fnm_c4")):
+        monkeypatch.setattr(mod, name, lambda *a, name=name: calls.append(name))
+    code, out, err = run(capsys, "enumerate", "--n", "8", "--m", m)
+    assert code == 3 and out == ""
+    assert err == f"error (precondition): m={m} outside 0..C(8,2)\n"
+    assert calls == []
+
+
+# sha256 of stdout, the table and its .manifest of `enumerate --n 8 --m 26
+# --out e.csv`; of the same for that manifest replayed with `--config
+# e.csv.manifest --out f.csv`; and of the stdout of `phi --n 8 --m 26 --p 0.5
+# --mode exact`; as they were written when both read the whole F_8 table
+ENUMERATE_N8_M26_SHA256 = "fdd7c5d60fccb3488b04c4dfd9ac83fa5e786338408a913c7ad65a34b0dabb07"
+ENUMERATE_N8_M26_REPLAY_SHA256 = "1f79c339c7acab9cf84f5febaa66971520022933c0935c99137580e1e65de535"
+PHI_N8_M26_EXACT_SHA256 = "891b1b8ee2766e17034183f30f37128b7fbbe5a9d6df00c6b5a272514253acdd"
+
+
+def test_one_count_at_n8_is_unchanged(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # the manifest records --out as given
+    for argv, out, want in (
+        (("enumerate", "--n", "8", "--m", "26", "--out", "e.csv"), "e.csv", ENUMERATE_N8_M26_SHA256),
+        (("--config", "e.csv.manifest", "--out", "f.csv"), "f.csv", ENUMERATE_N8_M26_REPLAY_SHA256),
+    ):
+        code, stdout, _ = run(capsys, *argv)
+        assert code == 0
+        files = [(tmp_path / f).read_text() for f in (out, f"{out}.manifest")]
+        assert hashlib.sha256("".join([stdout, *files]).encode()).hexdigest() == want
+    code, stdout, _ = run(capsys, "phi", "--n", "8", "--m", "26", "--p", "0.5", "--mode", "exact")
+    assert code == 0
+    assert hashlib.sha256(stdout.encode()).hexdigest() == PHI_N8_M26_EXACT_SHA256
+
+
 def test_count_split_single_ell(capsys):
     code, out, _ = run(capsys, "count-split", "--n", "20", "--m", "20", "--ell", "4")
     assert code == 0

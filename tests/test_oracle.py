@@ -1,10 +1,12 @@
 """Brute-force ground truth: graph encoding, induced-C4 detection,
 exhaustive edge-count tables, split recognition, and the deletion sampler."""
 
+import hashlib
 import itertools
 import math
 import random
 import re
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -63,6 +65,43 @@ def test_graph6_round_trip_across_size_headers(n):
         if n <= 200:
             assert text == naive.graph6_encode_by_bits(n, mask)
             assert naive.graph6_decode_by_bits(text) == (n, mask)
+
+
+@pytest.mark.parametrize("n", [5, 7, 887, 888, 1001, 1302])
+def test_graph6_encode_matches_bitwise_reference_across_chunks(n):
+    """C(n, 2) mod 6 is 4, 3, 0, 4 and 3 at n = 5, 7, 888, 1001 and 1302;
+    n = 887 fills most of one 65,536-group chunk, 888 and 1001 spill into a
+    second and 1302 into a third.  The round trip above covers n <= 200."""
+    npairs = n * (n - 1) // 2
+    rng = random.Random(n)
+    for mask in (0, (1 << npairs) - 1, rng.getrandbits(npairs)):
+        assert graph6.encode(n, mask) == naive.graph6_encode_by_bits(n, mask)
+
+
+# graph6 text of 20,000 pairs drawn with random.Random(0).sample at n = 10,000,
+# as the encoder that unpacked every pair bit at once wrote it
+G6_N10000_SHA256 = "fe061ee77328f795ae59142abfb72e9002dba4c421367c63a28951d717a73276"
+
+
+def test_graph6_encode_memory_is_bounded_by_the_text():
+    """8.3 MB of text from a 6.2 MB mask: unpacking every pair bit at once
+    peaked at 91.7 MB under tracemalloc, chunks of groups stay below 40 MB."""
+    n = 10_000
+    npairs = n * (n - 1) // 2
+    raw = bytearray((npairs + 7) // 8)
+    for k in random.Random(0).sample(range(npairs), 20_000):
+        raw[k >> 3] |= 1 << (k & 7)
+    mask = int.from_bytes(raw, "little")
+    del raw
+    tracemalloc.start()
+    try:
+        text = graph6.encode(n, mask)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(text) == 4 + (npairs + 5) // 6
+    assert hashlib.sha256(text.encode()).hexdigest() == G6_N10000_SHA256
+    assert peak < 40e6
 
 
 def _outcome(fn, *args):
@@ -248,6 +287,44 @@ def test_enumeration_equals_the_mask_scan():
 def test_fnm_table_8_is_pinned():
     assert fnm_table(8) == FNM_TABLE_8
     assert sum(FNM_TABLE_8) == 40_091_516
+
+
+def test_one_m_builds_only_the_layers_it_reaches(monkeypatch):
+    """The new vertex of a member of F_{8,26} has at most 7 neighbours, so
+    the other seven vertices carry 19 to 21 edges: F_7's layers 19-21, and
+    below them only what those reach.  No layer of F_8 is stored."""
+    oracle._layer.cache_clear()
+    layer, built = oracle._layer, []
+    monkeypatch.setattr(oracle, "_layer", lambda n, m: built.append((n, m)) or layer(n, m))
+    assert len(enumerate_fnm_masks(8, 26)) == FNM_TABLE_8[26]
+    assert sorted({m for n, m in built if n == 7}) == [19, 20, 21]
+    assert max(n for n, _ in built) == 7
+    assert layer.cache_info().currsize == len(set(built))
+
+
+def test_layers_built_top_first_give_the_pinned_table():
+    """On a cleared cache the members at m = 26 build F_7's top layers
+    first; the whole table, built after them, still matches the pin."""
+    oracle._layer.cache_clear()
+    oracle.fnm_table.cache_clear()
+    top = enumerate_fnm_masks(8, 26)
+    assert len(top) == FNM_TABLE_8[26]
+    assert fnm_table(8) == FNM_TABLE_8
+    np.testing.assert_array_equal(enumerate_fnm_masks(8, 26), top)
+
+
+def test_count_matches_the_table_from_a_cleared_cache():
+    tables = [fnm_table(n) for n in range(9)]
+    for n, table in enumerate(tables):
+        for m, count in enumerate(table):
+            oracle._layer.cache_clear()
+            assert count_Fnm_c4(n, m) == count
+    oracle._layer.cache_clear()
+    with pytest.raises(ValueError):
+        count_Fnm_c4(8, 29)
+    with pytest.raises(ScaleError):
+        count_Fnm_c4(9, 0)
+    assert oracle._layer.cache_info().currsize == 0
 
 
 def test_top_extension_matches_the_scan_for_fixed_neighbourhoods():

@@ -8,6 +8,7 @@ JOB is one of
   ell-N    `count-split --n N --m N^2/80 --ell L` at the argmax L of
            N_{N,m}, an exact count of up to a million digits;
   grid-N   `count-split --n N --m M` at the largest m of the benchmark grid;
+  count-M  `enumerate --n 8 --m M`, one exact count of F_{8,M};
   tree-M   `tree --n 8 --m M --force --out tree.txt` in a temporary
            directory: the node table, its `.summary.json` and `.manifest`;
   engine-N `build_container` then `replay_container` on H_2 of
@@ -35,7 +36,10 @@ so the same script times any checkout put on PYTHONPATH.
 Not part of the test suite: ell-8000 and tree-20 take tens of seconds,
 and lower M take minutes.  On a 2-core x86_64 host engine-20 (14,535
 constraints) takes 0.14-0.15 s, containers-20 0.07-0.23 s at 37 MB peak RSS,
-sampler-200 0.03-0.04 s and sampler-2000 0.17-0.23 s.
+sampler-200 0.03-0.04 s and sampler-2000 0.17-0.23 s; count-26 0.01 s at
+35 MB and count-14 0.09-0.10 s at 38 MB, since one count builds only the
+F_7 layers its M reaches; tree-24 0.8-1.5 s at 44 MB and tree-22 4.0-4.3 s
+at 67 MB.
 """
 
 from __future__ import annotations
@@ -68,6 +72,8 @@ def job_argv(job: str) -> list[str]:
         return ["count-split", "--n", str(n), "--m", str(m), "--ell", str(argmax_n_nm(n, m))]
     if kind == "grid":
         return ["count-split", "--n", str(n), "--m", str(log_spaced_m(n, 6)[-1])]
+    if kind == "count":
+        return ["enumerate", "--n", "8", "--m", str(n)]
     if kind == "tree":
         return ["tree", "--n", "8", "--m", str(n), "--force", "--out", TREE_FILES[0]]
     if kind == "sampler":
