@@ -5,9 +5,9 @@ gets index v(v-1)/2 + u, which enumerates pairs in exactly the column order
 graph6 uses (01, 02, 12, 03, 13, 23, ...).  Encoding packs that bit vector
 into 6-bit groups, most significant bit first, each offset by 63; the size
 header covers n up to 258047 via the single '~' extension.  Both directions
-take time linear in C(n, 2): encode unpacks the mask's bytes once, a fixed
-chunk at a time into the preallocated text, and decode builds the mask with
-one base-2 parse.
+take time linear in C(n, 2), a fixed chunk of groups at a time: encode
+unpacks the mask's bytes into the preallocated text, and decode packs the
+groups' bits into the preallocated bytes of the mask.
 """
 
 from __future__ import annotations
@@ -86,21 +86,27 @@ def decode(text: str) -> tuple[int, int]:
         n = 0
         for ch in s[1:4]:
             n = (n << 6) | (ord(ch) - 63)
-        body = s[4:]
+        start = 4
     else:
         n = ord(s[0]) - 63
-        body = s[1:]
+        start = 1
     if n < 0:
         raise ValueError("bad graph6 size header")
     npairs = n * (n - 1) // 2
     need = (npairs + 5) // 6
-    if len(body) != need:
-        raise ValueError(f"graph6 body has {len(body)} groups, expected {need}")
-    groups = [ord(ch) - 63 for ch in body]
-    for ch, group in zip(body, groups):
-        if not 0 <= group < 64:
-            raise ValueError(f"bad graph6 character {ch!r}")
-    bits = "".join(format(group, "06b") for group in groups)
-    if "1" in bits[npairs:]:
+    if len(s) - start != need:
+        raise ValueError(f"graph6 body has {len(s) - start} groups, expected {need}")
+    raw = np.empty((3 * need + 3) // 4, dtype=np.uint8)
+    for first in range(0, need, _CHUNK_GROUPS):
+        chunk = s[start + first : start + first + _CHUNK_GROUPS]
+        # one code point per character, so any character can be named
+        groups = np.frombuffer(chunk.encode("utf-32-le", "surrogatepass"), dtype=np.uint32) - 63
+        bad = np.flatnonzero(groups >= 64)  # below 63 wraps around
+        if len(bad):
+            raise ValueError(f"bad graph6 character {chunk[bad[0]]!r}")
+        bits = np.unpackbits(groups.astype(np.uint8)[:, None], axis=1)[:, 2:]
+        raw[3 * first // 4 : 3 * (first + _CHUNK_GROUPS) // 4] = np.packbits(bits, bitorder="little")
+    mask = int.from_bytes(raw, "little")
+    if mask >> npairs:
         raise ValueError("nonzero padding bits")
-    return n, int(bits[:npairs][::-1] or "0", 2)
+    return n, mask

@@ -40,7 +40,8 @@ import numpy as np
 
 from . import graph6
 from .errors import PreconditionError, ScaleError
-from .pregraph import EXACT_SUBSET_LIMIT, _by_subset_size, _subset_pair_counts, _vertices
+from .pregraph import (EXACT_SUBSET_LIMIT, _adjacency, _by_subset_size, _pairs_within,
+                       _subset_pair_counts, _vertices)
 
 __all__ = [
     "LabeledGraph",
@@ -66,16 +67,6 @@ BACKTRACK_LIMIT = 7
 EX_C4_LIMIT = 14
 QUASIRANDOM_SEED = 0
 QUASIRANDOM_SAMPLES = 20000
-
-
-def _bits(x: int) -> list[int]:
-    """The positions of the set bits of x, ascending."""
-    out = []
-    while x:
-        low = x & -x
-        out.append(low.bit_length() - 1)
-        x ^= low
-    return out
 
 
 @dataclass(frozen=True)
@@ -114,11 +105,8 @@ class LabeledGraph:
 
     def edges(self) -> list[tuple[int, int]]:
         """The edges (u, v), u < v, in pair-index order."""
-        ks = np.flatnonzero(self._pair_bits())
-        # pair index k = C(v, 2) + u, so v is the last vertex with C(v, 2) <= k
-        starts = np.arange(self.n) * (np.arange(self.n) - 1) // 2
-        v = np.searchsorted(starts, ks, side="right") - 1
-        return list(zip((ks - starts[v]).tolist(), v.tolist()))
+        u, v = graph6.pairs_from_indices(np.flatnonzero(self._pair_bits()))
+        return list(zip(u.tolist(), v.tolist()))
 
     def degree(self, v: int) -> int:
         """The popcount of v's adjacency row: pairs (u, v) with u < v are
@@ -131,15 +119,7 @@ class LabeledGraph:
 
     def adjacency_masks(self) -> list[int]:
         """Per-vertex neighbor bitmasks over vertices (not pairs)."""
-        adj = [0] * self.n
-        for v in range(1, self.n):
-            below = (self.mask >> (v * (v - 1) // 2)) & ((1 << v) - 1)
-            adj[v] |= below
-            while below:
-                low = below & -below
-                adj[low.bit_length() - 1] |= 1 << v
-                below ^= low
-        return adj
+        return _adjacency(self.n, self.mask)
 
     def to_graph6(self) -> str:
         return graph6.encode(self.n, self.mask)
@@ -405,11 +385,7 @@ def is_eps_quasirandom(g: LabeledGraph, eps: float) -> QuasirandomCheck:
     for _ in range(QUASIRANDOM_SAMPLES):
         size = rng.randint(max(2, int(eps * g.n) + 1), g.n)
         subset = rng.sample(range(g.n), size)
-        smask = 0
-        count = 0
-        for v in subset:
-            count += (adj[v] & smask).bit_count()
-            smask |= 1 << v
+        count = _pairs_within(adj, sum(1 << v for v in subset))
         if not lo <= count / math.comb(size, 2) <= hi:  # size >= 2 and above eps*n
             return QuasirandomCheck(False, False, tuple(sorted(subset)))
     return QuasirandomCheck(True, False, None)
@@ -427,9 +403,9 @@ def is_eps_close_to_split(g: LabeledGraph, eps: float) -> CloseSplitCheck:
     eps fraction of its pairs) and B carrying at most eps*e(G) edges?
     Exhaustive over all 2^n partitions for n <= 16, greedy beyond."""
     adj = g.adjacency_masks()
+    full = (1 << g.n) - 1
     if g.n <= EXACT_SUBSET_LIMIT:
         e = _subset_pair_counts(adj)
-        full = (1 << g.n) - 1
         floor = _by_subset_size(g.n, lambda size: (1 - eps) * math.comb(size, 2))
         ok = (e >= floor) & (e[::-1] <= eps * g.m)  # e[::-1][S] = e[full ^ S]
         if ok.any():
@@ -444,11 +420,8 @@ def is_eps_close_to_split(g: LabeledGraph, eps: float) -> CloseSplitCheck:
     for size, v in enumerate(order, start=1):
         count += (adj[v] & amask).bit_count()
         amask |= 1 << v
-        if count >= (1 - eps) * math.comb(size, 2):
-            rest = [u for u in range(g.n) if not (amask >> u) & 1]
-            eb = sum(1 for x, y in itertools.combinations(rest, 2) if g.has_edge(x, y))
-            if eb <= eps * g.m:
-                best = (_vertices(amask, g.n), tuple(rest))
+        if count >= (1 - eps) * math.comb(size, 2) and _pairs_within(adj, full ^ amask) <= eps * g.m:
+            best = (_vertices(amask, g.n), _vertices(full ^ amask, g.n))
     return CloseSplitCheck(best is not None, False, best)
 
 
@@ -582,7 +555,7 @@ def _find_c4(n: int, adj: list[int]) -> Optional[tuple[int, int, int, int]]:
     for u, v in itertools.combinations(range(n), 2):
         common = adj[u] & adj[v]
         if common.bit_count() >= 2:
-            w, x = _bits(common)[:2]
+            w, x = _vertices(common, n)[:2]
             return (u, w, v, x)
     return None
 
@@ -594,9 +567,6 @@ def ex_c4(g: LabeledGraph) -> int:
     best = 0
     seen: set[int] = set()
 
-    def adj_of(mask: int) -> list[int]:
-        return LabeledGraph(g.n, mask).adjacency_masks()
-
     def walk(mask: int) -> None:
         nonlocal best
         if mask in seen:
@@ -605,7 +575,7 @@ def ex_c4(g: LabeledGraph) -> int:
         count = mask.bit_count()
         if count <= best:
             return
-        cyc = _find_c4(g.n, adj_of(mask))
+        cyc = _find_c4(g.n, _adjacency(g.n, mask))
         if cyc is None:
             best = max(best, count)
             return

@@ -4,6 +4,8 @@ A pregraph is a partial two-colouring of the edge set of K_n: a set E of
 edges already fixed to be present, a set M of mixed (undecided) edges, and
 an auxiliary set N of mixed edges that preprocessing has neutralized (they
 can no longer serve as cycle edges but may still appear as induced extras).
+Each of M, E and N is an int over pair indices, the layout of the oracle's
+graph masks: bit ``graph6.pair_index(u, v)`` is the pair (u, v).
 A good copy of C4 is a 4-cycle all of whose edges are mixed and whose four
 vertices span no fixed edge.  Each good copy, together with the i in
 {0, 1, 2} remaining induced mixed edges (its diagonals that lie in M or N),
@@ -37,6 +39,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 import numpy as np
 
 from .errors import PreconditionError
+from .graph6 import pair_from_index, pair_index
 from .hypergraph import Constraint, UniformHypergraph
 
 __all__ = [
@@ -70,54 +73,53 @@ Pair = tuple[int, int]
 EXACT_SUBSET_LIMIT = 16
 
 
-def _norm_pair(p: Sequence[int]) -> Pair:
-    u, v = p
-    if u == v:
-        raise ValueError(f"loop ({u}, {v}) is not an edge")
-    return (u, v) if u < v else (v, u)
+def _pair_mask(pairs: Iterable[Sequence[int]], n: int) -> int:
+    """The pairs as a mask over pair indices, each checked to be an edge of K_n."""
+    mask = 0
+    for u, v in pairs:
+        if u == v:
+            raise ValueError(f"loop ({u}, {v}) is not an edge")
+        if not 0 <= min(u, v) < max(u, v) < n:
+            raise ValueError(f"pair {(min(u, v), max(u, v))} outside vertex range 0..{n - 1}")
+        mask |= 1 << pair_index(int(u), int(v))
+    return mask
 
 
-def _norm_pairs(pairs: Iterable[Sequence[int]], n: int) -> frozenset[Pair]:
-    out = set()
-    for p in pairs:
-        q = _norm_pair(p)
-        if not 0 <= q[0] < q[1] < n:
-            raise ValueError(f"pair {q} outside vertex range 0..{n - 1}")
-        out.add(q)
-    return frozenset(out)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, slots=True)
 class Pregraph:
-    """Partial two-colouring (M, E, N) of the pairs of 0..n-1."""
+    """Partial two-colouring (M, E, N) of the pairs of 0..n-1.
+
+    M, E and N are pair masks (bit ``pair_index(u, v)`` for the pair (u, v)),
+    and equality and hashing read (n, M, E, N).  The constructor takes the
+    three sets of pairs; ``mixed``, ``fixed`` and ``neutral`` give them back
+    as frozensets of sorted pairs, built on access (the last 16 are kept).
+    """
 
     n: int
-    mixed: frozenset[Pair]
-    fixed: frozenset[Pair]
-    neutral: frozenset[Pair] = frozenset()
+    M: int
+    E: int
+    N: int
 
-    def __post_init__(self):
-        object.__setattr__(self, "mixed", _norm_pairs(self.mixed, self.n))
-        object.__setattr__(self, "fixed", _norm_pairs(self.fixed, self.n))
-        object.__setattr__(self, "neutral", _norm_pairs(self.neutral, self.n))
-        if (
-            self.mixed & self.fixed
-            or self.mixed & self.neutral
-            or self.fixed & self.neutral
-        ):
+    def __init__(self, n: int, mixed: Iterable[Pair], fixed: Iterable[Pair], neutral: Iterable[Pair] = ()):
+        m, e, nn = (_pair_mask(pairs, n) for pairs in (mixed, fixed, neutral))
+        if m & e or m & nn or e & nn:
             raise ValueError("mixed, fixed, and neutral edge sets must be disjoint")
+        _fill(self, n, m, e, nn)
+
+    mixed = property(lambda self: _pair_set(self.M))
+    fixed = property(lambda self: _pair_set(self.E))
+    neutral = property(lambda self: _pair_set(self.N))
 
     def e_m(self) -> int:
-        return len(self.mixed)
+        return self.M.bit_count()
 
     def e_e(self) -> int:
-        return len(self.fixed)
+        return self.E.bit_count()
 
     def to_text(self) -> str:
         lines = [f"n {self.n}"]
         for tag, pairs in (("M", self.mixed), ("E", self.fixed), ("N", self.neutral)):
-            for u, v in sorted(pairs):
-                lines.append(f"{tag} {u} {v}")
+            lines.extend(f"{tag} {u} {v}" for u, v in sorted(pairs))
         return "\n".join(lines) + "\n"
 
     @staticmethod
@@ -140,9 +142,33 @@ class Pregraph:
         return Pregraph(n, frozenset(sets["M"]), frozenset(sets["E"]), frozenset(sets["N"]))
 
 
+@functools.lru_cache(maxsize=16)  # a caller that reads one view in a loop builds it once
+def _pair_set(mask: int) -> frozenset[Pair]:
+    return frozenset(pair_from_index(k) for k, bit in enumerate(f"{mask:b}"[::-1]) if bit == "1")
+
+
+def _fill(p: Pregraph, *values: int) -> Pregraph:
+    for name, value in zip(("n", "M", "E", "N"), values):
+        object.__setattr__(p, name, value)
+    return p
+
+
+def _from_masks(n: int, m: int, e: int, nn: int = 0) -> Pregraph:
+    """Pregraph (n, m, e, nn) of pair masks, unchecked: callers derive them from a valid one."""
+    return _fill(object.__new__(Pregraph), n, m, e, nn)
+
+
 def complete_pregraph(n: int) -> Pregraph:
     """All pairs mixed, nothing fixed: the root of the container tree."""
-    return Pregraph(n, frozenset(itertools.combinations(range(n), 2)), frozenset())
+    return _from_masks(n, (1 << math.comb(n, 2)) - 1, 0)
+
+
+def _ground(p: Pregraph) -> tuple[tuple[Pair, ...], list[int]]:
+    """The mixed and neutral pairs in lexicographic (u, v) order, which is
+    not pair-index order, and the pair index of each."""
+    undecided = p.M | p.N
+    ground = tuple(e for e in itertools.combinations(range(p.n), 2) if undecided >> pair_index(*e) & 1)
+    return ground, [pair_index(*e) for e in ground]
 
 
 # the two diagonals of each 4-cycle on a sorted quad a < b < c < d, as
@@ -165,25 +191,30 @@ class GoodC4:
         return tuple(sorted({v for e in self.cycle_edges for v in e}))
 
 
-def _good_c4_stream(p: Pregraph) -> Iterator[GoodC4]:
-    """The good copies of C4 one at a time, in good_c4_enumerate's order."""
-    undecided = p.mixed | p.neutral
+def _good_c4_stream(p: Pregraph) -> Iterator[tuple[GoodC4, int, int]]:
+    """The good copies of C4 one at a time, in good_c4_enumerate's order, each
+    with the pair masks of its cycle and of its counted diagonals."""
+    undecided = p.M | p.N
     for quad in itertools.combinations(range(p.n), 4):
         pairs = tuple(itertools.combinations(quad, 2))  # sorted pairs, in sorted order
-        if any(e in p.fixed for e in pairs):
+        bits = [1 << pair_index(u, v) for u, v in pairs]
+        span = sum(bits)
+        if span & p.E:
             continue
         for i, j in _DIAGONAL_SPLITS:
-            cycle = tuple(e for k, e in enumerate(pairs) if k != i and k != j)
-            if any(e not in p.mixed for e in cycle):
+            cycle = span ^ bits[i] ^ bits[j]
+            if cycle & p.M != cycle:
                 continue
-            extra = tuple(pairs[k] for k in (i, j) if pairs[k] in undecided)
-            yield GoodC4(cycle, extra)
+            extra = [k for k in (i, j) if bits[k] & undecided]
+            copy = GoodC4(tuple(e for k, e in enumerate(pairs) if k != i and k != j),
+                          tuple(pairs[k] for k in extra))
+            yield copy, cycle, sum(bits[k] for k in extra)
 
 
 def good_c4_enumerate(p: Pregraph) -> list[GoodC4]:
     """All good copies of C4, one per embedding, in a fixed lexicographic
     order (by vertex 4-tuple, then by the diagonal split chosen)."""
-    return list(_good_c4_stream(p))
+    return [copy for copy, _, _ in _good_c4_stream(p)]
 
 
 @dataclass(frozen=True)
@@ -209,7 +240,7 @@ def _encode_copy(copy: GoodC4, index: dict[Pair, int]) -> Constraint:
 def build_constraint_hypergraphs(p: Pregraph) -> ConstraintSystem:
     """H_i collects the good copies with exactly i extra induced mixed edges;
     the ground set is all of M and N, so v(H_i) = e(M) + |N|."""
-    ground = tuple(sorted(p.mixed | p.neutral))
+    ground = _ground(p)[0]
     index = {e: k for k, e in enumerate(ground)}
     hs = [UniformHypergraph(i, 4, len(ground)) for i in range(3)]
     for copy in good_c4_enumerate(p):
@@ -235,26 +266,24 @@ def _saturation_threshold(shape: tuple[int, int], ell: int, n: int) -> int:
 
 
 def _saturation_move(
-    k: int, a_deg: Sequence[dict[int, int]], b_deg: Sequence[dict[int, int]], t10: int, t01: int
+    k: int, a_deg: Sequence[Counter[int]], b_deg: Sequence[Counter[int]], t10: int, t01: int
 ) -> Optional[str]:
     """The neutralization rule for the mixed edge with ground index k, given
     a_deg[i] and b_deg[i], the A-side and B-side degrees in H_i of each
-    ground index (absent keys count as 0): "E" when it is (1,0)-saturated in
-    H_1 or H_2, else "N" when it is (0,1)-saturated in some H_i, else None.
+    ground index: "E" when it is (1,0)-saturated in H_1 or H_2, else "N"
+    when it is (0,1)-saturated in some H_i, else None.
     """
-    if a_deg[1].get(k, 0) >= t10 or a_deg[2].get(k, 0) >= t10:
+    if a_deg[1][k] >= t10 or a_deg[2][k] >= t10:
         return "E"
-    if any(d.get(k, 0) >= t01 for d in b_deg):
+    if any(d[k] >= t01 for d in b_deg):
         return "N"
     return None
 
 
-def _moved_pregraph(p: Pregraph, moved: dict[Pair, str]) -> Pregraph:
-    """p with each mixed edge f of moved taken to E or N, as moved[f] says."""
-    to_fixed = {f for f, tag in moved.items() if tag == "E"}
-    return Pregraph(
-        p.n, p.mixed - moved.keys(), p.fixed | to_fixed, p.neutral | (moved.keys() - to_fixed)
-    )
+def _moved_pregraph(p: Pregraph, moved: int, to_fixed: int) -> Pregraph:
+    """p with the mixed pairs of the mask moved taken to E when they are in
+    to_fixed, and to N otherwise."""
+    return _from_masks(p.n, p.M & ~moved, p.E | to_fixed, p.N | moved & ~to_fixed)
 
 
 def preprocess_saturation(
@@ -273,27 +302,20 @@ def preprocess_saturation(
     H_i into N (it stops serving as a cycle edge but still counts as an
     induced extra).  Degrees are taken against the ground indexing of p.
     """
-    ground = tuple(sorted(p.mixed | p.neutral))
-    index = {e: k for k, e in enumerate(ground)}
-    a_deg: list[Counter[int]] = []
-    b_deg: list[Counter[int]] = []
-    for h in (h0, h1, h2):
-        a, b = Counter(), Counter()
+    a_deg, b_deg = [Counter(), Counter(), Counter()], [Counter(), Counter(), Counter()]
+    for a, b, h in zip(a_deg, b_deg, (h0, h1, h2)):
         for c, mult in h.constraints():
-            for k in c.a0:
-                a[k] += mult
-            for k in c.a1:
-                b[k] += mult
-        a_deg.append(a)
-        b_deg.append(b)
+            a.update(dict.fromkeys(c.a0, mult))
+            b.update(dict.fromkeys(c.a1, mult))
     t10 = _saturation_threshold((1, 0), ell, n)
     t01 = _saturation_threshold((0, 1), ell, n)
-    moved = {}
-    for f in p.mixed:
-        tag = _saturation_move(index[f], a_deg, b_deg, t10, t01)
-        if tag is not None:
-            moved[f] = tag
-    return _moved_pregraph(p, moved)
+    moved = to_fixed = 0
+    for k, bit in enumerate(_ground(p)[1]):
+        if p.M >> bit & 1:
+            tag = _saturation_move(k, a_deg, b_deg, t10, t01)
+            moved |= (tag is not None) << bit
+            to_fixed |= (tag == "E") << bit
+    return _moved_pregraph(p, moved, to_fixed)
 
 
 @dataclass(frozen=True)
@@ -343,15 +365,15 @@ def build_permissible(p: Pregraph, ell: int, beta: float) -> PermissibleResult:
     if beta <= 0:
         raise PreconditionError(f"target density beta must be positive, got {beta}")
     n = p.n
-    ground = tuple(sorted(p.mixed | p.neutral))
+    ground, bits = _ground(p)
     index = {e: k for k, e in enumerate(ground)}
     hs = [UniformHypergraph(i, 4, len(ground)) for i in range(3)]
     # incremental degree state, equivalent to querying the growing h_i
-    deg10 = [dict(), dict(), dict()]  # A-side singletons (only i = 1, 2 used)
-    deg01 = [dict(), dict(), dict()]  # B-side singletons
-    pair_deg = [dict(), dict(), dict()]  # B-side pairs
+    deg10 = [Counter(), Counter(), Counter()]  # A-side singletons (only i = 1, 2 used)
+    deg01 = [Counter(), Counter(), Counter()]  # B-side singletons
+    pair_deg = [Counter(), Counter(), Counter()]  # B-side pairs
     blocked: set[tuple[int, int]] = set()
-    moved: dict[Pair, str] = {}  # mixed edges of p neutralized so far, to "E" or "N"
+    moved = to_fixed = 0  # pair masks of the mixed edges of p neutralized so far, and of those in E
     t10 = _saturation_threshold((1, 0), ell, n)
     t01 = _saturation_threshold((0, 1), ell, n)
     t02 = _saturation_threshold((0, 2), ell, n)
@@ -361,10 +383,8 @@ def build_permissible(p: Pregraph, ell: int, beta: float) -> PermissibleResult:
     copies = _good_c4_stream(p)  # one cursor for the whole run
     while not any(h.e() >= target for h in hs):
         found = None
-        for copy in copies:
-            if any(e in moved for e in copy.cycle_edges):
-                continue
-            if any(moved.get(e) == "E" for e in copy.extra_mixed):
+        for copy, cycle, extra in copies:
+            if cycle & moved or extra & to_fixed:
                 continue
             c = _encode_copy(copy, index)
             if any(t in blocked for t in itertools.combinations(c.a1, 2)):
@@ -374,28 +394,26 @@ def build_permissible(p: Pregraph, ell: int, beta: float) -> PermissibleResult:
         if found is None:
             return PermissibleResult(
                 "exhausted", None, None, ConstraintSystem(ground, *hs),
-                _moved_pregraph(p, moved), insertions,
+                _moved_pregraph(p, moved, to_fixed), insertions,
             )
         i, c = found
         hs[i].add(c)
         insertions += 1
-        for k in c.a0:
-            deg10[i][k] = deg10[i].get(k, 0) + 1
-        for k in c.a1:
-            deg01[i][k] = deg01[i].get(k, 0) + 1
+        deg10[i].update(c.a0)
+        deg01[i].update(c.a1)
         for t in itertools.combinations(c.a1, 2):
-            pair_deg[i][t] = pair_deg[i].get(t, 0) + 1
+            pair_deg[i][t] += 1
             if pair_deg[i][t] >= t02:
                 blocked.add(t)
         for k in (*c.a0, *c.a1):
-            if ground[k] in p.mixed:
+            if p.M >> bits[k] & 1:
                 tag = _saturation_move(k, deg10, deg01, t10, t01)
-                if tag is not None:
-                    moved[ground[k]] = tag
+                moved |= (tag is not None) << bits[k]
+                to_fixed |= (tag == "E") << bits[k]
     winner = max(range(3), key=lambda i: (hs[i].e() >= target, hs[i].e()))
     return PermissibleResult(
         "success", winner, hs[winner], ConstraintSystem(ground, *hs),
-        _moved_pregraph(p, moved), insertions,
+        _moved_pregraph(p, moved, to_fixed), insertions,
     )
 
 
@@ -404,12 +422,8 @@ def build_permissible(p: Pregraph, ell: int, beta: float) -> PermissibleResult:
 
 def caro_wei_bound(n: int, edges: Iterable[Pair]) -> Fraction:
     """Sum of 1/(1 + deg(v)): the classical independence-number lower bound."""
-    deg = [0] * n
-    for p in edges:
-        u, v = _norm_pair(p)
-        deg[u] += 1
-        deg[v] += 1
-    return sum((Fraction(1, 1 + d) for d in deg), Fraction(0))
+    adj = _adjacency(n, _pair_mask(edges, n))
+    return sum((Fraction(1, 1 + a.bit_count()) for a in adj), Fraction(0))
 
 
 def random_order_independent_set(
@@ -432,33 +446,34 @@ def random_order_independent_set(
         raise ValueError("need one retention probability per vertex")
     if any(not 0 <= q <= 1 for q in keep_probabilities):
         raise ValueError("retention probabilities must lie in [0, 1]")
-    adj: list[set[int]] = [set() for _ in range(n)]
-    for p in edges:
-        u, v = _norm_pair(p)
-        adj[u].add(v)
-        adj[v].add(u)
+    adj = _adjacency(n, _pair_mask(edges, n))
     rng = random.Random(seed)
     retained = {v for v in range(n) if rng.random() < keep_probabilities[v]}
     position = {v: k for k, v in enumerate(ordering)}
     out = []
     for v in retained:
-        if all(u not in retained or position[u] < position[v] for u in adj[v]):
+        if all(u not in retained or position[u] < position[v] for u in _vertices(adj[v], n)):
             out.append(v)
     result = tuple(sorted(out))
     for u, v in itertools.combinations(result, 2):
-        assert v not in adj[u], "selection rule produced a dependent pair"
+        assert not adj[u] >> v & 1, "selection rule produced a dependent pair"
     return result
 
 
 # -- structural classification --------------------------------------------------
 
 
-def _adjacency(n: int, pairs: Iterable[Pair]) -> list[int]:
-    """Per-vertex neighbour bitmasks of the graph (0..n-1, pairs)."""
+def _adjacency(n: int, mask: int) -> list[int]:
+    """Per-vertex neighbour bitmasks of the graph on 0..n-1 with pair mask
+    mask: the pairs (u, v), u < v, are the v bits from C(v, 2) on."""
     adj = [0] * n
-    for u, v in pairs:
-        adj[u] |= 1 << v
-        adj[v] |= 1 << u
+    for v in range(1, n):
+        below = (mask >> (v * (v - 1) // 2)) & ((1 << v) - 1)
+        adj[v] |= below
+        while below:
+            low = below & -below
+            adj[low.bit_length() - 1] |= 1 << v
+            below ^= low
     return adj
 
 
@@ -478,10 +493,16 @@ def _subset_pair_counts(adj: Sequence[int]) -> np.ndarray:
     return count
 
 
+@functools.lru_cache(maxsize=None)
+def _subset_sizes(n: int) -> np.ndarray:
+    """|S| for every vertex subset S of 0..n-1 (a bitmask)."""
+    return np.bitwise_count(np.arange(1 << n))
+
+
 def _by_subset_size(n: int, f) -> np.ndarray:
     """f(|S|) for every vertex subset S of 0..n-1 (a bitmask), calling f
     once per size, so each value is the Python float or bool f returns."""
-    return np.array([f(size) for size in range(n + 1)])[np.bitwise_count(np.arange(1 << n))]
+    return np.array([f(size) for size in range(n + 1)])[_subset_sizes(n)]
 
 
 def _pairs_within(adj: Sequence[int], mask: int) -> int:
@@ -511,15 +532,15 @@ def _near_clique_scan(p: Pregraph, eps: float) -> tuple[Optional[int], frozenset
     e_M(U^c) > 7*sqrt(eps)*n*|U|, for case 2 of the hypergraph selection.
     A tree node asks both of one frozen p, so the last answers are kept."""
     n = p.n
-    fixed_in = _subset_pair_counts(_adjacency(n, p.fixed))
+    fixed_in = _subset_pair_counts(_adjacency(n, p.E))
     fits = _by_subset_size(n, lambda size: p.e_e() <= math.comb(size, 2))
     dense = fits & (fixed_in >= _by_subset_size(n, lambda size: (1 - eps) * math.comb(size, 2)))
     if not dense.any():
         return None, frozenset()
-    mixed_out = _subset_pair_counts(_adjacency(n, p.mixed))[::-1]  # full ^ S runs backwards
+    mixed_out = _subset_pair_counts(_adjacency(n, p.M))[::-1]  # full ^ S runs backwards
     split = dense & (mixed_out <= _by_subset_size(n, lambda size: 7 * math.sqrt(eps) * size * n))
     heavy = dense & (mixed_out > _by_subset_size(n, lambda size: 7 * math.sqrt(eps) * n * size))
-    sizes = frozenset(_by_subset_size(n, lambda size: size)[heavy].tolist())
+    sizes = frozenset(_subset_sizes(n)[heavy].tolist())
     return (int(np.argmax(split)) if split.any() else None), sizes
 
 
@@ -548,7 +569,7 @@ def is_almost_split_pregraph(p: Pregraph, eps: float) -> AlmostSplitResult:
     if n <= EXACT_SUBSET_LIMIT:
         umask = _near_clique_scan(p, eps)[0]
         return AlmostSplitResult(False, True) if umask is None else split(umask, True)
-    adj_e, adj_m = _adjacency(n, p.fixed), _adjacency(n, p.mixed)
+    adj_e, adj_m = _adjacency(n, p.E), _adjacency(n, p.M)
     deg_e = [a.bit_count() for a in adj_e]
     order = sorted(range(n), key=lambda v: (-deg_e[v], v))
 
@@ -601,12 +622,12 @@ def _concentrated_ell(p: Pregraph, eps: float, r: int) -> Optional[int]:
     n = p.n
     if n <= EXACT_SUBSET_LIMIT:
         return max((ell for ell in _near_clique_scan(p, eps)[1] if ell * ell >= r), default=None)
-    adj_e, adj_m = _adjacency(n, p.fixed), _adjacency(n, p.mixed)
+    adj_e, adj_m = _adjacency(n, p.E), _adjacency(n, p.M)
     full = (1 << n) - 1
     for ell in range(n, 0, -1):
         if ell * ell < r or p.e_e() > math.comb(ell, 2):
             continue
-        umask = sum(1 << v for v in close_to_clique_cost(n, p.fixed, ell).subset)
+        umask = sum(1 << v for v in _clique_cost(n, p.E, ell).subset)
         if _pairs_within(adj_e, umask) < (1 - eps) * math.comb(ell, 2):
             continue
         if _pairs_within(adj_m, full ^ umask) > 7 * math.sqrt(eps) * n * ell:
@@ -674,14 +695,18 @@ def close_to_clique_cost(n: int, edges: Iterable[Pair], ell: int) -> CliqueCost:
     raises e(U)) until none helps, each trial counted from the neighbour
     bitmasks of the two swapped vertices; that result is flagged non-exact.
     """
-    pairs = _norm_pairs(edges, n)
+    return _clique_cost(n, _pair_mask(edges, n), ell)
+
+
+def _clique_cost(n: int, mask: int, ell: int) -> CliqueCost:
+    """close_to_clique_cost of the graph with pair mask mask."""
     if not 0 <= ell <= n:
         raise PreconditionError(f"clique size {ell} outside 0..{n}")
-    total = len(pairs)
+    total = mask.bit_count()
     target = math.comb(ell, 2)
-    adj = _adjacency(n, pairs)
+    adj = _adjacency(n, mask)
     if n <= EXACT_SUBSET_LIMIT:
-        candidates = np.flatnonzero(_by_subset_size(n, lambda size: size == ell))
+        candidates = np.flatnonzero(_subset_sizes(n) == ell)
         counts = _subset_pair_counts(adj)[candidates]
         best = int(np.argmax(counts))  # the first of the densest
         best_inside = int(counts[best])

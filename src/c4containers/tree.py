@@ -56,13 +56,14 @@ import numpy as np
 
 from .engine import ContainerProcess, Cylinder, Fingerprint, _drive_members
 from .errors import HypothesisError, PreconditionError, ScaleError
-from .graph6 import pair_index
 from .hypergraph import UniformHypergraph
 from .oracle import EXACT_COUNT_LIMIT, count_Fnm_c4, enumerate_fnm_masks
 from .pregraph import (
     PermissibleResult,
     Pregraph,
     _concentrated_ell,
+    _from_masks,
+    _ground,
     _permissible_target,
     build_permissible,
     close_to_clique_cost,
@@ -304,10 +305,10 @@ class ContainerTree:
         return [nd for nd in self.nodes if nd.is_leaf]
 
 
-def _apply_cylinder(p: Pregraph, ground: tuple, cyl: Cylinder) -> Pregraph:
-    drop = {ground[k] for k in cyl.forced(0)}
-    fix = {ground[k] for k in cyl.forced(1)}
-    return Pregraph(p.n, p.mixed - drop - fix, p.fixed | fix)
+def _apply_cylinder(p: Pregraph, bits: np.ndarray, cyl: Cylinder) -> Pregraph:
+    """The child of p: ground pairs forced to 1 move from M to E, those forced to 0 leave M."""
+    drop, fix = (sum(1 << int(bits[k]) for k in cyl.forced(x)) for x in (0, 1))
+    return _from_masks(p.n, p.M & ~(drop | fix), p.E | fix)
 
 
 def _makes_progress(parent: Pregraph, child: Pregraph, params: TreeParams) -> bool:
@@ -331,8 +332,7 @@ def _expand(node: TreeNode, members: np.ndarray, params: TreeParams, force: bool
     if not sel.selected:
         node.status, node.classification = "fallback_leaf", "selection_not_applicable"
         return
-    ground = sel.permissible.system.ground
-    bits = np.array([pair_index(u, v) for u, v in ground], dtype=np.int64)
+    bits = np.array(_ground(p)[1], dtype=np.int64)  # the pair index of each ground pair
     try:
         proc = ContainerProcess(
             sel.hypergraph, params.K, params.b, params.m, params.r, force=force
@@ -354,7 +354,7 @@ def _expand(node: TreeNode, members: np.ndarray, params: TreeParams, force: bool
     )
     for cyl, fp, pools in ordered:
         sub = np.sort(np.concatenate(pools))
-        child_pg = _apply_cylinder(p, ground, cyl)
+        child_pg = _apply_cylinder(p, bits, cyl)
         child = TreeNode(
             len(nodes), node.node_id, child_pg, node.depth + 1,
             fingerprint=fp, members=len(sub),
@@ -393,19 +393,18 @@ def build_tree(params: TreeParams, force: bool = False) -> ContainerTree:
 def verify_coverage(tree: ContainerTree) -> tuple[int, int]:
     """(covered, total): how many members of F_{n,m}(C4), enumerated afresh
     apart from the build's pools, lie in some leaf pregraph.  Top down, a node
-    keeps its parent's survivors that lie in its own pregraph, and each leaf
-    marks its survivors; a member in several leaves counts once.  Containers
-    nest, so this equals a per-leaf scan; a child outside its parent would
-    lose members here, so the check never passes falsely."""
+    keeps its parent's survivors g with E <= g <= E | M as pair masks, and
+    each leaf marks its survivors; a member in several leaves counts once.
+    Containers nest, so this equals a per-leaf scan; a child outside its
+    parent would lose members here, so the check never passes falsely."""
     n, m = tree.params.n, tree.params.m
     members = enumerate_fnm_masks(n, m).astype(np.int64)
     covered = np.zeros(len(members), dtype=bool)
     stack = [(tree.root, np.arange(len(members)))]
     while stack:
         node, idx = stack.pop()
-        e_mask = sum(1 << pair_index(u, v) for u, v in node.pregraph.fixed)
-        m_mask = sum(1 << pair_index(u, v) for u, v in node.pregraph.mixed)
-        idx = idx[(members[idx] & ~m_mask) == e_mask]  # E <= g <= E | M
+        p = node.pregraph
+        idx = idx[(members[idx] & ~p.M) == p.E]
         if node.is_leaf:
             covered[idx] = True
         else:

@@ -15,6 +15,7 @@ import itertools
 import math
 import random
 from collections import Counter
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -35,6 +36,74 @@ from c4containers.splitcounts import _log_factorial
 def pair_key(u, v):
     """Edge (u, v) as an unordered sorted tuple."""
     return (u, v) if u < v else (v, u)
+
+
+# -- pregraphs as three frozensets of pairs ---------------------------------------
+
+
+def _norm_pairs(pairs, n):
+    out = set()
+    for p in pairs:
+        u, v = p
+        if u == v:
+            raise ValueError(f"loop ({u}, {v}) is not an edge")
+        q = (u, v) if u < v else (v, u)
+        if not 0 <= q[0] < q[1] < n:
+            raise ValueError(f"pair {q} outside vertex range 0..{n - 1}")
+        out.add(q)
+    return frozenset(out)
+
+
+@dataclass(frozen=True)
+class FrozensetPregraph:
+    """A pregraph stored as the frozensets of sorted pairs of M, E and N,
+    compared and hashed by them, with the library constructor's checks.
+    The naive functions that read p.mixed, p.fixed and p.neutral take it
+    in place of a Pregraph."""
+
+    n: int
+    mixed: frozenset
+    fixed: frozenset
+    neutral: frozenset = frozenset()
+
+    def __post_init__(self):
+        for name in ("mixed", "fixed", "neutral"):
+            object.__setattr__(self, name, _norm_pairs(getattr(self, name), self.n))
+        if self.mixed & self.fixed or self.mixed & self.neutral or self.fixed & self.neutral:
+            raise ValueError("mixed, fixed, and neutral edge sets must be disjoint")
+
+    def e_m(self):
+        return len(self.mixed)
+
+    def e_e(self):
+        return len(self.fixed)
+
+    def to_text(self):
+        lines = [f"n {self.n}"]
+        for tag, pairs in (("M", self.mixed), ("E", self.fixed), ("N", self.neutral)):
+            lines.extend(f"{tag} {u} {v}" for u, v in sorted(pairs))
+        return "\n".join(lines) + "\n"
+
+
+def near_clique_scan_by_subsets(p, eps):
+    """(U, sizes): U the first subset, as a bitmask, that almost_split_by_subset_scan
+    accepts, or None; sizes the set of |U| over the subsets U with
+    e(E) <= C(|U|,2), e_E(U) >= (1-eps) C(|U|,2) and e_M(rest) above
+    7 sqrt(eps) n |U|, testing each of the 2^n subsets in a Python loop."""
+    e_e = subset_pair_counts_by_peeling(p.n, p.fixed)
+    e_m = subset_pair_counts_by_peeling(p.n, p.mixed)
+    full = (1 << p.n) - 1
+    first, sizes = None, set()
+    for umask in range(1 << p.n):
+        size = umask.bit_count()
+        pairs = math.comb(size, 2)
+        if len(p.fixed) > pairs or e_e[umask] < (1 - eps) * pairs:
+            continue
+        if first is None and e_m[full ^ umask] <= 7 * math.sqrt(eps) * size * p.n:
+            first = umask
+        if e_m[full ^ umask] > 7 * math.sqrt(eps) * p.n * size:
+            sizes.add(size)
+    return first, frozenset(sizes)
 
 
 def constraint_degree(h, t0, t1):

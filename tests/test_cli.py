@@ -234,25 +234,32 @@ def test_tree_writes_artifacts(tmp_path, capsys):
 
 
 # sha256 of stdout, the node table, .summary.json and .manifest of
-# `tree --n 7 --m M [--force] --out tree.txt`, joined in that order, as the
-# leaf-by-leaf coverage scan wrote them
-TREE_N7_SHA256 = {
-    (3, True): "1d00e6d28d2ec5d73c15027ac5ad5e6d4c36628f360c2504d83635576c505c03",
-    (13, True): "39f904bff260f6d8113b4fd614cd1a27498cf3e9b593e23f33ace6f8bad37640",
-    (15, True): "34fe3a226a74d6c3b2102b1caada7542350c12bc392269a9107b62c40f9d4fcb",
-    (18, False): "fdad0fb15287d4f767f7b69c6f3516464058ebbbcdffe06d14c4b469ddfb428b",
+# `tree --n N --m M [--force] --out tree.txt`, joined in that order; the
+# n = 7 digests are as the leaf-by-leaf coverage scan wrote them, and the
+# forced n = 8 tree is the one exhaustive check of the engine, the greedy and
+# the leaf tests together
+TREE_SHA256 = {
+    (7, 3, True): "1d00e6d28d2ec5d73c15027ac5ad5e6d4c36628f360c2504d83635576c505c03",
+    (7, 13, True): "39f904bff260f6d8113b4fd614cd1a27498cf3e9b593e23f33ace6f8bad37640",
+    (7, 15, True): "34fe3a226a74d6c3b2102b1caada7542350c12bc392269a9107b62c40f9d4fcb",
+    (7, 18, False): "fdad0fb15287d4f767f7b69c6f3516464058ebbbcdffe06d14c4b469ddfb428b",
+    (8, 24, True): "2130c110f562502302c2b82bbfd44937df6f32107effc978d0e868ccc834279c",
 }
 
 
-@pytest.mark.parametrize("m,force", sorted(TREE_N7_SHA256))
-def test_tree_n7_artifacts_are_unchanged(tmp_path, capsys, monkeypatch, m, force):
+# the n = 7 cases keep their ids from before n = 8 was pinned
+@pytest.mark.parametrize("n,m,force", [
+    pytest.param(n, m, force, id=f"{m}-{force}" if n == 7 else f"n{n}-{m}-{force}")
+    for n, m, force in sorted(TREE_SHA256)
+])
+def test_tree_n7_artifacts_are_unchanged(tmp_path, capsys, monkeypatch, n, m, force):
     monkeypatch.chdir(tmp_path)  # the manifest records --out as given
-    argv = ["tree", "--n", "7", "--m", str(m), "--out", "tree.txt"] + ["--force"] * force
+    argv = ["tree", "--n", str(n), "--m", str(m), "--out", "tree.txt"] + ["--force"] * force
     code, stdout, _ = run(capsys, *argv)
     assert code == 0
     files = [(tmp_path / f).read_text() for f in ("tree.txt", "tree.txt.summary.json", "tree.txt.manifest")]
     digest = hashlib.sha256("".join([stdout, *files]).encode()).hexdigest()
-    assert digest == TREE_N7_SHA256[(m, force)]
+    assert digest == TREE_SHA256[(n, m, force)]
 
 
 def test_tree_out_checks_coverage_once(tmp_path, capsys, monkeypatch):

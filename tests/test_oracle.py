@@ -83,24 +83,43 @@ def test_graph6_encode_matches_bitwise_reference_across_chunks(n):
 G6_N10000_SHA256 = "fe061ee77328f795ae59142abfb72e9002dba4c421367c63a28951d717a73276"
 
 
+def _n10000_mask() -> int:
+    """The mask of 20,000 pairs drawn with random.Random(0).sample at n = 10,000."""
+    npairs = 10_000 * 9_999 // 2
+    raw = bytearray((npairs + 7) // 8)
+    for k in random.Random(0).sample(range(npairs), 20_000):
+        raw[k >> 3] |= 1 << (k & 7)
+    return int.from_bytes(raw, "little")
+
+
+def _traced_peak(fn, *args):
+    """(fn(*args), the peak of tracemalloc's traced memory during the call)."""
+    tracemalloc.start()
+    try:
+        out = fn(*args)
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_graph6_encode_memory_is_bounded_by_the_text():
     """8.3 MB of text from a 6.2 MB mask: unpacking every pair bit at once
     peaked at 91.7 MB under tracemalloc, chunks of groups stay below 40 MB."""
     n = 10_000
-    npairs = n * (n - 1) // 2
-    raw = bytearray((npairs + 7) // 8)
-    for k in random.Random(0).sample(range(npairs), 20_000):
-        raw[k >> 3] |= 1 << (k & 7)
-    mask = int.from_bytes(raw, "little")
-    del raw
-    tracemalloc.start()
-    try:
-        text = graph6.encode(n, mask)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert len(text) == 4 + (npairs + 5) // 6
+    text, peak = _traced_peak(graph6.encode, n, _n10000_mask())
+    assert len(text) == 4 + (n * (n - 1) // 2 + 5) // 6
     assert hashlib.sha256(text.encode()).hexdigest() == G6_N10000_SHA256
+    assert peak < 40e6
+
+
+def test_graph6_decode_memory_is_bounded_by_the_text():
+    """Decoding the text of the encoder's memory test: a '0'/'1' string of
+    every pair bit peaked at 657 MB under tracemalloc, chunks of groups
+    packed into the mask's bytes stay below 40 MB."""
+    mask = _n10000_mask()
+    text = graph6.encode(10_000, mask)
+    got, peak = _traced_peak(graph6.decode, text)
+    assert got == (10_000, mask)
     assert peak < 40e6
 
 

@@ -36,6 +36,7 @@ from c4containers.pregraph import (
     EXACT_SUBSET_LIMIT,
     _adjacency,
     _concentrated_ell,
+    _near_clique_scan,
     _saturation_threshold,
     _subset_pair_counts,
 )
@@ -467,9 +468,9 @@ EPSILONS = st.sampled_from([0.001, 0.01, 0.05, 0.0625, 0.2, 0.25, 0.6])
 @settings(max_examples=40, deadline=None)
 @given(three_part_pregraphs(3, EXACT_SUBSET_LIMIT))
 def test_subset_pair_counts_match_the_peeling_dp(p):
-    for pairs in (p.fixed, p.mixed, p.neutral):
+    for pairs, mask in ((p.fixed, p.E), (p.mixed, p.M), (p.neutral, p.N)):
         want = naive.subset_pair_counts_by_peeling(p.n, pairs)
-        assert _subset_pair_counts(_adjacency(p.n, pairs)).tolist() == want
+        assert _subset_pair_counts(_adjacency(p.n, mask)).tolist() == want
 
 
 @settings(max_examples=60, deadline=None)
@@ -715,3 +716,97 @@ def test_scan_results_are_plain_python_values(n):
         params = TreeParams(n, 1)
     ell = _concentrated_ell(p, 0.01, params.r)
     assert ell == 4 and type(ell) is int
+
+
+def random_pair_sets(rng, n):
+    """Seeded (M, E, N) pair lists on n vertices, none of them empty: E
+    dense on a random vertex set U, often of at most four vertices, and
+    sparse or empty outside it; N and M random; each pair in a random
+    orientation and some listed twice."""
+    u = rng.sample(range(n), rng.randint(2, rng.choice([4, n])))
+    p_in, p_out = rng.choice([0.5, 0.9, 1.0]), rng.choice([0.0, 0.0, 0.05, 0.2])
+    p_m = rng.choice([0.2, 0.6, 1.0])
+    pairs = list(itertools.combinations(range(n), 2))
+    rng.shuffle(pairs)
+    pairs.remove(naive.pair_key(*u[:2]))
+    sets = {"M": [pairs[0]], "E": [naive.pair_key(*u[:2])], "N": [pairs[1]]}
+    for a, b in pairs[2:]:
+        if rng.random() < (p_in if a in u and b in u else p_out):
+            sets["E"].append((a, b))
+        elif rng.random() < 0.1:
+            sets["N"].append((a, b))
+        elif rng.random() < p_m:
+            sets["M"].append((a, b))
+    out = []
+    for tag in "MEN":
+        listed = [e if rng.random() < 0.5 else e[::-1] for e in sets[tag]]
+        out.append(listed + rng.sample(listed, len(listed) // 4))
+    return out
+
+
+def _raised(fn, *args):
+    try:
+        fn(*args)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+def test_mask_pregraph_matches_the_frozenset_reference():
+    """Pregraphs on pair masks against naive.FrozensetPregraph, the layout
+    they replace, on seeded pregraphs with M, E and N non-empty: n = 4..16
+    for the exact subset scans and a few n up to 40 for the swap searches."""
+    for bad in (([(1, 1)], []), ([(0, 4)], []), ([(0, 1)], [(1, 0)]), ([], [(2, 3)], [(3, 2)])):
+        assert _raised(Pregraph, 4, *bad) == _raised(naive.FrozensetPregraph, 4, *bad) is not None
+    rng = random.Random(2021)
+    cases = [n for n in range(4, EXACT_SUBSET_LIMIT + 1) for _ in range(3)] + [17, 17, 24, 31, 40]
+    for n in cases:
+        sets = random_pair_sets(rng, n)
+        p, ref = Pregraph(n, *sets), naive.FrozensetPregraph(n, *sets)
+        assert all((p.M, p.E, p.N))
+        assert (p.mixed, p.fixed, p.neutral) == (ref.mixed, ref.fixed, ref.neutral)
+        assert (p.e_m(), p.e_e()) == (ref.e_m(), ref.e_e())
+        assert p.to_text() == ref.to_text()
+        assert Pregraph.from_text(p.to_text()) == p
+        twin = Pregraph(n, *(sorted({naive.pair_key(u, v) for u, v in pairs}) for pairs in sets))
+        assert twin == p and hash(twin) == hash(p)
+        e = min(ref.mixed)  # one pair moved from M to E, and one more vertex
+        moved = (ref.mixed - {e}, ref.fixed | {e}, ref.neutral)
+        assert len({p, twin, Pregraph(n, *moved), Pregraph(n + 1, *sets)}) == 3
+        assert naive.FrozensetPregraph(n, *moved) != ref != naive.FrozensetPregraph(n + 1, *sets)
+
+        eps = rng.choice([0.001, 0.01, 0.0625, 0.25, 0.6])
+        r = rng.choice([1, 4, 9])
+        ell = rng.randint(1, min(n, 4))
+        if n <= EXACT_SUBSET_LIMIT:
+            assert _near_clique_scan(p, eps) == naive.near_clique_scan_by_subsets(ref, eps)
+            split = naive.almost_split_by_subset_scan(ref, eps)
+            assert _concentrated_ell(p, eps, r) == naive.concentrated_ell_by_subset_scan(ref, eps, r)
+            cost = naive.clique_cost_by_subset_scan(n, ref.fixed, ell)
+        else:
+            split = naive.almost_split_by_recounting_swaps(ref, eps)
+            assert _concentrated_ell(p, eps, r) == naive.concentrated_ell_by_recounting_swaps(ref, eps, r)
+            cost = naive.clique_cost_by_recounting_swaps(n, ref.fixed, ell)
+        got = is_almost_split_pregraph(p, eps)
+        assert (got.u, got.w) == (split or (None, None))
+        got = close_to_clique_cost(n, p.fixed, ell)
+        assert (got.cost, got.subset) == cost
+        if n > EXACT_SUBSET_LIMIT:
+            continue
+
+        system = build_constraint_hypergraphs(p)
+        assert system.ground == tuple(sorted(ref.mixed | ref.neutral))
+        copies = [(c.cycle_edges, c.extra_mixed) for c in good_c4_enumerate(p)]
+        assert copies == [(tuple(c), tuple(x)) for c, x in naive.good_c4_copies_in_order(ref)]
+        index = {e: k for k, e in enumerate(system.ground)}
+        a_deg = [Counter(), Counter(), Counter()]
+        b_deg = [Counter(), Counter(), Counter()]
+        for i, h in enumerate(system):
+            for c, mult in h.constraints():
+                a_deg[i].update({k: mult for k in c.a0})
+                b_deg[i].update({k: mult for k in c.a1})
+        want = naive.neutralize_from_scratch(ref, index, a_deg, b_deg, ell)
+        assert preprocess_saturation(p, *system, ell, n) == want
+        beta = rng.choice([0.01, 0.05, 0.5])
+        assert_same_permissible(build_permissible(p, ell, beta),
+                                naive.build_permissible_by_cursor(ref, ell, beta))

@@ -38,8 +38,8 @@ and lower M take minutes.  On a 2-core x86_64 host engine-20 (14,535
 constraints) takes 0.14-0.15 s, containers-20 0.07-0.23 s at 37 MB peak RSS,
 sampler-200 0.03-0.04 s and sampler-2000 0.17-0.23 s; count-26 0.01 s at
 35 MB and count-14 0.09-0.10 s at 38 MB, since one count builds only the
-F_7 layers its M reaches; tree-24 0.8-1.5 s at 44 MB and tree-22 4.0-4.3 s
-at 67 MB.
+F_7 layers its M reaches; tree-24 0.8-1.5 s at 39 MB, tree-22 3.4-5.6 s
+at 46 MB, tree-20 14-19 s at 68 MB and tree-16 94 s at 211 MB.
 """
 
 from __future__ import annotations
