@@ -10,7 +10,8 @@ degree in the surviving constraint set, asks whether h equals c there, moves
 the answers into a reduced hypergraph G*, and discards constraints that meet
 a saturated (high-degree) vertex pair of G*.  YES vertices accumulate into
 the fingerprint; when G* comes out smaller than a fixed fraction of e(H) the
-round's NO vertices are frozen to 1-c and form the cylinder.
+round's NO vertices are frozen to 1-c and form the cylinder.  A round keeps
+its live constraints, incidences and multiplicities as Python-int bitmasks.
 
 Degree caps for the saturation thresholds follow a two-parameter schedule:
 the base row is the degree table of H itself and each earlier index pair
@@ -36,7 +37,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -64,8 +65,11 @@ __all__ = [
 ]
 
 Key = tuple[tuple[int, ...], tuple[int, ...]]
-# (c, constraints, c-side degrees, incidence): see _index_round
-RoundIndex = tuple[int, dict[Key, int], Counter[int], tuple[list[set[Key]], list[set[Key]]]]
+# (c, keys, multiplicities, multiplicity classes, incidence masks): see _index_round
+RoundIndex = tuple[int, tuple[Key, ...], tuple[int, ...], tuple[tuple[int, int], ...], tuple[tuple[int, ...], ...]]
+# saturation_thresholds memo: (k0, k1, b, m, v, base row, i0, i1) -> thresholds
+_THRESHOLDS: dict[tuple, dict[tuple[int, int], int]] = {}
+_THRESHOLDS_SIZE = 4096
 
 
 def normalize_parameters(b: int, m: int, v: int) -> tuple[int, int]:
@@ -129,14 +133,10 @@ class DeltaSchedule:
             raise ValueError("b, m, v must be positive")
         self.k0, self.k1 = k0, k1
         self.b, self.m, self.v = b, m, v
-        self.base: dict[tuple[int, int], int | Fraction] = {}
-        for l0 in range(k0 + 1):
-            for l1 in range(k1 + 1):
-                if (l0, l1) == (0, 0):
-                    continue
-                if (l0, l1) not in base:
-                    raise ValueError(f"base table is missing pair {(l0, l1)}")
-                self.base[(l0, l1)] = base[(l0, l1)]
+        pairs = [(l0, l1) for l0 in range(k0 + 1) for l1 in range(k1 + 1) if (l0, l1) != (0, 0)]
+        if missing := [pair for pair in pairs if pair not in base]:
+            raise ValueError(f"base table is missing pair {missing[0]}")
+        self.base: dict[tuple[int, int], int | Fraction] = {pair: base[pair] for pair in pairs}
 
     def index_set(self) -> list[tuple[int, int]]:
         u = [(i, 0) for i in range(1, self.k0 + 1)]
@@ -171,14 +171,21 @@ class DeltaSchedule:
         Degrees are integers, so the half-cap comparison collapses to the
         ceiling of top / (2 den) for the cap's ``_ratio`` (top, den), taken in
         integers.  Index (0, 0) has no admissible size pairs and gets {}.
+        Tables are memoized by value, up to ``_THRESHOLDS_SIZE`` of them, and
+        each call returns a copy.
         """
-        thresholds = {}
-        for l0 in range(i0 + 1):
-            for l1 in range(i1 + 1):
-                if (l0, l1) != (0, 0):
-                    top, den = self._ratio(i0, i1, l0, l1)
-                    thresholds[(l0, l1)] = -(-top // (2 * den))
-        return thresholds
+        key = (self.k0, self.k1, self.b, self.m, self.v, tuple(self.base.values()), i0, i1)
+        if key not in _THRESHOLDS:
+            if len(_THRESHOLDS) >= _THRESHOLDS_SIZE:
+                _THRESHOLDS.clear()
+            _THRESHOLDS[key] = {
+                (l0, l1): -(-top // (2 * den))
+                for l0 in range(i0 + 1)
+                for l1 in range(i1 + 1)
+                if (l0, l1) != (0, 0)
+                for top, den in [self._ratio(i0, i1, l0, l1)]
+            }
+        return dict(_THRESHOLDS[key])
 
 
 def _as_assignment(h, n: int) -> Assignment:
@@ -238,20 +245,35 @@ def _below_beta(e: int, e_h: int, k0: int, k1: int, b: int, m: int, v: int, s: i
 def _index_round(edges: dict[Key, int], i1: int, n: int) -> RoundIndex:
     """The index of a round on the (i0, i1)-uniform constraints ``edges``.
 
-    The round asks about side c = 1 while i1 > 0, else c = 0.  ``edges`` is
-    kept as it is; each vertex gets its c-side degree, and
-    ``incidence[side][u]`` the constraints with u on that side.
+    The round asks about side c = 1 while i1 > 0, else c = 0.  Constraint i
+    of ``edges`` (in its order) sets bit i of ``incidence[side][u]`` for each
+    vertex u on each side, and of the class (2^j, mask) of each set bit j of
+    its multiplicity.
     """
-    c = 1 if i1 > 0 else 0
-    cdeg: Counter[int] = Counter()
-    incidence: tuple[list[set[Key]], ...] = tuple([set() for _ in range(n)] for _ in range(2))
-    for key, mult in edges.items():
-        for u in key[c]:
-            cdeg[u] += mult
-        for side, part in zip(incidence, key):
-            for u in part:
-                side[u].add(key)
-    return c, edges, cdeg, incidence
+    keys = tuple(edges)
+    mults = tuple(edges.values())
+    inc0, inc1 = [0] * n, [0] * n
+    classes = [0] * max(mults).bit_length()
+    for i, ((a0, a1), mult) in enumerate(zip(keys, mults)):
+        bit = 1 << i
+        for u in a0:
+            inc0[u] |= bit
+        for u in a1:
+            inc1[u] |= bit
+        for j in range(mult.bit_length()):
+            if mult >> j & 1:
+                classes[j] |= bit
+    weighted = tuple((1 << j, mask) for j, mask in enumerate(classes) if mask)
+    return 1 if i1 > 0 else 0, keys, mults, weighted, (tuple(inc0), tuple(inc1))
+
+
+def _bit_indices(mask: int) -> Iterator[int]:
+    """The positions of the set bits of ``mask``, ascending."""
+    digits = bin(mask)[:1:-1]
+    i = digits.find("1")
+    while i >= 0:
+        yield i
+        i = digits.find("1", i + 1)
 
 
 class ContainerProcess:
@@ -261,43 +283,32 @@ class ContainerProcess:
     done, result() packages the fingerprint and cylinder.  clone() copies the
     whole execution state, which lets one prefix serve many assignments.
 
-    Round s (counted from 0) runs on the constraints in ``active``, keyed by
-    their sorted tuple pair, and asks about the c-side (c = 1 while the round's
-    hypergraph has a nonempty 1-side).  ``active`` is the only record of which
-    constraints are live; ``cdeg`` holds each vertex's live c-side degree, so
-    the next question is one dictionary scan, kept until it is answered.
-    ``incidence[side][u]`` holds every constraint of the round with u on that
-    side; it is built when the round opens and never changed, so clones share
-    it and read the live constraints through ``active``.  Round 0's index
-    belongs to H: it is built once, kept in H's memo, and every process on H
-    shares its incidence and starts from copies of its constraints and
-    degrees.  YES answers move constraints, with the asked vertex removed,
-    into the counter ``gstar`` of uniformity ``k_star``; ``pair_deg`` counts
-    its sub-pair degrees against ``thresholds``, ``saturated`` collects the
-    pairs that reached theirs, and the active constraints containing a newly
-    saturated pair are dropped, found by intersecting the incidence sets of
-    the pair's vertices.  ``thresholds`` keeps only the undominated size
-    classes: (l0, l1) is dominated when (l0 - 1, l1) or (l0, l1 - 1) has a
-    threshold no larger.  A key of G* holding a pair holds its sub-pairs, so
-    a dominated pair saturates no earlier than its sub-pair in that smaller
-    class, which lies in every constraint the pair lies in: counting only the
-    undominated classes drops the same constraints at the same answers.
-    ``yes`` and ``no`` list the vertices answered each
-    way in this round; ``s0`` and ``s1`` accumulate the YES vertices of all
-    rounds.  A round ends after b YES answers or when no constraint is left;
-    G* then either yields the cylinder or opens the next round.
+    Round s (counted from 0) numbers its constraints 0..E-1 in a round index
+    (``_index_round``) and asks about the c-side (c = 1 while the round's
+    hypergraph has a nonempty 1-side).  ``live`` is the only record of which
+    constraints are live, one bit each.  The index is never changed, so
+    clones share it, and round 0's is H's own, kept in H's memo for every
+    process on H.  A vertex's live c-side degree is a weighted popcount of
+    its incidence mask and ``live``; ``active`` and ``cdeg`` are read-only
+    views of the live constraints and degrees, built on access.  YES answers
+    move the asked vertex's live constraints, with the vertex removed, into
+    the counter ``gstar`` of uniformity ``k_star``; ``pair_deg`` counts its
+    sub-pair degrees against ``thresholds``, ``saturated`` collects the pairs
+    that reached theirs, and the live constraints holding a newly saturated
+    pair (the AND of its vertices' incidence masks) are dropped.
+    ``thresholds`` keeps only the undominated size classes: (l0, l1) is
+    dominated when (l0 - 1, l1) or (l0, l1 - 1) has a threshold no larger.  A
+    key of G* holding a pair holds its sub-pairs, so a dominated pair
+    saturates no earlier than its sub-pair in that smaller class, which lies
+    in every constraint the pair lies in: counting only the undominated
+    classes drops the same constraints at the same answers.  ``yes`` and
+    ``no`` list the vertices answered each way in this round; ``s0`` and
+    ``s1`` accumulate the YES vertices of all rounds.  A round ends after b
+    YES answers or when no constraint is left; G* then either yields the
+    cylinder or opens the next round.
     """
 
-    def __init__(
-        self,
-        h: UniformHypergraph,
-        k,
-        b: int,
-        m: int,
-        r: int,
-        *,
-        force: bool = False,
-    ):
+    def __init__(self, h: UniformHypergraph, k, b: int, m: int, r: int, *, force: bool = False):
         if h.is_empty():
             raise PreconditionError("container construction needs a non-empty hypergraph")
         if r < 1:
@@ -315,8 +326,7 @@ class ContainerProcess:
                 min_k=self.report.min_k,
             )
         self.b, self.m, self.r = b2, m2, r
-        # the report's observed degrees are H's degree table (one packed-key pass,
-        # or one Counter pass past the int64 packing bound): the base row
+        # the report's observed degrees are H's degree table: the base row
         base = {pair: entry[0] for pair, entry in self.report.entries.items()}
         self.sched = DeltaSchedule(h.k0, h.k1, b2, m2, h.n_vertices, base)
         self.s = 0
@@ -331,9 +341,9 @@ class ContainerProcess:
         self._open_round(index, h.k0, h.k1)
 
     def _open_round(self, index: RoundIndex, i0: int, i1: int) -> None:
-        """Start a round on the (i0, i1)-uniform constraints of ``index``:
-        its constraints and degrees are copied, its incidence is shared."""
-        self.c, edges, cdeg, self.incidence = index
+        """Start a round with every constraint of ``index`` live."""
+        self.c, self.keys, self.mults, self.classes, self.incidence = index
+        self.live = (1 << len(self.keys)) - 1
         self.k_star = (i0 - 1, i1) if self.c == 0 else (i0, i1 - 1)
         thresholds = self.sched.saturation_thresholds(*self.k_star)
         self.thresholds = {
@@ -341,13 +351,30 @@ class ContainerProcess:
             for (l0, l1), t in thresholds.items()
             if thresholds.get((l0 - 1, l1), t + 1) > t and thresholds.get((l0, l1 - 1), t + 1) > t
         }
-        self.active = dict(edges)
-        self.cdeg = Counter(cdeg)
         self.gstar: Counter[Key] = Counter()
         self.pair_deg: Counter[Key] = Counter()
         self.saturated: set[Key] = set()
         self.yes: list[int] = []
         self.no: list[int] = []
+
+    @property
+    def active(self) -> dict[Key, int]:
+        """The live constraints and their multiplicities, in index order."""
+        return {self.keys[i]: self.mults[i] for i in _bit_indices(self.live)}
+
+    @property
+    def cdeg(self) -> Counter[int]:
+        """The live c-side degree of every vertex that has one."""
+        return Counter({v: d for v, d in enumerate(self._degrees()) if d})
+
+    def _degrees(self) -> list[int]:
+        """Each vertex's live c-side degree, by vertex."""
+        incidence = self.incidence[self.c]
+        deg = [0] * self.n
+        for weight, members in self.classes:
+            live = self.live & members
+            deg = [d + weight * (inc & live).bit_count() for d, inc in zip(deg, incidence)]
+        return deg
 
     def pending(self) -> Optional[tuple[int, int]]:
         """The next (vertex, c) question, or None when the container is set.
@@ -358,20 +385,9 @@ class ContainerProcess:
         if self.done:
             return None
         if self._question is None:
-            best_v, best_d = -1, 0
-            for v, d in self.cdeg.items():
-                if d > best_d or (d == best_d and v < best_v):
-                    best_v, best_d = v, d
-            self._question = (best_v, self.c)
+            deg = self._degrees()
+            self._question = (deg.index(max(deg)), self.c)
         return self._question
-
-    def _remove_key(self, key: Key) -> int:
-        mult = self.active.pop(key)
-        for u in key[self.c]:
-            self.cdeg[u] -= mult
-            if self.cdeg[u] == 0:
-                del self.cdeg[u]
-        return mult
 
     def _add_to_gstar(self, key: Key, mult: int) -> list[Key]:
         self.gstar[key] += mult
@@ -387,24 +403,17 @@ class ContainerProcess:
                         fresh.append(pair)
         return fresh
 
-    def _doomed(self, fresh: list[Key]) -> list[Key]:
-        """The active constraints that contain a pair of ``fresh``, in ``active`` order.
-
-        A pair whose sub-pair one element smaller is saturated is skipped: the
-        keys holding that sub-pair left ``active`` when it saturated, or are
-        found through it now.  The keys of any other pair are the intersection
-        of the round's incidence sets of its vertices, smallest first.
-        """
-        hits: set[Key] = set()
+    def _doomed(self, fresh: list[Key]) -> int:
+        """The mask of the live constraints that contain a pair of ``fresh``:
+        the OR over the pairs of the AND of their vertices' incidence masks."""
         inc0, inc1 = self.incidence
+        doomed = 0
         for t0, t1 in fresh:
-            if t0 and any((s, t1) in self.saturated for s in itertools.combinations(t0, len(t0) - 1)):
-                continue
-            if t1 and any((t0, s) in self.saturated for s in itertools.combinations(t1, len(t1) - 1)):
-                continue
-            sets = sorted([inc0[u] for u in t0] + [inc1[u] for u in t1], key=len)
-            hits.update(sets[0].intersection(*sets[1:]))
-        return [key for key in self.active if key in hits]
+            common = self.live
+            for mask in [inc0[u] for u in t0] + [inc1[u] for u in t1]:
+                common &= mask
+            doomed |= common
+        return doomed
 
     def answer(self, yes: bool) -> None:
         """Record the answer for the pending vertex and run the cleanup step."""
@@ -413,26 +422,20 @@ class ContainerProcess:
             raise RuntimeError("construction already finished")
         v, c = q
         self._question = None
-        fresh: list[Key] = []
-        hit = [key for key in self.incidence[c][v] if key in self.active]
+        hit = self.incidence[c][v] & self.live
+        self.live ^= hit
         if yes:
             self.yes.append(v)
-            for key in hit:
-                mult = self._remove_key(key)
-                a0, a1 = key
-                if c == 0:
-                    reduced = (tuple(x for x in a0 if x != v), a1)
-                else:
-                    reduced = (a0, tuple(x for x in a1 if x != v))
-                fresh.extend(self._add_to_gstar(reduced, mult))
+            fresh: list[Key] = []
+            for i in _bit_indices(hit):
+                a0, a1 = self.keys[i]
+                reduced = (a0, tuple(x for x in a1 if x != v)) if c else (tuple(x for x in a0 if x != v), a1)
+                fresh.extend(self._add_to_gstar(reduced, self.mults[i]))
+            if fresh:
+                self.live ^= self._doomed(fresh)
         else:
             self.no.append(v)
-            for key in hit:
-                self._remove_key(key)
-        if fresh:
-            for key in self._doomed(fresh):
-                self._remove_key(key)
-        if len(self.yes) == self.b or not self.active:
+        if len(self.yes) == self.b or not self.live:
             self._close_round()
 
     def _close_round(self) -> None:
@@ -454,12 +457,10 @@ class ContainerProcess:
         self._open_round(_index_round(self.gstar, self.k_star[1], self.n), *self.k_star)
 
     def clone(self) -> "ContainerProcess":
-        """An independent copy.  The report, schedule, thresholds and incidence
-        stay shared; round 0's incidence is H's own, shared by every process on H."""
+        """An independent copy.  The report, schedule, thresholds and round
+        index stay shared; ``live`` is an int."""
         other = copy.copy(self)
         other.s0, other.s1 = set(self.s0), set(self.s1)
-        other.active = dict(self.active)
-        other.cdeg = Counter(self.cdeg)
         other.gstar = Counter(self.gstar)
         other.pair_deg = Counter(self.pair_deg)
         other.saturated = set(self.saturated)

@@ -28,11 +28,11 @@ with v = v(H); check_container_hypothesis evaluates all of these in exact
 rational arithmetic and reports the minimal K that would pass.
 
 Each hypergraph keeps one private memo of what depends only on its
-constraint multiset: the degree table and the index the container engine
-opens its first round on, and the (A0, A1) bitmasks that membership tests
-read.  An entry is filled on first use, and ``add``, the
-only mutator, clears the memo, so nothing in it outlives a change to H;
-``degree_table`` hands out a copy.
+constraint multiset: the degree table, the container engine's round-0 index
+(its constraints numbered, with an incidence bitmask per vertex and side),
+and the (A0, A1) bitmasks that membership tests read.  An entry is filled on
+first use, and ``add``, the only mutator, clears the memo, so nothing in it
+outlives a change to H; ``degree_table`` hands out a copy.
 
 Serialization is a line-oriented text format: a header line "k0 k1 n"
 followed by one constraint per line, "mult | a0 vertices | a1 vertices".

@@ -66,10 +66,8 @@ __all__ = [
 
 Pair = tuple[int, int]
 
-# Up to this n, every vertex subset is tested at once.  At n = 16,
-# _near_clique_scan on complete_pregraph(16), which builds both subset
-# counts, takes 2.4-2.6 ms and adds 2.4 MB to peak RSS (median of 7 calls,
-# 2-core x86_64 Xeon, Python 3.11, numpy 2.4); both double per vertex.
+# Up to this n, every vertex subset is tested at once; the subset counts'
+# time and memory double per vertex.
 EXACT_SUBSET_LIMIT = 16
 
 

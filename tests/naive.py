@@ -3,10 +3,11 @@
 Everything here prefers transparent nested loops and full scans over
 cleverness, so that a disagreement with the library points at the library.
 None of these functions share code with src/ beyond its data types, with
-one exception: the full-vector split-count references take ln j! from the
+two exceptions: the full-vector split-count references take ln j! from the
 package's `_log_factorial` by default, so that they check the feasible band
-and the bounds bit for bit; `gammaln_log_factorial` (scipy) is the
-independent reference for ln j! itself.
+and the bounds bit for bit (`gammaln_log_factorial`, with scipy, is the
+independent reference for ln j! itself), and `DictContainerProcess` reads
+H's degree table from `UniformHypergraph.degree_table`.
 """
 
 import functools
@@ -14,6 +15,7 @@ import hashlib
 import itertools
 import math
 import random
+import types
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -28,6 +30,7 @@ from c4containers import (
     Pregraph,
     UniformHypergraph,
 )
+from c4containers.engine import ContainerResult, Cylinder, Fingerprint
 from c4containers.oracle import DeletionSample
 from c4containers.pregraph import ConstraintSystem, PermissibleResult
 from c4containers.splitcounts import _log_factorial
@@ -344,6 +347,144 @@ def add_to_gstar_all_classes(proc, key, mult):
                     proc.saturated.add(pair)
                     fresh.append(pair)
     return fresh
+
+
+class DictContainerProcess:
+    """The container round game on dicts, Counters and sets, the layout the
+    engine kept before its rounds moved to bitmasks: the reference the
+    bitmask ContainerProcess is compared with, answer by answer.
+
+    ``active`` maps each live constraint key to its multiplicity, ``cdeg``
+    counts the live c-side degrees, and ``incidence[side][u]`` is the set of
+    the round's keys with u on that side.  The thresholds are the half-cap
+    ceilings of ``delta_by_fraction_products`` on the undominated size
+    classes, a round closes on a cylinder when e(G*) < beta_s e(H) by
+    ``beta_by_fractions``, and a fresh pair whose sub-pair one element
+    smaller is saturated dooms nothing new (its keys left with the sub-pair).
+    The base row of the caps is ``h.degree_table()``.  K is not read: only
+    parameters with b <= m <= v(H) whose degree condition holds are
+    supported, so the result reports ``hypothesis_ok``.
+    """
+
+    def __init__(self, h, b, m, r):
+        self.n, self.e_h, self.h_k0, self.h_k1 = h.n_vertices, h.e(), h.k0, h.k1
+        assert 1 <= b <= m <= self.n
+        self.b, self.m, self.r = b, m, r
+        self.sched = types.SimpleNamespace(k0=h.k0, k1=h.k1, b=b, m=m, v=self.n, base=h.degree_table())
+        self.s, self.s0, self.s1 = 0, set(), set()
+        self.done, self.cylinder, self.question = False, None, None
+        self._open_round({c.key(): mult for c, mult in h.constraints()}, h.k0, h.k1)
+
+    def _open_round(self, edges, i0, i1):
+        self.c = 1 if i1 > 0 else 0
+        self.k_star = (i0 - 1, i1) if self.c == 0 else (i0, i1 - 1)
+        full = {
+            (l0, l1): math.ceil(delta_by_fraction_products(self.sched, *self.k_star, l0, l1) / 2)
+            for l0 in range(self.k_star[0] + 1)
+            for l1 in range(self.k_star[1] + 1)
+            if (l0, l1) != (0, 0)
+        }
+        self.thresholds = {
+            (l0, l1): t
+            for (l0, l1), t in full.items()
+            if full.get((l0 - 1, l1), t + 1) > t and full.get((l0, l1 - 1), t + 1) > t
+        }
+        self.active = dict(edges)
+        self.cdeg = Counter()
+        self.incidence = ([set() for _ in range(self.n)], [set() for _ in range(self.n)])
+        for key, mult in edges.items():
+            for u in key[self.c]:
+                self.cdeg[u] += mult
+            for side, part in zip(self.incidence, key):
+                for u in part:
+                    side[u].add(key)
+        self.gstar, self.pair_deg, self.saturated = Counter(), Counter(), set()
+        self.yes, self.no = [], []
+
+    def pending(self):
+        if self.done:
+            return None
+        if self.question is None:
+            best_v, best_d = -1, 0
+            for v, d in self.cdeg.items():
+                if d > best_d or (d == best_d and v < best_v):
+                    best_v, best_d = v, d
+            self.question = (best_v, self.c)
+        return self.question
+
+    def _remove_key(self, key):
+        mult = self.active.pop(key)
+        for u in key[self.c]:
+            self.cdeg[u] -= mult
+            if self.cdeg[u] == 0:
+                del self.cdeg[u]
+        return mult
+
+    def _add_to_gstar(self, key, mult):
+        self.gstar[key] += mult
+        fresh = []
+        for (l0, l1), thr in self.thresholds.items():
+            for s0 in itertools.combinations(key[0], l0):
+                for s1 in itertools.combinations(key[1], l1):
+                    pair = (s0, s1)
+                    self.pair_deg[pair] += mult
+                    if self.pair_deg[pair] >= thr and pair not in self.saturated:
+                        self.saturated.add(pair)
+                        fresh.append(pair)
+        return fresh
+
+    def _doomed(self, fresh):
+        hits = set()
+        inc0, inc1 = self.incidence
+        for t0, t1 in fresh:
+            if t0 and any((s, t1) in self.saturated for s in itertools.combinations(t0, len(t0) - 1)):
+                continue
+            if t1 and any((t0, s) in self.saturated for s in itertools.combinations(t1, len(t1) - 1)):
+                continue
+            sets = sorted([inc0[u] for u in t0] + [inc1[u] for u in t1], key=len)
+            hits.update(sets[0].intersection(*sets[1:]))
+        return [key for key in self.active if key in hits]
+
+    def answer(self, yes):
+        v, c = self.pending()
+        self.question = None
+        fresh = []
+        hit = [key for key in self.incidence[c][v] if key in self.active]
+        (self.yes if yes else self.no).append(v)
+        for key in hit:
+            mult = self._remove_key(key)
+            if yes:
+                a0, a1 = key
+                if c == 0:
+                    reduced = (tuple(x for x in a0 if x != v), a1)
+                else:
+                    reduced = (a0, tuple(x for x in a1 if x != v))
+                fresh.extend(self._add_to_gstar(reduced, mult))
+        for key in self._doomed(fresh):
+            self._remove_key(key)
+        if len(self.yes) == self.b or not self.active:
+            self._close_round()
+
+    def _close_round(self):
+        (self.s1 if self.c == 1 else self.s0).update(self.yes)
+        beta = beta_by_fractions(self.h_k0, self.h_k1, self.b, self.m, self.n, self.s + 1)
+        if sum(self.gstar.values()) < beta * self.e_h:
+            labels = [None] * self.n
+            for v in self.no:
+                labels[v] = 1 - self.c
+            self.cylinder = Cylinder(tuple(labels))
+            self.done = True
+            return
+        if self.s + 1 >= self.h_k0 + self.h_k1:
+            raise PreconditionError("no round budget left with a non-empty reduced hypergraph")
+        self.s += 1
+        self._open_round(self.gstar, *self.k_star)
+
+    def result(self):
+        assert self.done
+        return ContainerResult(
+            Fingerprint.make(self.s0, self.s1), self.cylinder, True, self.b, self.m, self.r, self.s + 1
+        )
 
 
 def beta_by_fractions(k0, k1, b, m, v, s):

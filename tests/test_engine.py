@@ -123,6 +123,46 @@ def test_saturation_thresholds_are_half_cap_ceilings():
             assert t - 1 < cap / 2 <= t
 
 
+def test_memoized_thresholds_match_fresh_ones():
+    """saturation_thresholds, memoized by value, against the half-cap
+    ceilings of the Fraction-product caps computed afresh, on seeded int and
+    Fraction base rows for every shape up to (3, 3): asked again, asked
+    through an equal schedule built apart (a memo hit), and after the caller
+    changed a returned table.  The memo never holds more than its bound."""
+    engine._THRESHOLDS.clear()
+    rng = random.Random(22)
+    shapes = [(k0, k1) for k0 in range(4) for k1 in range(4) if (k0, k1) != (0, 0)]
+    checked = 0
+    for trial in range(engine._THRESHOLDS_SIZE // 4):
+        k0, k1 = shapes[trial % len(shapes)]
+        v = rng.randint(max(1, k0 + k1), 40)
+        m = rng.randint(1, v)
+        b = rng.randint(1, m)
+        pairs = [(l0, l1) for l0 in range(k0 + 1) for l1 in range(k1 + 1) if (l0, l1) != (0, 0)]
+        if trial % 2:
+            base = random_base_table(rng, k0, k1)
+        else:
+            base = {pair: rng.randint(0, 200) for pair in pairs}
+        sched = DeltaSchedule(k0, k1, b, m, v, base)
+        for i0, i1 in sched.index_set() + [(0, 0)]:
+            fresh = {
+                (l0, l1): math.ceil(naive.delta_by_fraction_products(sched, i0, i1, l0, l1) / 2)
+                for l0 in range(i0 + 1)
+                for l1 in range(i1 + 1)
+                if (l0, l1) != (0, 0)
+            }
+            got = sched.saturation_thresholds(i0, i1)
+            assert got == fresh
+            got[(i0, i1)] = -1
+            held = len(engine._THRESHOLDS)
+            assert DeltaSchedule(k0, k1, b, m, v, dict(base)).saturation_thresholds(i0, i1) == fresh
+            assert sched.saturation_thresholds(i0, i1) == fresh
+            assert len(engine._THRESHOLDS) == held <= engine._THRESHOLDS_SIZE
+            checked += 1
+    # the trials ask for more tables than the memo holds, so it was emptied
+    assert checked > engine._THRESHOLDS_SIZE, checked
+
+
 def test_closed_form_matches_fraction_products():
     """The integer-numerator closed form against the Fraction-product loop,
     exactly, on int and Fraction base rows with zero entries, for every
@@ -373,8 +413,8 @@ def test_multiplexed_driver_matches_one_drive_per_member():
 
 
 def round_index_snapshot(h):
-    c, edges, cdeg, incidence = h._memo["round_index"]
-    return c, list(edges.items()), dict(cdeg), [[sorted(keys) for keys in side] for side in incidence]
+    c, keys, mults, classes, incidence = h._memo["round_index"]
+    return c, list(keys), list(mults), list(classes), [list(side) for side in incidence]
 
 
 def test_interleaved_processes_on_one_h_match_sequential_runs():
@@ -392,7 +432,7 @@ def test_interleaved_processes_on_one_h_match_sequential_runs():
         snapshot = round_index_snapshot(h)
         build = ContainerProcess(h, k, 2, 4, 1)
         replay = ContainerProcess(h, k, 2, 4, 1)
-        assert build.incidence is replay.incidence is h._memo["round_index"][3]
+        assert build.incidence is replay.incidence is h._memo["round_index"][4]
         s0, s1 = set(target.fingerprint.s0), set(target.fingerprint.s1)
         while build.pending() is not None or replay.pending() is not None:
             if (q := build.pending()) is not None:
@@ -436,6 +476,11 @@ def test_build_and_replay_share_one_table_and_one_round_0_index(monkeypatch):
     assert round_0.count(False) == 2 * (built.n_rounds - 1)
 
 
+def doomed_keys(proc, mask):
+    """The constraints of proc's round whose bits are set in mask, by index."""
+    return [key for i, key in enumerate(proc.keys) if mask >> i & 1]
+
+
 def test_doomed_sweep_matches_the_subset_test(monkeypatch):
     """The incidence sweep against the pairwise set-inclusion sweep, on
     every member of the small instances and of H_2 of small complete
@@ -450,7 +495,7 @@ def test_doomed_sweep_matches_the_subset_test(monkeypatch):
         proc = ContainerProcess(h, passing_parameters(h, b, m, r), b, m, r)
         runs += [(proc, a.bits) for a in members_up_to(h, m)]
     # H_2 of K_8 at m = 8, where some round-0 thresholds are 1: one YES
-    # saturates a pair and its sub-pairs together, so the sweep skips pairs
+    # saturates a pair and its sub-pairs together, so one sweep meets nested pairs
     system = build_constraint_hypergraphs(complete_pregraph(8))
     h = system.h2
     proc = ContainerProcess(h, passing_parameters(h, 2, 8, 1), 2, 8, 1)
@@ -471,25 +516,17 @@ def test_doomed_sweep_matches_the_subset_test(monkeypatch):
     fast = containers()
     lookup = ContainerProcess._doomed
     shapes_per_sweep = Counter()
-    skippable = Counter()
 
     def reference(proc, fresh):
         doomed = naive.doomed_by_subset_test(proc, fresh)
-        assert lookup(proc, fresh) == doomed
+        assert doomed_keys(proc, lookup(proc, fresh)) == doomed
         shapes_per_sweep[len({(len(t0), len(t1)) for t0, t1 in fresh})] += 1
-        if proc.n == h.n_vertices:
-            for t0, t1 in fresh:
-                smaller = [(t0[:i] + t0[i + 1 :], t1) for i in range(len(t0))]
-                smaller += [(t0, t1[:i] + t1[i + 1 :]) for i in range(len(t1))]
-                skippable[any(pair in proc.saturated for pair in smaller)] += 1
-        return doomed
+        return sum(1 << proc.keys.index(key) for key in doomed)
 
     monkeypatch.setattr(ContainerProcess, "_doomed", reference)
     assert containers() == fast
     # some answers saturate pairs of two shapes at once
     assert shapes_per_sweep[1] > 0 and shapes_per_sweep[2] > 0, shapes_per_sweep
-    # on H_2 of K_8 the sweep meets fresh pairs with a saturated sub-pair
-    assert skippable[True] > 0, skippable
 
 
 def test_undominated_classes_doom_what_every_class_dooms(monkeypatch):
@@ -521,7 +558,7 @@ def test_undominated_classes_doom_what_every_class_dooms(monkeypatch):
 
     def recording(proc, fresh):
         doomed = lookup(proc, fresh)
-        doomed_now.extend(doomed)
+        doomed_now.extend(doomed_keys(proc, doomed))
         return doomed
 
     monkeypatch.setattr(ContainerProcess, "_doomed", recording)
@@ -550,6 +587,60 @@ def test_undominated_classes_doom_what_every_class_dooms(monkeypatch):
     # some answers saturate pairs of classes that the engine does not count
     assert outside[True] > 0, outside
     assert any(step[1] for step in pruned if isinstance(step, tuple))
+
+
+def benchmark_members(n, m, count, seed):
+    """The members of the benchmark's containers jobs on H_2 of K_n: the
+    first ``count`` graphs the deletion sampler (delta = 0.1) accepts at the
+    seeds blake2b("perfbench/{seed}/member/{n}/{try}"), as bits over the ground."""
+    system = build_constraint_hypergraphs(complete_pregraph(n))
+    members, tries = [], 0
+    while len(members) < count:
+        tries += 1
+        digest = hashlib.blake2b(f"perfbench/{seed}/member/{n}/{tries}".encode(), digest_size=8).digest()
+        sample = sample_c4free_by_deletion(n, m, 0.1, int.from_bytes(digest, "big"), max_attempts=50)
+        if sample.accepted:
+            members.append([int(sample.graph.has_edge(u, v)) for u, v in system.ground])
+    return system.h2, members
+
+
+def test_bitmask_rounds_match_the_dict_reference():
+    """The bitmask round game against naive.DictContainerProcess, the dict,
+    Counter and set rounds it replaced: after every answer the same pending
+    question, live constraints, degrees, G*, saturated pairs and round, and
+    the same result, on every member of the small instances and of H_2 of
+    K_4..K_6, and on the benchmark's n = 10 (seed 1) and n = 13 members."""
+    runs = []
+    cases = small_instances() + [
+        (build_constraint_hypergraphs(complete_pregraph(n)).h2, 2, m, 1)
+        for n, m in ((4, 6), (5, 4), (6, 3))
+    ]
+    for h, b, m, r in cases:
+        runs += [(h, b, m, r, a.bits) for a in members_up_to(h, m)]
+    for n, m, count, seed in ((10, 10, 8, 1), (13, 15, 2, 0)):
+        h, members = benchmark_members(n, m, count, seed)
+        runs += [(h, 2, m, 1, bits) for bits in members]
+    answers = weighted_rounds = 0
+    for h, b, m, r, bits in runs:
+        fast = ContainerProcess(h, passing_parameters(h, b, m, r), b, m, r)
+        ref = naive.DictContainerProcess(h, b, m, r)
+        while (q := ref.pending()) is not None:
+            assert fast.pending() == q
+            fast.answer(bits[q[0]] == q[1])
+            ref.answer(bits[q[0]] == q[1])
+            answers += 1
+            assert (fast.s, fast.done) == (ref.s, ref.done)
+            if not ref.done:
+                assert fast.active == ref.active
+                assert fast.cdeg == ref.cdeg
+            assert fast.gstar == ref.gstar
+            assert fast.saturated == ref.saturated
+            weighted_rounds += fast.s > 0 and max(fast.mults) > 1
+        assert fast.pending() is None
+        assert fast.result() == ref.result()
+    assert len(runs) > 1000 and answers > 8000, (len(runs), answers)
+    # some G* round carries keys of multiplicity > 1, so its degrees are weighted
+    assert weighted_rounds > 0
 
 
 @pytest.mark.parametrize("k0,k1", [(0, 2), (1, 1), (1, 2), (2, 2), (2, 4)])
