@@ -74,7 +74,7 @@ __all__ = ["main"]
 def _parse_config(path: str) -> dict[str, str]:
     try:
         text = Path(path).read_text()
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # ValueError: not UTF-8
         raise PreconditionError(f"cannot read config file {path}: {exc}") from exc
     cfg: dict[str, str] = {}
     for raw in text.splitlines():
@@ -299,9 +299,9 @@ def _cmd_containers(res: _Resolver) -> int:
         "# containers for every member of F_{<=m}(H); sets are index lists joined by '+'",
         "assignment,s0,s1,cylinder",
     ]
-    # bit u of a mask is vertex u: walk the masks with at most m ones, then
+    # bit u of a mask is vertex u: keep the masks with at most m ones, then
     # drop each one that violates a constraint, h = 0 on A0 and h = 1 on A1
-    masks = np.fromiter((x for x in range(1 << v) if x.bit_count() <= m), dtype=np.int64)
+    masks = np.flatnonzero(np.bitwise_count(np.arange(1 << v, dtype=np.uint32)) <= m)
     for a0, a1 in h.constraint_masks():
         masks = masks[(masks & a0 != 0) | (masks & a1 != a1)]
     # one process checks the hypothesis and runs every member; an empty

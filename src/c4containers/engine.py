@@ -18,8 +18,8 @@ the base row is the degree table of H itself and each earlier index pair
 takes a max of a doubled finer entry and a (b/v or b/m)-scaled same-size
 entry.  ``DeltaSchedule`` evaluates the closed form as a max of integer
 numerators over one common denominator; a saturation threshold is the
-integer ceiling of that ratio halved, and the literal recursion stays
-alongside it in exact rationals.
+integer ceiling of that ratio halved.  The literal recursion, in exact
+rationals, is the test reference ``delta_by_recursion`` in ``tests/naive.py``.
 
 The engine is driven either by an assignment (``build_container``), by a
 previously produced fingerprint (``replay_container``, which realizes the

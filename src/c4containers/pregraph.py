@@ -13,12 +13,13 @@ yields one constraint of the (i, 4)-uniform hypergraph H_i: the copy is
 "alive" in a completion exactly when the four cycle edges are all present
 and the diagonals all absent, which is the induced-C4 event.
 
-The greedy builder assembles permissible subhypergraphs (degree-capped by
-floor(l^3/n), l^2, and l for the (0,1), (1,0), and (0,2) patterns) one
-constraint at a time, neutralizing saturated single edges by a two-phase
-preprocessing move and skipping copies that contain a saturated cycle-edge
-pair, until one of H_0, H_1, H_2 reaches beta*l^4 constraints or no
-insertable copy remains.
+The greedy builder assembles permissible subhypergraphs one constraint at a
+time, with the degree caps l^2, floor(l^3/n) and l of the (1,0), (0,1) and
+(0,2) patterns from ``_saturation_caps``.  It neutralizes saturated single
+edges by ``_saturated``, the two-phase rule ``preprocess_saturation`` also
+applies, and skips copies that contain a saturated cycle-edge pair, until
+one of H_0, H_1, H_2 reaches beta*l^4 constraints or no insertable copy
+remains.
 
 Also here: the Caro-Wei independence bound, the retained-vertex random
 independent set used by the supersaturation arguments, and the almost-split
@@ -249,33 +250,32 @@ def build_constraint_hypergraphs(p: Pregraph) -> ConstraintSystem:
 # -- saturation and the permissible greedy ------------------------------------
 
 
-def _saturation_threshold(shape: tuple[int, int], ell: int, n: int) -> int:
-    if shape == (0, 1):
-        raw = ell**3 // n
-    elif shape == (1, 0):
-        raw = ell * ell
-    elif shape == (0, 2):
-        raw = ell
-    else:
-        raise PreconditionError(f"no saturation threshold for degree shape {shape}")
-    # a pair must actually appear to be saturated, so an empty hypergraph
-    # never has any; this only differs from the raw floor when l^3 < n
-    return max(raw, 1)
+def _saturation_caps(ell: int, n: int) -> tuple[int, int, int]:
+    """The (1,0), (0,1) and (0,2) degree caps l^2, floor(l^3/n) and l.  A
+    pair must actually appear to be saturated, so an empty hypergraph never
+    has any: each cap is at least 1, which only moves floor(l^3/n) < 1."""
+    return max(ell * ell, 1), max(ell**3 // n, 1), max(ell, 1)
 
 
-def _saturation_move(
-    k: int, a_deg: Sequence[Counter[int]], b_deg: Sequence[Counter[int]], t10: int, t01: int
-) -> Optional[str]:
-    """The neutralization rule for the mixed edge with ground index k, given
-    a_deg[i] and b_deg[i], the A-side and B-side degrees in H_i of each
-    ground index: "E" when it is (1,0)-saturated in H_1 or H_2, else "N"
-    when it is (0,1)-saturated in some H_i, else None.
-    """
-    if a_deg[1][k] >= t10 or a_deg[2][k] >= t10:
-        return "E"
-    if any(d[k] >= t01 for d in b_deg):
-        return "N"
-    return None
+def _saturated(
+    p: Pregraph, bits: Sequence[int], ks: Iterable[int],
+    a_deg: Sequence[Counter[int]], b_deg: Sequence[Counter[int]], t10: int, t01: int,
+) -> tuple[int, int]:
+    """The neutralization rule on the mixed edges of p among the ground
+    indices ks, with pair index bits[k] and A-side and B-side degrees
+    a_deg[i][k] and b_deg[i][k] in H_i: the pair masks (moved, to_fixed) of
+    the edges at the (1,0) cap in H_1 or H_2, which go to E, together with
+    those at the (0,1) cap in some H_i, which go to N."""
+    moved = to_fixed = 0
+    for k in ks:
+        bit = 1 << bits[k]
+        if not p.M & bit:
+            continue
+        if a_deg[1][k] >= t10 or a_deg[2][k] >= t10:
+            moved, to_fixed = moved | bit, to_fixed | bit
+        elif any(d[k] >= t01 for d in b_deg):
+            moved |= bit
+    return moved, to_fixed
 
 
 def _moved_pregraph(p: Pregraph, moved: int, to_fixed: int) -> Pregraph:
@@ -285,12 +285,7 @@ def _moved_pregraph(p: Pregraph, moved: int, to_fixed: int) -> Pregraph:
 
 
 def preprocess_saturation(
-    p: Pregraph,
-    h0: UniformHypergraph,
-    h1: UniformHypergraph,
-    h2: UniformHypergraph,
-    ell: int,
-    n: int,
+    p: Pregraph, h0: UniformHypergraph, h1: UniformHypergraph, h2: UniformHypergraph, ell: int
 ) -> Pregraph:
     """Two-phase neutralization of saturated single edges.
 
@@ -305,15 +300,9 @@ def preprocess_saturation(
         for c, mult in h.constraints():
             a.update(dict.fromkeys(c.a0, mult))
             b.update(dict.fromkeys(c.a1, mult))
-    t10 = _saturation_threshold((1, 0), ell, n)
-    t01 = _saturation_threshold((0, 1), ell, n)
-    moved = to_fixed = 0
-    for k, bit in enumerate(_ground(p)[1]):
-        if p.M >> bit & 1:
-            tag = _saturation_move(k, a_deg, b_deg, t10, t01)
-            moved |= (tag is not None) << bit
-            to_fixed |= (tag == "E") << bit
-    return _moved_pregraph(p, moved, to_fixed)
+    t10, t01, _ = _saturation_caps(ell, p.n)
+    bits = _ground(p)[1]
+    return _moved_pregraph(p, *_saturated(p, bits, range(len(bits)), a_deg, b_deg, t10, t01))
 
 
 @dataclass(frozen=True)
@@ -341,7 +330,8 @@ def build_permissible(p: Pregraph, ell: int, beta: float) -> PermissibleResult:
     The next copy inserted is always the first good copy of the current
     neutralized pregraph (in enumeration order) whose cycle contains no
     (0,2)-saturated pair of any H_i, where the neutralized pregraph is p
-    after the rule of ``preprocess_saturation`` at the current degrees.
+    after the rule ``_saturated`` at the current degrees; all three caps
+    come from one ``_saturation_caps`` call.
     Insertion order makes the result deterministic; the saturation rules
     make every intermediate hypergraph permissible by construction.
 
@@ -354,15 +344,14 @@ def build_permissible(p: Pregraph, ell: int, beta: float) -> PermissibleResult:
     copy that fails once fails for good, and a cursor that never moves back
     meets the copies in the same order as a full rescan would.  Each copy is
     inserted at most once, since its cycle fixes its vertex set and diagonals.
-    An insertion changes the degrees of its own ground indices only, so the
-    rule is re-applied to those alone, and the neutralized pregraph itself is
-    built once, for the result.
+    An insertion changes the degrees of its own ground indices only, so
+    ``_saturated`` is re-applied to those alone, and the neutralized
+    pregraph itself is built once, for the result.
     """
     if ell < 1:
         raise PreconditionError(f"scale parameter must be at least 1, got {ell}")
     if beta <= 0:
         raise PreconditionError(f"target density beta must be positive, got {beta}")
-    n = p.n
     ground, bits = _ground(p)
     index = {e: k for k, e in enumerate(ground)}
     hs = [UniformHypergraph(i, 4, len(ground)) for i in range(3)]
@@ -372,9 +361,7 @@ def build_permissible(p: Pregraph, ell: int, beta: float) -> PermissibleResult:
     pair_deg = [Counter(), Counter(), Counter()]  # B-side pairs
     blocked: set[tuple[int, int]] = set()
     moved = to_fixed = 0  # pair masks of the mixed edges of p neutralized so far, and of those in E
-    t10 = _saturation_threshold((1, 0), ell, n)
-    t01 = _saturation_threshold((0, 1), ell, n)
-    t02 = _saturation_threshold((0, 2), ell, n)
+    t10, t01, t02 = _saturation_caps(ell, p.n)
     target = _permissible_target(beta, ell)
     insertions = 0
 
@@ -403,11 +390,8 @@ def build_permissible(p: Pregraph, ell: int, beta: float) -> PermissibleResult:
             pair_deg[i][t] += 1
             if pair_deg[i][t] >= t02:
                 blocked.add(t)
-        for k in (*c.a0, *c.a1):
-            if p.M >> bits[k] & 1:
-                tag = _saturation_move(k, deg10, deg01, t10, t01)
-                moved |= (tag is not None) << bits[k]
-                to_fixed |= (tag == "E") << bits[k]
+        new_moved, new_fixed = _saturated(p, bits, (*c.a0, *c.a1), deg10, deg01, t10, t01)
+        moved, to_fixed = moved | new_moved, to_fixed | new_fixed
     winner = max(range(3), key=lambda i: (hs[i].e() >= target, hs[i].e()))
     return PermissibleResult(
         "success", winner, hs[winner], ConstraintSystem(ground, *hs),

@@ -12,7 +12,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import c4containers
@@ -667,6 +667,68 @@ def test_non_numeric_config_value_exit_3(tmp_path, capsys):
     cfg.write_text("command = enumerate\nn = abc\n")
     code, _, err = run(capsys, "--config", str(cfg))
     assert_precondition_exit(code, err)
+
+
+def test_config_file_that_is_not_utf8_exit_3(tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_bytes(b"command = enumerate\nn = 4\n\xff\n")
+    code, out, err = run(capsys, "--config", str(cfg))
+    assert_precondition_exit(code, err)
+    assert out == ""
+
+
+# keys and values of cheap runs only: enumerate at n <= 5, phi, and
+# count-split at small n; out and input are left out, so nothing is written
+# or read beside the config file itself.  Each file starts from one complete
+# run, which the drawn lines below it may override.
+CHEAP_RUNS = (
+    ("command = enumerate", "n = 4"),
+    ("command = phi", "n = 5", "m = 3", "p = 0.5", "mode = exact"),
+    ("command = count-split", "n = 6", "m = 8", "ell = 2"),
+)
+CONFIG_VALUES = {
+    "command": ("enumerate", "phi", "count-split", "no-such-command", ""),
+    "n": ("-1", "0", "1", "4", "5", "9", "x", "", "nan", "4.0"),
+    "m": ("-1", "0", "3", "6", "11", "x", "1e2"),
+    "p": ("0.5", "0", "1", "1.5", "nan", "-inf", "x"),
+    "mode": ("exact", "lower_bound", "upper_bound", "bogus"),
+    "exact": ("yes", "no", "maybe"),
+    "ell": ("-3", "0", "1", "2", "x"),
+    "lambda": ("0.5", "nan", "inf", "-1"),
+    "seed": ("0", "-5", "x"),
+    "no-such-key": ("1", ""),
+}
+CONFIG_LINE = st.sampled_from(sorted(CONFIG_VALUES)).flatmap(
+    lambda key: st.sampled_from(CONFIG_VALUES[key]).map(lambda value: f"{key} = {value}")
+)
+BARE_LINE = st.text(st.characters(blacklist_characters="=#", blacklist_categories=("Cs",)),
+                    min_size=1, max_size=12).filter(lambda text: text.strip())
+COMMENT_LINE = st.text(st.characters(blacklist_categories=("Cs",)), max_size=12).map(lambda t: "#" + t)
+JUNK_BYTES = st.tuples(st.integers(0, 1 << 16), st.sampled_from([b"\xff", b"\x80", b"\xc3("]))
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    run=st.sampled_from(CHEAP_RUNS),
+    # repeats weight the draws towards key lines and towards clean bytes
+    lines=st.lists(st.one_of(*[CONFIG_LINE] * 6, COMMENT_LINE, BARE_LINE, st.just("")), max_size=6),
+    undecodable=st.one_of(*[st.just([])] * 4, st.lists(JUNK_BYTES, min_size=1, max_size=2)),
+)
+def test_malformed_config_ends_in_a_documented_exit_code(tmp_path, capsys, run, lines, undecodable):
+    """Whatever the text or bytes, a config-only run ends in exit 0, 2 (an
+    unknown command), 3, 4 or 5, never another exception; undecodable bytes
+    and a non-blank line without '=' fail a precondition."""
+    data = "\n".join([*run, *lines]).encode()
+    for at, junk in undecodable:
+        at %= len(data) + 1
+        data = data[:at] + junk + data[at:]
+    cfg = tmp_path / "run.cfg"
+    cfg.write_bytes(data)
+    code, _, err = main_exit(capsys, ["--config", str(cfg)])
+    if undecodable or any(line.split("#", 1)[0].strip() for line in lines if "=" not in line):
+        assert_precondition_exit(code, err)
+    else:
+        assert code in (0, 2, 3, 4, 5)
 
 
 @pytest.mark.parametrize("command", [("tree", "--n", "5", "--m", "4"), PROBE])

@@ -37,7 +37,7 @@ from c4containers.pregraph import (
     _adjacency,
     _concentrated_ell,
     _near_clique_scan,
-    _saturation_threshold,
+    _saturation_caps,
     _subset_pair_counts,
 )
 from c4containers.tree import TreeParams
@@ -149,20 +149,18 @@ def test_saturation_thresholds():
     deg_01, deg_02 = naive.constraint_degree(h, (), (0,)), naive.constraint_degree(h, (), (0, 1))
     assert deg_01 == deg_02 == 5
     # shape (0,1): threshold max(l^3 // n, 1)
-    assert _saturation_threshold((0, 1), ell=3, n=10) == 2 <= deg_01  # 27//10
-    assert _saturation_threshold((0, 1), ell=6, n=10) == 21 > deg_01  # 216//10
-    assert _saturation_threshold((0, 1), ell=2, n=10) == 1  # 8//10 = 0, clamped
+    assert _saturation_caps(ell=3, n=10)[1] == 2 <= deg_01  # 27//10
+    assert _saturation_caps(ell=6, n=10)[1] == 21 > deg_01  # 216//10
+    assert _saturation_caps(ell=2, n=10)[1] == 1  # 8//10 = 0, clamped
     # shape (0,2): threshold l
-    assert _saturation_threshold((0, 2), ell=5, n=10) == 5 <= deg_02
-    assert _saturation_threshold((0, 2), ell=6, n=10) == 6 > deg_02
+    assert _saturation_caps(ell=5, n=10)[2] == 5 <= deg_02
+    assert _saturation_caps(ell=6, n=10)[2] == 6 > deg_02
     h1 = UniformHypergraph(1, 4, 10, [((0,), (1, 2, 3, 4)), ((0,), (1, 2, 3, 5))])
     deg_10 = naive.constraint_degree(h1, (0,), ())
     assert deg_10 == 2
     # shape (1,0): threshold l^2
-    assert _saturation_threshold((1, 0), ell=1, n=10) == 1 <= deg_10
-    assert _saturation_threshold((1, 0), ell=2, n=10) == 4 > deg_10
-    with pytest.raises(PreconditionError):
-        _saturation_threshold((1, 1), ell=2, n=10)
+    assert _saturation_caps(ell=1, n=10)[0] == 1 <= deg_10
+    assert _saturation_caps(ell=2, n=10)[0] == 4 > deg_10
 
 
 def test_preprocess_saturation_moves_edges():
@@ -171,7 +169,7 @@ def test_preprocess_saturation_moves_edges():
     h0 = UniformHypergraph(0, 4, 6, [((), (2, 3, 4, 5))])
     h1 = UniformHypergraph(1, 4, 6, [((0,), (1, 2, 3, 4))])
     h2 = UniformHypergraph(2, 4, 6)
-    out = preprocess_saturation(p, h0, h1, h2, ell=1, n=4)
+    out = preprocess_saturation(p, h0, h1, h2, ell=1)
     # ell=1: ground[0] is A-side saturated in h1 and becomes fixed; the
     # B-side vertices of h0 and h1 go neutral, fixed winning on overlap
     assert out.fixed == p.fixed | {ground[0]}
@@ -200,7 +198,7 @@ def test_preprocess_saturation_agrees_with_the_greedy():
         p = random_three_part_pregraph(rng, n, 2, 3)
         ell = rng.randint(1, n)
         res = build_permissible(p, ell, beta=rng.choice([0.01, 0.05, 0.5]))
-        assert preprocess_saturation(p, *res.system, ell, p.n) == res.preprocessed
+        assert preprocess_saturation(p, *res.system, ell) == res.preprocessed
         to_fixed += res.preprocessed.fixed != p.fixed
         to_neutral += res.preprocessed.neutral != p.neutral
     # both branches of the rule fire on this seed
@@ -688,7 +686,7 @@ def test_permissible_matches_the_list_cursor(p, ell, beta):
     a_deg, b_deg = zip(*degrees)
     want = naive.neutralize_from_scratch(p, index, a_deg, b_deg, ell)
     assert got.preprocessed == want
-    assert preprocess_saturation(p, *got.system, ell, p.n) == want
+    assert preprocess_saturation(p, *got.system, ell) == want
 
 
 def _plain(value):
@@ -806,7 +804,7 @@ def test_mask_pregraph_matches_the_frozenset_reference():
                 a_deg[i].update({k: mult for k in c.a0})
                 b_deg[i].update({k: mult for k in c.a1})
         want = naive.neutralize_from_scratch(ref, index, a_deg, b_deg, ell)
-        assert preprocess_saturation(p, *system, ell, n) == want
+        assert preprocess_saturation(p, *system, ell) == want
         beta = rng.choice([0.01, 0.05, 0.5])
         assert_same_permissible(build_permissible(p, ell, beta),
                                 naive.build_permissible_by_cursor(ref, ell, beta))
