@@ -267,6 +267,24 @@ def _index_round(edges: dict[Key, int], i1: int, n: int) -> RoundIndex:
     return 1 if i1 > 0 else 0, keys, mults, weighted, (tuple(inc0), tuple(inc1))
 
 
+def _round0_index(h: UniformHypergraph) -> RoundIndex:
+    """H's own round index, kept in H's memo for every process on H."""
+    return h._derived(
+        "round_index", lambda: _index_round({c.key(): mult for c, mult in h.constraints()}, h.k1, h.n_vertices)
+    )
+
+
+def _violates_none(h: UniformHypergraph, bits: Sequence[int]) -> bool:
+    """True when ``bits`` violates no constraint of the non-empty H: the OR
+    of H's round-0 incidence masks inc0[u] over its ones and inc1[u] over its
+    zeros then holds every constraint's bit."""
+    _, keys, _, _, (inc0, inc1) = _round0_index(h)
+    held = 0
+    for u, bit in enumerate(bits):
+        held |= inc0[u] if bit else inc1[u]
+    return held == (1 << len(keys)) - 1
+
+
 def _bit_indices(mask: int) -> Iterator[int]:
     """The positions of the set bits of ``mask``, ascending."""
     digits = bin(mask)[:1:-1]
@@ -335,10 +353,7 @@ class ContainerProcess:
         self.done = False
         self.cylinder: Optional[Cylinder] = None
         self._question: Optional[tuple[int, int]] = None
-        index = h._derived(
-            "round_index", lambda: _index_round({c.key(): mult for c, mult in h.constraints()}, h.k1, h.n_vertices)
-        )
-        self._open_round(index, h.k0, h.k1)
+        self._open_round(_round0_index(h), h.k0, h.k1)
 
     def _open_round(self, index: RoundIndex, i0: int, i1: int) -> None:
         """Start a round with every constraint of ``index`` live."""
@@ -534,14 +549,15 @@ def build_container(
 ) -> ContainerResult:
     """Fingerprint and cylinder for one assignment with at most m ones.
 
-    Raises PreconditionError when the assignment has more than m ones or
-    violates a constraint, and HypothesisError (carrying the minimal feasible
-    K) when the degree condition fails and force is not set.
+    Raises PreconditionError when the assignment has more than m ones, when
+    H is empty or when it violates a constraint (read from H's round-0
+    index), and HypothesisError (carrying the minimal feasible K) when the
+    degree condition fails and force is not set; in that order.
     """
     a = _as_assignment(assignment, h.n_vertices)
     if a.ones_count > m:
         raise PreconditionError(f"assignment has {a.ones_count} ones, above the budget m={m}")
-    if not a.in_solution_set(h):
+    if not h.is_empty() and not _violates_none(h, a.bits):
         raise PreconditionError("assignment violates a constraint of H")
     proc = ContainerProcess(h, k, b, m, r, force=force)
     return _drive(proc, lambda v, c: a.bits[v] == c)

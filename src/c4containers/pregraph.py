@@ -237,12 +237,13 @@ def _encode_copy(copy: GoodC4, index: dict[Pair, int]) -> Constraint:
 
 
 def build_constraint_hypergraphs(p: Pregraph) -> ConstraintSystem:
-    """H_i collects the good copies with exactly i extra induced mixed edges;
-    the ground set is all of M and N, so v(H_i) = e(M) + |N|."""
+    """H_i collects the good copies with exactly i extra induced mixed edges,
+    streamed one at a time in good_c4_enumerate's order; the ground set is
+    all of M and N, so v(H_i) = e(M) + |N|."""
     ground = _ground(p)[0]
     index = {e: k for k, e in enumerate(ground)}
     hs = [UniformHypergraph(i, 4, len(ground)) for i in range(3)]
-    for copy in good_c4_enumerate(p):
+    for copy, _, _ in _good_c4_stream(p):
         hs[copy.i].add(_encode_copy(copy, index))
     return ConstraintSystem(ground, *hs)
 

@@ -778,6 +778,51 @@ def test_hypothesis_error_carries_threshold():
     assert forced.cylinder.contains((0, 0, 0))
 
 
+def test_build_container_errors_keep_their_order():
+    """Wrong length, then over budget, then an empty H, then a violated
+    constraint, then the degree condition: each case also breaks the rules
+    checked after it.  The membership test reads H's round-0 index, which an
+    empty H never builds."""
+    empty, h = UniformHypergraph(0, 2, 3), triangle_lift()
+    starved = passing_parameters(h, 1, 3, 1) / 2
+
+    def refusal(h, m, bits):
+        with pytest.raises(PreconditionError) as exc:
+            build_container(h, starved, 1, m, 1, bits)
+        return str(exc.value)
+
+    assert "does not match ground set" in refusal(empty, 2, (1, 1, 1, 1))
+    assert "above the budget" in refusal(empty, 2, (1, 1, 1))
+    assert "above the budget" in refusal(h, 2, (1, 1, 1))
+    assert "non-empty hypergraph" in refusal(empty, 3, (1, 1, 1))
+    assert "violates a constraint" in refusal(h, 3, (1, 1, 0))
+    assert "round_index" not in empty._memo
+    with pytest.raises(HypothesisError):
+        build_container(h, starved, 1, 3, 1, (1, 0, 0))
+
+
+@pytest.mark.parametrize("k0,k1", [(0, 2), (1, 1), (1, 2), (2, 0), (2, 3)])
+def test_membership_from_the_round_0_index_matches_in_solution_set(k0, k1):
+    """build_container's membership test reads H's round-0 incidence masks;
+    it must agree with ``Assignment.in_solution_set`` on every assignment of
+    small random hypergraphs with multiplicities, also after ``add``."""
+    rng = random.Random(10 * k0 + k1)
+    outcomes = Counter()
+    for _ in range(12):
+        n = rng.randint(k0 + k1, 7)
+        h = UniformHypergraph(k0, k1, n)
+        for _ in range(2):
+            for _ in range(rng.randint(1, 4)):
+                picked = rng.sample(range(n), k0 + k1)
+                h.add(Constraint.make(picked[:k0], picked[k0:]), rng.randint(1, 3))
+            for mask in range(1 << n):
+                bits = [mask >> u & 1 for u in range(n)]
+                want = Assignment.from_bits(bits).in_solution_set(h)
+                assert engine._violates_none(h, bits) == want
+                outcomes[want] += 1
+    assert outcomes[True] and outcomes[False]
+
+
 def test_degree_caps_hold_after_every_round():
     h = triangle_lift()
     k = passing_parameters(h, 2, 3, 1)

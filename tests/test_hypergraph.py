@@ -2,8 +2,10 @@
 condition underlying container construction."""
 
 import random
+import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,8 +15,11 @@ from c4containers import (
     Assignment,
     Constraint,
     UniformHypergraph,
+    build_constraint_hypergraphs,
     check_container_hypothesis,
+    complete_pregraph,
 )
+from c4containers import hypergraph
 
 
 def random_hypergraph(rng, k0, k1, n, n_constraints):
@@ -185,6 +190,92 @@ def test_degree_table_hands_out_a_copy():
     del table[(0, 1)]
     assert h.degree_table() == expected == subtuple_table(h)
     assert h.degree_table() is not h.degree_table()
+
+
+def record_passes(monkeypatch):
+    """The key count of each pass of the degree table, filled as tables are
+    built: a table's first np.unique call relabels its vertices, and each
+    pass then calls it once on its keys."""
+    calls = []
+    unique = np.unique
+
+    def counted(values, **kwargs):
+        calls.append(values.size)
+        return unique(values, **kwargs)
+
+    monkeypatch.setattr(np, "unique", counted)
+    return calls
+
+
+PASS_KEYS = hypergraph._DEGREE_PASS_KEYS
+
+
+@pytest.mark.parametrize("pass_keys", [1, 40, 120, PASS_KEYS])
+def test_pass_wise_degree_table_matches_the_subtuple_reference(monkeypatch, pass_keys):
+    """Every pass holds whole shapes within the key budget, or one larger
+    shape alone; the passes cover every key once, a table within one budget
+    takes one pass, and the table is the Counter reference's."""
+    monkeypatch.setattr(hypergraph, "_DEGREE_PASS_KEYS", pass_keys)
+    calls = record_passes(monkeypatch)
+    rng = random.Random(pass_keys)
+    alone = multipass = 0
+    for k0, k1 in [(0, 2), (1, 2), (2, 4), (3, 2), (1, 0)]:
+        shape_rows = np.diff(hypergraph._subtuple_plan(k0, k1)[3], prepend=0).tolist()
+        for _ in range(8):
+            n = rng.randint(k0 + k1, 9)
+            h = random_hypergraph(rng, k0, k1, n, rng.randint(1, 30))
+            repeated, _ = next(iter(h.constraints()))
+            h.add(repeated, rng.randint(1, 3))  # multiplicities above 1
+            del calls[:]
+            assert h.degree_table() == subtuple_table(h)
+            e, passes = h.support_size(), calls[1:]
+            assert sum(passes) == sum(shape_rows) * e
+            for keys in passes:
+                assert keys <= pass_keys or keys // e in shape_rows
+            alone += any(keys > pass_keys for keys in passes)
+            multipass += len(passes) > 1
+            if sum(shape_rows) * e <= pass_keys:
+                assert len(passes) == 1
+    small = pass_keys < PASS_KEYS
+    assert bool(multipass) is small and bool(alone) is small
+    # both sides of the packing bound (see the test above): packed keys in
+    # passes inside it, the Counter route and no pass outside
+    base = 2
+    while 14 * (base + 1) ** 6 < 2**63:
+        base += 1
+    for used in (base - 1, base):
+        h = packing_edge_hypergraph(used)
+        del calls[:]
+        assert h.degree_table() == subtuple_table(h)
+        assert bool(calls[1:]) is (used < base)
+
+
+def test_pass_wise_degree_table_on_h2_of_k13(monkeypatch):
+    """H_2 of K_13: 2,145 constraints, 135,135 keys in 14 shapes, so passes
+    at the real budget and one shape per pass at a budget of 1."""
+    h = build_constraint_hypergraphs(complete_pregraph(13)).h2
+    want = subtuple_table(h)
+    calls = record_passes(monkeypatch)
+    assert h._degree_table() == want
+    assert 1 < len(calls) - 1 < 14
+    monkeypatch.setattr(hypergraph, "_DEGREE_PASS_KEYS", 1)
+    del calls[:]
+    assert h._degree_table() == want
+    assert len(calls) - 1 == 14
+
+
+def test_degree_table_memory_is_bounded_by_one_pass():
+    """H_2 of K_13's 135,135 sub-tuple keys in one pass peaked at 7.7 MB
+    under tracemalloc; passes of whole shapes stay below 3 MB."""
+    h = build_constraint_hypergraphs(complete_pregraph(13)).h2
+    tracemalloc.start()
+    try:
+        table = h.degree_table()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert table == subtuple_table(h)
+    assert peak < 3e6
 
 
 def test_degree_of_full_constraint_is_multiplicity():

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 import naive
 from c4containers import (
     Assignment,
+    Constraint,
     PreconditionError,
     Pregraph,
     build_constraint_hypergraphs,
@@ -110,6 +111,26 @@ def test_constraint_system_shapes():
     copies = good_c4_enumerate(p)
     assert sum(h.e() for h in sys) == len(copies)
     assert sys.h2.e() == len([c for c in copies if c.i == 2])
+
+
+def test_constraint_system_inserts_the_good_copies_in_list_order():
+    """H_i holds the good copies of good_c4_enumerate's list with i extra
+    mixed edges, added in the list's order, so each H_i iterates its
+    constraints (and numbers them in the engine's round-0 index) in that
+    order."""
+    rng = random.Random(24)
+    pregraphs = [complete_pregraph(n) for n in (4, 7, 9)]
+    pregraphs += [random_three_part_pregraph(rng, rng.randint(5, 9), 6, 6) for _ in range(20)]
+    for p in pregraphs:
+        system = build_constraint_hypergraphs(p)
+        index = {e: k for k, e in enumerate(system.ground)}
+        want = [[] for _ in range(3)]
+        for copy in good_c4_enumerate(p):
+            want[copy.i].append(
+                Constraint.make((index[e] for e in copy.extra_mixed), (index[e] for e in copy.cycle_edges))
+            )
+        for h, constraints in zip(system, want):
+            assert [(c, mult) for c, mult in h.constraints()] == [(c, 1) for c in constraints]
 
 
 def realized_good_copy(p, chosen):

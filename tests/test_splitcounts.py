@@ -5,6 +5,7 @@ study where the counts concentrate."""
 import itertools
 import math
 import random
+import tracemalloc
 import types
 from fractions import Fraction
 
@@ -234,6 +235,51 @@ def test_band_argmax_matches_the_full_scan_on_fixed_points(points):
     assert len(points) in (24, 21)
     for n, m in points:
         assert argmax_n_nm(n, m) == naive.argmax_n_nm_by_full_scan(n, m, 1 / 64)
+
+
+def test_blocked_argmax_matches_the_full_scan_across_blocks(monkeypatch):
+    """The benchmark's n = 10^6 grid points at the real block size, some of
+    whose bands span several blocks, then seeded instances with blocks of 1,
+    7 and 64 entries and bands of up to about 100 blocks."""
+    million = [(n, m) for n, m in BENCHMARK_POINTS if n == 10**6]
+    spans = [(hi - lo) // splitcounts._BLOCK + 1 for lo, hi in (_feasible_band(n, m) for n, m in million)]
+    assert len(million) == 6 and max(spans) >= 10
+    for n, m in million:
+        assert argmax_n_nm(n, m) == naive.argmax_n_nm_by_full_scan(n, m, 1 / 64)
+    rng = random.Random(24)
+    for block in (1, 7, 64):
+        monkeypatch.setattr(splitcounts, "_BLOCK", block)
+        for _ in range(40):
+            n = rng.randint(20, 100 * block)
+            m = rng.randint(n + 1, n * n // 4)
+            assert _outcome(argmax_n_nm, n, m, 1.0) == _outcome(naive.argmax_n_nm_by_full_scan, n, m, 1.0)
+
+
+def test_blocked_argmax_keeps_the_first_of_tied_maxima(monkeypatch):
+    """A tie across blocks goes to the smallest ell, as one argmax over the
+    whole band gives it."""
+    n, m = 1000, 10000
+    lo, hi = _feasible_band(n, m)
+    logs = np.zeros(hi - lo + 1)
+    monkeypatch.setattr(splitcounts, "_BLOCK", 4)
+    monkeypatch.setattr(splitcounts, "_log_n_nm_band", lambda n, m, a, b: logs[a - lo : b - lo + 1])
+    assert argmax_n_nm(n, m) == lo
+    logs[[6, 7, 9, 13]] = 1.0
+    assert argmax_n_nm(n, m) == lo + 6 == lo + int(np.argmax(logs))
+
+
+def test_argmax_memory_is_bounded_by_one_block():
+    """The band of argmax_n_nm(10^6, 15,625,000,000) has 161,028 entries:
+    scanned at once it peaked at 8.1 MB under tracemalloc, in blocks of
+    _BLOCK entries below 3 MB."""
+    tracemalloc.start()
+    try:
+        ell = argmax_n_nm(10**6, 15_625_000_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ell == naive.argmax_n_nm_by_full_scan(10**6, 15_625_000_000, 1 / 64)
+    assert peak < 3e6
 
 
 def test_band_argmax_raises_what_the_full_scan_raises():

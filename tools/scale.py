@@ -35,11 +35,12 @@ so the same script times any checkout put on PYTHONPATH.
 
 Not part of the test suite: ell-8000 and tree-20 take tens of seconds,
 and lower M take minutes.  On a 2-core x86_64 host engine-16 (5,460
-constraints) takes 0.04-0.08 s and engine-20 (14,535) 0.11-0.17 s at
-92 MB, containers-20 0.03-0.05 s at 41 MB peak RSS, sampler-200
-0.03-0.04 s and sampler-2000 0.17-0.23 s; count-26 0.01 s at 35 MB and
-count-14 0.09-0.10 s at 38 MB, since one count builds only the F_7 layers
-its M reaches; tree-24 0.8-1.5 s at 40 MB, tree-22 3.2-5.7 s at 47 MB,
+constraints) takes 0.03-0.04 s at 43 MB and engine-20 (14,535)
+0.10-0.11 s at 55 MB, containers-20 0.03-0.05 s at 41 MB peak RSS,
+grid-1000000 0.01 s and grid-10000000 0.06-0.07 s, both at 36 MB,
+sampler-200 0.03-0.04 s and sampler-2000 0.17-0.23 s; count-26 0.01 s at
+35 MB and count-14 0.09-0.10 s at 38 MB, since one count builds only the
+F_7 layers its M reaches; tree-24 0.8-1.5 s at 40 MB, tree-22 3.2-5.7 s at 47 MB,
 tree-20 12-19 s at 68 MB and tree-16 94 s at 211 MB.
 """
 
