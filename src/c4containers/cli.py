@@ -302,7 +302,8 @@ def _cmd_containers(res: _Resolver) -> int:
     # bit u of a mask is vertex u: keep the masks with at most m ones, then
     # drop each one that violates a constraint, h = 0 on A0 and h = 1 on A1
     masks = np.flatnonzero(np.bitwise_count(np.arange(1 << v, dtype=np.uint32)) <= m)
-    for a0, a1 in h.constraint_masks():
+    for c, _ in h.constraints():
+        a0, a1 = sum(1 << u for u in c.a0), sum(1 << u for u in c.a1)
         masks = masks[(masks & a0 != 0) | (masks & a1 != a1)]
     # one process checks the hypothesis and runs every member; an empty
     # member set builds none, so it raises nothing

@@ -11,7 +11,9 @@ the answers into a reduced hypergraph G*, and discards constraints that meet
 a saturated (high-degree) vertex pair of G*.  YES vertices accumulate into
 the fingerprint; when G* comes out smaller than a fixed fraction of e(H) the
 round's NO vertices are frozen to 1-c and form the cylinder.  A round keeps
-its live constraints, incidences and multiplicities as Python-int bitmasks.
+its live constraints as a Python-int bitmask over a constraint index from
+``hypergraph``: round 0 reads H's ``round_index``, whose keys are H's stored
+constraints, and each later round indexes its G*.
 
 Degree caps for the saturation thresholds follow a two-parameter schedule:
 the base row is the degree table of H itself and each earlier index pair
@@ -41,10 +43,13 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
+from . import hypergraph
 from .errors import HypothesisError, PreconditionError
 from .hypergraph import (
     Assignment,
     Constraint,
+    Key,
+    RoundIndex,
     UniformHypergraph,
     check_container_hypothesis,
 )
@@ -64,9 +69,6 @@ __all__ = [
     "monotone_containers",
 ]
 
-Key = tuple[tuple[int, ...], tuple[int, ...]]
-# (c, keys, multiplicities, multiplicity classes, incidence masks): see _index_round
-RoundIndex = tuple[int, tuple[Key, ...], tuple[int, ...], tuple[tuple[int, int], ...], tuple[tuple[int, ...], ...]]
 # saturation_thresholds memo: (k0, k1, b, m, v, base row, i0, i1) -> thresholds
 _THRESHOLDS: dict[tuple, dict[tuple[int, int], int]] = {}
 _THRESHOLDS_SIZE = 4096
@@ -188,13 +190,6 @@ class DeltaSchedule:
         return dict(_THRESHOLDS[key])
 
 
-def _as_assignment(h, n: int) -> Assignment:
-    a = h if isinstance(h, Assignment) else Assignment.from_bits(h)
-    if a.n != n:
-        raise PreconditionError(f"assignment length {a.n} does not match ground set {n}")
-    return a
-
-
 # -- cylinders, fingerprints, full construction ------------------------------
 
 
@@ -242,49 +237,6 @@ def _below_beta(e: int, e_h: int, k0: int, k1: int, b: int, m: int, v: int, s: i
     return e * 2 ** (s * (k0 + k1 + 1)) * v ** min(k1, s) * m ** max(0, s - k1) < b**s * e_h
 
 
-def _index_round(edges: dict[Key, int], i1: int, n: int) -> RoundIndex:
-    """The index of a round on the (i0, i1)-uniform constraints ``edges``.
-
-    The round asks about side c = 1 while i1 > 0, else c = 0.  Constraint i
-    of ``edges`` (in its order) sets bit i of ``incidence[side][u]`` for each
-    vertex u on each side, and of the class (2^j, mask) of each set bit j of
-    its multiplicity.
-    """
-    keys = tuple(edges)
-    mults = tuple(edges.values())
-    inc0, inc1 = [0] * n, [0] * n
-    classes = [0] * max(mults).bit_length()
-    for i, ((a0, a1), mult) in enumerate(zip(keys, mults)):
-        bit = 1 << i
-        for u in a0:
-            inc0[u] |= bit
-        for u in a1:
-            inc1[u] |= bit
-        for j in range(mult.bit_length()):
-            if mult >> j & 1:
-                classes[j] |= bit
-    weighted = tuple((1 << j, mask) for j, mask in enumerate(classes) if mask)
-    return 1 if i1 > 0 else 0, keys, mults, weighted, (tuple(inc0), tuple(inc1))
-
-
-def _round0_index(h: UniformHypergraph) -> RoundIndex:
-    """H's own round index, kept in H's memo for every process on H."""
-    return h._derived(
-        "round_index", lambda: _index_round({c.key(): mult for c, mult in h.constraints()}, h.k1, h.n_vertices)
-    )
-
-
-def _violates_none(h: UniformHypergraph, bits: Sequence[int]) -> bool:
-    """True when ``bits`` violates no constraint of the non-empty H: the OR
-    of H's round-0 incidence masks inc0[u] over its ones and inc1[u] over its
-    zeros then holds every constraint's bit."""
-    _, keys, _, _, (inc0, inc1) = _round0_index(h)
-    held = 0
-    for u, bit in enumerate(bits):
-        held |= inc0[u] if bit else inc1[u]
-    return held == (1 << len(keys)) - 1
-
-
 def _bit_indices(mask: int) -> Iterator[int]:
     """The positions of the set bits of ``mask``, ascending."""
     digits = bin(mask)[:1:-1]
@@ -302,11 +254,11 @@ class ContainerProcess:
     whole execution state, which lets one prefix serve many assignments.
 
     Round s (counted from 0) numbers its constraints 0..E-1 in a round index
-    (``_index_round``) and asks about the c-side (c = 1 while the round's
-    hypergraph has a nonempty 1-side).  ``live`` is the only record of which
-    constraints are live, one bit each.  The index is never changed, so
-    clones share it, and round 0's is H's own, kept in H's memo for every
-    process on H.  A vertex's live c-side degree is a weighted popcount of
+    (``hypergraph._index_round``) and asks about the c-side (c = 1 while the
+    round's hypergraph has a nonempty 1-side).  ``live`` is the only record
+    of which constraints are live, one bit each.  The index is never
+    changed, so clones share it, and round 0's is H's own
+    ``round_index``.  A vertex's live c-side degree is a weighted popcount of
     its incidence mask and ``live``; ``active`` and ``cdeg`` are read-only
     views of the live constraints and degrees, built on access.  YES answers
     move the asked vertex's live constraints, with the vertex removed, into
@@ -353,7 +305,7 @@ class ContainerProcess:
         self.done = False
         self.cylinder: Optional[Cylinder] = None
         self._question: Optional[tuple[int, int]] = None
-        self._open_round(_round0_index(h), h.k0, h.k1)
+        self._open_round(h.round_index(), h.k0, h.k1)
 
     def _open_round(self, index: RoundIndex, i0: int, i1: int) -> None:
         """Start a round with every constraint of ``index`` live."""
@@ -469,7 +421,7 @@ class ContainerProcess:
                 "the driving assignment cannot lie in F(H)"
             )
         self.s += 1
-        self._open_round(_index_round(self.gstar, self.k_star[1], self.n), *self.k_star)
+        self._open_round(hypergraph._index_round(self.gstar, self.k_star[1], self.n), *self.k_star)
 
     def clone(self) -> "ContainerProcess":
         """An independent copy.  The report, schedule, thresholds and round
@@ -550,14 +502,16 @@ def build_container(
     """Fingerprint and cylinder for one assignment with at most m ones.
 
     Raises PreconditionError when the assignment has more than m ones, when
-    H is empty or when it violates a constraint (read from H's round-0
-    index), and HypothesisError (carrying the minimal feasible K) when the
+    H is empty or when the assignment is not in F(H) (``in_solution_set``),
+    and HypothesisError (carrying the minimal feasible K) when the
     degree condition fails and force is not set; in that order.
     """
-    a = _as_assignment(assignment, h.n_vertices)
+    a = assignment if isinstance(assignment, Assignment) else Assignment.from_bits(assignment)
+    if a.n != h.n_vertices:
+        raise PreconditionError(f"assignment length {a.n} does not match ground set {h.n_vertices}")
     if a.ones_count > m:
         raise PreconditionError(f"assignment has {a.ones_count} ones, above the budget m={m}")
-    if not h.is_empty() and not _violates_none(h, a.bits):
+    if not a.in_solution_set(h):
         raise PreconditionError("assignment violates a constraint of H")
     proc = ContainerProcess(h, k, b, m, r, force=force)
     return _drive(proc, lambda v, c: a.bits[v] == c)

@@ -27,10 +27,12 @@ and l1 <= k1,
 with v = v(H); check_container_hypothesis evaluates all of these in exact
 rational arithmetic and reports the minimal K that would pass.
 
-Each hypergraph keeps one private memo of what depends only on its
-constraint multiset: the degree table, the container engine's round-0 index
-(its constraints numbered, with an incidence bitmask per vertex and side),
-and the (A0, A1) bitmasks that membership tests read.  An entry is filled on
+A stored constraint is the pair (A0, A1) itself, the key the container
+engine's rounds use.  ``_index_round`` numbers a round's constraints with an
+incidence bitmask per vertex and side; ``round_index``, H's own index, is
+the engine's round 0 and what membership tests read.  Each hypergraph keeps
+one private memo, which no other module reads, of what depends only on its
+constraint multiset: the degree table and that index.  An entry is filled on
 first use, and ``add``, the only mutator, clears the memo, so nothing in it
 outlives a change to H; ``degree_table`` hands out a copy.
 
@@ -45,7 +47,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Any, Callable, Iterable, Iterator, Sequence
+from typing import Any, Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -63,9 +65,14 @@ __all__ = [
 _DEGREE_PASS_KEYS = 1 << 14
 
 
-@dataclass(frozen=True)
-class Constraint:
-    """One constraint (A0, A1), stored as sorted disjoint vertex tuples."""
+Key = tuple[tuple[int, ...], tuple[int, ...]]
+# (c, keys, multiplicities, multiplicity classes, incidence masks): see _index_round
+RoundIndex = tuple[int, tuple[Key, ...], tuple[int, ...], tuple[tuple[int, int], ...], tuple[tuple[int, ...], ...]]
+
+
+class Constraint(NamedTuple):
+    """One constraint (A0, A1), stored as sorted disjoint vertex tuples; it
+    equals and hashes as the plain pair (a0, a1), its key."""
 
     a0: tuple[int, ...]
     a1: tuple[int, ...]
@@ -79,7 +86,7 @@ class Constraint:
             raise ValueError("constraint sides must be disjoint")
         return Constraint(t0, t1)
 
-    def key(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    def key(self) -> Key:
         return (self.a0, self.a1)
 
 
@@ -152,13 +159,10 @@ class UniformHypergraph:
     def constraints(self) -> Iterator[tuple[Constraint, int]]:
         yield from self._edges.items()
 
-    def constraint_masks(self) -> list[tuple[int, int]]:
-        """One (A0, A1) bitmask pair per distinct constraint, bit u for vertex
-        u: the assignment with ones mask x violates it exactly when
-        x & A0 == 0 and x & A1 == A1.  Kept in H's memo."""
-        return self._derived(
-            "constraint_masks", lambda: [(sum(1 << u for u in c.a0), sum(1 << u for u in c.a1)) for c in self._edges]
-        )
+    def round_index(self) -> RoundIndex:
+        """H's constraint index (``_index_round``) in insertion order, kept in
+        H's memo for container round 0 and membership tests."""
+        return self._derived("round_index", lambda: _index_round(self._edges, self.k1, self.n_vertices))
 
     def multiplicity(self, c: Constraint) -> int:
         return self._edges.get(c, 0)
@@ -311,6 +315,31 @@ def _subtuple_plan(
     return shapes, plan, shape_ids, tuple(ends)
 
 
+def _index_round(edges: dict[Key, int], i1: int, n: int) -> RoundIndex:
+    """The index of a round on the (i0, i1)-uniform constraints ``edges``.
+
+    The round asks about side c = 1 while i1 > 0, else c = 0.  Constraint i
+    of ``edges`` (in its order) sets bit i of ``incidence[side][u]`` for each
+    vertex u on each side, and of the class (2^j, mask) of each set bit j of
+    its multiplicity.
+    """
+    keys = tuple(edges)
+    mults = tuple(edges.values())
+    inc0, inc1 = [0] * n, [0] * n
+    classes = [0] * max(mults).bit_length()
+    for i, ((a0, a1), mult) in enumerate(zip(keys, mults)):
+        bit = 1 << i
+        for u in a0:
+            inc0[u] |= bit
+        for u in a1:
+            inc1[u] |= bit
+        for j in range(mult.bit_length()):
+            if mult >> j & 1:
+                classes[j] |= bit
+    weighted = tuple((1 << j, mask) for j, mask in enumerate(classes) if mask)
+    return 1 if i1 > 0 else 0, keys, mults, weighted, (tuple(inc0), tuple(inc1))
+
+
 # -- assignments -----------------------------------------------------------
 
 
@@ -349,10 +378,18 @@ class Assignment:
         return all(self.bits[u] == 0 for u in c.a0) and all(self.bits[u] == 1 for u in c.a1)
 
     def in_solution_set(self, h: UniformHypergraph) -> bool:
-        """True when this assignment violates none of the constraints of h,
-        tested on h's constraint bitmasks."""
-        x = sum(1 << u for u, bit in enumerate(self.bits) if bit)
-        return all(x & a0 or x & a1 != a1 for a0, a1 in h.constraint_masks())
+        """True when this assignment violates no constraint of h: the OR of
+        h's incidence masks inc0[u] over its ones and inc1[u] over its zeros
+        holds every constraint's bit.  An empty h builds no index."""
+        if self.n != h.n_vertices:
+            raise ValueError(f"assignment length {self.n} does not match ground set {h.n_vertices}")
+        if h.is_empty():
+            return True
+        _, keys, _, _, (inc0, inc1) = h.round_index()
+        held = 0
+        for u, bit in enumerate(self.bits):
+            held |= inc0[u] if bit else inc1[u]
+        return held == (1 << len(keys)) - 1
 
 
 # -- container hypothesis ----------------------------------------------------

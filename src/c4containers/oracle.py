@@ -505,8 +505,10 @@ def sample_c4free_by_deletion(
     npairs = n * (n - 1) // 2
     if max_attempts < 1:
         raise PreconditionError(f"max_attempts must be at least 1, got {max_attempts}")
-    if not math.isfinite(delta):
-        raise PreconditionError(f"delta must be finite, got {delta}")
+    if n < 0:  # C(n, 2) is positive again at n = -1 and -2
+        raise PreconditionError(f"need n >= 0, got n={n}")
+    if not math.isfinite((1 + delta) * m):  # also an overflow of a finite delta
+        raise PreconditionError(f"(1+delta)m must be finite, got delta={delta}, m={m}")
     m_prime = int((1 + delta) * m)
     if not 0 < m <= m_prime <= npairs:
         raise PreconditionError(f"need 0 < m <= (1+delta)m <= C(n,2); got m={m}, m'={m_prime}")

@@ -226,6 +226,8 @@ def _log_of_int(x: int) -> float:
 
 
 def _check_regime(n: int, m: int, lam: float) -> None:
+    if not 0 < lam < math.inf:  # false for NaN
+        raise PreconditionError(f"lambda must lie in (0,inf), got {lam}")
     if m <= n:
         raise PreconditionError(f"fixed-point regime needs m > n, got n={n}, m={m}")
     if m > lam * n * n:

@@ -56,6 +56,7 @@ import numpy as np
 
 from .engine import ContainerProcess, Cylinder, Fingerprint, _drive_members
 from .errors import HypothesisError, PreconditionError, ScaleError
+from .graph6 import pair_index
 from .hypergraph import UniformHypergraph
 from .oracle import EXACT_COUNT_LIMIT, count_Fnm_c4, enumerate_fnm_masks
 from .pregraph import (
@@ -63,7 +64,6 @@ from .pregraph import (
     Pregraph,
     _concentrated_ell,
     _from_masks,
-    _ground,
     _permissible_target,
     build_permissible,
     close_to_clique_cost,
@@ -332,7 +332,8 @@ def _expand(node: TreeNode, members: np.ndarray, params: TreeParams, force: bool
     if not sel.selected:
         node.status, node.classification = "fallback_leaf", "selection_not_applicable"
         return
-    bits = np.array(_ground(p)[1], dtype=np.int64)  # the pair index of each ground pair
+    # the pair index of each ground pair, in the greedy's ground order
+    bits = np.array([pair_index(*e) for e in sel.permissible.system.ground], dtype=np.int64)
     try:
         proc = ContainerProcess(
             sel.hypergraph, params.K, params.b, params.m, params.r, force=force

@@ -66,3 +66,19 @@ def test_importing_the_cli_loads_no_scipy():
         check=True,
     )
     assert done.stdout == "[]\n"
+
+
+def test_only_hypergraph_touches_the_hypergraph_memo():
+    """H's memo belongs to ``hypergraph``: no other module of the package
+    calls ``_derived`` or reads ``_memo``."""
+    touches = []
+    for name in MODULES + ["__init__"]:
+        if name == "hypergraph":
+            continue
+        tree = ast.parse((PACKAGE_DIR / f"{name}.py").read_text())
+        touches += [
+            f"{name}.py:{node.lineno} {node.attr}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr in ("_derived", "_memo")
+        ]
+    assert touches == []

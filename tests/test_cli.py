@@ -751,10 +751,23 @@ def test_tree_parameter_that_is_not_finite_exit_3(capsys, command, flag, value):
         ("sampler", "--n", "5", "--m", "3", "--delta", "inf"),
         ("sampler", "--n", "5", "--m", "3", "--runs", "0"),
         ("sampler", "--n", "5", "--m", "3", "--max-attempts", "0"),
+        # C(n, 2) is positive at n = -1 and -2; (1+delta)m overflows to inf
+        ("sampler", "--n", "-1", "--m", "1", "--delta", "0"),
+        ("sampler", "--n", "-2", "--m", "2", "--delta", "0"),
+        ("sampler", "--n", "5", "--m", "2", "--delta", "1e308"),
     ],
 )
 def test_out_of_range_enumerate_and_sampler_exit_3(capsys, argv):
     code, out, err = run(capsys, *argv)
+    assert_precondition_exit(code, err)
+    assert out == ""
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
+def test_count_split_lambda_that_is_not_positive_and_finite_exit_3(capsys, value):
+    """m <= lambda*n^2 holds for lambda = inf and fails to fail for NaN, so
+    the grid path checks lambda itself."""
+    code, out, err = run(capsys, "count-split", "--n", "10", "--m", "20", "--lambda", value)
     assert_precondition_exit(code, err)
     assert out == ""
 

@@ -456,7 +456,7 @@ def test_build_and_replay_share_one_table_and_one_round_0_index(monkeypatch):
     bits = [int(sample.graph.has_edge(u, v)) for u, v in system.ground]
     h = system.h2
     tables, round_0 = [], []
-    plan, index_round = hypergraph._subtuple_plan, engine._index_round
+    plan, index_round = hypergraph._subtuple_plan, hypergraph._index_round
 
     def counting_plan(k0, k1):
         tables.append((k0, k1))
@@ -467,7 +467,7 @@ def test_build_and_replay_share_one_table_and_one_round_0_index(monkeypatch):
         return index_round(edges, i1, n)
 
     monkeypatch.setattr(hypergraph, "_subtuple_plan", counting_plan)
-    monkeypatch.setattr(engine, "_index_round", counting_index)
+    monkeypatch.setattr(hypergraph, "_index_round", counting_index)
     built = build_container(h, k, 2, 10, 1, bits)
     assert replay_container(h, k, 2, 10, 1, built.fingerprint) == built
     assert len(tables) == 1
@@ -801,11 +801,24 @@ def test_build_container_errors_keep_their_order():
         build_container(h, starved, 1, 3, 1, (1, 0, 0))
 
 
+def test_build_replay_and_membership_leave_two_memo_entries():
+    """Build, replay and ``in_solution_set`` on one H fill its memo with the
+    degree table and the round-0 index, and nothing else."""
+    h = build_constraint_hypergraphs(complete_pregraph(6)).h2
+    k = passing_parameters(h, 2, 4, 1)
+    a = members_up_to(h, 4)[5]
+    built = build_container(h, k, 2, 4, 1, a)
+    assert replay_container(h, k, 2, 4, 1, built.fingerprint) == built
+    assert a.in_solution_set(h)
+    assert sorted(h._memo) == ["degree_table", "round_index"]
+
+
 @pytest.mark.parametrize("k0,k1", [(0, 2), (1, 1), (1, 2), (2, 0), (2, 3)])
 def test_membership_from_the_round_0_index_matches_in_solution_set(k0, k1):
-    """build_container's membership test reads H's round-0 incidence masks;
-    it must agree with ``Assignment.in_solution_set`` on every assignment of
-    small random hypergraphs with multiplicities, also after ``add``."""
+    """``Assignment.in_solution_set``, which build_container calls, reads H's
+    round-0 incidence masks; it must agree with a constraint-by-constraint
+    ``violates`` scan on every assignment of small random hypergraphs with
+    multiplicities, also after ``add``."""
     rng = random.Random(10 * k0 + k1)
     outcomes = Counter()
     for _ in range(12):
@@ -817,8 +830,9 @@ def test_membership_from_the_round_0_index_matches_in_solution_set(k0, k1):
                 h.add(Constraint.make(picked[:k0], picked[k0:]), rng.randint(1, 3))
             for mask in range(1 << n):
                 bits = [mask >> u & 1 for u in range(n)]
-                want = Assignment.from_bits(bits).in_solution_set(h)
-                assert engine._violates_none(h, bits) == want
+                a = Assignment.from_bits(bits)
+                want = not any(a.violates(c) for c, _ in h.constraints())
+                assert a.in_solution_set(h) == want
                 outcomes[want] += 1
     assert outcomes[True] and outcomes[False]
 

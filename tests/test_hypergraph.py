@@ -38,6 +38,21 @@ def test_constraint_normalization():
     assert c.key() == ((1, 3), (0, 2))
 
 
+def test_constraint_equals_and_hashes_as_its_pair():
+    """A stored constraint is the engine's key: the plain (a0, a1) tuple
+    finds it in H's counter, and the round-0 index holds H's own objects."""
+    c = Constraint.make((4,), (0, 2))
+    pair = ((4,), (0, 2))
+    assert c == pair and pair == c and hash(c) == hash(pair)
+    assert c.key() == pair and tuple(c) == pair
+    assert {c: 1} == {pair: 1}
+    assert c != ((4,), (0, 3))
+    h = UniformHypergraph(1, 2, 5, [((4,), (2, 0), 3)])
+    assert h.multiplicity(pair) == 3
+    [stored] = h.round_index()[1]
+    assert stored == pair and stored is next(iter(h._edges))
+
+
 def test_constraint_rejects_overlap_and_repeats():
     with pytest.raises(ValueError):
         Constraint.make((1, 2), (2, 3))
@@ -310,7 +325,7 @@ def test_solution_set_membership():
 
 @pytest.mark.parametrize("k0,k1", [(0, 2), (1, 2), (2, 4)])
 def test_membership_by_masks_matches_violates(k0, k1):
-    """in_solution_set reads H's memoized (A0, A1) bitmasks; it must agree
+    """in_solution_set reads H's memoized incidence masks; it must agree
     with a constraint-by-constraint ``violates`` scan on random assignments,
     also after ``add`` gives H a constraint that some assignment violates."""
     rng = random.Random(100 * k0 + k1)
@@ -331,6 +346,14 @@ def test_membership_by_masks_matches_violates(k0, k1):
                 h.add(Constraint.make(rng.sample(zeros, k0), rng.sample(ones, k1)))
                 assert not assignments[0].in_solution_set(h)
     assert outcomes == {True, False}
+
+
+def test_membership_needs_an_assignment_of_the_ground_set_size():
+    h = UniformHypergraph(1, 1, 3, [((0,), (1,))])
+    for bits in [(1, 1), (1, 1, 0, 0)]:
+        with pytest.raises(ValueError, match="does not match ground set"):
+            Assignment.from_bits(bits).in_solution_set(h)
+    assert Assignment.from_bits((0, 1)).in_solution_set(UniformHypergraph(0, 1, 2)) is True
 
 
 def test_hypothesis_check_hand_example():
