@@ -33,8 +33,9 @@ incidence bitmask per vertex and side; ``round_index``, H's own index, is
 the engine's round 0 and what membership tests read.  Each hypergraph keeps
 one private memo, which no other module reads, of what depends only on its
 constraint multiset: the degree table and that index.  An entry is filled on
-first use, and ``add``, the only mutator, clears the memo, so nothing in it
-outlives a change to H; ``degree_table`` hands out a copy.
+first use, and ``add`` and ``add_rows``, its bulk form and the only other
+mutator, clear the memo, so nothing in it outlives a change to H;
+``degree_table`` hands out a copy.
 
 Serialization is a line-oriented text format: a header line "k0 k1 n"
 followed by one constraint per line, "mult | a0 vertices | a1 vertices".
@@ -43,6 +44,7 @@ followed by one constraint per line, "mult | a0 vertices | a1 vertices".
 from __future__ import annotations
 
 import itertools
+import operator
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -124,8 +126,8 @@ class UniformHypergraph:
             self.add(Constraint.make(a0, a1), mult)
 
     def add(self, c: Constraint, mult: int = 1) -> None:
-        if mult <= 0:
-            raise ValueError("multiplicity must be positive")
+        """Add c with multiplicity mult, a positive integer stored as a Python int."""
+        mult = _multiplicity(mult)
         if len(c.a0) != self.k0 or len(c.a1) != self.k1:
             raise ValueError(
                 f"constraint sizes {(len(c.a0), len(c.a1))} do not match uniformity {(self.k0, self.k1)}"
@@ -134,6 +136,35 @@ class UniformHypergraph:
             if not 0 <= u < self.n_vertices:
                 raise ValueError(f"vertex {u} outside ground set of size {self.n_vertices}")
         self._edges[c] += mult
+        self._memo.clear()
+
+    def add_rows(self, a0: np.ndarray, a1: np.ndarray, mults: Iterable[int] | None = None) -> None:
+        """Add the constraint (a0[r], a1[r]) of each row r of two integer
+        arrays, with multiplicity mults[r] (1 when mults is None), in row
+        order: ``add`` row by row, with the sizes and the vertex range
+        checked once for the whole batch.  Like the sides of a Constraint,
+        each row side must be sorted and the two sides disjoint.  Every
+        stored vertex and multiplicity is a Python int.
+        """
+        a0, a1 = np.asarray(a0), np.asarray(a1)
+        if a0.dtype.kind not in "iu" or a1.dtype.kind not in "iu":
+            raise ValueError("constraint rows must hold integers")
+        if a0.shape[1:] != (self.k0,) or a1.shape[1:] != (self.k1,) or len(a0) != len(a1):
+            raise ValueError(
+                f"constraint rows of shapes {a0.shape} and {a1.shape} do not match uniformity {(self.k0, self.k1)}"
+            )
+        for a in (a0, a1):
+            if a.size and (a.min() < 0 or a.max() >= self.n_vertices):
+                raise ValueError(f"vertex outside ground set of size {self.n_vertices}")
+        mults = [1] * len(a0) if mults is None else [_multiplicity(mult) for mult in mults]
+        if len(mults) != len(a0):
+            raise ValueError(f"{len(mults)} multiplicities for {len(a0)} constraints")
+        # one Python int per vertex, shared by every constraint of the batch
+        names = np.arange(self.n_vertices, dtype=object)
+        sides = [_row_tuples(names[a], len(a)) for a in (a0, a1)]
+        edges = self._edges
+        for c, mult in zip(map(Constraint, *sides), mults):
+            edges[c] = edges.get(c, 0) + mult
         self._memo.clear()
 
     def _derived(self, name: str, build: Callable[[], Any]) -> Any:
@@ -183,7 +214,8 @@ class UniformHypergraph:
         """Delta_{(l0,l1)} for every (l0, l1) != (0, 0) with l0 <= k0, l1 <= k1.
 
         Computed once per constraint multiset: the first call fills H's memo,
-        ``add`` clears it, and every call returns a fresh copy of the table.
+        ``add`` or ``add_rows`` clears it, and every call returns a fresh copy
+        of the table.
         """
         return dict(self._derived("degree_table", self._degree_table))
 
@@ -284,6 +316,22 @@ class UniformHypergraph:
             a1 = tuple(map(int, parts[2].split()))
             h.add(Constraint.make(a0, a1), mult)
         return h
+
+
+def _multiplicity(mult: int) -> int:
+    """mult as a Python int, which must be a positive integer."""
+    try:
+        mult = operator.index(mult)
+    except TypeError:
+        raise ValueError(f"multiplicity must be an integer, got {mult!r}") from None
+    if mult <= 0:
+        raise ValueError("multiplicity must be positive")
+    return mult
+
+
+def _row_tuples(rows: np.ndarray, count: int) -> Iterator[tuple[int, ...]]:
+    """The rows of a (count, k) object array, each as a tuple."""
+    return zip(*rows.T.tolist()) if rows.shape[1] else itertools.repeat((), count)
 
 
 @lru_cache(maxsize=None)

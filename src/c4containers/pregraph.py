@@ -13,6 +13,15 @@ yields one constraint of the (i, 4)-uniform hypergraph H_i: the copy is
 "alive" in a completion exactly when the four cycle edges are all present
 and the diagonals all absent, which is the induced-C4 event.
 
+Two routes meet the good copies, in one order.  ``good_c4_enumerate`` and
+``build_constraint_hypergraphs`` need all of them: one numpy pass over the
+C(n, 4) quads, in bounded blocks, reads each quad's six pairs in the
+unpacked bits of E, M and M|N and maps them to ground positions, and each
+block goes into H_0, H_1, H_2 through ``UniformHypergraph.add_rows``.  The
+permissible greedy usually stops after a few copies, so it reads a lazy
+cursor instead, which yields one copy at a time as cycle and diagonal pair
+masks and ground positions.
+
 The greedy builder assembles permissible subhypergraphs one constraint at a
 time, with the degree caps l^2, floor(l^3/n) and l of the (1,0), (0,1) and
 (0,2) patterns from ``_saturation_caps``.  It neutralizes saturated single
@@ -173,6 +182,12 @@ def _ground(p: Pregraph) -> tuple[tuple[Pair, ...], list[int]]:
 # the two diagonals of each 4-cycle on a sorted quad a < b < c < d, as
 # positions in its pair list (ab, ac, ad, bc, bd, cd): ab+cd, ac+bd, ad+bc
 _DIAGONAL_SPLITS = ((0, 5), (1, 4), (2, 3))
+# the four cycle edges of each split, as positions in the same list
+_SPLIT_CYCLES = tuple(tuple(k for k in range(6) if k not in split) for split in _DIAGONAL_SPLITS)
+# Quads per block of the numpy pass.  On K_30 (27,405 quads) blocks of 2^10
+# quads left the build's tracemalloc peak 0.7 MB above what it keeps, and
+# blocks of 2^12 2.5 MB, at equal time (0.18-0.19 s).
+_QUAD_BLOCK = 1 << 10
 
 
 @dataclass(frozen=True)
@@ -190,30 +205,75 @@ class GoodC4:
         return tuple(sorted({v for e in self.cycle_edges for v in e}))
 
 
-def _good_c4_stream(p: Pregraph) -> Iterator[tuple[GoodC4, int, int]]:
-    """The good copies of C4 one at a time, in good_c4_enumerate's order, each
-    with the pair masks of its cycle and of its counted diagonals."""
-    undecided = p.M | p.N
-    for quad in itertools.combinations(range(p.n), 4):
-        pairs = tuple(itertools.combinations(quad, 2))  # sorted pairs, in sorted order
-        bits = [1 << pair_index(u, v) for u, v in pairs]
-        span = sum(bits)
-        if span & p.E:
-            continue
-        for i, j in _DIAGONAL_SPLITS:
-            cycle = span ^ bits[i] ^ bits[j]
-            if cycle & p.M != cycle:
-                continue
-            extra = [k for k in (i, j) if bits[k] & undecided]
-            copy = GoodC4(tuple(e for k, e in enumerate(pairs) if k != i and k != j),
-                          tuple(pairs[k] for k in extra))
-            yield copy, cycle, sum(bits[k] for k in extra)
+def _mask_bits(mask: int, size: int) -> np.ndarray:
+    """Bits 0..size-1 of the pair mask as a bool array."""
+    raw = np.frombuffer(mask.to_bytes((size + 7) // 8, "little"), dtype=np.uint8)
+    return np.unpackbits(raw, bitorder="little")[:size].astype(bool)
+
+
+def _good_c4_blocks(p: Pregraph, bits: Sequence[int]) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """The good copies of C4 in good_c4_enumerate's order, one block of at
+    most 3 * _QUAD_BLOCK copies at a time, given the pair index bits[k] of
+    each ground position k: the ground positions of each copy's four cycle
+    edges (ascending) and of its two diagonals (ascending; -1 for a pair
+    outside the ground), and whether each diagonal lies in M or N."""
+    size = math.comb(p.n, 2)
+    fixed, mixed, undecided = (_mask_bits(mask, size) for mask in (p.E, p.M, p.M | p.N))
+    position = np.full(size, -1, dtype=np.int64)
+    position[np.array(bits, dtype=np.int64)] = np.arange(len(bits))
+    quads = itertools.combinations(range(p.n), 4)
+    while (quad := np.fromiter(itertools.chain.from_iterable(itertools.islice(quads, _QUAD_BLOCK)),
+                               dtype=np.int64).reshape(-1, 4)).size:
+        a, b, c, d = quad.T
+        # pair index of (u, v), u < v, is C(v, 2) + u; columns ab, ac, ad, bc, bd, cd
+        b2, c2, d2 = b * (b - 1) // 2, c * (c - 1) // 2, d * (d - 1) // 2
+        pairs = np.stack([b2 + a, c2 + a, d2 + a, c2 + b, d2 + b, d2 + c], axis=1)
+        pairs = pairs[~fixed[pairs].any(axis=1)]
+        cycles = pairs[:, _SPLIT_CYCLES]
+        good = mixed[cycles].all(axis=2)
+        diagonals = pairs[:, _DIAGONAL_SPLITS][good]
+        yield position[cycles[good]], position[diagonals], undecided[diagonals]
 
 
 def good_c4_enumerate(p: Pregraph) -> list[GoodC4]:
     """All good copies of C4, one per embedding, in a fixed lexicographic
     order (by vertex 4-tuple, then by the diagonal split chosen)."""
-    return [copy for copy, _, _ in _good_c4_stream(p)]
+    ground, bits = _ground(p)
+    copies = []
+    for cycles, diagonals, counted in _good_c4_blocks(p, bits):
+        for cycle, pair, extra in zip(cycles.tolist(), diagonals.tolist(), counted.tolist()):
+            copies.append(GoodC4(tuple(ground[k] for k in cycle),
+                                 tuple(ground[k] for k, x in zip(pair, extra) if x)))
+    return copies
+
+
+def _good_c4_stream(p: Pregraph, bits: Sequence[int]) -> Iterator[tuple[int, int, tuple[int, ...], tuple[int, ...]]]:
+    """The good copies of C4 one at a time, in good_c4_enumerate's order,
+    given the pair index bits[k] of each ground position k: the pair masks
+    of each copy's cycle and of its counted diagonals, then its constraint's
+    sides A0 and A1 as ground positions.  A quad whose ab, ac or bc pair is
+    fixed is skipped before any d is tried."""
+    position = dict(zip(bits, range(len(bits))))
+    fixed, mixed, undecided = p.E, p.M, p.M | p.N
+    for a, b, c in itertools.combinations(range(p.n), 3):
+        # pair index of (u, v), u < v, is C(v, 2) + u
+        ab, ac, bc = b * (b - 1) // 2 + a, c * (c - 1) // 2 + a, c * (c - 1) // 2 + b
+        if (1 << ab | 1 << ac | 1 << bc) & fixed:
+            continue
+        for d in range(c + 1, p.n):
+            d2 = d * (d - 1) // 2
+            pairs = (ab, ac, d2 + a, bc, d2 + b, d2 + c)
+            masks = [1 << k for k in pairs]
+            span = sum(masks)
+            if span & fixed:
+                continue
+            for (i, j), cycle_at in zip(_DIAGONAL_SPLITS, _SPLIT_CYCLES):
+                cycle = span ^ masks[i] ^ masks[j]
+                if cycle & mixed != cycle:
+                    continue
+                extra = [k for k in (i, j) if masks[k] & undecided]
+                yield (cycle, sum(masks[k] for k in extra), tuple(position[pairs[k]] for k in extra),
+                       tuple(position[pairs[k]] for k in cycle_at))
 
 
 @dataclass(frozen=True)
@@ -230,21 +290,19 @@ class ConstraintSystem:
         return iter((self.h0, self.h1, self.h2))
 
 
-def _encode_copy(copy: GoodC4, index: dict[Pair, int]) -> Constraint:
-    return Constraint.make(
-        (index[e] for e in copy.extra_mixed), (index[e] for e in copy.cycle_edges)
-    )
-
-
 def build_constraint_hypergraphs(p: Pregraph) -> ConstraintSystem:
     """H_i collects the good copies with exactly i extra induced mixed edges,
-    streamed one at a time in good_c4_enumerate's order; the ground set is
-    all of M and N, so v(H_i) = e(M) + |N|."""
-    ground = _ground(p)[0]
-    index = {e: k for k, e in enumerate(ground)}
+    added in good_c4_enumerate's order, one block of the numpy pass at a
+    time; the ground set is all of M and N, so v(H_i) = e(M) + |N|."""
+    ground, bits = _ground(p)
     hs = [UniformHypergraph(i, 4, len(ground)) for i in range(3)]
-    for copy, _, _ in _good_c4_stream(p):
-        hs[copy.i].add(_encode_copy(copy, index))
+    for cycles, diagonals, counted in _good_c4_blocks(p, bits):
+        i = counted.sum(axis=1)
+        # uncounted diagonals sort first as -1, so a copy's last i columns are A0
+        a0 = np.sort(np.where(counted, diagonals, -1), axis=1)
+        for k, h in enumerate(hs):
+            rows = i == k
+            h.add_rows(a0[rows, 2 - k:], cycles[rows])
     return ConstraintSystem(ground, *hs)
 
 
@@ -354,7 +412,6 @@ def build_permissible(p: Pregraph, ell: int, beta: float) -> PermissibleResult:
     if beta <= 0:
         raise PreconditionError(f"target density beta must be positive, got {beta}")
     ground, bits = _ground(p)
-    index = {e: k for k, e in enumerate(ground)}
     hs = [UniformHypergraph(i, 4, len(ground)) for i in range(3)]
     # incremental degree state, equivalent to querying the growing h_i
     deg10 = [Counter(), Counter(), Counter()]  # A-side singletons (only i = 1, 2 used)
@@ -366,23 +423,21 @@ def build_permissible(p: Pregraph, ell: int, beta: float) -> PermissibleResult:
     target = _permissible_target(beta, ell)
     insertions = 0
 
-    copies = _good_c4_stream(p)  # one cursor for the whole run
+    copies = _good_c4_stream(p, bits)  # one cursor for the whole run
     while not any(h.e() >= target for h in hs):
-        found = None
-        for copy, cycle, extra in copies:
+        c = None
+        for cycle, extra, a0, a1 in copies:
             if cycle & moved or extra & to_fixed:
                 continue
-            c = _encode_copy(copy, index)
-            if any(t in blocked for t in itertools.combinations(c.a1, 2)):
-                continue
-            found = (copy.i, c)
-            break
-        if found is None:
+            if not any(t in blocked for t in itertools.combinations(a1, 2)):
+                c = Constraint(a0, a1)
+                break
+        if c is None:
             return PermissibleResult(
                 "exhausted", None, None, ConstraintSystem(ground, *hs),
                 _moved_pregraph(p, moved, to_fixed), insertions,
             )
-        i, c = found
+        i = len(c.a0)
         hs[i].add(c)
         insertions += 1
         deg10[i].update(c.a0)

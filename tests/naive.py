@@ -32,7 +32,7 @@ from c4containers import (
 )
 from c4containers.engine import ContainerResult, Cylinder, Fingerprint
 from c4containers.oracle import DeletionSample
-from c4containers.pregraph import ConstraintSystem, PermissibleResult
+from c4containers.pregraph import ConstraintSystem, GoodC4, PermissibleResult
 from c4containers.splitcounts import _log_factorial
 
 
@@ -259,6 +259,39 @@ def good_c4_copies_in_order(p):
             cycle = [e for e in pairs if e not in diagonals]
             if all(e in p.mixed for e in cycle):
                 yield cycle, [e for e in diagonals if e in undecided]
+
+
+def good_c4_stream(p):
+    """The good copies of C4 of a Pregraph on pair masks, one GoodC4 at a
+    time: quads in lexicographic order and, within one, the diagonal pairs
+    ab+cd, ac+bd, ad+bc in that order, with each quad's six pair bits
+    rebuilt from its pair indices."""
+    undecided = p.M | p.N
+    for quad in itertools.combinations(range(p.n), 4):
+        pairs = tuple(itertools.combinations(quad, 2))  # sorted pairs, in sorted order
+        bits = [1 << _pair_index(u, v) for u, v in pairs]
+        span = sum(bits)
+        if span & p.E:
+            continue
+        for i, j in ((0, 5), (1, 4), (2, 3)):
+            cycle = span ^ bits[i] ^ bits[j]
+            if cycle & p.M != cycle:
+                continue
+            yield GoodC4(tuple(e for k, e in enumerate(pairs) if k != i and k != j),
+                         tuple(pairs[k] for k in (i, j) if bits[k] & undecided))
+
+
+def build_constraint_hypergraphs_by_stream(p):
+    """H_0, H_1, H_2 of a Pregraph on pair masks, one validated add per copy
+    of good_c4_stream, encoded by Constraint.make over the sorted ground of
+    the mixed and neutral pairs.  Returns a ConstraintSystem."""
+    ground = tuple(sorted(p.mixed | p.neutral))
+    index = {e: k for k, e in enumerate(ground)}
+    hs = [UniformHypergraph(i, 4, len(ground)) for i in range(3)]
+    for copy in good_c4_stream(p):
+        hs[copy.i].add(Constraint.make((index[e] for e in copy.extra_mixed),
+                                       (index[e] for e in copy.cycle_edges)))
+    return ConstraintSystem(ground, *hs)
 
 
 def build_permissible_by_rescan(p, ell, beta):

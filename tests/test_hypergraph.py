@@ -16,6 +16,7 @@ from c4containers import (
     Constraint,
     UniformHypergraph,
     build_constraint_hypergraphs,
+    build_container,
     check_container_hypothesis,
     complete_pregraph,
 )
@@ -85,6 +86,85 @@ def test_multiplicity_counted():
     assert h.support_size() == 1
     assert h.multiplicity(c) == 3
     assert h.multiplicity(Constraint.make((), (2, 3))) == 0
+
+
+def test_multiplicities_are_stored_as_python_ints():
+    """A numpy integer multiplicity is stored as a Python int, so the round
+    index's bit_length and the engine work on it; a non-integer one is
+    refused before it can reach e(H) or the degree table."""
+    c, d = Constraint.make((), (0, 1)), Constraint.make((), (1, 2))
+    h = UniformHypergraph(0, 2, 4, [((), (1, 2))])
+    h.add(c, np.int64(3))
+    assert h.multiplicity(c) == 3 and type(h.multiplicity(c)) is int
+    assert type(h.e()) is int
+    want = UniformHypergraph(0, 2, 4, [((), (1, 2)), ((), (0, 1), 3)])
+    k = check_container_hypothesis(want, 1, 1, 2, 1).min_k
+    got = build_container(h, k, 1, 2, 1, (1, 0, 0, 1))
+    assert got == build_container(want, k, 1, 2, 1, (1, 0, 0, 1))
+    for bad in (1.5, 3.0, "3", Fraction(3, 2)):
+        with pytest.raises(ValueError):
+            h.add(d, bad)
+        with pytest.raises(ValueError):
+            h.add_rows(np.zeros((1, 0), dtype=np.int64), np.array([[1, 2]]), [bad])
+    assert h.multiplicity(d) == 1 and h.e() == 4
+    h.add_rows(np.zeros((1, 0), dtype=np.int64), np.array([[1, 2]]), [np.int64(2)])
+    assert h.multiplicity(d) == 3 and type(h.multiplicity(d)) is int
+    assert check_container_hypothesis(h, 1, 1, 2, 1).entries[(0, 1)][0] == 6
+
+
+@pytest.mark.parametrize("k0,k1", [(0, 4), (1, 4), (2, 4), (1, 2), (3, 0), (0, 1)])
+def test_add_rows_matches_add_one_constraint_at_a_time(k0, k1):
+    """add_rows, in two batches, stores what add(Constraint.make(...)) row
+    by row stores, in the same order, from rows with repeats and with or
+    without multiplicities; every stored vertex and multiplicity is a
+    Python int."""
+    rng = random.Random(k0 * 10 + k1)
+    n = 9
+    for count in (0, 1, 7, 40):
+        picked = [rng.sample(range(n), k0 + k1) for _ in range(count)]
+        rows = [sorted(row[:k0]) + sorted(row[k0:]) for row in picked]
+        rows += rows[: count // 3]
+        block = np.array(rows, dtype=np.int64).reshape(len(rows), k0 + k1)
+        for mults in (None, [rng.randint(1, 4) for _ in rows]):
+            want, got = UniformHypergraph(k0, k1, n), UniformHypergraph(k0, k1, n)
+            for k, row in enumerate(rows):
+                want.add(Constraint.make(row[:k0], row[k0:]), 1 if mults is None else mults[k])
+            for part in (slice(0, count // 2), slice(count // 2, None)):
+                got.add_rows(block[part, :k0], block[part, k0:],
+                             None if mults is None else np.array(mults[part], dtype=np.int64))
+            assert list(got.constraints()) == list(want.constraints())
+            for c, mult in got.constraints():
+                assert all(type(v) is int for v in c.a0 + c.a1) and type(mult) is int
+
+
+def test_add_rows_shares_one_int_per_vertex():
+    """A batch stores one int object per vertex, however many constraints
+    hold it.  Built from one int per stored vertex instead, the H_0, H_1,
+    H_2 of K_30 kept 23.7 MB under tracemalloc, against 17.7 MB."""
+    h = UniformHypergraph(1, 2, 1000)
+    h.add_rows(np.array([[700], [800]]), np.array([[800, 900], [700, 900]]))
+    (c, _), (d, _) = h.constraints()
+    assert c.a0[0] is d.a1[0] and d.a0[0] is c.a1[0] and c.a1[1] is d.a1[1]
+
+
+def test_add_rows_refuses_what_add_refuses():
+    h = UniformHypergraph(1, 2, 5, [((0,), (1, 2))])
+    bad = [
+        (np.array([[0]]), np.array([[1]])),  # sizes
+        (np.array([[0], [1]]), np.array([[1, 2]])),  # row counts
+        (np.array([[0]]), np.array([[1, 5]])),  # vertex range
+        (np.array([[-1]]), np.array([[1, 2]])),
+        (np.array([[0.0]]), np.array([[1.0, 2.0]])),  # not integers
+        (np.array([0]), np.array([1, 2])),  # not rows
+    ]
+    for a0, a1 in bad:
+        with pytest.raises(ValueError):
+            h.add_rows(a0, a1)
+    with pytest.raises(ValueError):
+        h.add_rows(np.array([[0]]), np.array([[1, 3]]), [1, 1])
+    with pytest.raises(ValueError):
+        h.add_rows(np.array([[0]]), np.array([[1, 3]]), [0])
+    assert list(h.constraints()) == [(((0,), (1, 2)), 1)]
 
 
 def test_text_round_trip():

@@ -5,6 +5,7 @@ import itertools
 import json
 import math
 import random
+import tracemalloc
 import warnings
 from collections import Counter
 from dataclasses import asdict
@@ -32,6 +33,8 @@ from c4containers import (
     preprocess_saturation,
     random_order_independent_set,
 )
+from c4containers import pregraph
+from c4containers.graph6 import pair_index
 from c4containers.hypergraph import UniformHypergraph
 from c4containers.pregraph import (
     EXACT_SUBSET_LIMIT,
@@ -131,6 +134,67 @@ def test_constraint_system_inserts_the_good_copies_in_list_order():
             )
         for h, constraints in zip(system, want):
             assert [(c, mult) for c, mult in h.constraints()] == [(c, 1) for c in constraints]
+
+
+def stream_build_pregraphs(n, rng):
+    """Pregraphs on n vertices: complete, all fixed, all neutral, and four
+    seeded mixes of M, E, N and pairs in none of them."""
+    pairs = list(itertools.combinations(range(n), 2))
+    out = [complete_pregraph(n), Pregraph(n, (), pairs), Pregraph(n, (), (), pairs)]
+    for weights in ((8, 1, 1, 1), (6, 0, 3, 1), (4, 2, 1, 2), (1, 1, 1, 1)):
+        tags = rng.choices("MEN.", weights, k=len(pairs))
+        out.append(Pregraph(n, *([e for e, t in zip(pairs, tags) if t == tag] for tag in "MEN")))
+    return out
+
+
+@pytest.mark.parametrize("block", [None, 7])
+def test_numpy_pass_matches_the_stream_build(monkeypatch, block):
+    """The blocked numpy pass against the copy-at-a-time stream build of
+    naive.build_constraint_hypergraphs_by_stream, n = 0..16: the same
+    ground, the same (constraint, multiplicity) items of each H_i in the
+    same insertion order, every stored vertex and multiplicity a Python
+    int, and the same good_c4_enumerate list.  The greedy's cursor, read
+    unfiltered, meets the copies in the list's order with their masks and
+    ground positions.  7-quad blocks put block ends inside the quads of
+    every n from 6 on."""
+    if block is not None:
+        monkeypatch.setattr(pregraph, "_QUAD_BLOCK", block)
+    rng = random.Random(27)
+    for n in range(17 if block is None else 11):
+        for p in stream_build_pregraphs(n, rng):
+            system = build_constraint_hypergraphs(p)
+            want = naive.build_constraint_hypergraphs_by_stream(p)
+            assert system.ground == want.ground
+            for h, h_want in zip(system, want):
+                items = list(h.constraints())
+                assert items == list(h_want.constraints())
+                for c, mult in items:
+                    assert type(mult) is int and all(type(v) is int for v in c.a0 + c.a1)
+            copies = good_c4_enumerate(p)
+            assert copies == list(naive.good_c4_stream(p))
+            index = {e: k for k, e in enumerate(system.ground)}
+            bits = [pair_index(*e) for e in system.ground]
+            assert list(pregraph._good_c4_stream(p, bits)) == [
+                (sum(1 << pair_index(*e) for e in copy.cycle_edges),
+                 sum(1 << pair_index(*e) for e in copy.extra_mixed),
+                 tuple(index[e] for e in copy.extra_mixed),
+                 tuple(index[e] for e in copy.cycle_edges))
+                for copy in copies
+            ]
+
+
+def test_permissible_cursor_stops_without_materialising_the_copies():
+    """K_200 has 64.7 million quads; the greedy meets beta*l^4 = 0.5 at its
+    first insertion, and its cursor holds no copy it has not reached."""
+    p = complete_pregraph(200)
+    tracemalloc.start()
+    try:
+        result = build_permissible(p, 1, 0.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.succeeded and result.insertions == 1
+    assert peak < 10 * 2**20
 
 
 def realized_good_copy(p, chosen):

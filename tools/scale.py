@@ -17,6 +17,9 @@ JOB is one of
            at seed 0 (delta = 0.1);
   sampler-N  `sampler --n N --m 2N --runs 20 --max-attempts 10 --seed 0`,
            the benchmark's sampler row at N = 200;
+  hypergraphs-N  `build_constraint_hypergraphs(complete_pregraph(N))`, whose
+           output is every (constraint, multiplicity) item of H_0, H_1 and
+           H_2, each in insertion order;
   containers-N  `containers --input h.txt --K K --b 2 --m N//4 --r 1` in a
            temporary directory, on a (1,2)-uniform H with N vertices and 2N
            distinct constraints drawn with `random.Random(N)`, and K the
@@ -26,21 +29,26 @@ Each job runs in its own child interpreter, so each peak RSS belongs to
 one job.  The child calls ``c4containers.cli.main`` in-process and times
 that call alone, which leaves out the interpreter start, the package
 import, the argmax that picks L and the writing of h.txt; engine-N times
-the build and the replay alone, after H_2, K and the member are made.
+the build and the replay alone, after H_2, K and the member are made, and
+hypergraphs-N the build alone, after the pregraph is made.
 One JSON line per job: job, argv, seconds, peak RSS in MB and the sha256
 of the job's stdout followed, for tree-M, by the node table, the summary
 and the manifest; for engine-N the output is one "s0 s1 cylinder" line
-for the build and one for the replay.  Only public functions are called,
-so the same script times any checkout put on PYTHONPATH.
+for the build and one for the replay, and for hypergraphs-N one
+"i mult | a0 vertices | a1 vertices" line per item of H_i.  Only public
+functions are called, so the same script times any checkout put on
+PYTHONPATH.
 
 Not part of the test suite: ell-8000 and tree-20 take tens of seconds,
 and lower M take minutes.  On a 2-core x86_64 host engine-16 (5,460
 constraints) takes 0.03-0.04 s at 43 MB and engine-20 (14,535)
 0.10-0.11 s at 55 MB, containers-20 0.03-0.05 s at 41 MB peak RSS,
 grid-1000000 0.01 s and grid-10000000 0.06-0.07 s, both at 36 MB,
-sampler-200 0.03-0.04 s and sampler-2000 0.17-0.23 s; count-26 0.01 s at
-35 MB and count-14 0.09-0.10 s at 38 MB, since one count builds only the
-F_7 layers its M reaches; tree-24 0.8-1.5 s at 40 MB, tree-22 3.2-5.7 s at 47 MB,
+sampler-200 0.03-0.04 s and sampler-2000 0.17-0.23 s; hypergraphs-16
+(5,460 constraints in H_2) 0.01 s at 37 MB, hypergraphs-20 0.02-0.04 s at
+41 MB and hypergraphs-30 (82,215 in H_2) 0.18-0.21 s at 64 MB; count-26
+0.01 s at 35 MB and count-14 0.09-0.10 s at 38 MB, since one count builds
+only the F_7 layers its M reaches; tree-24 0.8-1.5 s at 40 MB, tree-22 3.2-5.7 s at 47 MB,
 tree-20 12-19 s at 68 MB and tree-16 94 s at 211 MB.
 """
 
@@ -125,9 +133,22 @@ def engine(n: int) -> tuple[str, str, float]:
     return f"build_container+replay_container H_2(K_{n}) m={m} K={k}", out, seconds
 
 
+def hypergraphs(n: int) -> tuple[str, str, float]:
+    from c4containers import build_constraint_hypergraphs, complete_pregraph
+
+    p = complete_pregraph(n)
+    start = time.perf_counter()
+    system = build_constraint_hypergraphs(p)
+    seconds = time.perf_counter() - start
+    out = "".join(f"{i} {mult} | {' '.join(map(str, c.a0))} | {' '.join(map(str, c.a1))}\n"
+                  for i, h in enumerate(system) for c, mult in h.constraints())
+    return f"build_constraint_hypergraphs(complete_pregraph({n}))", out, seconds
+
+
 def run(job: str) -> dict:
-    if job.startswith("engine-"):
-        argv, out, seconds = engine(int(job.split("-")[1]))
+    kind, n = job.split("-")
+    if kind in ("engine", "hypergraphs"):
+        argv, out, seconds = (engine if kind == "engine" else hypergraphs)(int(n))
         return record(job, argv, seconds, out)
     from c4containers.cli import main
 
