@@ -138,13 +138,12 @@ class UniformHypergraph:
         self._edges[c] += mult
         self._memo.clear()
 
-    def add_rows(self, a0: np.ndarray, a1: np.ndarray, mults: Iterable[int] | None = None) -> None:
+    def add_rows(self, a0: np.ndarray, a1: np.ndarray) -> None:
         """Add the constraint (a0[r], a1[r]) of each row r of two integer
-        arrays, with multiplicity mults[r] (1 when mults is None), in row
-        order: ``add`` row by row, with the sizes and the vertex range
-        checked once for the whole batch.  Like the sides of a Constraint,
-        each row side must be sorted and the two sides disjoint.  Every
-        stored vertex and multiplicity is a Python int.
+        arrays, with multiplicity 1, in row order: ``add`` row by row, with
+        the sizes and the vertex range checked once for the whole batch.
+        Like the sides of a Constraint, each row side must be sorted and the
+        two sides disjoint.  Every stored vertex is a Python int.
         """
         a0, a1 = np.asarray(a0), np.asarray(a1)
         if a0.dtype.kind not in "iu" or a1.dtype.kind not in "iu":
@@ -153,18 +152,19 @@ class UniformHypergraph:
             raise ValueError(
                 f"constraint rows of shapes {a0.shape} and {a1.shape} do not match uniformity {(self.k0, self.k1)}"
             )
-        for a in (a0, a1):
-            if a.size and (a.min() < 0 or a.max() >= self.n_vertices):
-                raise ValueError(f"vertex outside ground set of size {self.n_vertices}")
-        mults = [1] * len(a0) if mults is None else [_multiplicity(mult) for mult in mults]
-        if len(mults) != len(a0):
-            raise ValueError(f"{len(mults)} multiplicities for {len(a0)} constraints")
-        # one Python int per vertex, shared by every constraint of the batch
-        names = np.arange(self.n_vertices, dtype=object)
-        sides = [_row_tuples(names[a], len(a)) for a in (a0, a1)]
+        rows = np.concatenate((a0, a1), axis=1, dtype=np.int64, casting="same_kind")
+        if rows.size and (rows.min() < 0 or rows.max() >= self.n_vertices):
+            raise ValueError(f"vertex outside ground set of size {self.n_vertices}")
+        # one Python int per vertex the batch uses, shared by all its constraints
+        slot = np.zeros(self.n_vertices, dtype=np.intp)
+        slot[rows] = 1
+        used = np.flatnonzero(slot)
+        slot[used] = np.arange(len(used))
+        rows = used.astype(object)[slot[rows]]
+        sides = [_row_tuples(rows[:, :self.k0], len(rows)), _row_tuples(rows[:, self.k0:], len(rows))]
         edges = self._edges
-        for c, mult in zip(map(Constraint, *sides), mults):
-            edges[c] = edges.get(c, 0) + mult
+        for c in map(Constraint, *sides):
+            edges[c] = edges.get(c, 0) + 1
         self._memo.clear()
 
     def _derived(self, name: str, build: Callable[[], Any]) -> Any:

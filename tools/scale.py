@@ -46,7 +46,7 @@ constraints) takes 0.03-0.04 s at 43 MB and engine-20 (14,535)
 grid-1000000 0.01 s and grid-10000000 0.06-0.07 s, both at 36 MB,
 sampler-200 0.03-0.04 s and sampler-2000 0.17-0.23 s; hypergraphs-16
 (5,460 constraints in H_2) 0.01 s at 37 MB, hypergraphs-20 0.02-0.04 s at
-41 MB and hypergraphs-30 (82,215 in H_2) 0.18-0.21 s at 64 MB; count-26
+40 MB and hypergraphs-30 (82,215 in H_2) 0.18 s at 64 MB; count-26
 0.01 s at 35 MB and count-14 0.09-0.10 s at 38 MB, since one count builds
 only the F_7 layers its M reaches; tree-24 0.8-1.5 s at 40 MB, tree-22 3.2-5.7 s at 47 MB,
 tree-20 12-19 s at 68 MB and tree-16 94 s at 211 MB.
