@@ -40,8 +40,8 @@ import numpy as np
 
 from . import graph6
 from .errors import PreconditionError, ScaleError
-from .pregraph import (EXACT_SUBSET_LIMIT, _adjacency, _by_subset_size, _pairs_within,
-                       _subset_pair_counts, _vertices)
+from .pregraph import (EXACT_SUBSET_LIMIT, _adjacency, _by_subset_size, _mask_bits, _pair_mask,
+                       _pairs_within, _subset_pair_counts, _vertices)
 
 __all__ = [
     "LabeledGraph",
@@ -83,12 +83,7 @@ class LabeledGraph:
 
     @staticmethod
     def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> "LabeledGraph":
-        mask = 0
-        for u, v in edges:
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"edge ({u}, {v}) outside vertex range")
-            mask |= 1 << graph6.pair_index(u, v)
-        return LabeledGraph(n, mask)
+        return LabeledGraph(n, _pair_mask(edges, n))
 
     @property
     def m(self) -> int:
@@ -97,22 +92,16 @@ class LabeledGraph:
     def has_edge(self, u: int, v: int) -> bool:
         return bool((self.mask >> graph6.pair_index(u, v)) & 1)
 
-    def _pair_bits(self) -> np.ndarray:
-        """Bit k of the mask at position k, unpacked from its bytes once."""
-        npairs = self.n * (self.n - 1) // 2
-        raw = np.frombuffer(self.mask.to_bytes((npairs + 7) // 8, "little"), dtype=np.uint8)
-        return np.unpackbits(raw, bitorder="little")[:npairs]
-
     def edges(self) -> list[tuple[int, int]]:
         """The edges (u, v), u < v, in pair-index order."""
-        u, v = graph6.pairs_from_indices(np.flatnonzero(self._pair_bits()))
+        u, v = graph6.pairs_from_indices(np.flatnonzero(_mask_bits(self.mask, math.comb(self.n, 2))))
         return list(zip(u.tolist(), v.tolist()))
 
     def degree(self, v: int) -> int:
         """The popcount of v's adjacency row: pairs (u, v) with u < v are
         the v consecutive bits from C(v, 2), and (v, w) with w > v is bit
         C(w, 2) + v."""
-        bits = self._pair_bits()
+        bits = _mask_bits(self.mask, math.comb(self.n, 2))
         below = bits[v * (v - 1) // 2 : v * (v + 1) // 2]
         w = np.arange(v + 1, self.n)
         return int(below.sum()) + int(bits[w * (w - 1) // 2 + v].sum())
@@ -369,6 +358,8 @@ def is_eps_quasirandom(g: LabeledGraph, eps: float) -> QuasirandomCheck:
     QUASIRANDOM_SAMPLES random subsets drawn from QUASIRANDOM_SEED."""
     if g.n < 2:
         raise ValueError("density needs at least two vertices")
+    if not 0 <= eps < math.inf:  # false for NaN
+        raise PreconditionError(f"eps must be finite and at least 0, got {eps}")
     p = g.m / math.comb(g.n, 2)
     lo, hi = (1 - eps) * p, (1 + eps) * p
     if g.n <= EXACT_SUBSET_LIMIT:
@@ -402,6 +393,8 @@ def is_eps_close_to_split(g: LabeledGraph, eps: float) -> CloseSplitCheck:
     """Is there a partition A, B with A nearly complete (missing at most an
     eps fraction of its pairs) and B carrying at most eps*e(G) edges?
     Exhaustive over all 2^n partitions for n <= 16, greedy beyond."""
+    if not 0 <= eps < math.inf:  # false for NaN
+        raise PreconditionError(f"eps must be finite and at least 0, got {eps}")
     adj = g.adjacency_masks()
     full = (1 << g.n) - 1
     if g.n <= EXACT_SUBSET_LIMIT:

@@ -208,9 +208,9 @@ class GoodC4:
 
 
 def _mask_bits(mask: int, size: int) -> np.ndarray:
-    """Bits 0..size-1 of the pair mask as a bool array."""
+    """Bits 0..size-1 of the pair mask as a bool array (a view of the unpacked bytes)."""
     raw = np.frombuffer(mask.to_bytes((size + 7) // 8, "little"), dtype=np.uint8)
-    return np.unpackbits(raw, bitorder="little")[:size].astype(bool)
+    return np.unpackbits(raw, bitorder="little")[:size].view(bool)
 
 
 def _good_c4_blocks(p: Pregraph, bits: Sequence[int]) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
@@ -411,8 +411,8 @@ def build_permissible(p: Pregraph, ell: int, beta: float) -> PermissibleResult:
     """
     if ell < 1:
         raise PreconditionError(f"scale parameter must be at least 1, got {ell}")
-    if beta <= 0:
-        raise PreconditionError(f"target density beta must be positive, got {beta}")
+    if not 0 < beta < math.inf:  # false for NaN
+        raise PreconditionError(f"target density beta must be positive and finite, got {beta}")
     ground, bits = _ground(p)
     hs = [UniformHypergraph(i, 4, len(ground)) for i in range(3)]
     # incremental degree state, equivalent to querying the growing h_i
@@ -584,6 +584,48 @@ def _near_clique_scan(p: Pregraph, eps: float) -> tuple[Optional[int], frozenset
     return (int(np.argmax(split)) if split.any() else None), sizes
 
 
+def _swap_climb(adj_u: Sequence[int], adj_w: Sequence[int], uset: set[int], outsiders: Sequence[int],
+                rounds: int, floor: float, budget: float) -> tuple[int, int, bool]:
+    """Single-vertex swaps from the vertex set uset, with e(U) counted in
+    the graph of neighbour bitmasks adj_u and e(W), W the rest, in adj_w.
+
+    A set passes when e(U) >= floor and e(W) <= budget.  U itself is tested
+    first; then each round trades a member (in the iteration order of the
+    Python set U) for an outsider (in the given order), each trial counted
+    from the neighbour bitmasks of the two swapped vertices.  The first
+    trial that passes is returned at once; the first one that raises e(U)
+    is taken, U becomes (U - {out}) | {in} and a new round starts.  The
+    climb ends after a round with no swap taken, or after the given number
+    of rounds.  Returns (U as a bitmask, e(U), whether that U passed).
+    """
+    full = (1 << len(adj_u)) - 1
+    umask = sum(1 << v for v in uset)
+    inside, outside = _pairs_within(adj_u, umask), _pairs_within(adj_w, full ^ umask)
+    if inside >= floor and outside <= budget:
+        return umask, inside, True
+    for _ in range(rounds):
+        candidates = [v for v in outsiders if not (umask >> v) & 1]
+        for v_out in list(uset):
+            kept = umask ^ (1 << v_out)
+            rest = full ^ kept  # W and v_out
+            u_kept = inside - (adj_u[v_out] & kept).bit_count()
+            w_kept = outside + (adj_w[v_out] & rest).bit_count()
+            for v_in in candidates:
+                t_u = u_kept + (adj_u[v_in] & kept).bit_count()
+                if t_u >= floor and w_kept - (adj_w[v_in] & rest).bit_count() <= budget:
+                    return kept | 1 << v_in, t_u, True
+                if t_u > inside:
+                    uset = (uset - {v_out}) | {v_in}
+                    umask, inside, outside = kept | 1 << v_in, t_u, w_kept - (adj_w[v_in] & rest).bit_count()
+                    break
+            else:
+                continue
+            break  # a swap was taken: next round
+        else:
+            break  # no swap raised e(U)
+    return umask, inside, False
+
+
 def is_almost_split_pregraph(p: Pregraph, eps: float) -> AlmostSplitResult:
     """Search for a vertex split (U, W) with E concentrated on a near-clique
     U and few mixed edges inside W: e(E) <= C(|U|,2), e_E(U) >= (1-eps) of
@@ -591,15 +633,13 @@ def is_almost_split_pregraph(p: Pregraph, eps: float) -> AlmostSplitResult:
 
     Up to n = 16 every one of the 2^n subsets U is tested at once by the
     near-clique scan, and the smallest U as a bitmask is returned.
-    Beyond that, for each size the top of the E-degree order is tried,
-    then improved by single-vertex swaps: a member leaves (in the iteration
-    order of the current set) for the first outsider in degree order that
-    either passes the test or raises e_E(U), until no swap helps.  Each
-    trial reads its counts from the neighbour bitmasks of the two swapped
-    vertices.  The greedy result is flagged non-exact.
+    Beyond that, for each size ``_swap_climb`` starts from the top of the
+    E-degree order, with outsiders in that order, e(U) in E and e(W) in M,
+    at most n rounds and the almost-split test above on each trial.  The
+    greedy result is flagged non-exact.
     """
-    if eps <= 0:
-        raise PreconditionError(f"eps must be positive, got {eps}")
+    if not 0 < eps < math.inf:  # false for NaN
+        raise PreconditionError(f"eps must be positive and finite, got {eps}")
     n = p.n
     full = (1 << n) - 1
 
@@ -612,45 +652,15 @@ def is_almost_split_pregraph(p: Pregraph, eps: float) -> AlmostSplitResult:
     adj_e, adj_m = _adjacency(n, p.E), _adjacency(n, p.M)
     deg_e = [a.bit_count() for a in adj_e]
     order = sorted(range(n), key=lambda v: (-deg_e[v], v))
-
     for size in range(n + 1):
         # no U of this size passes when e(E) > C(size, 2), whatever the swaps
         if p.e_e() > math.comb(size, 2):
             continue
         floor = (1 - eps) * math.comb(size, 2)
-        budget = 7 * math.sqrt(eps) * size * p.n
-        uset = set(order[:size])
-        umask = sum(1 << v for v in uset)
-        inside_e = _pairs_within(adj_e, umask)
-        outside_m = _pairs_within(adj_m, full ^ umask)
-        if inside_e >= floor and outside_m <= budget:
+        budget = 7 * math.sqrt(eps) * size * n
+        umask, _, found = _swap_climb(adj_e, adj_m, set(order[:size]), order, n, floor, budget)
+        if found:
             return split(umask, False)
-        # single swaps: trade the least-connected member for the best outsider
-        for _ in range(n):
-            improved = False
-            wmask = full ^ umask
-            for v_out in list(uset):
-                kept = umask ^ (1 << v_out)
-                e_kept = inside_e - (adj_e[v_out] & umask).bit_count()
-                for v_in in order:
-                    if (umask >> v_in) & 1:
-                        continue
-                    t_e = e_kept + (adj_e[v_in] & kept).bit_count()
-                    t_m = (
-                        outside_m - (adj_m[v_in] & wmask).bit_count()
-                        + (adj_m[v_out] & wmask & ~(1 << v_in)).bit_count()
-                    )
-                    if t_e >= floor and t_m <= budget:
-                        return split(kept | 1 << v_in, False)
-                    if t_e > inside_e:
-                        uset = (uset - {v_out}) | {v_in}
-                        umask, inside_e, outside_m = kept | 1 << v_in, t_e, t_m
-                        improved = True
-                        break
-                if improved:
-                    break
-            if not improved:
-                break
     return AlmostSplitResult(False, False)
 
 
@@ -730,10 +740,10 @@ def close_to_clique_cost(n: int, edges: Iterable[Pair], ell: int) -> CliqueCost:
 
     Exact for n <= 16, from the edge counts of all 2^n subsets at once; the
     witness is the densest ell-subset that is smallest as a bitmask.  Larger
-    n start from the top-degree subset and take single swaps (a member, in
-    the iteration order of the current set, for the first outsider that
-    raises e(U)) until none helps, each trial counted from the neighbour
-    bitmasks of the two swapped vertices; that result is flagged non-exact.
+    n run ``_swap_climb`` from the top-degree subset, with outsiders
+    ascending, an empty second graph, the test e(U) >= C(ell,2) + 1, which
+    never passes, and C(ell,2) + 1 rounds, so it climbs until no swap raises
+    e(U); that result is flagged non-exact.
     """
     return _clique_cost(n, _pair_mask(edges, n), ell)
 
@@ -753,24 +763,8 @@ def _clique_cost(n: int, mask: int, ell: int) -> CliqueCost:
         subset = _vertices(int(candidates[best]), n)
         return CliqueCost(target - best_inside + total - best_inside, True, subset)
     deg = [a.bit_count() for a in adj]
-    uset = set(sorted(range(n), key=lambda v: (-deg[v], v))[:ell])
-    umask = sum(1 << v for v in uset)
-    current = _pairs_within(adj, umask)
-    improved = True
-    while improved:
-        improved = False
-        for v_out in list(uset):
-            kept = umask ^ (1 << v_out)
-            e_kept = current - (adj[v_out] & umask).bit_count()
-            for v_in in range(n):
-                if (umask >> v_in) & 1:
-                    continue
-                t = e_kept + (adj[v_in] & kept).bit_count()
-                if t > current:
-                    uset = (uset - {v_out}) | {v_in}
-                    umask, current = kept | 1 << v_in, t
-                    improved = True
-                    break
-            if improved:
-                break
-    return CliqueCost(target - current + total - current, False, tuple(sorted(uset)))
+    start = set(sorted(range(n), key=lambda v: (-deg[v], v))[:ell])
+    # e(U) <= C(ell, 2) never reaches the floor C(ell, 2) + 1, so no trial
+    # passes; each swap taken raises e(U), so the round cap never binds
+    umask, current, _ = _swap_climb(adj, [0] * n, start, range(n), target + 1, target + 1, 0)
+    return CliqueCost(target - current + total - current, False, _vertices(umask, n))

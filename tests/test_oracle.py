@@ -481,6 +481,30 @@ def test_close_to_split_rejects_matching():
     assert not is_eps_close_to_split(g, 0.05).ok
 
 
+PATH_0123 = LabeledGraph.from_edges(6, [(0, 1), (1, 2), (2, 3)])
+
+
+@pytest.mark.parametrize("eps", [math.nan, math.inf, -0.5])
+def test_quasirandom_rejects_eps_outside_the_finite_nonnegatives(eps):
+    with pytest.raises(PreconditionError):
+        is_eps_quasirandom(PATH_0123, eps)
+
+
+@pytest.mark.parametrize("eps", [math.nan, math.inf, -0.5])
+def test_close_to_split_rejects_eps_outside_the_finite_nonnegatives(eps):
+    with pytest.raises(PreconditionError):
+        is_eps_close_to_split(PATH_0123, eps)
+
+
+def test_oracle_eps_zero_stays_an_exact_test():
+    got = is_eps_quasirandom(PATH_0123, 0.0)
+    want = naive.quasirandom_by_subset_scan(PATH_0123, 0.0)
+    assert got.exact and (got.ok, got.witness) == (want is None, want)
+    got = is_eps_close_to_split(PATH_0123, 0.0)
+    want = naive.close_to_split_by_subset_scan(PATH_0123, 0.0)
+    assert got.exact and (got.ok, got.partition) == (want is not None, want)
+
+
 def test_sampler_is_deterministic_and_valid():
     runs = [sample_c4free_by_deletion(30, 40, 0.1, seed=5, max_attempts=8) for _ in range(2)]
     assert runs[0] == runs[1]

@@ -377,8 +377,9 @@ def test_permissible_exhausts_without_cycles():
 def test_permissible_rejects_bad_parameters():
     with pytest.raises(PreconditionError):
         build_permissible(complete_pregraph(5), ell=0, beta=0.1)
-    with pytest.raises(PreconditionError):
-        build_permissible(complete_pregraph(5), ell=2, beta=0.0)
+    for beta in (0.0, math.nan, math.inf):  # NaN or inf would run the greedy to exhaustion
+        with pytest.raises(PreconditionError):
+            build_permissible(complete_pregraph(5), ell=2, beta=beta)
 
 
 def test_caro_wei_values():
@@ -426,6 +427,13 @@ def test_almost_split_fixtures():
     assert set(res.u) >= {0, 1, 2, 3}
     # the complete pregraph has all its mass in M and never splits this way
     assert not is_almost_split_pregraph(complete_pregraph(6), 0.01).found
+
+
+@pytest.mark.parametrize("n", [7, EXACT_SUBSET_LIMIT + 1])
+@pytest.mark.parametrize("eps", [math.nan, math.inf, -0.5, 0.0])
+def test_almost_split_rejects_eps_outside_the_positive_reals(eps, n):
+    with pytest.raises(PreconditionError):
+        is_almost_split_pregraph(complete_pregraph(n), eps)
 
 
 def test_almost_split_witness_satisfies_the_budget():
@@ -483,6 +491,9 @@ def test_leaf_classifier_rejects_bad_parameters():
         is_leaf_pregraph(p, 5, 0.01, 1.5)
     with pytest.raises(PreconditionError):
         is_leaf_pregraph(p, 25, 0.01, 0.01)
+    for eps in (math.nan, math.inf):
+        with pytest.raises(PreconditionError):
+            is_leaf_pregraph(p, 5, eps, 0.01)
 
 
 def test_clique_cost_matches_naive():
@@ -700,6 +711,22 @@ def test_almost_split_swaps_follow_set_iteration_order():
     got = is_almost_split_pregraph(p, eps)
     assert (p.n, eps, got.u) == (17, 0.8, (1, 2, 4, 9))
     assert (got.u, got.w) == naive.almost_split_by_recounting_swaps(p, eps)
+
+
+def test_almost_split_swaps_try_outsiders_in_e_degree_order():
+    """Draws 60, 85 and 178 of the swap-regime pregraphs at seed 83 (n = 21,
+    17 and 24) give another split, or for draw 178 a split where there is
+    none, when outsiders are tried in index order instead of E-degree order.
+    All three match the recounting search."""
+    rng = random.Random(83)
+    draws = [swap_regime_pregraph(rng, 28) for _ in range(179)]
+    for k, n in ((60, 21), (85, 17), (178, 24)):
+        p, eps = draws[k]
+        got = is_almost_split_pregraph(p, eps)
+        want = naive.almost_split_by_recounting_swaps(p, eps)
+        assert p.n == n and got.found == (k != 178)
+        assert (got.u, got.w) == (want if got.found else (None, None))
+        assert got.found == (want is not None)
 
 
 @pytest.mark.parametrize("n", [12, EXACT_SUBSET_LIMIT, EXACT_SUBSET_LIMIT + 1])

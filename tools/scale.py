@@ -20,6 +20,11 @@ JOB is one of
   hypergraphs-N  `build_constraint_hypergraphs(complete_pregraph(N))`, whose
            output is every (constraint, multiplicity) item of H_0, H_1 and
            H_2, each in insertion order;
+  swaps-N  `is_almost_split_pregraph`, then `close_to_clique_cost` on E for
+           every ell in 0..N, on an N-vertex pregraph drawn with
+           `random.Random(N)` as the tests' `swap_regime_pregraph` draws one
+           (E on a random vertex set plus noise outside it, M and N random,
+           and a large eps), so that both run their single-swap climbs;
   containers-N  `containers --input h.txt --K K --b 2 --m N//4 --r 1` in a
            temporary directory, on a (1,2)-uniform H with N vertices and 2N
            distinct constraints drawn with `random.Random(N)`, and K the
@@ -29,13 +34,15 @@ Each job runs in its own child interpreter, so each peak RSS belongs to
 one job.  The child calls ``c4containers.cli.main`` in-process and times
 that call alone, which leaves out the interpreter start, the package
 import, the argmax that picks L and the writing of h.txt; engine-N times
-the build and the replay alone, after H_2, K and the member are made, and
-hypergraphs-N the build alone, after the pregraph is made.
+the build and the replay alone, after H_2, K and the member are made,
+hypergraphs-N the build alone, after the pregraph is made, and swaps-N the
+searches alone, after the pregraph and its E are made.
 One JSON line per job: job, argv, seconds, peak RSS in MB and the sha256
 of the job's stdout followed, for tree-M, by the node table, the summary
 and the manifest; for engine-N the output is one "s0 s1 cylinder" line
 for the build and one for the replay, and for hypergraphs-N one
-"i mult | a0 vertices | a1 vertices" line per item of H_i.  Only public
+"i mult | a0 vertices | a1 vertices" line per item of H_i; for swaps-N it
+is the repr of the split result, then that of each clique cost.  Only public
 functions are called, so the same script times any checkout put on
 PYTHONPATH.
 
@@ -46,7 +53,11 @@ constraints) takes 0.03-0.04 s at 43 MB and engine-20 (14,535)
 grid-1000000 0.01 s and grid-10000000 0.06-0.07 s, both at 36 MB,
 sampler-200 0.03-0.04 s and sampler-2000 0.17-0.23 s; hypergraphs-16
 (5,460 constraints in H_2) 0.01 s at 37 MB, hypergraphs-20 0.02-0.04 s at
-40 MB and hypergraphs-30 (82,215 in H_2) 0.18 s at 64 MB; count-26
+40 MB and hypergraphs-30 (82,215 in H_2) 0.18 s at 64 MB; swaps-24
+0.005-0.008 s, swaps-48 0.027-0.029 s and swaps-96 0.14-0.15 s, all at
+35 MB, with sha256 e0f3bc9c..., 3f07f9da... and 79361710... (0.006 s,
+0.029-0.033 s and 0.20-0.23 s with a separate swap loop per search, same
+sha256); count-26
 0.01 s at 35 MB and count-14 0.09-0.10 s at 38 MB, since one count builds
 only the F_7 layers its M reaches; tree-24 0.8-1.5 s at 40 MB, tree-22 3.2-5.7 s at 47 MB,
 tree-20 12-19 s at 68 MB and tree-16 94 s at 211 MB.
@@ -57,6 +68,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import itertools
 import json
 import math
 import os
@@ -145,10 +157,34 @@ def hypergraphs(n: int) -> tuple[str, str, float]:
     return f"build_constraint_hypergraphs(complete_pregraph({n}))", out, seconds
 
 
+def swaps(n: int) -> tuple[str, str, float]:
+    from c4containers import Pregraph, close_to_clique_cost, is_almost_split_pregraph
+
+    rng = random.Random(n)
+    u = set(rng.sample(range(n), rng.randint(2, n)))
+    p_in, p_out = rng.choice([0.3, 0.5, 0.7, 0.9]), rng.choice([0.03, 0.1, 0.2])
+    p_m = rng.choice([0.05, 0.2, 0.5, 0.8, 1.0])
+    sets = {"E": [], "M": [], "N": []}
+    for a, b in itertools.combinations(range(n), 2):
+        if rng.random() < (p_in if a in u and b in u else p_out):
+            sets["E"].append((a, b))
+        elif rng.random() < 0.05:
+            sets["N"].append((a, b))
+        elif rng.random() < p_m:
+            sets["M"].append((a, b))
+    p, eps = Pregraph(n, sets["M"], sets["E"], sets["N"]), rng.choice([0.4, 0.6, 0.8])
+    fixed = p.fixed
+    start = time.perf_counter()
+    results = [is_almost_split_pregraph(p, eps), *(close_to_clique_cost(n, fixed, ell) for ell in range(n + 1))]
+    seconds = time.perf_counter() - start
+    out = "".join(f"{r!r}\n" for r in results)
+    return f"is_almost_split_pregraph(eps={eps}) + close_to_clique_cost(ell=0..{n}), n={n}", out, seconds
+
+
 def run(job: str) -> dict:
     kind, n = job.split("-")
-    if kind in ("engine", "hypergraphs"):
-        argv, out, seconds = (engine if kind == "engine" else hypergraphs)(int(n))
+    if kind in ("engine", "hypergraphs", "swaps"):
+        argv, out, seconds = {"engine": engine, "hypergraphs": hypergraphs, "swaps": swaps}[kind](int(n))
         return record(job, argv, seconds, out)
     from c4containers.cli import main
 
