@@ -40,8 +40,8 @@ import numpy as np
 
 from . import graph6
 from .errors import PreconditionError, ScaleError
-from .pregraph import (EXACT_SUBSET_LIMIT, _adjacency, _by_subset_size, _mask_bits, _pair_mask,
-                       _pairs_within, _subset_pair_counts, _vertices)
+from .pregraph import (EXACT_SUBSET_LIMIT, _adjacency, _by_subset_size, _degree_order, _mask_bits,
+                       _pair_mask, _pairs_within, _subset_pair_counts, _vertices)
 
 __all__ = [
     "LabeledGraph",
@@ -77,6 +77,8 @@ class LabeledGraph:
     mask: int
 
     def __post_init__(self):
+        if self.n < 0:  # C(n, 2) is positive again at n = -1 and -2
+            raise ValueError(f"need n >= 0, got n={self.n}")
         npairs = self.n * (self.n - 1) // 2
         if self.mask < 0 or self.mask >> npairs:
             raise ValueError("edge mask outside the pair range")
@@ -90,6 +92,8 @@ class LabeledGraph:
         return self.mask.bit_count()
 
     def has_edge(self, u: int, v: int) -> bool:
+        if not (0 <= u < self.n and 0 <= v < self.n):
+            raise ValueError(f"pair ({u}, {v}) outside vertex range 0..{self.n - 1}")
         return bool((self.mask >> graph6.pair_index(u, v)) & 1)
 
     def edges(self) -> list[tuple[int, int]]:
@@ -101,6 +105,8 @@ class LabeledGraph:
         """The popcount of v's adjacency row: pairs (u, v) with u < v are
         the v consecutive bits from C(v, 2), and (v, w) with w > v is bit
         C(w, 2) + v."""
+        if not 0 <= v < self.n:
+            raise ValueError(f"vertex {v} outside 0..{self.n - 1}")
         bits = _mask_bits(self.mask, math.comb(self.n, 2))
         below = bits[v * (v - 1) // 2 : v * (v + 1) // 2]
         w = np.arange(v + 1, self.n)
@@ -303,28 +309,18 @@ class SplitPartition:
     independent: tuple[int, ...]
 
 
-@lru_cache(maxsize=1)
-def _vertex_rows(n: int) -> tuple[int, ...]:
-    """Per vertex v, the pair-index bitmask of its pairs: the v bits from
-    C(v, 2), and bit C(w, 2) + v for each w > v.  They hold n C(n, 2) bits,
-    so only the last n is kept."""
-    rows, tops = [], 0  # tops has bit C(w, 2) for each w above v
-    for v in reversed(range(n)):
-        rows.append(((1 << v) - 1) << (v * (v - 1) // 2) | tops << v)
-        tops |= 1 << (v * (v - 1) // 2)
-    return tuple(reversed(rows))
-
-
 def is_split(g: LabeledGraph) -> Optional[SplitPartition]:
     """Degree-sequence split test; returns a verified partition or None.
 
     With degrees sorted nonincreasingly and h the largest i with d_i >= i-1,
     the graph is split iff sum of the top h degrees equals h(h-1) plus the
     sum of the rest, in which case the top h vertices form the clique side.
-    Degrees are read from the mask, and only a split graph builds adjacency.
+    Degrees are the popcounts of the adjacency rows, and the same rows check
+    the partition.  Nothing is kept after the call.
     """
-    deg = [(g.mask & row).bit_count() for row in _vertex_rows(g.n)]
-    order = sorted(range(g.n), key=lambda v: (-deg[v], v))
+    adj = g.adjacency_masks()
+    deg = [a.bit_count() for a in adj]
+    order = sorted(range(g.n), key=deg.__getitem__, reverse=True)  # stable: ties ascending
     degs = [deg[v] for v in order]
     h = 0
     for i in range(1, g.n + 1):
@@ -332,7 +328,6 @@ def is_split(g: LabeledGraph) -> Optional[SplitPartition]:
             h = i
     if sum(degs[:h]) != h * (h - 1) + sum(degs[h:]):
         return None
-    adj = g.adjacency_masks()
     clique = tuple(sorted(order[:h]))
     independent = tuple(sorted(order[h:]))
     cmask = sum(1 << v for v in clique)
@@ -406,7 +401,7 @@ def is_eps_close_to_split(g: LabeledGraph, eps: float) -> CloseSplitCheck:
             return CloseSplitCheck(True, True, (_vertices(a, g.n), _vertices(full ^ a, g.n)))
         return CloseSplitCheck(False, True, None)
     # greedy: grow A from the top of the degree order while it stays nearly complete
-    order = sorted(range(g.n), key=lambda v: (-adj[v].bit_count(), v))
+    order = _degree_order(adj)
     best = None
     amask = 0
     count = 0

@@ -111,6 +111,8 @@ class Pregraph:
     N: int
 
     def __init__(self, n: int, mixed: Iterable[Pair], fixed: Iterable[Pair], neutral: Iterable[Pair] = ()):
+        if n < 0:
+            raise ValueError(f"need n >= 0, got n={n}")
         m, e, nn = (_pair_mask(pairs, n) for pairs in (mixed, fixed, neutral))
         if m & e or m & nn or e & nn:
             raise ValueError("mixed, fixed, and neutral edge sets must be disjoint")
@@ -550,6 +552,12 @@ def _pairs_within(adj: Sequence[int], mask: int) -> int:
     return sum((adj[v] & mask).bit_count() for v in range(len(adj)) if (mask >> v) & 1) // 2
 
 
+def _degree_order(adj: Sequence[int]) -> list[int]:
+    """The vertices by degree, highest first, ties ascending (the sort is stable)."""
+    deg = [a.bit_count() for a in adj]
+    return sorted(range(len(adj)), key=deg.__getitem__, reverse=True)
+
+
 def _vertices(mask: int, n: int) -> tuple[int, ...]:
     """The vertices in the bitmask, ascending."""
     return tuple(v for v in range(n) if (mask >> v) & 1)
@@ -650,8 +658,7 @@ def is_almost_split_pregraph(p: Pregraph, eps: float) -> AlmostSplitResult:
         umask = _near_clique_scan(p, eps)[0]
         return AlmostSplitResult(False, True) if umask is None else split(umask, True)
     adj_e, adj_m = _adjacency(n, p.E), _adjacency(n, p.M)
-    deg_e = [a.bit_count() for a in adj_e]
-    order = sorted(range(n), key=lambda v: (-deg_e[v], v))
+    order = _degree_order(adj_e)
     for size in range(n + 1):
         # no U of this size passes when e(E) > C(size, 2), whatever the swaps
         if p.e_e() > math.comb(size, 2):
@@ -668,17 +675,19 @@ def _concentrated_ell(p: Pregraph, eps: float, r: int) -> Optional[int]:
     """Case 2 of the selection: the largest ell with ell^2 >= r and a size-ell
     U that is dense (see the near-clique scan) with e_M(U^c) above
     7*sqrt(eps)*n*ell; None if none.  Exact up to n = 16; beyond it only the
-    densest fixed-edge subset per size is examined."""
+    ``_densest_subset`` of each size in E is examined, from the E rows and
+    E-degree order built once per call."""
     n = p.n
     if n <= EXACT_SUBSET_LIMIT:
         return max((ell for ell in _near_clique_scan(p, eps)[1] if ell * ell >= r), default=None)
     adj_e, adj_m = _adjacency(n, p.E), _adjacency(n, p.M)
+    order = _degree_order(adj_e)
     full = (1 << n) - 1
     for ell in range(n, 0, -1):
         if ell * ell < r or p.e_e() > math.comb(ell, 2):
             continue
-        umask = sum(1 << v for v in _clique_cost(n, p.E, ell).subset)
-        if _pairs_within(adj_e, umask) < (1 - eps) * math.comb(ell, 2):
+        umask, inside, _ = _densest_subset(adj_e, order, ell)
+        if inside < (1 - eps) * math.comb(ell, 2):
             continue
         if _pairs_within(adj_m, full ^ umask) > 7 * math.sqrt(eps) * n * ell:
             return ell
@@ -736,35 +745,33 @@ class CliqueCost:
 
 def close_to_clique_cost(n: int, edges: Iterable[Pair], ell: int) -> CliqueCost:
     """Fewest edge additions plus deletions turning the graph into K_ell:
-    min over ell-subsets U of (C(ell,2) - e(U)) + (e(G) - e(U)).
-
-    Exact for n <= 16, from the edge counts of all 2^n subsets at once; the
-    witness is the densest ell-subset that is smallest as a bitmask.  Larger
-    n run ``_swap_climb`` from the top-degree subset, with outsiders
-    ascending, an empty second graph, the test e(U) >= C(ell,2) + 1, which
-    never passes, and C(ell,2) + 1 rounds, so it climbs until no swap raises
-    e(U); that result is flagged non-exact.
+    min over ell-subsets U of (C(ell,2) - e(U)) + (e(G) - e(U)), with U the
+    ``_densest_subset`` of size ell, from the rows built from the edges.
+    Exact for n <= 16; the swap climb's result beyond is flagged non-exact.
     """
-    return _clique_cost(n, _pair_mask(edges, n), ell)
-
-
-def _clique_cost(n: int, mask: int, ell: int) -> CliqueCost:
-    """close_to_clique_cost of the graph with pair mask mask."""
+    mask = _pair_mask(edges, n)
     if not 0 <= ell <= n:
         raise PreconditionError(f"clique size {ell} outside 0..{n}")
-    total = mask.bit_count()
-    target = math.comb(ell, 2)
     adj = _adjacency(n, mask)
+    umask, inside, exact = _densest_subset(adj, _degree_order(adj), ell)
+    total = mask.bit_count()
+    return CliqueCost(math.comb(ell, 2) - inside + total - inside, exact, _vertices(umask, n))
+
+
+def _densest_subset(adj: Sequence[int], order: Sequence[int], ell: int) -> tuple[int, int, bool]:
+    """(U as a bitmask, e(U), exact) for an ell-subset U with the most edges
+    in the graph of neighbour bitmasks adj.  Up to n = 16, U is the first of
+    the densest as a bitmask, from all 2^n subset counts.  Beyond, U is where
+    ``_swap_climb`` ends from the first ell vertices of order, with outsiders
+    ascending, an empty second graph, and the floor and round cap
+    C(ell,2) + 1: no U reaches that floor, and each swap taken raises e(U),
+    so it climbs until no swap does."""
+    n = len(adj)
     if n <= EXACT_SUBSET_LIMIT:
         candidates = np.flatnonzero(_subset_sizes(n) == ell)
         counts = _subset_pair_counts(adj)[candidates]
         best = int(np.argmax(counts))  # the first of the densest
-        best_inside = int(counts[best])
-        subset = _vertices(int(candidates[best]), n)
-        return CliqueCost(target - best_inside + total - best_inside, True, subset)
-    deg = [a.bit_count() for a in adj]
-    start = set(sorted(range(n), key=lambda v: (-deg[v], v))[:ell])
-    # e(U) <= C(ell, 2) never reaches the floor C(ell, 2) + 1, so no trial
-    # passes; each swap taken raises e(U), so the round cap never binds
-    umask, current, _ = _swap_climb(adj, [0] * n, start, range(n), target + 1, target + 1, 0)
-    return CliqueCost(target - current + total - current, False, _vertices(umask, n))
+        return int(candidates[best]), int(counts[best]), True
+    target = math.comb(ell, 2)
+    umask, inside, _ = _swap_climb(adj, [0] * n, set(order[:ell]), range(n), target + 1, target + 1, 0)
+    return umask, inside, False

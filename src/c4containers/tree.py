@@ -481,13 +481,8 @@ def tree_summary(tree: ContainerTree, coverage: tuple[int, int]) -> dict:
     discarded_mass = log_sum(
         LogCount(info.log_count) for info in buckets["discarded"]
     )
-    pr = tree.params
     return {
-        "params": {
-            "n": pr.n, "m": pr.m, "eps": pr.eps, "delta": pr.delta,
-            "beta": pr.beta, "lam": pr.lam, "K": pr.K, "b": pr.b, "r": pr.r,
-            "shrink": pr.shrink, "depth_cap": pr.depth_cap,
-        },
+        "params": asdict(tree.params),
         "force": tree.force,
         "n_nodes": len(tree.nodes),
         "n_leaves": len(tree.leaves()),

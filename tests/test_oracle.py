@@ -447,6 +447,47 @@ def test_split_recognition_exhaustive():
             assert not any(g.has_edge(u, v) for u, v in itertools.combinations(indep, 2))
 
 
+def test_is_split_keeps_nothing_after_it_returns():
+    """The degrees come from adjacency rows built for the call; a per-n
+    table of pair rows used to hold 66.7 MB after a call at n = 1000."""
+    n = 1000
+    star = LabeledGraph.from_edges(n, [(0, v) for v in range(1, n)])
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        got = is_split(star)
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert got == oracle.SplitPartition((0, 1), tuple(range(2, n)))
+    assert kept <= 1 << 20, kept
+
+
+def test_labeled_graph_rejects_a_negative_vertex_count():
+    """C(n, 2) is 1 at n = -1 and 3 at n = -2, so mask 1 used to fit their pair range."""
+    for n, mask in ((-1, 0), (-1, 1), (-2, 1), (-5, 0)):
+        with pytest.raises(ValueError, match="need n >= 0"):
+            LabeledGraph(n, mask)
+
+
+def test_vertex_queries_reject_vertices_outside_the_range():
+    """On the path 0-1-2-3, degree(-1) used to read 4, has_edge(-1, 2) the
+    pair (0, 1) and degree(4) 0."""
+    g = LabeledGraph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
+    assert [g.degree(v) for v in range(4)] == [1, 2, 2, 1]
+    assert g.has_edge(2, 1) and not g.has_edge(0, 3)
+    for v in (-1, 4, 10):
+        with pytest.raises(ValueError, match=f"vertex {v} outside 0..3"):
+            g.degree(v)
+        for u, w in ((v, 2), (2, v), (0, v)):
+            with pytest.raises(ValueError, match=r"pair \(.*\) outside vertex range 0..3"):
+                g.has_edge(u, w)
+    with pytest.raises(ValueError, match="loop"):
+        g.has_edge(1, 1)
+    with pytest.raises(ValueError, match="vertex 0 outside 0..-1"):
+        LabeledGraph(0, 0).degree(0)
+
+
 def test_quasirandom_accepts_complete_graph():
     g = LabeledGraph(6, (1 << 15) - 1)
     chk = is_eps_quasirandom(g, 0.3)

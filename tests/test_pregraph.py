@@ -729,6 +729,30 @@ def test_almost_split_swaps_try_outsiders_in_e_degree_order():
         assert got.found == (want is not None)
 
 
+def test_clique_swaps_try_outsiders_in_ascending_order():
+    """The first six swap-regime pregraphs at seed 83 (n = 24, 28, 24, 27,
+    25 and 21) give another witness for 1 to 9 sizes ell each when the
+    clique climb tries outsiders in degree order instead of ascending.
+    Every size matches the recounting search."""
+    rng = random.Random(83)
+    for n in (24, 28, 24, 27, 25, 21):
+        p, _ = swap_regime_pregraph(rng, 28)
+        assert p.n == n
+        for ell in range(n + 1):
+            got = close_to_clique_cost(n, p.fixed, ell)
+            assert (got.cost, got.subset) == naive.clique_cost_by_recounting_swaps(n, p.fixed, ell)
+
+
+def test_pregraph_rejects_a_negative_vertex_count():
+    """C(n, 2) is positive again at n = -1 and -2, and a negative n used to
+    pass until a later shift failed."""
+    for n in (-1, -2, -3):
+        with pytest.raises(ValueError, match="need n >= 0"):
+            Pregraph(n, [], [])
+        with pytest.raises(ValueError, match="need n >= 0"):
+            Pregraph.from_text(f"n {n}\n")
+
+
 @pytest.mark.parametrize("n", [12, EXACT_SUBSET_LIMIT, EXACT_SUBSET_LIMIT + 1])
 def test_almost_split_meets_the_mixed_budget_with_equality(n):
     """E empty, M a star at vertex 5 plus 1.75n pairs avoiding 0 and 5,

@@ -25,6 +25,8 @@ JOB is one of
            `random.Random(N)` as the tests' `swap_regime_pregraph` draws one
            (E on a random vertex set plus noise outside it, M and N random,
            and a large eps), so that both run their single-swap climbs;
+  split-N  `is_split` on the N-vertex, 2N-edge graph that the deletion
+           sampler accepts at seed 0 (delta = 0.1, at most 1000 attempts);
   containers-N  `containers --input h.txt --K K --b 2 --m N//4 --r 1` in a
            temporary directory, on a (1,2)-uniform H with N vertices and 2N
            distinct constraints drawn with `random.Random(N)`, and K the
@@ -35,14 +37,16 @@ one job.  The child calls ``c4containers.cli.main`` in-process and times
 that call alone, which leaves out the interpreter start, the package
 import, the argmax that picks L and the writing of h.txt; engine-N times
 the build and the replay alone, after H_2, K and the member are made,
-hypergraphs-N the build alone, after the pregraph is made, and swaps-N the
-searches alone, after the pregraph and its E are made.
+hypergraphs-N the build alone, after the pregraph is made, swaps-N the
+searches alone, after the pregraph and its E are made, and split-N the
+test alone, after the graph is drawn.
 One JSON line per job: job, argv, seconds, peak RSS in MB and the sha256
 of the job's stdout followed, for tree-M, by the node table, the summary
 and the manifest; for engine-N the output is one "s0 s1 cylinder" line
 for the build and one for the replay, and for hypergraphs-N one
 "i mult | a0 vertices | a1 vertices" line per item of H_i; for swaps-N it
-is the repr of the split result, then that of each clique cost.  Only public
+is the repr of the split result, then that of each clique cost, and for
+split-N the repr of `is_split`'s result.  Only public
 functions are called, so the same script times any checkout put on
 PYTHONPATH.
 
@@ -60,7 +64,9 @@ sampler-200 0.03-0.04 s and sampler-2000 0.17-0.23 s; hypergraphs-16
 sha256); count-26
 0.01 s at 35 MB and count-14 0.09-0.10 s at 38 MB, since one count builds
 only the F_7 layers its M reaches; tree-24 0.8-1.5 s at 40 MB, tree-22 3.2-5.7 s at 47 MB,
-tree-20 12-19 s at 68 MB and tree-16 94 s at 211 MB.
+tree-20 12-19 s at 68 MB and tree-16 94 s at 211 MB.  split-500 takes
+0.002 s at 37 MB and split-1000 0.01-0.02 s at 37 MB; both print sha256
+af5d8a21... (the sampled graphs are not split).
 """
 
 from __future__ import annotations
@@ -181,10 +187,23 @@ def swaps(n: int) -> tuple[str, str, float]:
     return f"is_almost_split_pregraph(eps={eps}) + close_to_clique_cost(ell=0..{n}), n={n}", out, seconds
 
 
+def split(n: int) -> tuple[str, str, float]:
+    from c4containers import is_split, sample_c4free_by_deletion
+
+    sample = sample_c4free_by_deletion(n, 2 * n, 0.1, 0, max_attempts=1000)
+    if not sample.accepted:
+        raise SystemExit(f"no member of F_{{{n},{2 * n}}} drawn")
+    start = time.perf_counter()
+    result = is_split(sample.graph)
+    seconds = time.perf_counter() - start
+    return f"is_split(sample_c4free_by_deletion({n}, {2 * n}, 0.1, 0))", f"{result!r}\n", seconds
+
+
 def run(job: str) -> dict:
     kind, n = job.split("-")
-    if kind in ("engine", "hypergraphs", "swaps"):
-        argv, out, seconds = {"engine": engine, "hypergraphs": hypergraphs, "swaps": swaps}[kind](int(n))
+    jobs = {"engine": engine, "hypergraphs": hypergraphs, "swaps": swaps, "split": split}
+    if kind in jobs:
+        argv, out, seconds = jobs[kind](int(n))
         return record(job, argv, seconds, out)
     from c4containers.cli import main
 
