@@ -44,6 +44,7 @@ followed by one constraint per line, "mult | a0 vertices | a1 vertices".
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 from collections import Counter
 from dataclasses import dataclass
@@ -472,15 +473,15 @@ def check_container_hypothesis(h: UniformHypergraph, k: Fraction | int | float, 
     The bound for sizes (l0, l1) is K * b^(l0+l1-1) / (m^l0 * v^l1) * e(H),
     with an extra factor m/r when l0 > 0.  The observed degrees come from one
     ``degree_table`` of H.  All arithmetic is exact, in Fractions and integer
-    cross-multiplication; floats for K are converted exactly.
+    cross-multiplication; a float K, which must be finite, is converted exactly.
     """
     if h.is_empty():
         raise ValueError("hypothesis check needs a non-empty hypergraph")
     if min(b, m, r) < 1:
         raise ValueError("b, m, r must be positive integers")
+    if not 0 < k < math.inf:  # false for NaN
+        raise ValueError("K must be positive and finite")
     kf = Fraction(k)
-    if kf <= 0:
-        raise ValueError("K must be positive")
     v = h.n_vertices
     e = h.e()
     entries: dict[tuple[int, int], tuple[int, Fraction, bool]] = {}

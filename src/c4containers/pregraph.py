@@ -144,6 +144,8 @@ class Pregraph:
                 continue
             parts = line.split()
             if parts[0] == "n" and len(parts) == 2:
+                if n is not None:
+                    raise ValueError(f"pregraph text repeats its 'n' line: {raw!r}")
                 n = int(parts[1])
             elif parts[0] in sets and len(parts) == 3:
                 sets[parts[0]].append((int(parts[1]), int(parts[2])))
@@ -580,9 +582,9 @@ def _near_clique_scan(p: Pregraph, eps: float) -> tuple[Optional[int], frozenset
     e_M(U^c) > 7*sqrt(eps)*n*|U|, for case 2 of the hypergraph selection.
     A tree node asks both of one frozen p, so the last answers are kept."""
     n = p.n
-    fixed_in = _subset_pair_counts(_adjacency(n, p.E))
-    fits = _by_subset_size(n, lambda size: p.e_e() <= math.comb(size, 2))
-    dense = fits & (fixed_in >= _by_subset_size(n, lambda size: (1 - eps) * math.comb(size, 2)))
+    e_e, fixed_in = p.e_e(), _subset_pair_counts(_adjacency(n, p.E))
+    dense = fixed_in >= _by_subset_size(  # the floor is inf where C(|U|,2) < e(E)
+        n, lambda size: (1 - eps) * math.comb(size, 2) if e_e <= math.comb(size, 2) else math.inf)
     if not dense.any():
         return None, frozenset()
     mixed_out = _subset_pair_counts(_adjacency(n, p.M))[::-1]  # full ^ S runs backwards

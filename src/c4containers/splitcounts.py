@@ -1,12 +1,12 @@
 """Counting split graphs with a given clique side, in log space.
 
 A split graph on n labeled vertices whose clique side has ell vertices and
-whose edge count is m is determined by choosing the m - C(ell,2) cross
-edges out of the ell*(n-ell) available ones, so
+whose edge count is m is determined by choosing which k = m - C(ell,2) of
+its a = ell*(n-ell) cross pairs are edges, so
 
-    N_{n,m}(ell) = C(ell*(n-ell), m - C(ell,2))
+    N_{n,m}(ell) = C(a, k),
 
-when C(ell,2) <= m <= ell*(n-ell) + C(ell,2), and 0 otherwise.  These ell
+and ell is feasible (N > 0) exactly when 0 <= k <= a.  The feasible ell
 form one band lo..hi, found in integer arithmetic.  This module evaluates N
 exactly and in natural-log space (ln j! from a math.lgamma table below 2048,
 Stirling's series beyond, error under 3e-17 of ln j!), locates its maximizing
@@ -87,25 +87,29 @@ def log_sum(counts: Iterable[LogCount]) -> LogCount:
     return LogCount(top + math.log(sum(math.exp(v - top) for v in values)))
 
 
-def _feasible(n: int, m: int, ell: int) -> bool:
-    return math.comb(ell, 2) <= m <= ell * (n - ell) + math.comb(ell, 2)
+def _cross(n: int, m: int, ell):
+    """(a, k) with N_{n,m}(ell) = C(a, k): the a = ell(n-ell) cross pairs and
+    the k = m - C(ell,2) of them that are edges.  ell is an int or an int64
+    array; ell is feasible exactly when 0 <= k <= a."""
+    return ell * (n - ell), m - ell * (ell - 1) // 2
 
 
 def _feasible_band(n: int, m: int) -> tuple[int, int]:
     """(lo, hi) such that the feasible clique sides are exactly lo..hi; the
     band is empty when lo > hi.
 
-    hi is the largest ell <= n with C(ell,2) <= m.  lo is the least ell with
-    ell*(n-ell) + C(ell,2) >= m, found by bisection: that function of ell
-    grows by n - ell - 1 >= 0 from ell to ell + 1, so it is nondecreasing on
-    0..n.  lo is n + 1 when even ell = n falls short."""
+    hi is the largest ell <= n with C(ell,2) <= m, that is k >= 0.  lo is the
+    least ell with k <= a, found by bisection: a - k = a + C(ell,2) - m grows
+    by n - ell - 1 >= 0 from ell to ell + 1, so it is nondecreasing on 0..n.
+    lo is n + 1 when even ell = n falls short."""
     if m < 0:
         return 1, 0
     hi = min(n, (1 + math.isqrt(1 + 8 * m)) // 2)
     lo, top = 0, n + 1
     while lo < top:
         mid = (lo + top) // 2
-        if mid * (n - mid) + mid * (mid - 1) // 2 >= m:
+        a, k = _cross(n, m, mid)
+        if k <= a:
             top = mid
         else:
             lo = mid + 1
@@ -166,12 +170,11 @@ def _prime_power_binomial(a: int, k: int) -> int:
 
 def n_nm(n: int, m: int, ell: int) -> int:
     """Split graphs with clique side [ell], m edges total: the exact count
-    C(ell*(n-ell), m - C(ell,2)), from `_binomial`."""
+    C(a, k) of `_cross`, from `_binomial`."""
     if not 0 <= ell <= n:
         raise PreconditionError(f"clique side {ell} outside 0..{n}")
-    if m < 0 or not _feasible(n, m, ell):
-        return 0
-    return _binomial(ell * (n - ell), m - math.comb(ell, 2))
+    a, k = _cross(n, m, ell)
+    return _binomial(a, k) if 0 <= k <= a else 0
 
 
 _STIRLING_CUTOFF = 2048  # below it, ln j! is read from a table of math.lgamma
@@ -200,20 +203,19 @@ def _log_factorial(j):
     return out.reshape(np.shape(j)) if np.ndim(j) else float(out[0])
 
 
-def _log_comb(a: int, k: int) -> float:  # ln C(a, k), from a single ln j! call
-    fa, fk, fr = _log_factorial([a, k, a - k]).tolist()
-    return fa - fk - fr
+def _log_comb(a, k):
+    """ln C(a, k) for 0 <= k <= a, ints or arrays: a float or an array."""
+    return _log_factorial(a) - _log_factorial(k) - _log_factorial(a - k)
 
 
 def log_n_nm(n: int, m: int, ell: int) -> LogCount:
     """log N_{n,m}(ell); exact-integer route for small n, log-factorials beyond."""
     if not 0 <= ell <= n:
         raise PreconditionError(f"clique side {ell} outside 0..{n}")
-    if m < 0 or not _feasible(n, m, ell):
+    a, k = _cross(n, m, ell)
+    if not 0 <= k <= a:
         return LogCount(-math.inf)
-    if n <= EXACT_LOG_LIMIT:
-        return LogCount(_log_of_int(n_nm(n, m, ell)))
-    return LogCount(_log_comb(ell * (n - ell), m - math.comb(ell, 2)))
+    return LogCount(_log_of_int(_binomial(a, k)) if n <= EXACT_LOG_LIMIT else _log_comb(a, k))
 
 
 def _log_of_int(x: int) -> float:
@@ -264,13 +266,11 @@ def ell_nm(n: int, m: int, lam: float = DEFAULT_LAMBDA) -> float:
 
 
 def _log_n_nm_band(n: int, m: int, lo: int, hi: int) -> np.ndarray:
-    """log N_{n,m}(ell) by log-factorials for ell = lo..hi, all feasible.  The
-    floats ell, ell*(n-ell) and m - ell*(ell-1)/2 are exact while
-    n^2 < 2^53, so these are the band's entries of the full 0..n vector."""
-    ells = np.arange(lo, hi + 1, dtype=np.float64)
-    a = ells * (n - ells)
-    k = m - ells * (ells - 1) / 2
-    return _log_factorial(a) - _log_factorial(k) - _log_factorial(a - k)
+    """log N_{n,m}(ell) by log-factorials for ell = lo..hi, all feasible.  ell
+    and k are int64; n is passed as a float, so a = ell(n-ell) is a float,
+    which rounds past 2^53 where int64 would wrap past 2^63.  While n^2 <
+    2^53 each entry is the scalar `_log_comb(*_cross(n, m, ell))`."""
+    return _log_comb(*_cross(float(n), m, np.arange(lo, hi + 1, dtype=np.int64)))
 
 
 def argmax_n_nm(n: int, m: int, lam: float = DEFAULT_LAMBDA) -> int:
@@ -302,8 +302,7 @@ def ratio_a(n: int, m: int, ell: int) -> Fraction:
     |A - B| = |n - 2ell - 1| factors, not k; feasibility of ell and ell+1
     gives k <= A and k <= B, so every factor is positive."""
     _require_consecutive(n, m, ell)
-    k = m - math.comb(ell + 1, 2)
-    a, b = (ell + 1) * (n - ell - 1), ell * (n - ell)
+    (b, _), (a, k) = _cross(n, m, ell), _cross(n, m, ell + 1)
     if a >= b:
         return Fraction(math.perm(a, a - b), math.perm(a - k, a - b))
     return Fraction(math.perm(b - k, b - a), math.perm(b, b - a))
@@ -313,8 +312,8 @@ def ratio_b(n: int, m: int, ell: int) -> Fraction:
     """Second factor of N(ell+1)/N(ell):
     (m-C(ell,2))_ell / (ell(n-ell)-m+C(ell+1,2))_ell."""
     _require_consecutive(n, m, ell)
-    num = math.perm(m - math.comb(ell, 2), ell)
-    den = math.perm(ell * (n - ell) - m + math.comb(ell + 1, 2), ell)
+    (b, k0), (_, k1) = _cross(n, m, ell), _cross(n, m, ell + 1)
+    num, den = math.perm(k0, ell), math.perm(b - k1, ell)
     if den == 0:
         raise PreconditionError(f"zero denominator in ratio_b at n={n}, m={m}, ell={ell}")
     return Fraction(num, den)
@@ -322,13 +321,13 @@ def ratio_b(n: int, m: int, ell: int) -> Fraction:
 
 def _require_consecutive(n: int, m: int, ell: int) -> None:
     """Raise unless N(ell) and N(ell+1) are both nonzero, without computing
-    them: for 0 <= ell <= n, N(ell) = C(a, k) with 0 <= k <= a exactly when
-    ell is feasible, and such a binomial is never 0.  The checks run in the
-    order n_nm would raise them."""
+    them: N(side) = C(a, k) is nonzero exactly when 0 <= k <= a.  The checks
+    run in the order n_nm would raise them."""
     for side in (ell, ell + 1):
         if not 0 <= side <= n:
             raise PreconditionError(f"clique side {side} outside 0..{n}")
-        if m < 0 or not _feasible(n, m, side):
+        a, k = _cross(n, m, side)
+        if not 0 <= k <= a:
             raise PreconditionError(
                 f"ratios need N(ell) and N(ell+1) nonzero; n={n}, m={m}, ell={ell}"
             )
@@ -345,8 +344,7 @@ def snm_bounds(n: int, m: int) -> tuple[LogCount, LogCount]:
     lower = float(np.max(logs))
     if lower == -math.inf:
         return LogCount(-math.inf), LogCount(-math.inf)
-    ells = np.arange(0, n + 1, dtype=np.float64)
-    terms = logs + (_log_factorial(n) - _log_factorial(ells) - _log_factorial(n - ells))
+    terms = logs + _log_comb(n, np.arange(n + 1, dtype=np.int64))
     top = float(np.max(terms))
     upper = top + math.log(float(np.sum(np.exp(terms - top))))
     return LogCount(lower), LogCount(upper)

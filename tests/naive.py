@@ -1063,6 +1063,12 @@ def gammaln_log_factorial(j):
     return gammaln(np.asarray(j, dtype=np.float64) + 1)
 
 
+def is_feasible_clique_side(n, m, ell):
+    """C(ell,2) <= m <= ell(n-ell) + C(ell,2): the m - C(ell,2) cross edges
+    fit among the ell(n-ell) cross pairs, so N_{n,m}(ell) > 0."""
+    return math.comb(ell, 2) <= m <= ell * (n - ell) + math.comb(ell, 2)
+
+
 def log_n_nm_full_vector(n, m, log_factorial=_log_factorial):
     """log N_{n,m}(ell) by log-factorials for every ell = 0..n, -inf where
     the float test C(ell,2) <= m <= ell(n-ell) + C(ell,2) fails."""

@@ -519,6 +519,16 @@ def test_stability_probe_runs_the_leaf_test_once(capsys, monkeypatch):
     assert len(calls) == 1
 
 
+def test_stability_probe_refuses_a_pregraph_file_with_two_n_lines(tmp_path, capsys):
+    """The file's last n matches --n, which used to let the 12-vertex
+    pregraph through."""
+    path = tmp_path / "p.txt"
+    path.write_text("n 3\nE 0 1\nn 12\n")
+    code, out, err = run(capsys, "stability-probe", "--input", str(path), "--n", "12", "--m", "24")
+    assert code == 3 and out == ""
+    assert "repeats its 'n' line" in err
+
+
 SAMPLER_N1000_SHA256 = "6d48df4eeaf9ca4f726a35f3b78d4b81efc26a089a03b7d860e5b24d3798531b"
 
 

@@ -759,6 +759,20 @@ def test_build_container_rejects_bad_assignments():
         build_container(h, k, 1, 1, 1, (0, 0, 1, 0))  # wrong length
 
 
+def test_container_entry_points_reject_a_non_finite_k():
+    h = triangle_lift()
+    k = passing_parameters(h, 1, 2, 1)
+    fingerprint = build_container(h, k, 1, 2, 1, (0, 0, 1)).fingerprint
+    for bad in (math.inf, math.nan):
+        for call in (
+            lambda: ContainerProcess(h, bad, 1, 2, 1),
+            lambda: build_container(h, bad, 1, 2, 1, (0, 0, 1)),
+            lambda: replay_container(h, bad, 1, 2, 1, fingerprint),
+        ):
+            with pytest.raises(ValueError, match="K must be positive and finite"):
+                call()
+
+
 def test_budget_overflow_rejected():
     h = UniformHypergraph(0, 2, 4, [((), (0, 1))])
     k = passing_parameters(h, 1, 1, 1)

@@ -1,6 +1,7 @@
 """Constraint multi-hypergraphs: construction, degrees, and the degree
 condition underlying container construction."""
 
+import math
 import random
 import tracemalloc
 from fractions import Fraction
@@ -461,10 +462,12 @@ def test_min_k_is_the_threshold(data):
 
 def test_hypothesis_check_rejects_bad_arguments():
     h = UniformHypergraph(0, 2, 4, [((), (0, 1))])
-    with pytest.raises(ValueError):
-        check_container_hypothesis(h, 0, 1, 1, 1)
-    with pytest.raises(ValueError):
-        check_container_hypothesis(h, 1, 0, 1, 1)
+    # inf used to raise OverflowError from Fraction, and NaN Fraction's own ValueError
+    for k in (0, -1, math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError, match="K must be positive and finite"):
+            check_container_hypothesis(h, k, 1, 1, 1)
+    with pytest.raises(ValueError, match="b, m, r"):
+        check_container_hypothesis(h, math.inf, 0, 1, 1)
     empty = UniformHypergraph(0, 2, 4)
-    with pytest.raises(ValueError):
-        check_container_hypothesis(empty, 1, 1, 1, 1)
+    with pytest.raises(ValueError, match="non-empty"):
+        check_container_hypothesis(empty, math.nan, 1, 1, 1)

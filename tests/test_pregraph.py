@@ -753,6 +753,13 @@ def test_pregraph_rejects_a_negative_vertex_count():
             Pregraph.from_text(f"n {n}\n")
 
 
+def test_pregraph_text_rejects_a_repeated_n_line():
+    """The last n line used to win, wherever it stood."""
+    for text in ("n 3\nE 0 1\nn 12\n", "n 5\nn 5\n", "n 12\nE 0 1\nn 3\n"):
+        with pytest.raises(ValueError, match="repeats its 'n' line"):
+            Pregraph.from_text(text)
+
+
 @pytest.mark.parametrize("n", [12, EXACT_SUBSET_LIMIT, EXACT_SUBSET_LIMIT + 1])
 def test_almost_split_meets_the_mixed_budget_with_equality(n):
     """E empty, M a star at vertex 5 plus 1.75n pairs avoiding 0 and 5,

@@ -35,7 +35,14 @@ from c4containers import (
     snm_bounds,
     split_grid,
 )
-from c4containers.splitcounts import _binomial, _feasible, _feasible_band, _prime_power_binomial
+from c4containers.splitcounts import (
+    EXACT_LOG_LIMIT,
+    _binomial,
+    _cross,
+    _feasible_band,
+    _log_comb,
+    _prime_power_binomial,
+)
 
 
 def brute_count_clique_side(n, m, ell):
@@ -214,8 +221,39 @@ def test_feasible_band_is_exactly_the_feasible_clique_sides():
         for m in range(-2, n * (n - 1) // 2 + 3):
             lo, hi = _feasible_band(n, m)
             assert [ell for ell in range(n + 1) if lo <= ell <= hi] == [
-                ell for ell in range(n + 1) if m >= 0 and _feasible(n, m, ell)
+                ell for ell in range(n + 1) if m >= 0 and naive.is_feasible_clique_side(n, m, ell)
             ]
+
+
+def test_log_comb_over_a_band_equals_the_scalar_calls():
+    # above the exact-integer cutoff, so log_n_nm takes the log-factorial route
+    n = 1000
+    assert n > EXACT_LOG_LIMIT
+    for m in (n + 1, 10000, n * n // 64, 200000, math.comb(n, 2)):
+        lo, hi = _feasible_band(n, m)
+        ells = np.arange(lo, hi + 1, dtype=np.int64)
+        band = _log_comb(*_cross(n, m, ells))
+        assert band.dtype == np.float64 and len(band) == hi - lo + 1 > 0
+        assert band.tolist() == [_log_comb(*_cross(n, m, ell)) for ell in range(lo, hi + 1)]
+        assert band.tolist() == [log_n_nm(n, m, ell).value for ell in range(lo, hi + 1)]
+        assert splitcounts._log_n_nm_band(n, m, lo, hi).tolist() == band.tolist()
+
+
+def test_band_argmax_past_the_int64_range():
+    """At n = 4 * 10^12, m = n + 1, ell(n - ell) passes 2^63 inside the band
+    (hi is about 2.8 million), where int64 entries would wrap.  The band's
+    floats round instead: the answer is a local maximum of the scalar logs,
+    whose (a, k) are Python ints, and those agree with the band's to 1e-9."""
+    n = 4 * 10**12
+    m = n + 1
+    lo, hi = _feasible_band(n, m)
+    assert hi * (n - hi) >= 2**63
+    star = argmax_n_nm(n, m)
+    assert lo < star < hi
+    exact = [log_n_nm(n, m, ell).value for ell in (star - 1, star, star + 1)]
+    assert exact[1] >= max(exact[0], exact[2])
+    band = splitcounts._log_n_nm_band(n, m, star - 1, star + 1).tolist()
+    assert band == pytest.approx(exact, rel=1e-9)
 
 
 # the 24 points of acceptance criterion 8, then the 18 grid rows and the
@@ -467,7 +505,7 @@ def test_ratio_a_matches_the_two_falling_factorials():
     for n in range(1, 31):
         for m in range(n * (n - 1) // 2 + 1):
             for ell in range(n):
-                if _feasible(n, m, ell) and _feasible(n, m, ell + 1):
+                if naive.is_feasible_clique_side(n, m, ell) and naive.is_feasible_clique_side(n, m, ell + 1):
                     assert ratio_a(n, m, ell) == naive.ratio_a_by_perms(n, m, ell)
 
 

@@ -27,6 +27,11 @@ JOB is one of
            and a large eps), so that both run their single-swap climbs;
   split-N  `is_split` on the N-vertex, 2N-edge graph that the deletion
            sampler accepts at seed 0 (delta = 0.1, at most 1000 attempts);
+  counts-N  the split-count layer at n = N: `log_n_nm` for every ell in
+           0..N at m = N, 2N and N^2/64, then `snm_bounds` and
+           `close_to_split_log_bound(N, m, 0.1)` at those m, then `ratio_a`
+           and `ratio_b` at n = 40 for every m in 0..C(40,2) and ell in 0..39
+           (the message of each PreconditionError stands in for its result);
   containers-N  `containers --input h.txt --K K --b 2 --m N//4 --r 1` in a
            temporary directory, on a (1,2)-uniform H with N vertices and 2N
            distinct constraints drawn with `random.Random(N)`, and K the
@@ -39,14 +44,15 @@ import, the argmax that picks L and the writing of h.txt; engine-N times
 the build and the replay alone, after H_2, K and the member are made,
 hypergraphs-N the build alone, after the pregraph is made, swaps-N the
 searches alone, after the pregraph and its E are made, and split-N the
-test alone, after the graph is drawn.
+test alone, after the graph is drawn; counts-N times all of its calls.
 One JSON line per job: job, argv, seconds, peak RSS in MB and the sha256
 of the job's stdout followed, for tree-M, by the node table, the summary
 and the manifest; for engine-N the output is one "s0 s1 cylinder" line
 for the build and one for the replay, and for hypergraphs-N one
 "i mult | a0 vertices | a1 vertices" line per item of H_i; for swaps-N it
-is the repr of the split result, then that of each clique cost, and for
-split-N the repr of `is_split`'s result.  Only public
+is the repr of the split result, then that of each clique cost, for
+split-N the repr of `is_split`'s result, and for counts-N the repr of
+each result in the order above.  Only public
 functions are called, so the same script times any checkout put on
 PYTHONPATH.
 
@@ -66,7 +72,10 @@ sha256); count-26
 only the F_7 layers its M reaches; tree-24 0.8-1.5 s at 40 MB, tree-22 3.2-5.7 s at 47 MB,
 tree-20 12-19 s at 68 MB and tree-16 94 s at 211 MB.  split-500 takes
 0.002 s at 37 MB and split-1000 0.01-0.02 s at 37 MB; both print sha256
-af5d8a21... (the sampled graphs are not split).
+af5d8a21... (the sampled graphs are not split).  counts-1000 takes
+0.12-0.15 s at 54 MB and counts-100000 0.95-1.06 s at 125 MB, with sha256
+5b1c76f7... and 8d71132b... (0.12 s and 0.57-0.58 s when a scalar
+ln C(a, k) read its three ln j! from one call, same sha256).
 """
 
 from __future__ import annotations
@@ -199,9 +208,30 @@ def split(n: int) -> tuple[str, str, float]:
     return f"is_split(sample_c4free_by_deletion({n}, {2 * n}, 0.1, 0))", f"{result!r}\n", seconds
 
 
+def counts(n: int) -> tuple[str, str, float]:
+    from c4containers import (PreconditionError, close_to_split_log_bound, log_n_nm, ratio_a, ratio_b,
+                              snm_bounds)
+
+    def outcome(f, *args):
+        try:
+            return f(*args)
+        except PreconditionError as exc:
+            return str(exc)
+
+    ms = [n, 2 * n, n * n // 64]
+    start = time.perf_counter()
+    results = [log_n_nm(n, m, ell) for m in ms for ell in range(n + 1)]
+    results += [snm_bounds(n, m) for m in ms] + [close_to_split_log_bound(n, m, 0.1) for m in ms]
+    results += [outcome(f, 40, m, ell) for m in range(math.comb(40, 2) + 1) for ell in range(40)
+                for f in (ratio_a, ratio_b)]
+    seconds = time.perf_counter() - start
+    out = "".join(f"{r!r}\n" for r in results)
+    return f"log_n_nm(ell=0..{n}, m in {ms}) + snm_bounds + close_to_split_log_bound + ratios at n = 40", out, seconds
+
+
 def run(job: str) -> dict:
     kind, n = job.split("-")
-    jobs = {"engine": engine, "hypergraphs": hypergraphs, "swaps": swaps, "split": split}
+    jobs = {"engine": engine, "hypergraphs": hypergraphs, "swaps": swaps, "split": split, "counts": counts}
     if kind in jobs:
         argv, out, seconds = jobs[kind](int(n))
         return record(job, argv, seconds, out)
