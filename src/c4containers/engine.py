@@ -10,10 +10,7 @@ degree in the surviving constraint set, asks whether h equals c there, moves
 the answers into a reduced hypergraph G*, and discards constraints that meet
 a saturated (high-degree) vertex pair of G*.  YES vertices accumulate into
 the fingerprint; when G* comes out smaller than a fixed fraction of e(H) the
-round's NO vertices are frozen to 1-c and form the cylinder.  A round keeps
-its live constraints as a Python-int bitmask over a constraint index from
-``hypergraph``: round 0 reads H's ``round_index``, whose keys are H's stored
-constraints, and each later round indexes its G*.
+round's NO vertices are frozen to 1-c and form the cylinder.
 
 Degree caps for the saturation thresholds follow a two-parameter schedule:
 the base row is the degree table of H itself and each earlier index pair
@@ -36,6 +33,7 @@ from __future__ import annotations
 import copy
 import itertools
 import math
+import operator
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -93,7 +91,10 @@ def normalize_parameters(b: int, m: int, v: int) -> tuple[int, int]:
 
 
 def container_delta(k0: int, k1: int, k) -> Fraction:
-    """The forcing constant delta = 2^(-(k0+k1)(k0+k1+1)) / K."""
+    """The forcing constant delta = 2^(-(k0+k1)(k0+k1+1)) / K, for a K that
+    ``check_container_hypothesis`` accepts (positive and finite)."""
+    if not 0 < k < math.inf:  # false for NaN
+        raise ValueError("K must be positive and finite")
     s = k0 + k1
     return Fraction(1, 2 ** (s * (s + 1))) / Fraction(k)
 
@@ -257,21 +258,24 @@ class ContainerProcess:
     (``hypergraph._index_round``) and asks about the c-side (c = 1 while the
     round's hypergraph has a nonempty 1-side).  ``live`` is the only record
     of which constraints are live, one bit each.  The index is never
-    changed, so clones share it, and round 0's is H's own
-    ``round_index``.  A vertex's live c-side degree is a weighted popcount of
-    its incidence mask and ``live``; ``active`` and ``cdeg`` are read-only
-    views of the live constraints and degrees, built on access.  YES answers
-    move the asked vertex's live constraints, with the vertex removed, into
-    the counter ``gstar`` of uniformity ``k_star``; ``pair_deg`` counts its
-    sub-pair degrees against ``thresholds``, ``saturated`` collects the pairs
-    that reached theirs, and the live constraints holding a newly saturated
-    pair (the AND of its vertices' incidence masks) are dropped.
-    ``thresholds`` keeps only the undominated size classes: (l0, l1) is
-    dominated when (l0 - 1, l1) or (l0, l1 - 1) has a threshold no larger.  A
-    key of G* holding a pair holds its sub-pairs, so a dominated pair
-    saturates no earlier than its sub-pair in that smaller class, which lies
-    in every constraint the pair lies in: counting only the undominated
-    classes drops the same constraints at the same answers.  ``yes`` and
+    changed, so clones share it, and round 0's is H's own ``round_index``.
+    A vertex's live c-side degree is a weighted popcount of its incidence
+    mask and ``live``.  Degrees only fall within a round, so a vertex at
+    degree 0 leaves ``_askable``, the vertices and masks that pending()
+    scans.  ``active`` and ``cdeg`` are read-only views, built on access.
+    YES answers move the asked vertex's live constraints, with the vertex
+    removed, into the counter ``gstar`` of uniformity ``k_star``.
+    ``pair_deg`` counts the degrees of their sub-pairs in the classes of
+    ``thresholds``.  Degrees only grow, so a pair is newly saturated when an
+    add carries its degree d across its threshold t (d < t <= d + mult); it
+    joins ``saturated``, and the live constraints holding it (the AND of its
+    vertices' incidence masks) are dropped.  ``thresholds`` keeps only the
+    undominated size classes: (l0, l1) is dominated when (l0 - 1, l1) or
+    (l0, l1 - 1) has a threshold no larger.  A key of G* holding a pair
+    holds its sub-pairs, so a dominated pair saturates no earlier than its
+    sub-pair in that smaller class, which lies in every constraint the pair
+    lies in: counting only the undominated classes drops the same
+    constraints at the same answers.  ``yes`` and
     ``no`` list the vertices answered each way in this round; ``s0`` and
     ``s1`` accumulate the YES vertices of all rounds.  A round ends after b
     YES answers or when no constraint is left; G* then either yields the
@@ -311,6 +315,7 @@ class ContainerProcess:
         """Start a round with every constraint of ``index`` live."""
         self.c, self.keys, self.mults, self.classes, self.incidence = index
         self.live = (1 << len(self.keys)) - 1
+        self._askable = (range(self.n), self.incidence[self.c])
         self.k_star = (i0 - 1, i1) if self.c == 0 else (i0, i1 - 1)
         thresholds = self.sched.saturation_thresholds(*self.k_star)
         self.thresholds = {
@@ -332,15 +337,16 @@ class ContainerProcess:
     @property
     def cdeg(self) -> Counter[int]:
         """The live c-side degree of every vertex that has one."""
-        return Counter({v: d for v, d in enumerate(self._degrees()) if d})
+        return Counter({v: d for v, d in zip(self._askable[0], self._degrees()) if d})
 
     def _degrees(self) -> list[int]:
-        """Each vertex's live c-side degree, by vertex."""
-        incidence = self.incidence[self.c]
-        deg = [0] * self.n
+        """The live c-side degree of each vertex in ``_askable``, in its order."""
+        incidence = self._askable[1]
+        deg: list[int] = []
         for weight, members in self.classes:
             live = self.live & members
-            deg = [d + weight * (inc & live).bit_count() for d, inc in zip(deg, incidence)]
+            part = [weight * (inc & live).bit_count() for inc in incidence]
+            deg = list(map(operator.add, deg, part)) if deg else part
         return deg
 
     def pending(self) -> Optional[tuple[int, int]]:
@@ -353,21 +359,26 @@ class ContainerProcess:
             return None
         if self._question is None:
             deg = self._degrees()
-            self._question = (deg.index(max(deg)), self.c)
+            vertices, incidence = self._askable
+            self._question = (vertices[deg.index(max(deg))], self.c)
+            if 0 in deg:
+                self._askable = (tuple(itertools.compress(vertices, deg)), tuple(itertools.compress(incidence, deg)))
         return self._question
 
     def _add_to_gstar(self, key: Key, mult: int) -> list[Key]:
-        self.gstar[key] += mult
+        self.gstar[key] = self.gstar.get(key, 0) + mult
+        pair_deg, get = self.pair_deg, self.pair_deg.get
         fresh: list[Key] = []
         a0, a1 = key
         for (l0, l1), thr in self.thresholds.items():
             for s0 in itertools.combinations(a0, l0):
                 for s1 in itertools.combinations(a1, l1):
                     pair = (s0, s1)
-                    self.pair_deg[pair] += mult
-                    if self.pair_deg[pair] >= thr and pair not in self.saturated:
-                        self.saturated.add(pair)
+                    d = get(pair, 0)
+                    pair_deg[pair] = d + mult
+                    if d < thr <= d + mult:
                         fresh.append(pair)
+        self.saturated.update(fresh)
         return fresh
 
     def _doomed(self, fresh: list[Key]) -> int:
@@ -377,8 +388,10 @@ class ContainerProcess:
         doomed = 0
         for t0, t1 in fresh:
             common = self.live
-            for mask in [inc0[u] for u in t0] + [inc1[u] for u in t1]:
-                common &= mask
+            for u in t0:
+                common &= inc0[u]
+            for u in t1:
+                common &= inc1[u]
             doomed |= common
         return doomed
 
@@ -396,8 +409,9 @@ class ContainerProcess:
             fresh: list[Key] = []
             for i in _bit_indices(hit):
                 a0, a1 = self.keys[i]
-                reduced = (a0, tuple(x for x in a1 if x != v)) if c else (tuple(x for x in a0 if x != v), a1)
-                fresh.extend(self._add_to_gstar(reduced, self.mults[i]))
+                j = (a0, a1)[c].index(v)
+                reduced = (a0, a1[:j] + a1[j + 1 :]) if c else (a0[:j] + a0[j + 1 :], a1)
+                fresh += self._add_to_gstar(reduced, self.mults[i])
             if fresh:
                 self.live ^= self._doomed(fresh)
         else:
@@ -476,28 +490,21 @@ def _drive_members(
             out.append((cur.result(), mem))
             continue
         v, c = q
-        has = (mem >> int(bits[v])) & 1
-        yes_mem = mem[has == c]
-        no_mem = mem[has != c]
-        if len(no_mem):
-            branch = cur.clone() if len(yes_mem) else cur
+        yes = ((mem >> int(bits[v])) & 1) == c
+        n_yes = int(np.count_nonzero(yes))
+        # most questions split nothing: every member answers the same way
+        if n_yes < len(mem):
+            branch = cur.clone() if n_yes else cur
             branch.answer(False)
-            stack.append((branch, no_mem))
-        if len(yes_mem):
+            stack.append((branch, mem[~yes] if n_yes else mem))
+        if n_yes:
             cur.answer(True)
-            stack.append((cur, yes_mem))
+            stack.append((cur, mem[yes] if n_yes < len(mem) else mem))
     return out
 
 
 def build_container(
-    h: UniformHypergraph,
-    k,
-    b: int,
-    m: int,
-    r: int,
-    assignment,
-    *,
-    force: bool = False,
+    h: UniformHypergraph, k, b: int, m: int, r: int, assignment, *, force: bool = False
 ) -> ContainerResult:
     """Fingerprint and cylinder for one assignment with at most m ones.
 
@@ -518,14 +525,7 @@ def build_container(
 
 
 def replay_container(
-    h: UniformHypergraph,
-    k,
-    b: int,
-    m: int,
-    r: int,
-    fingerprint: Fingerprint,
-    *,
-    force: bool = False,
+    h: UniformHypergraph, k, b: int, m: int, r: int, fingerprint: Fingerprint, *, force: bool = False
 ) -> ContainerResult:
     """Rebuild the container from a fingerprint alone (the function f).
 
@@ -550,13 +550,7 @@ class MonotoneResult:
 
 
 def monotone_containers(
-    n: int,
-    k: int,
-    edges: Iterable[Iterable[int]],
-    b: int,
-    r: int,
-    independent_set: Iterable[int],
-    *,
+    n: int, k: int, edges: Iterable[Iterable[int]], b: int, r: int, independent_set: Iterable[int], *,
     force: bool = False,
 ) -> MonotoneResult:
     """Containers for independent sets of a k-uniform hypergraph.

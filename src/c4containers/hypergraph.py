@@ -375,17 +375,20 @@ def _index_round(edges: dict[Key, int], i1: int, n: int) -> RoundIndex:
     keys = tuple(edges)
     mults = tuple(edges.values())
     inc0, inc1 = [0] * n, [0] * n
-    classes = [0] * max(mults).bit_length()
-    for i, ((a0, a1), mult) in enumerate(zip(keys, mults)):
+    by_mult: dict[int, int] = {}  # multiplicity -> mask of the constraints that have it
+    for i, ((a0, a1), mult) in enumerate(edges.items()):
         bit = 1 << i
         for u in a0:
             inc0[u] |= bit
         for u in a1:
             inc1[u] |= bit
-        for j in range(mult.bit_length()):
-            if mult >> j & 1:
-                classes[j] |= bit
-    weighted = tuple((1 << j, mask) for j, mask in enumerate(classes) if mask)
+        by_mult[mult] = by_mult.get(mult, 0) | bit
+    # the masks of by_mult are disjoint, so a sum is their union
+    weighted = tuple(
+        (1 << j, mask)
+        for j in range(max(mults).bit_length())
+        if (mask := sum(part for mult, part in by_mult.items() if mult >> j & 1))
+    )
     return 1 if i1 > 0 else 0, keys, mults, weighted, (tuple(inc0), tuple(inc1))
 
 

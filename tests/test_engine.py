@@ -70,6 +70,15 @@ def test_container_delta_value():
     assert container_delta(2, 2, Fraction(1, 2)) == Fraction(2, 2**20)
 
 
+@pytest.mark.parametrize("k", [-2, 0, math.inf, math.nan])
+def test_container_delta_rejects_k_as_the_hypothesis_check_does(k):
+    """-2 used to give -1/128, and 0, inf and NaN three different exceptions."""
+    h = UniformHypergraph(0, 2, 4, [((), (0, 1))])
+    for call in (lambda: container_delta(1, 1, k), lambda: check_container_hypothesis(h, k, 1, 1, 1)):
+        with pytest.raises(ValueError, match="K must be positive and finite"):
+            call()
+
+
 def test_fingerprint_family_bound_small():
     # v=4, k0=1, k1=1, b=2: (C(4,0)+..+C(4,2))^2 = 11^2
     assert fingerprint_family_bound(4, 1, 1, 2) == 121
@@ -587,6 +596,38 @@ def test_undominated_classes_doom_what_every_class_dooms(monkeypatch):
     # some answers saturate pairs of classes that the engine does not count
     assert outside[True] > 0, outside
     assert any(step[1] for step in pruned if isinstance(step, tuple))
+
+
+def test_an_add_that_jumps_a_threshold_reports_its_pair_once():
+    """One weighted ``_add_to_gstar`` that carries a pair's G* degree from
+    below its threshold (thr - 1) to above it (thr + 1 or more) reports the
+    pair fresh exactly once, and later adds of keys holding it never again:
+    seeded keys and multiplicities in every undominated class of round 0 on
+    H_2 of K_6, where the thresholds are 1 and 3."""
+    h = build_constraint_hypergraphs(complete_pregraph(6)).h2
+    k = passing_parameters(h, 2, 3, 1)
+    rng = random.Random(31)
+    thresholds = ContainerProcess(h, k, 2, 3, 1).thresholds
+    assert sorted(set(thresholds.values())) == [1, 3]
+    for (l0, l1), thr in thresholds.items():
+        for _ in range(4):
+            proc = ContainerProcess(h, k, 2, 3, 1)
+            k0, k1 = proc.k_star
+            picked = rng.sample(range(h.n_vertices), k0 + k1)
+            pair = (tuple(sorted(picked[:l0])), tuple(sorted(picked[k0 : k0 + l1])))
+
+            def key_holding_pair():
+                rest = rng.sample([u for u in range(h.n_vertices) if u not in pair[0] + pair[1]], k0 + k1 - l0 - l1)
+                return (tuple(sorted(pair[0] + tuple(rest[: k0 - l0]))), tuple(sorted(pair[1] + tuple(rest[k0 - l0 :]))))
+
+            if thr > 1:
+                assert pair not in proc._add_to_gstar(key_holding_pair(), thr - 1)
+            jump = rng.randint(2, 4)
+            assert proc._add_to_gstar(key_holding_pair(), jump).count(pair) == 1
+            assert proc.pair_deg[pair] == thr - 1 + jump > thr
+            for _ in range(3):
+                assert pair not in proc._add_to_gstar(key_holding_pair(), rng.randint(1, 3))
+            assert pair in proc.saturated
 
 
 def benchmark_members(n, m, count, seed):
