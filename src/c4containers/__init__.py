@@ -65,7 +65,6 @@ from .pregraph import (
     Pregraph,
     build_constraint_hypergraphs,
     build_permissible,
-    caro_wei_bound,
     close_to_clique_cost,
     complete_pregraph,
     good_c4_enumerate,
@@ -73,7 +72,6 @@ from .pregraph import (
     is_leaf_pregraph,
     m_underflow_threshold,
     preprocess_saturation,
-    random_order_independent_set,
 )
 from .splitcounts import (
     LogCount,

@@ -208,6 +208,8 @@ class Cylinder:
 
     def contains(self, h: Assignment | Sequence[int]) -> bool:
         bits = h.bits if isinstance(h, Assignment) else tuple(h)
+        if len(bits) != len(self.labels):
+            raise ValueError(f"assignment length {len(bits)} does not match cylinder length {len(self.labels)}")
         return all(x is None or x == bits[i] for i, x in enumerate(self.labels))
 
 

@@ -102,15 +102,10 @@ class LabeledGraph:
         return list(zip(u.tolist(), v.tolist()))
 
     def degree(self, v: int) -> int:
-        """The popcount of v's adjacency row: pairs (u, v) with u < v are
-        the v consecutive bits from C(v, 2), and (v, w) with w > v is bit
-        C(w, 2) + v."""
+        """The popcount of v's row in ``adjacency_masks``."""
         if not 0 <= v < self.n:
             raise ValueError(f"vertex {v} outside 0..{self.n - 1}")
-        bits = _mask_bits(self.mask, math.comb(self.n, 2))
-        below = bits[v * (v - 1) // 2 : v * (v + 1) // 2]
-        w = np.arange(v + 1, self.n)
-        return int(below.sum()) + int(bits[w * (w - 1) // 2 + v].sum())
+        return _adjacency(self.n, self.mask)[v].bit_count()
 
     def adjacency_masks(self) -> list[int]:
         """Per-vertex neighbor bitmasks over vertices (not pairs)."""
@@ -163,11 +158,13 @@ def induced_c4_patterns(n: int) -> tuple[tuple[int, int], ...]:
     return tuple(pats)
 
 
-def _check_exact_range(n: int) -> None:
+def _check_exact_range(n: int, m: int) -> None:
     if n > EXACT_COUNT_LIMIT:
         raise ScaleError(f"exhaustive enumeration supports n <= {EXACT_COUNT_LIMIT}, got n = {n}")
     if n < 0:
         raise PreconditionError("n must be nonnegative")
+    if not 0 <= m <= n * (n - 1) // 2:
+        raise ValueError(f"m = {m} outside 0..{n * (n - 1) // 2}")
 
 
 @lru_cache(maxsize=None)
@@ -251,9 +248,7 @@ def count_Fnm_c4(n: int, m: int) -> int:
     Exact, by extending the F_{n-1} layers that m reaches one vertex and
     counting the survivors without storing them.
     """
-    _check_exact_range(n)
-    if not 0 <= m <= n * (n - 1) // 2:
-        raise ValueError(f"m = {m} outside 0..{n * (n - 1) // 2}")
+    _check_exact_range(n, m)
     return sum(int(np.count_nonzero(keep)) for _, _, keep in _extension(n, m))
 
 
@@ -296,7 +291,7 @@ def enumerate_fnm_masks(n: int, m: int) -> np.ndarray:
     Built by extending each F_{n-1, m-|S|} layer by a last vertex with
     neighbourhood S, over all S in ascending order.
     """
-    _check_exact_range(n)
+    _check_exact_range(n, m)
     return _fnm_masks(n, m)
 
 

@@ -32,9 +32,8 @@ applies, and skips copies that contain a saturated cycle-edge pair, until
 one of H_0, H_1, H_2 reaches beta*l^4 constraints or no insertable copy
 remains.
 
-Also here: the Caro-Wei independence bound, the retained-vertex random
-independent set used by the supersaturation arguments, and the almost-split
-and leaf classifications that drive the container tree.
+Also here: the almost-split and leaf classifications that drive the
+container tree.
 """
 
 from __future__ import annotations
@@ -42,10 +41,8 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import random
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -65,8 +62,6 @@ __all__ = [
     "preprocess_saturation",
     "PermissibleResult",
     "build_permissible",
-    "caro_wei_bound",
-    "random_order_independent_set",
     "AlmostSplitResult",
     "is_almost_split_pregraph",
     "LeafClassification",
@@ -461,49 +456,6 @@ def build_permissible(p: Pregraph, ell: int, beta: float) -> PermissibleResult:
     )
 
 
-# -- independence utilities ----------------------------------------------------
-
-
-def caro_wei_bound(n: int, edges: Iterable[Pair]) -> Fraction:
-    """Sum of 1/(1 + deg(v)): the classical independence-number lower bound."""
-    adj = _adjacency(n, _pair_mask(edges, n))
-    return sum((Fraction(1, 1 + a.bit_count()) for a in adj), Fraction(0))
-
-
-def random_order_independent_set(
-    n: int,
-    edges: Iterable[Pair],
-    keep_probabilities: Sequence[float],
-    ordering: Sequence[int],
-    seed: int = 0,
-) -> tuple[int, ...]:
-    """Retain each vertex independently, then keep the retained vertices none
-    of whose later-ordered neighbours were retained.
-
-    The output is independent in the given graph for every retention
-    outcome; with all probabilities 1 its expected size over a uniformly
-    random ordering is exactly the Caro-Wei bound.
-    """
-    if sorted(ordering) != list(range(n)):
-        raise ValueError("ordering must be a permutation of 0..n-1")
-    if len(keep_probabilities) != n:
-        raise ValueError("need one retention probability per vertex")
-    if any(not 0 <= q <= 1 for q in keep_probabilities):
-        raise ValueError("retention probabilities must lie in [0, 1]")
-    adj = _adjacency(n, _pair_mask(edges, n))
-    rng = random.Random(seed)
-    retained = {v for v in range(n) if rng.random() < keep_probabilities[v]}
-    position = {v: k for k, v in enumerate(ordering)}
-    out = []
-    for v in retained:
-        if all(u not in retained or position[u] < position[v] for u in _vertices(adj[v], n)):
-            out.append(v)
-    result = tuple(sorted(out))
-    for u, v in itertools.combinations(result, 2):
-        assert not adj[u] >> v & 1, "selection rule produced a dependent pair"
-    return result
-
-
 # -- structural classification --------------------------------------------------
 
 
@@ -709,6 +661,8 @@ class LeafClassification:
 def m_underflow_threshold(n: int, m: int) -> float:
     """Mixed-edge floor sqrt(n^2 m / (2^8 ln(n^2/m))) below which a pregraph
     can describe only a negligible share of m-edge graphs."""
+    if m < 1:
+        raise PreconditionError(f"edge budget m must be at least 1, got {m}")
     if m >= n * n:
         raise PreconditionError(f"need m < n^2 for the log to be positive, got n={n}, m={m}")
     return math.sqrt(n * n * m / (2**8 * math.log(n * n / m)))

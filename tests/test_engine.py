@@ -735,6 +735,14 @@ def test_cylinder_string_round_trip_and_membership():
     assert not cyl.contains((1, 1, 1, 0))
 
 
+def test_cylinder_refuses_an_input_of_another_length():
+    cyl = Cylinder((None, 1))
+    for bits in ((0, 1, 1), (1,)):
+        for h in (bits, Assignment.from_bits(bits)):
+            with pytest.raises(ValueError, match="does not match"):
+                cyl.contains(h)
+
+
 def exhaustive_soundness(h, b, m, r):
     """Properties of every container built over F_{<=m}(H); returns the
     set of fingerprints seen."""

@@ -282,6 +282,13 @@ def test_enumerate_refuses_large_n():
         enumerate_fnm_masks(9, 3)
 
 
+def test_enumerate_refuses_m_outside_the_pair_range_as_the_count_does():
+    for m in (-1, 7, 99):
+        for f in (enumerate_fnm_masks, count_Fnm_c4):
+            with pytest.raises(ValueError, match="outside 0..6"):
+                f(4, m)
+
+
 # fnm_table(8) as the exhaustive scan of all 2^28 masks computed it
 FNM_TABLE_8 = (
     1, 28, 378, 3276, 20265, 93660, 329350, 887520, 1853250, 3091340, 4317152,

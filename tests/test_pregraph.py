@@ -23,7 +23,6 @@ from c4containers import (
     Pregraph,
     build_constraint_hypergraphs,
     build_permissible,
-    caro_wei_bound,
     close_to_clique_cost,
     complete_pregraph,
     good_c4_enumerate,
@@ -31,7 +30,6 @@ from c4containers import (
     is_leaf_pregraph,
     m_underflow_threshold,
     preprocess_saturation,
-    random_order_independent_set,
 )
 from c4containers import pregraph
 from c4containers.graph6 import pair_index
@@ -382,39 +380,6 @@ def test_permissible_rejects_bad_parameters():
             build_permissible(complete_pregraph(5), ell=2, beta=beta)
 
 
-def test_caro_wei_values():
-    assert caro_wei_bound(4, itertools.combinations(range(4), 2)) == 1
-    assert caro_wei_bound(3, [(0, 1), (1, 2)]) == Fraction(4, 3)
-    assert caro_wei_bound(5, []) == 5
-
-
-def test_random_order_independent_set_rule():
-    edges = [(0, 1), (1, 2)]
-    out = random_order_independent_set(3, edges, [1.0, 1.0, 1.0], [0, 1, 2])
-    assert out == (2,)
-    out = random_order_independent_set(3, edges, [1.0, 1.0, 1.0], [2, 1, 0])
-    assert out == (0,)
-    with pytest.raises(ValueError):
-        random_order_independent_set(3, edges, [1.0, 1.0], [0, 1, 2])
-    with pytest.raises(ValueError):
-        random_order_independent_set(3, edges, [1.0, 1.0, 2.0], [0, 1, 2])
-    with pytest.raises(ValueError):
-        random_order_independent_set(3, edges, [1.0, 1.0, 1.0], [0, 1, 1])
-
-
-def test_random_order_independent_sets_are_independent():
-    rng = random.Random(8)
-    for trial in range(30):
-        n = rng.randint(3, 9)
-        edges = [e for e in itertools.combinations(range(n), 2) if rng.random() < 0.4]
-        order = list(range(n))
-        rng.shuffle(order)
-        probs = [rng.random() for _ in range(n)]
-        out = random_order_independent_set(n, edges, probs, order, seed=trial)
-        eset = set(edges)
-        assert not any((u, v) in eset for u, v in itertools.combinations(out, 2))
-
-
 def test_almost_split_fixtures():
     # E a 4-clique, two mixed edges outside: the (U, W) split exists
     p = Pregraph(
@@ -481,6 +446,9 @@ def test_m_underflow_threshold_formula():
     )
     with pytest.raises(PreconditionError):
         m_underflow_threshold(4, 16)
+    for m in (0, -3):  # ln(n^2/m) is undefined for m <= 0
+        with pytest.raises(PreconditionError):
+            m_underflow_threshold(8, m)
 
 
 def test_leaf_classifier_rejects_bad_parameters():

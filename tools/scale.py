@@ -59,25 +59,20 @@ PYTHONPATH.
 Not part of the test suite: ell-8000 and tree-20 take tens of seconds,
 and lower M take minutes.  On a 2-core x86_64 host engine-16 (5,460
 constraints) takes 0.012-0.018 s at 43 MB and engine-20 (14,535)
-0.039-0.041 s at 55 MB (0.015-0.017 s and 0.050-0.093 s, runs alternated
-on that host, before the round game's per-answer rework), containers-20
-0.020-0.023 s at 41 MB peak RSS, grid-1000000 0.01 s and grid-10000000
-0.06-0.07 s, both at 36 MB, sampler-200 0.03-0.04 s and sampler-2000
-0.17-0.23 s; hypergraphs-16 (5,460 constraints in H_2) 0.01 s at 37 MB,
-hypergraphs-20 0.02-0.04 s at 40 MB and hypergraphs-30 (82,215 in H_2)
-0.18 s at 64 MB; swaps-24
+0.039-0.041 s at 55 MB, containers-20 0.020-0.023 s at 41 MB peak RSS,
+grid-1000000 0.01 s and grid-10000000 0.06-0.07 s, both at 36 MB,
+sampler-200 0.03-0.04 s and sampler-2000 0.17-0.23 s; hypergraphs-16
+(5,460 constraints in H_2) 0.01 s at 37 MB, hypergraphs-20 0.02-0.04 s at
+40 MB and hypergraphs-30 (82,215 in H_2) 0.18 s at 64 MB; swaps-24
 0.005-0.008 s, swaps-48 0.027-0.029 s and swaps-96 0.14-0.15 s, all at
-35 MB, with sha256 e0f3bc9c..., 3f07f9da... and 79361710... (0.006 s,
-0.029-0.033 s and 0.20-0.23 s with a separate swap loop per search, same
-sha256); count-26
+35 MB, with sha256 e0f3bc9c..., 3f07f9da... and 79361710...; count-26
 0.01 s at 35 MB and count-14 0.09-0.10 s at 38 MB, since one count builds
 only the F_7 layers its M reaches; tree-24 0.8-1.5 s at 40 MB, tree-22 3.2-5.7 s at 47 MB,
 tree-20 12-19 s at 68 MB and tree-16 94 s at 211 MB.  split-500 takes
 0.002 s at 37 MB and split-1000 0.01-0.02 s at 37 MB; both print sha256
 af5d8a21... (the sampled graphs are not split).  counts-1000 takes
 0.12-0.15 s at 54 MB and counts-100000 0.95-1.06 s at 125 MB, with sha256
-5b1c76f7... and 8d71132b... (0.12 s and 0.57-0.58 s when a scalar
-ln C(a, k) read its three ln j! from one call, same sha256).
+5b1c76f7... and 8d71132b....
 """
 
 from __future__ import annotations
