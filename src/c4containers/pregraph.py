@@ -311,10 +311,10 @@ def build_constraint_hypergraphs(p: Pregraph) -> ConstraintSystem:
 
 
 def _saturation_caps(ell: int, n: int) -> tuple[int, int, int]:
-    """The (1,0), (0,1) and (0,2) degree caps l^2, floor(l^3/n) and l.  A
-    pair must actually appear to be saturated, so an empty hypergraph never
-    has any: each cap is at least 1, which only moves floor(l^3/n) < 1."""
-    return max(ell * ell, 1), max(ell**3 // n, 1), max(ell, 1)
+    """The (1,0), (0,1) and (0,2) degree caps l^2, floor(l^3/n) and l, with
+    n = 0 (no pairs) read as 1.  A pair must actually appear to be saturated,
+    so each cap is at least 1, which only moves floor(l^3/n) < 1."""
+    return max(ell * ell, 1), max(ell**3 // max(n, 1), 1), max(ell, 1)
 
 
 def _saturated(
@@ -422,10 +422,10 @@ def build_permissible(p: Pregraph, ell: int, beta: float) -> PermissibleResult:
     moved = to_fixed = 0  # pair masks of the mixed edges of p neutralized so far, and of those in E
     t10, t01, t02 = _saturation_caps(ell, p.n)
     target = _permissible_target(beta, ell)
-    insertions = 0
+    sizes = [0, 0, 0]  # e(H_i): each insertion adds one constraint
 
     copies = _good_c4_stream(p, bits)  # one cursor for the whole run
-    while not any(h.e() >= target for h in hs):
+    while max(sizes) < target:
         c = None
         for cycle, extra, a0, a1 in copies:
             if cycle & moved or extra & to_fixed:
@@ -436,11 +436,11 @@ def build_permissible(p: Pregraph, ell: int, beta: float) -> PermissibleResult:
         if c is None:
             return PermissibleResult(
                 "exhausted", None, None, ConstraintSystem(ground, *hs),
-                _moved_pregraph(p, moved, to_fixed), insertions,
+                _moved_pregraph(p, moved, to_fixed), sum(sizes),
             )
         i = len(c.a0)
         hs[i].add(c)
-        insertions += 1
+        sizes[i] += 1
         deg10[i].update(c.a0)
         deg01[i].update(c.a1)
         for t in itertools.combinations(c.a1, 2):
@@ -449,10 +449,10 @@ def build_permissible(p: Pregraph, ell: int, beta: float) -> PermissibleResult:
                 blocked.add(t)
         new_moved, new_fixed = _saturated(p, bits, (*c.a0, *c.a1), deg10, deg01, t10, t01)
         moved, to_fixed = moved | new_moved, to_fixed | new_fixed
-    winner = max(range(3), key=lambda i: (hs[i].e() >= target, hs[i].e()))
+    winner = max(range(3), key=lambda i: (sizes[i] >= target, sizes[i]))
     return PermissibleResult(
         "success", winner, hs[winner], ConstraintSystem(ground, *hs),
-        _moved_pregraph(p, moved, to_fixed), insertions,
+        _moved_pregraph(p, moved, to_fixed), sum(sizes),
     )
 
 
@@ -473,19 +473,37 @@ def _adjacency(n: int, mask: int) -> list[int]:
     return adj
 
 
+def _base_pairs(b: int) -> np.ndarray:
+    """The pair mask of the pairs within S, for every vertex subset S of
+    0..b-1 (a bitmask): S + v adds the pairs (u, v), u in S, at bit C(v, 2) + u."""
+    pairs = np.zeros(1 << b, dtype=np.uint64)
+    for v in range(1, b):
+        pairs[1 << v : 2 << v] = pairs[: 1 << v] | np.arange(1 << v, dtype=np.uint64) << np.uint64(v * (v - 1) // 2)
+    return pairs
+
+
+_BASE_VERTICES = 8  # the base block of _subset_pair_counts: C(8, 2) = 28 pair bits fit a uint64
+_BASE_PAIRS = _base_pairs(_BASE_VERTICES)
+
+
 def _subset_pair_counts(adj: Sequence[int]) -> np.ndarray:
     """count[S] = edges with both endpoints in the vertex subset S (a
     bitmask), for every S, given the neighbour bitmasks adj of the graph.
 
-    One doubling pass: the subsets with top vertex v are S + v for the
-    subsets S of 0..v-1, and count[S + v] = count[S] + |adj[v] & S|.
+    The S within the base block, vertices 0..b-1 for b = min(n, 8), take one
+    popcount of ``_BASE_PAIRS[S]`` & the graph's pair mask on the block.  A
+    doubling pass adds each further vertex v: count[S + v] = count[S] +
+    |adj[v] & S| for the subsets S of 0..v-1.
     """
     n = len(adj)
-    masks = np.arange(1 << n, dtype=np.int64)
+    b = min(n, _BASE_VERTICES)
+    # row v of the pair mask, the pairs (u, v) with u < v, starts at bit C(v, 2)
+    low = sum((adj[v] & ((1 << v) - 1)) << (v * (v - 1) // 2) for v in range(1, b))
     count = np.zeros(1 << n, dtype=np.int64)
-    for v in range(n):
-        low = slice(0, 1 << v)
-        count[1 << v : 2 << v] = count[low] + np.bitwise_count(masks[low] & adj[v])
+    count[: 1 << b] = np.bitwise_count(_BASE_PAIRS[: 1 << b] & np.uint64(low))
+    masks = np.arange(1 << n, dtype=np.int64)
+    for v in range(b, n):
+        count[1 << v : 2 << v] = count[: 1 << v] + np.bitwise_count(masks[: 1 << v] & adj[v])
     return count
 
 
@@ -661,6 +679,8 @@ class LeafClassification:
 def m_underflow_threshold(n: int, m: int) -> float:
     """Mixed-edge floor sqrt(n^2 m / (2^8 ln(n^2/m))) below which a pregraph
     can describe only a negligible share of m-edge graphs."""
+    if n < 0:
+        raise PreconditionError(f"need n >= 0, got n={n}")
     if m < 1:
         raise PreconditionError(f"edge budget m must be at least 1, got {m}")
     if m >= n * n:

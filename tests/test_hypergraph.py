@@ -299,7 +299,8 @@ PASS_KEYS = hypergraph._DEGREE_PASS_KEYS
 def test_pass_wise_degree_table_matches_the_subtuple_reference(monkeypatch, pass_keys):
     """Every pass holds whole shapes within the key budget, or one larger
     shape alone; the passes cover every key once, a table within one budget
-    takes one pass, and the table is the Counter reference's."""
+    takes one pass, and the table is the Counter reference's.  An H of at
+    most _SUBSET_ROUTE_SUPPORT constraints runs no pass at all."""
     monkeypatch.setattr(hypergraph, "_DEGREE_PASS_KEYS", pass_keys)
     calls = record_passes(monkeypatch)
     rng = random.Random(pass_keys)
@@ -313,6 +314,9 @@ def test_pass_wise_degree_table_matches_the_subtuple_reference(monkeypatch, pass
             h.add(repeated, rng.randint(1, 3))  # multiplicities above 1
             del calls[:]
             assert h.degree_table() == subtuple_table(h)
+            if h.support_size() <= hypergraph._SUBSET_ROUTE_SUPPORT:
+                assert calls == []
+                continue
             e, passes = h.support_size(), calls[1:]
             assert sum(passes) == sum(shape_rows) * e
             for keys in passes:
@@ -333,6 +337,54 @@ def test_pass_wise_degree_table_matches_the_subtuple_reference(monkeypatch, pass
         del calls[:]
         assert h.degree_table() == subtuple_table(h)
         assert bool(calls[1:]) is (used < base)
+
+
+def hypergraph_of_support(rng, k0, k1, s, star):
+    """s distinct (k0, k1) constraints on 12 vertices, multiplicities 1..3.
+    A star's constraints all share A0 and all but two A1 vertices (or, with
+    k1 < 2, all but one A0 vertex and all of A1), so that their common sides
+    stay large across many constraints."""
+    free0, free1 = (0, 2) if k1 >= 2 else (1, 0)
+    hub, rest = list(range(k0 + k1)), list(range(k0 + k1, 12))
+    h = UniformHypergraph(k0, k1, 12)
+    while h.support_size() < s:
+        if star:
+            extra = rng.sample(rest, free0 + free1)
+            a0, a1 = hub[: k0 - free0] + extra[:free0], hub[k0 : k0 + k1 - free1] + extra[free0:]
+        else:
+            picked = rng.sample(range(12), k0 + k1)
+            a0, a1 = picked[:k0], picked[k0:]
+        h.add(Constraint.make(a0, a1), mult=rng.randint(1, 3))
+    return h
+
+
+@pytest.mark.parametrize("k0,k1", [(2, 4), (1, 4), (0, 4), (1, 2), (3, 0), (1, 1)])
+def test_degree_table_routes_match_the_subtuple_reference(monkeypatch, k0, k1):
+    """For supports 0..8, on random and star-shaped H with multiplicities
+    above 1: the table is the Counter reference's, H of at most
+    _SUBSET_ROUTE_SUPPORT constraints take the constraint-subset route and
+    run no numpy pass, and larger ones take the numpy passes."""
+    served = []
+    by_subsets = UniformHypergraph._degree_table_by_subsets
+    monkeypatch.setattr(UniformHypergraph, "_degree_table_by_subsets",
+                        lambda self, shapes: served.append(self.support_size()) or by_subsets(self, shapes))
+    calls = record_passes(monkeypatch)
+    rng = random.Random(10 * k0 + k1)
+    shared = (k0, k1 - 2) if k1 >= 2 else (k0 - 1, k1)  # the sides a star's constraints share
+    for s in range(9):
+        for star in (False, True):
+            for _ in range(3):
+                h = hypergraph_of_support(rng, k0, k1, s, star)
+                repeated = next(iter(h.constraints()), None)
+                if repeated:
+                    h.add(repeated[0], 2)
+                del served[:], calls[:]
+                table = h.degree_table()
+                assert table == subtuple_table(h)
+                assert not star or table[shared] == h.e()
+                small = s <= hypergraph._SUBSET_ROUTE_SUPPORT
+                assert served == ([s] if small else [])
+                assert bool(calls) is not small
 
 
 def test_pass_wise_degree_table_on_h2_of_k13(monkeypatch):

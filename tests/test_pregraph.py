@@ -11,6 +11,7 @@ from collections import Counter
 from dataclasses import asdict
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -372,6 +373,18 @@ def test_permissible_exhausts_without_cycles():
     assert res.hypergraph is None
 
 
+@pytest.mark.parametrize("n", [0, 1])
+def test_pregraphs_without_pairs_exhaust_and_stay_unchanged(n):
+    """n = 0 has no pairs, as n = 1 has none: the greedy exhausts after no
+    insertion, and neutralization moves nothing."""
+    p = complete_pregraph(n)
+    res = build_permissible(p, ell=1, beta=0.5)
+    assert (res.status, res.insertions, res.hypergraph) == ("exhausted", 0, None)
+    assert res.preprocessed == p
+    assert preprocess_saturation(p, *build_constraint_hypergraphs(p), ell=1) == p
+    assert _saturation_caps(3, n) == _saturation_caps(3, 1) == (9, 27, 3)
+
+
 def test_permissible_rejects_bad_parameters():
     with pytest.raises(PreconditionError):
         build_permissible(complete_pregraph(5), ell=0, beta=0.1)
@@ -449,6 +462,9 @@ def test_m_underflow_threshold_formula():
     for m in (0, -3):  # ln(n^2/m) is undefined for m <= 0
         with pytest.raises(PreconditionError):
             m_underflow_threshold(8, m)
+    for n in (-3, -1):  # only n^2 enters, so a negative n read as -n
+        with pytest.raises(PreconditionError):
+            m_underflow_threshold(n, 1)
 
 
 def test_leaf_classifier_rejects_bad_parameters():
@@ -533,6 +549,20 @@ def test_subset_pair_counts_match_the_peeling_dp(p):
     for pairs, mask in ((p.fixed, p.E), (p.mixed, p.M), (p.neutral, p.N)):
         want = naive.subset_pair_counts_by_peeling(p.n, pairs)
         assert _subset_pair_counts(_adjacency(p.n, mask)).tolist() == want
+
+
+@pytest.mark.parametrize("n", range(13))
+def test_subset_pair_counts_on_both_sides_of_the_base_block(n):
+    """The counts of every subset, for n below, at and above the 8-vertex
+    base block, on the empty graph, the complete one and random ones."""
+    rng = random.Random(n)
+    every = list(itertools.combinations(range(n), 2))
+    graphs = [[], every] + [[e for e in every if rng.random() < density] for density in (0.2, 0.5, 0.8)]
+    for pairs in graphs:
+        want = naive.subset_pair_counts_by_peeling(n, pairs)
+        got = _subset_pair_counts(_adjacency(n, sum(1 << pair_index(u, v) for u, v in pairs)))
+        assert got.dtype == np.int64 and got.tolist() == want
+        assert want[-1] == len(pairs)
 
 
 @settings(max_examples=60, deadline=None)

@@ -67,8 +67,8 @@ sampler-200 0.03-0.04 s and sampler-2000 0.17-0.23 s; hypergraphs-16
 0.005-0.008 s, swaps-48 0.027-0.029 s and swaps-96 0.14-0.15 s, all at
 35 MB, with sha256 e0f3bc9c..., 3f07f9da... and 79361710...; count-26
 0.01 s at 35 MB and count-14 0.09-0.10 s at 38 MB, since one count builds
-only the F_7 layers its M reaches; tree-24 0.8-1.5 s at 40 MB, tree-22 3.2-5.7 s at 47 MB,
-tree-20 12-19 s at 68 MB and tree-16 94 s at 211 MB.  split-500 takes
+only the F_7 layers its M reaches; tree-24 0.45 s at 40 MB, tree-22 1.8-2.3 s at 46 MB,
+tree-20 6.7-7.1 s at 67 MB and tree-16 35 s at 212 MB.  split-500 takes
 0.002 s at 37 MB and split-1000 0.01-0.02 s at 37 MB; both print sha256
 af5d8a21... (the sampled graphs are not split).  counts-1000 takes
 0.12-0.15 s at 54 MB and counts-100000 0.95-1.06 s at 125 MB, with sha256
