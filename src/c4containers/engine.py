@@ -16,9 +16,9 @@ Degree caps for the saturation thresholds follow a two-parameter schedule:
 the base row is the degree table of H itself and each earlier index pair
 takes a max of a doubled finer entry and a (b/v or b/m)-scaled same-size
 entry.  ``DeltaSchedule`` evaluates the closed form as a max of integer
-numerators over one common denominator; a saturation threshold is the
-integer ceiling of that ratio halved.  The literal recursion, in exact
-rationals, is the test reference ``delta_by_recursion`` in ``tests/naive.py``.
+numerators over one common denominator; a threshold is the ceiling of that
+ratio halved, cached per round by ``_round_thresholds``.  The literal
+recursion is the test reference ``delta_by_recursion`` in ``tests/naive.py``.
 
 The engine is driven either by an assignment (``build_container``), by a
 previously produced fingerprint (``replay_container``, which realizes the
@@ -31,12 +31,14 @@ same answers share one execution prefix, so one run serves them all.
 from __future__ import annotations
 
 import copy
+import functools
 import itertools
 import math
 import operator
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from types import MappingProxyType
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -66,10 +68,6 @@ __all__ = [
     "MonotoneResult",
     "monotone_containers",
 ]
-
-# saturation_thresholds memo: (k0, k1, b, m, v, base row, i0, i1) -> thresholds
-_THRESHOLDS: dict[tuple, dict[tuple[int, int], int]] = {}
-_THRESHOLDS_SIZE = 4096
 
 
 def normalize_parameters(b: int, m: int, v: int) -> tuple[int, int]:
@@ -174,21 +172,30 @@ class DeltaSchedule:
         Degrees are integers, so the half-cap comparison collapses to the
         ceiling of top / (2 den) for the cap's ``_ratio`` (top, den), taken in
         integers.  Index (0, 0) has no admissible size pairs and gets {}.
-        Tables are memoized by value, up to ``_THRESHOLDS_SIZE`` of them, and
-        each call returns a copy.
+        A new dict each call; rounds read theirs from ``_round_thresholds``.
         """
-        key = (self.k0, self.k1, self.b, self.m, self.v, tuple(self.base.values()), i0, i1)
-        if key not in _THRESHOLDS:
-            if len(_THRESHOLDS) >= _THRESHOLDS_SIZE:
-                _THRESHOLDS.clear()
-            _THRESHOLDS[key] = {
-                (l0, l1): -(-top // (2 * den))
-                for l0 in range(i0 + 1)
-                for l1 in range(i1 + 1)
-                if (l0, l1) != (0, 0)
-                for top, den in [self._ratio(i0, i1, l0, l1)]
-            }
-        return dict(_THRESHOLDS[key])
+        return {
+            (l0, l1): -(-top // (2 * den))
+            for l0 in range(i0 + 1)
+            for l1 in range(i1 + 1)
+            if (l0, l1) != (0, 0)
+            for top, den in [self._ratio(i0, i1, l0, l1)]
+        }
+
+
+@functools.lru_cache(maxsize=4096)
+def _round_thresholds(k0: int, k1: int, b: int, m: int, v: int, base: tuple, i0: int, i1: int) -> MappingProxyType:
+    """A round's read-only saturation thresholds, cached by value: those of
+    index (i0, i1) of the schedule whose base row has the items ``base``, on
+    the classes (l0, l1) that (l0 - 1, l1) and (l0, l1 - 1) do not dominate
+    with a threshold no larger.  A dominated pair saturates no earlier than
+    its sub-pair there, which lies in every constraint the pair lies in, so
+    dropping those classes dooms the same constraints at the same answers."""
+    full = DeltaSchedule(k0, k1, b, m, v, dict(base)).saturation_thresholds(i0, i1)
+    return MappingProxyType({
+        (l0, l1): t for (l0, l1), t in full.items()
+        if full.get((l0 - 1, l1), t + 1) > t and full.get((l0, l1 - 1), t + 1) > t
+    })
 
 
 # -- cylinders, fingerprints, full construction ------------------------------
@@ -264,23 +271,18 @@ class ContainerProcess:
     A vertex's live c-side degree is a weighted popcount of its incidence
     mask and ``live``.  Degrees only fall within a round, so a vertex at
     degree 0 leaves ``_askable``, the vertices and masks that pending()
-    scans.  ``active`` and ``cdeg`` are read-only views, built on access.
-    YES answers move the asked vertex's live constraints, with the vertex
-    removed, into the counter ``gstar`` of uniformity ``k_star``.
-    ``pair_deg`` counts the degrees of their sub-pairs in the classes of
-    ``thresholds``.  Degrees only grow, so a pair is newly saturated when an
-    add carries its degree d across its threshold t (d < t <= d + mult); it
-    joins ``saturated``, and the live constraints holding it (the AND of its
-    vertices' incidence masks) are dropped.  ``thresholds`` keeps only the
-    undominated size classes: (l0, l1) is dominated when (l0 - 1, l1) or
-    (l0, l1 - 1) has a threshold no larger.  A key of G* holding a pair
-    holds its sub-pairs, so a dominated pair saturates no earlier than its
-    sub-pair in that smaller class, which lies in every constraint the pair
-    lies in: counting only the undominated classes drops the same
-    constraints at the same answers.  ``yes`` and
-    ``no`` list the vertices answered each way in this round; ``s0`` and
-    ``s1`` accumulate the YES vertices of all rounds.  A round ends after b
-    YES answers or when no constraint is left; G* then either yields the
+    scans.  ``active``, ``cdeg`` and ``saturated`` are read-only views,
+    built on access.  YES answers move the asked vertex's live constraints,
+    with the vertex removed, into the counter ``gstar`` of uniformity
+    ``k_star``.  ``pair_deg`` counts the degrees of their sub-pairs in the
+    undominated size classes, the keys of ``thresholds`` (read-only, shared
+    through ``_round_thresholds``).  Degrees only grow, so a pair is newly
+    saturated when an add carries its degree d across its threshold t
+    (d < t <= d + mult), and the live constraints holding it (the AND of
+    its vertices' incidence masks) are dropped.  ``yes`` and ``no`` list
+    the vertices answered each way in this round; ``s0`` and ``s1``
+    accumulate the YES vertices of all rounds.  A round ends after b YES
+    answers or when no constraint is left; G* then either yields the
     cylinder or opens the next round.
     """
 
@@ -289,21 +291,20 @@ class ContainerProcess:
             raise PreconditionError("container construction needs a non-empty hypergraph")
         if r < 1:
             raise ValueError("r must be positive")
-        self.h_k0, self.h_k1 = h.k0, h.k1
         self.n = h.n_vertices
         self.e_h = h.e()
         b2, m2 = normalize_parameters(b, m, h.n_vertices)
-        self.report = check_container_hypothesis(h, k, b2, m2, r)
-        self.hypothesis_ok = self.report.all_passed
+        report = check_container_hypothesis(h, k, b2, m2, r)
+        self.hypothesis_ok = report.all_passed
         if not self.hypothesis_ok and not force:
             raise HypothesisError(
-                f"degree condition fails at {self.report.failing_pairs()}; "
-                f"minimal feasible K is {self.report.min_k}",
-                min_k=self.report.min_k,
+                f"degree condition fails at {report.failing_pairs()}; "
+                f"minimal feasible K is {report.min_k}",
+                min_k=report.min_k,
             )
         self.b, self.m, self.r = b2, m2, r
         # the report's observed degrees are H's degree table: the base row
-        base = {pair: entry[0] for pair, entry in self.report.entries.items()}
+        base = {pair: entry[0] for pair, entry in report.entries.items()}
         self.sched = DeltaSchedule(h.k0, h.k1, b2, m2, h.n_vertices, base)
         self.s = 0
         self.s0: set[int] = set()
@@ -319,17 +320,18 @@ class ContainerProcess:
         self.live = (1 << len(self.keys)) - 1
         self._askable = (range(self.n), self.incidence[self.c])
         self.k_star = (i0 - 1, i1) if self.c == 0 else (i0, i1 - 1)
-        thresholds = self.sched.saturation_thresholds(*self.k_star)
-        self.thresholds = {
-            (l0, l1): t
-            for (l0, l1), t in thresholds.items()
-            if thresholds.get((l0 - 1, l1), t + 1) > t and thresholds.get((l0, l1 - 1), t + 1) > t
-        }
+        sc = self.sched
+        self.thresholds = _round_thresholds(sc.k0, sc.k1, sc.b, sc.m, sc.v, tuple(sc.base.items()), *self.k_star)
         self.gstar: Counter[Key] = Counter()
         self.pair_deg: Counter[Key] = Counter()
-        self.saturated: set[Key] = set()
         self.yes: list[int] = []
         self.no: list[int] = []
+
+    @property
+    def saturated(self) -> set[Key]:
+        """The pairs at or above their class's threshold: exactly those an add carried
+        across it, as every Delta of a non-empty H, so every threshold, is at least 1."""
+        return {pair for pair, d in self.pair_deg.items() if d >= self.thresholds[len(pair[0]), len(pair[1])]}
 
     @property
     def active(self) -> dict[Key, int]:
@@ -380,7 +382,6 @@ class ContainerProcess:
                     pair_deg[pair] = d + mult
                     if d < thr <= d + mult:
                         fresh.append(pair)
-        self.saturated.update(fresh)
         return fresh
 
     def _doomed(self, fresh: list[Key]) -> int:
@@ -423,15 +424,15 @@ class ContainerProcess:
 
     def _close_round(self) -> None:
         (self.s1 if self.c == 1 else self.s0).update(self.yes)
-        e = sum(self.gstar.values())
-        if _below_beta(e, self.e_h, self.h_k0, self.h_k1, self.b, self.m, self.n, self.s + 1):
+        e, k0, k1 = sum(self.gstar.values()), self.sched.k0, self.sched.k1
+        if _below_beta(e, self.e_h, k0, k1, self.b, self.m, self.n, self.s + 1):
             labels: list[Optional[int]] = [None] * self.n
             for v in self.no:
                 labels[v] = 1 - self.c
             self.cylinder = Cylinder(tuple(labels))
             self.done = True
             return
-        if self.s + 1 >= self.h_k0 + self.h_k1:
+        if self.s + 1 >= k0 + k1:
             raise PreconditionError(
                 "no round budget left with a non-empty reduced hypergraph; "
                 "the driving assignment cannot lie in F(H)"
@@ -440,24 +441,20 @@ class ContainerProcess:
         self._open_round(hypergraph._index_round(self.gstar, self.k_star[1], self.n), *self.k_star)
 
     def clone(self) -> "ContainerProcess":
-        """An independent copy.  The report, schedule, thresholds and round
-        index stay shared; ``live`` is an int."""
+        """An independent copy.  The schedule, the read-only thresholds and
+        the round index stay shared; ``live`` is an int."""
         other = copy.copy(self)
         other.s0, other.s1 = set(self.s0), set(self.s1)
         other.gstar = Counter(self.gstar)
         other.pair_deg = Counter(self.pair_deg)
-        other.saturated = set(self.saturated)
         other.yes, other.no = list(self.yes), list(self.no)
         return other
-
-    def fingerprint(self) -> Fingerprint:
-        return Fingerprint.make(self.s0, self.s1)
 
     def result(self) -> ContainerResult:
         if not self.done or self.cylinder is None:
             raise RuntimeError("construction has not finished")
         return ContainerResult(
-            fingerprint=self.fingerprint(),
+            fingerprint=Fingerprint.make(self.s0, self.s1),
             cylinder=self.cylinder,
             hypothesis_ok=self.hypothesis_ok,
             b=self.b,

@@ -164,7 +164,7 @@ def _check_exact_range(n: int, m: int) -> None:
     if n < 0:
         raise PreconditionError("n must be nonnegative")
     if not 0 <= m <= n * (n - 1) // 2:
-        raise ValueError(f"m = {m} outside 0..{n * (n - 1) // 2}")
+        raise PreconditionError(f"m = {m} outside 0..{n * (n - 1) // 2}")
 
 
 @lru_cache(maxsize=None)

@@ -139,7 +139,7 @@ class TreeParams:
             warnings.warn(
                 f"parameter floor binds at n={self.n}, m={self.m}: "
                 f"raw b={raw_b}, raw r={raw_r}; clamping to 1",
-                stacklevel=2,
+                stacklevel=3,
             )
         object.__setattr__(self, "K", 5.0 / self.beta)
         object.__setattr__(self, "b", max(raw_b, 1))
@@ -532,7 +532,9 @@ def phi_log(n: int, m: int, p: float, count_mode: str) -> LogCount:
         raise PreconditionError(f"count_mode must be exact/lower_bound/upper_bound, got {count_mode!r}")
     if not 0 < p < 1:
         raise PreconditionError(f"need 0 < p < 1, got {p}")
-    if n < 1 or m < 0 or m > math.comb(n, 2):
+    if n < 0:
+        raise PreconditionError(f"need n >= 0, got n={n}")
+    if m < 0 or m > math.comb(n, 2):
         raise PreconditionError(f"need 0 <= m <= C(n,2), got n={n}, m={m}")
     if m == 0:
         return LogCount(0.0)

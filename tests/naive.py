@@ -368,16 +368,18 @@ def doomed_by_subset_test(proc, fresh):
 def add_to_gstar_all_classes(proc, key, mult):
     """ContainerProcess._add_to_gstar counting every size class: the degree
     of each of the 2^(k0+k1) - 1 sub-pairs of key against the full
-    saturation table of the round's k*.  Returns the newly saturated pairs."""
+    saturation table of the round's k*.  Returns the newly saturated pairs,
+    those whose degree d the add carries across their threshold t
+    (d < t <= d + mult)."""
     proc.gstar[key] += mult
     fresh = []
     for (l0, l1), thr in proc.sched.saturation_thresholds(*proc.k_star).items():
         for s0 in itertools.combinations(key[0], l0):
             for s1 in itertools.combinations(key[1], l1):
                 pair = (s0, s1)
-                proc.pair_deg[pair] += mult
-                if proc.pair_deg[pair] >= thr and pair not in proc.saturated:
-                    proc.saturated.add(pair)
+                d = proc.pair_deg[pair]
+                proc.pair_deg[pair] = d + mult
+                if d < thr <= d + mult:
                     fresh.append(pair)
     return fresh
 

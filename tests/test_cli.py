@@ -194,6 +194,15 @@ def test_phi_exact_with_another_mode_exit_3(capsys):
     assert out == "" and "--exact" in err
 
 
+def test_phi_of_the_empty_graph_and_a_negative_n(capsys):
+    code, out, _ = run(capsys, "phi", "--n", "0", "--m", "0", "--p", "0.5", "--mode", "exact")
+    assert code == 0
+    assert out.splitlines()[-1] == "0,0,0.5,exact,0"
+    code, _, err = run(capsys, "phi", "--n", "-2", "--m", "0", "--p", "0.5", "--mode", "exact")
+    assert code == 3
+    assert "n >= 0, got n=-2" in err
+
+
 def test_phi_requires_mode(capsys):
     code, _, err = run(capsys, "phi", "--n", "6", "--m", "5", "--p", "0.3")
     assert code == 3
@@ -586,6 +595,36 @@ def main_in_fresh_process(argv):
     done = subprocess.run([sys.executable, "-c", script, *argv], capture_output=True,
                           text=True, env=env, timeout=120)
     return done.returncode, done.stdout, done.stderr
+
+
+def test_benchmark_tracer_wraps_names_the_cli_still_calls(tmp_path):
+    """perfbench's tracer installed in a new interpreter, then
+    stability-probe and the README's containers example on the quick-start
+    H: both exit 0 and the spans of the stages they cross are recorded, so
+    every name the tracer wraps still exists and is still called through it."""
+    h = UniformHypergraph(1, 2, 6)
+    h.add(Constraint.make((0,), (1, 2)))
+    h.add(Constraint.make((3,), (4, 5)))
+    h.add(Constraint.make((1,), (2, 4)))
+    (tmp_path / "h.txt").write_text(h.to_text())
+    root = Path(__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(root / "src"), str(root / "perfbench")])}
+    script = (
+        "import json, tracing\n"
+        "from c4containers import cli\n"
+        "tracer = tracing.Tracer()\n"
+        "tracing.install(tracer)\n"
+        "codes = [cli.main(['stability-probe', '--n', '7', '--m', '10']),\n"
+        "         cli.main(['containers', '--input', 'h.txt', '--K', '9', '--b', '2', '--m', '4', '--r', '3'])]\n"
+        "print(json.dumps({'codes': codes, 'spans': sorted({span[1] for span in tracer.spans})}))\n"
+    )
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          cwd=tmp_path, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    traced = json.loads(done.stdout.splitlines()[-1])
+    assert traced["codes"] == [0, 0]
+    for name in ("tree.choose_hypergraph", "hypergraph.check_hypothesis", "engine.process_init", "engine.answer"):
+        assert name in traced["spans"], (name, traced["spans"])
 
 
 def test_parser_is_built_once():

@@ -133,16 +133,20 @@ def test_saturation_thresholds_are_half_cap_ceilings():
 
 
 def test_memoized_thresholds_match_fresh_ones():
-    """saturation_thresholds, memoized by value, against the half-cap
-    ceilings of the Fraction-product caps computed afresh, on seeded int and
-    Fraction base rows for every shape up to (3, 3): asked again, asked
-    through an equal schedule built apart (a memo hit), and after the caller
-    changed a returned table.  The memo never holds more than its bound."""
-    engine._THRESHOLDS.clear()
+    """engine._round_thresholds, cached by value, against the undominated
+    half-cap ceilings of the Fraction-product caps computed afresh, on 1,024
+    seeded int and Fraction base rows for every shape up to (3, 3): asked
+    through an equal schedule built apart it is a cache hit, the mapping it
+    returns cannot be assigned to, and after more distinct keys than its
+    bound the cache holds at most the bound.  DeltaSchedule's
+    saturation_thresholds returns a fresh, equal dict on every call."""
+    cached = engine._round_thresholds
+    cached.cache_clear()
+    bound = cached.cache_info().maxsize
     rng = random.Random(22)
     shapes = [(k0, k1) for k0 in range(4) for k1 in range(4) if (k0, k1) != (0, 0)]
-    checked = 0
-    for trial in range(engine._THRESHOLDS_SIZE // 4):
+    keys = set()
+    for trial in range(1024):
         k0, k1 = shapes[trial % len(shapes)]
         v = rng.randint(max(1, k0 + k1), 40)
         m = rng.randint(1, v)
@@ -160,16 +164,26 @@ def test_memoized_thresholds_match_fresh_ones():
                 for l1 in range(i1 + 1)
                 if (l0, l1) != (0, 0)
             }
-            got = sched.saturation_thresholds(i0, i1)
-            assert got == fresh
-            got[(i0, i1)] = -1
-            held = len(engine._THRESHOLDS)
-            assert DeltaSchedule(k0, k1, b, m, v, dict(base)).saturation_thresholds(i0, i1) == fresh
-            assert sched.saturation_thresholds(i0, i1) == fresh
-            assert len(engine._THRESHOLDS) == held <= engine._THRESHOLDS_SIZE
-            checked += 1
-    # the trials ask for more tables than the memo holds, so it was emptied
-    assert checked > engine._THRESHOLDS_SIZE, checked
+            undominated = {
+                (l0, l1): t
+                for (l0, l1), t in fresh.items()
+                if all(fresh.get(smaller, math.inf) > t for smaller in ((l0 - 1, l1), (l0, l1 - 1)))
+            }
+            key = (k0, k1, b, m, v, tuple(sched.base.items()), i0, i1)
+            got = cached(*key)
+            assert dict(got) == undominated
+            with pytest.raises(TypeError):
+                got[(i0, i1)] = -1
+            hits = cached.cache_info().hits
+            twin = DeltaSchedule(k0, k1, b, m, v, dict(base))
+            assert cached(k0, k1, b, m, v, tuple(twin.base.items()), i0, i1) is got
+            assert cached.cache_info().hits == hits + 1
+            first, again = sched.saturation_thresholds(i0, i1), sched.saturation_thresholds(i0, i1)
+            assert first == again == fresh and first is not again
+            keys.add(key)
+            assert cached.cache_info().currsize <= bound
+    # the trials ask for more distinct tables than the cache holds
+    assert len(keys) > bound, len(keys)
 
 
 def test_closed_form_matches_fraction_products():

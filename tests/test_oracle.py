@@ -289,6 +289,13 @@ def test_enumerate_refuses_m_outside_the_pair_range_as_the_count_does():
                 f(4, m)
 
 
+def test_exact_range_refusals_are_precondition_errors():
+    for f, n, m in ((count_Fnm_c4, 5, 11), (enumerate_fnm_masks, 4, -1), (count_Fnm_c4, 3, -2)):
+        with pytest.raises(ValueError, match=f"m = {m} outside") as caught:
+            f(n, m)
+        assert caught.type is PreconditionError
+
+
 # fnm_table(8) as the exhaustive scan of all 2^28 masks computed it
 FNM_TABLE_8 = (
     1, 28, 378, 3276, 20265, 93660, 329350, 887520, 1853250, 3091340, 4317152,

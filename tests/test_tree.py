@@ -51,6 +51,12 @@ def test_derived_parameters_at_7_10():
     assert params.depth_cap == expected_cap
 
 
+def test_floor_warning_names_the_code_that_built_the_params():
+    with pytest.warns(UserWarning, match="parameter floor binds") as caught:
+        TreeParams(7, 10)
+    assert [w.filename for w in caught] == [__file__]
+
+
 def test_parameter_validation():
     with pytest.raises(PreconditionError):
         TreeParams(2, 1)
@@ -370,6 +376,14 @@ def test_phi_argument_errors():
         phi_log(6, 3, 0.3, "bogus_mode")
     with pytest.raises(ScaleError):
         phi_log(9, 3, 0.3, "exact")
+
+
+def test_phi_of_the_empty_graph_and_a_negative_n():
+    for mode in ("exact", "lower_bound", "upper_bound"):
+        assert phi_log(0, 0, 0.3, mode).value == 0.0
+    for n in (-1, -5):
+        with pytest.raises(PreconditionError, match=f"n >= 0, got n={n}"):
+            phi_log(n, 0, 0.3, "exact")
 
 
 def test_phi_mode_is_checked_before_the_m0_shortcut():
