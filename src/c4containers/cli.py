@@ -348,7 +348,7 @@ def _cmd_stability_probe(res: _Resolver) -> int:
             hyp = check_container_hypothesis(
                 h, params.K, *normalize_parameters(params.b, params.m, h.n_vertices), params.r
             )
-            deg = {pair: delta for pair, (delta, _, _) in hyp.entries.items()}
+            deg = h.degree_table()
             entry.update(
                 case=sel.case, ell=sel.ell, i=sel.i, e_H=h.e(), v_H=h.n_vertices,
                 delta_01=deg[(0, 1)], delta_02=deg[(0, 2)],

@@ -303,9 +303,7 @@ class ContainerProcess:
                 min_k=report.min_k,
             )
         self.b, self.m, self.r = b2, m2, r
-        # the report's observed degrees are H's degree table: the base row
-        base = {pair: entry[0] for pair, entry in report.entries.items()}
-        self.sched = DeltaSchedule(h.k0, h.k1, b2, m2, h.n_vertices, base)
+        self.sched = DeltaSchedule(h.k0, h.k1, b2, m2, h.n_vertices, h.degree_table())
         self.s = 0
         self.s0: set[int] = set()
         self.s1: set[int] = set()
@@ -566,6 +564,8 @@ def monotone_containers(
         lift.add(Constraint.make((), e))
     if lift.is_empty():
         raise PreconditionError("monotone containers need at least one edge")
+    if r < 1:
+        raise ValueError("r must be positive")
     i_set = frozenset(independent_set)
     h = Assignment.from_ones(n, i_set)
     res = build_container(lift, Fraction(n, r), b, n, r, h, force=force)

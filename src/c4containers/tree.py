@@ -32,9 +32,9 @@ The derived parameters follow the tree construction exactly:
 
 with b and r floored at 1 (a warning notes when the floor binds, which it
 always does at the scales a table can reach).  Each child of an internal
-node loses a c-fraction of its mixed edges or gains c*r fixed edges; the
-tree height is capped at ceil(2 ln(n)/c + m/(c r)), though strict progress
-bounds the depth far sooner in practice.
+node loses a c-fraction of its mixed edges or gains c*r fixed edges, checked
+exactly in integers, so the depth is at most C(n,2), far below the paper's
+height bound ceil(2 ln(n)/c + m/(c r)).
 
 ``phi_log`` evaluates the edge-weight phi(m) = |F_{n,m}(C4)| (p/(1-p))^m
 that governs the edge count of a uniform random graph conditioned on
@@ -104,10 +104,11 @@ class TreeParams:
     instances sit far outside every asymptotic regime anyway).
 
     depth_cap is the paper's height bound ceil(2 ln(n)/c + m/(c r)), c the
-    shrink factor; it is kept and serialized as stated.  Strict progress
-    pre-empts it: a node is expanded only with fewer mixed edges than its
-    parent, so depth never exceeds C(n,2), while the cap exceeds 10^16 for
-    n <= 8.
+    shrink factor, kept and serialized as stated.  The exact progress check
+    pre-empts it: every expanded node has fewer mixed edges than its parent,
+    so depth <= C(n,2).  An internal node needs beta*ell^4 <= e(H) <=
+    3*C(n,4), so beta <= 210 at n <= 8, where r = 1 and the cap exceeds
+    m/(c r) >= 2^42/42 > 10^11.  A beta whose cap is not finite is refused.
     """
 
     n: int
@@ -145,8 +146,10 @@ class TreeParams:
         object.__setattr__(self, "b", max(raw_b, 1))
         object.__setattr__(self, "r", max(raw_r, 1))
         object.__setattr__(self, "shrink", 2.0**-42 / self.K)
-        cap = math.ceil(2 * log_n / self.shrink + self.m / (self.shrink * self.r))
-        object.__setattr__(self, "depth_cap", cap)
+        cap = 2 * log_n / self.shrink + self.m / (self.shrink * self.r) if self.shrink > 0 else math.inf
+        if not cap < math.inf:  # also when K = inf made c = 0
+            raise PreconditionError(f"beta = {self.beta} is too small: K = 5/beta, c = 2^-42/K or the height bound is not finite")
+        object.__setattr__(self, "depth_cap", math.ceil(cap))
 
 
 # -- hypergraph selection --------------------------------------------------------
@@ -312,18 +315,13 @@ def _apply_cylinder(p: Pregraph, bits: np.ndarray, cyl: Cylinder) -> Pregraph:
 
 
 def _makes_progress(parent: Pregraph, child: Pregraph, params: TreeParams) -> bool:
-    c = params.shrink
-    return (
-        child.e_m() <= (1 - c) * parent.e_m()
-        or child.e_e() >= parent.e_e() + c * params.r
-    )
+    """Exact for c = shrink = p/q, so a child equal to its parent never passes."""
+    p, q = params.shrink.as_integer_ratio()
+    return q * child.e_m() <= (q - p) * parent.e_m() or q * child.e_e() >= q * parent.e_e() + p * params.r
 
 
 def _expand(node: TreeNode, members: np.ndarray, params: TreeParams, force: bool, nodes: list) -> None:
     p = node.pregraph
-    if node.depth >= params.depth_cap:
-        node.status, node.classification = "fallback_leaf", "depth_cap"
-        return
     cls = is_leaf_pregraph(p, params.m, params.eps, params.delta)
     if cls.is_leaf:
         node.status, node.classification = "leaf", cls.kind
@@ -344,16 +342,14 @@ def _expand(node: TreeNode, members: np.ndarray, params: TreeParams, force: bool
         return
     node.renormalized = (proc.b, proc.m) != (params.b, params.m)
     # members whose leaves give one cylinder share a child, under the
-    # smallest of their fingerprints
-    groups: dict[str, list] = {}
+    # smallest of their fingerprints (each replays to one cylinder)
+    groups: dict[Cylinder, list] = {}
     for res, mem in _drive_members(proc, members, bits):
-        entry = groups.setdefault(res.cylinder.to_string(), [res.cylinder, res.fingerprint, []])
-        entry[1] = min(entry[1], res.fingerprint, key=lambda fp: (fp.s0, fp.s1))
-        entry[2].append(mem)
-    ordered = sorted(
-        groups.values(), key=lambda e: (e[1].s0, e[1].s1, e[0].to_string())
-    )
-    for cyl, fp, pools in ordered:
+        entry = groups.setdefault(res.cylinder, [res.fingerprint, []])
+        entry[0] = min(entry[0], res.fingerprint, key=lambda fp: (fp.s0, fp.s1))
+        entry[1].append(mem)
+    ordered = sorted(groups.items(), key=lambda kv: (kv[1][0].s0, kv[1][0].s1))
+    for cyl, (fp, pools) in ordered:
         sub = np.sort(np.concatenate(pools))
         child_pg = _apply_cylinder(p, bits, cyl)
         child = TreeNode(
@@ -496,7 +492,11 @@ def tree_summary(tree: ContainerTree, coverage: tuple[int, int]) -> dict:
 
 
 def tree_json(tree: ContainerTree, coverage: tuple[int, int]) -> str:
-    return json.dumps(tree_summary(tree, coverage), indent=2, sort_keys=True)
+    """``tree_summary`` as strict JSON: the log of a zero count (-inf) is null."""
+    summary = tree_summary(tree, coverage)
+    for d in [summary, *(info for bucket in summary["leaves"].values() for info in bucket)]:
+        d.update([(key, None) for key, val in d.items() if val == -math.inf])
+    return json.dumps(summary, indent=2, sort_keys=True, allow_nan=False)
 
 
 # -- the edge-count weight phi ----------------------------------------------------

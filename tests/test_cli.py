@@ -248,7 +248,7 @@ def test_tree_writes_artifacts(tmp_path, capsys):
 # forced n = 8 tree is the one exhaustive check of the engine, the greedy and
 # the leaf tests together
 TREE_SHA256 = {
-    (7, 3, True): "1d00e6d28d2ec5d73c15027ac5ad5e6d4c36628f360c2504d83635576c505c03",
+    (7, 3, True): "93cc9f2edfff8e0218b206980e03a4d5938c7368ed05bb2e0e7a80587ffd66a0",
     (7, 13, True): "39f904bff260f6d8113b4fd614cd1a27498cf3e9b593e23f33ace6f8bad37640",
     (7, 15, True): "34fe3a226a74d6c3b2102b1caada7542350c12bc392269a9107b62c40f9d4fcb",
     (7, 18, False): "fdad0fb15287d4f767f7b69c6f3516464058ebbbcdffe06d14c4b469ddfb428b",
@@ -269,6 +269,16 @@ def test_tree_n7_artifacts_are_unchanged(tmp_path, capsys, monkeypatch, n, m, fo
     files = [(tmp_path / f).read_text() for f in ("tree.txt", "tree.txt.summary.json", "tree.txt.manifest")]
     digest = hashlib.sha256("".join([stdout, *files]).encode()).hexdigest()
     assert digest == TREE_SHA256[(n, m, force)]
+    summary = strict_json(files[1])
+    if (n, m) == (7, 3):  # no discarded leaf: the log of a zero mass
+        assert summary["observed_discarded_log_mass"] is None
+
+
+def strict_json(text):
+    """Parse JSON as RFC 8259 does: NaN and +-Infinity are not values."""
+    def refuse(name):
+        raise ValueError(f"not strict JSON: {name}")
+    return json.loads(text, parse_constant=refuse)
 
 
 def test_tree_out_checks_coverage_once(tmp_path, capsys, monkeypatch):
@@ -431,7 +441,7 @@ def test_stability_probe_reports_selection(capsys):
         capsys, "stability-probe", "--n", "7", "--m", "10"
     )
     assert code == 0
-    report = json.loads(out)
+    report = strict_json(out)
     assert report["leaf"]["is_leaf"] is False
     sel = report["selection"]
     assert sel["status"] == "selected"
@@ -439,6 +449,34 @@ def test_stability_probe_reports_selection(capsys):
     assert sel["ell"] == 4
     assert sel["hypothesis_ok"] is False
     assert sel["min_K"] > report["params"]["K"]
+
+
+def test_stability_probe_reports_a_failed_selection(tmp_path, capsys):
+    """Node 299 of the forced n = 7, m = 3 tree: no fixed pair, eight mixed
+    ones, not a leaf, and no case selects."""
+    mixed = ["0 6", "1 2", "1 3", "2 3", "3 4", "4 5", "4 6", "5 6"]
+    path = tmp_path / "p.txt"
+    path.write_text("n 7\n" + "".join(f"M {pair}\n" for pair in mixed))
+    code, out, _ = run(capsys, "stability-probe", "--n", "7", "--m", "3", "--input", str(path))
+    assert code == 0
+    report = strict_json(out)
+    assert (report["e_M"], report["e_E"], report["leaf"]["is_leaf"]) == (8, 0, False)
+    assert report["selection"] == {
+        "status": "not_applicable",
+        "reason": "case 1: e(M) < 4n; case 2 (ell=1): greedy exhausted after 0 insertions; "
+        "case 3 (ell=2): greedy exhausted after 0 insertions",
+    }
+
+
+@pytest.mark.parametrize("command", ["tree", "stability-probe"])
+@pytest.mark.parametrize("beta", ["1e-300", "1e-320"])
+def test_a_vanishing_beta_is_a_precondition_error(capsys, command, beta):
+    """K = 5/beta and c = 2^-42/K leave the floats (c subnormal, or K = inf
+    and c = 0), so the height bound is not finite."""
+    code, out, err = run(capsys, command, "--n", "7", "--m", "18", "--beta", beta)
+    assert_precondition_exit(code, err)
+    assert "beta" in err
+    assert out == ""
 
 
 # stability-probe --n 20 --m 40 as printed before the permissible greedy

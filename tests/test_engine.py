@@ -960,3 +960,9 @@ def test_monotone_wrapper_basics():
 def test_monotone_wrapper_needs_edges():
     with pytest.raises(PreconditionError):
         monotone_containers(4, 2, [], 1, 1, set())
+
+
+def test_monotone_wrapper_needs_a_positive_r():
+    for r in (0, -1):
+        with pytest.raises(ValueError, match="r must be positive"):
+            monotone_containers(4, 2, [(0, 1), (2, 3)], 1, r, {0, 2})

@@ -7,6 +7,7 @@ import json
 import math
 
 import naive
+import numpy as np
 import pytest
 
 from c4containers import (
@@ -31,9 +32,11 @@ from c4containers import (
     tree_summary,
     verify_coverage,
 )
-from c4containers import hypergraph
+from c4containers import hypergraph, replay_container
 from c4containers.cli import main
-from c4containers.pregraph import Pregraph
+from c4containers.graph6 import pair_index
+from c4containers.pregraph import Pregraph, _from_masks
+from c4containers.tree import _apply_cylinder, _choose_unchecked, _makes_progress
 
 pytestmark = pytest.mark.filterwarnings("ignore:parameter floor binds")
 
@@ -72,6 +75,11 @@ def test_parameter_validation():
         for value in (math.nan, math.inf, 0.0):
             with pytest.raises(PreconditionError):
                 TreeParams(7, 5, **{name: value})
+    # K = 5/beta and c = 2^-42/K: at 1e-300 c is subnormal and the height
+    # bound overflows, at 1e-320 K = inf and c = 0
+    for beta in (1e-300, 1e-320):
+        with pytest.raises(PreconditionError, match="beta"):
+            TreeParams(7, 18, beta=beta)
 
 
 def test_selection_on_the_complete_root():
@@ -112,7 +120,7 @@ def walk_structure(tree):
             parent = by_id[nd.parent_id]
             assert nd in parent.children
             assert nd.depth == parent.depth + 1
-        assert nd.depth <= params.depth_cap
+        assert nd.depth <= min(params.depth_cap, math.comb(params.n, 2))
         if nd.is_leaf:
             assert nd.classification
             assert not nd.children
@@ -128,6 +136,7 @@ def walk_structure(tree):
                 grew = c.pregraph.e_e() >= nd.pregraph.e_e() + params.shrink * params.r
                 if c.status != "fallback_leaf":
                     assert shrunk or grew
+                    assert c.pregraph.e_m() < nd.pregraph.e_m()
     assert tree.root.members == tree.total_members
 
 
@@ -140,6 +149,48 @@ def test_forced_trees_cover_every_member(m):
     walk_structure(tree)
     buckets = classify_leaves(tree)
     assert sum(len(v) for v in buckets.values()) == len(tree.leaves())
+
+
+def test_progress_is_exact_so_a_child_equal_to_its_parent_never_passes():
+    """c*r = 4.5e-16 is below half an ulp of e(E) >= 8, so a float rule lets
+    an unchanged child through there; in integers it never does, while one
+    dropped or one fixed mixed pair always makes progress."""
+    params = TreeParams(8, 20)
+    assert params.r == 1
+    full = (1 << 28) - 1
+    for e in range(28):
+        fixed = (1 << e) - 1
+        parent = _from_masks(8, full & ~fixed, fixed)
+        top = 1 << 27  # a mixed pair for every e < 28
+        dropped = _from_masks(8, parent.M & ~top, fixed)
+        moved = _from_masks(8, parent.M & ~top, fixed | top)
+        assert not _makes_progress(parent, parent, params), e
+        assert _makes_progress(parent, dropped, params), e
+        assert _makes_progress(parent, moved, params), e
+
+
+def test_fingerprints_replay_to_their_children():
+    """Every child of the forced n = 8, m = 24 tree comes back from its
+    fingerprint alone: replayed on the H its parent selects, with the
+    cylinder applied to the parent's pregraph.  No two siblings share a
+    fingerprint."""
+    params = TreeParams(8, 24)
+    tree = build_tree(params, force=True)
+    children = 0
+    for node in tree.nodes:
+        if not node.children:
+            continue
+        sel = _choose_unchecked(node.pregraph, params)
+        bits = np.array([pair_index(*e) for e in sel.permissible.system.ground], dtype=np.int64)
+        fps = [child.fingerprint for child in node.children]
+        assert len(set(fps)) == len(fps)
+        for child in node.children:
+            res = replay_container(
+                sel.hypergraph, params.K, params.b, params.m, params.r, child.fingerprint, force=True
+            )
+            assert _apply_cylinder(node.pregraph, bits, res.cylinder) == child.pregraph
+            children += 1
+    assert children == len(tree.nodes) - 1 > 1000
 
 
 def count_degree_tables(monkeypatch):
@@ -322,6 +373,25 @@ def test_untested_fallback_leaves_are_retested_for_almost_split():
     ]
     got = {k: [dataclasses.astuple(info) for info in v] for k, v in buckets.items()}
     assert got == naive.classify_leaves_by_retest(tree)
+
+
+def test_summary_json_is_strict_and_writes_a_zero_count_as_null():
+    """A leaf that can hold no graph has log count -inf: the summary keeps
+    the float, and the JSON text says null, as RFC 8259 has no infinity."""
+    params = TreeParams(7, 10)
+    split = Pregraph(7, [(4, 5)], [(0, 1), (0, 2), (1, 2)])  # m - e(E) = 7 > e(M)
+    root = TreeNode(0, -1, split, 0, "leaf", "ratio_leaf")
+    tree = ContainerTree(params, False, root, [root], 0)
+    summary = tree_summary(tree, (0, 0))
+    assert summary["observed_discarded_log_mass"] == -math.inf
+    assert summary["leaves"]["discarded"][0]["log_count"] == -math.inf
+
+    def refuse(name):
+        raise ValueError(f"not strict JSON: {name}")
+
+    parsed = json.loads(tree_json(tree, (0, 0)), parse_constant=refuse)
+    assert parsed["observed_discarded_log_mass"] is None
+    assert parsed["leaves"]["discarded"][0]["log_count"] is None
 
 
 def test_phi_exact_matches_direct_recomputation():
